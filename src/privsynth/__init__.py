@@ -8,6 +8,15 @@ output over a finite horizon, subject to distortion budgets, via a
 determinant-maximization program solved by a built-in interior-point method.
 """
 
+import os
+
+# The program's matrices are at most a few hundred wide, where BLAS worker
+# threads cost more in synchronization than they save, and ``sweep --jobs``
+# already runs one solve per core. Default BLAS to one thread before numpy
+# loads it; a value set in the environment still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .model import (

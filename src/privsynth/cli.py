@@ -18,6 +18,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -42,6 +43,7 @@ from .synth import (
 )
 from .sim import run_experiment
 
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _FLOAT_FMT = "{:.16e}"     # 17 significant digits, lossless for doubles
 
 
@@ -96,6 +98,8 @@ def _write_manifest(path: str, core: dict, manifest_hash: str,
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_s": time.time() - t0,
     }
+    # Execution setting, kept out of the hashed core like the timing.
+    doc["thread_env"] = {name: os.environ.get(name) for name in _THREAD_ENV}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -217,7 +221,7 @@ def cmd_evaluate(args) -> int:
         for line in exc.report.violations:
             print(f"violation: {line}", file=sys.stderr)
         return 1
-    except (OSError, ModelFormatError, ValueError, KeyError) as exc:
+    except (OSError, ModelFormatError, ValueError, KeyError, ExtractionFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -267,7 +271,7 @@ def cmd_simulate(args) -> int:
         for line in exc.report.violations:
             print(f"violation: {line}", file=sys.stderr)
         return 1
-    except (OSError, ModelFormatError, ValueError, KeyError) as exc:
+    except (OSError, ModelFormatError, ValueError, KeyError, ExtractionFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ the horizon; the budgets accept the string ``"inf"``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -392,7 +391,3 @@ def _resize_weight(name: str, W: np.ndarray, per_step: int, K_old: int, K_new: i
     if not np.array_equal(replicated, W):
         raise ValueError(f"cannot override K: {name} is not a per-step replication")
     return np.kron(np.eye(K_new), block)
-
-
-def asdict_shallow(obj) -> dict:
-    return dataclasses.asdict(obj)

@@ -114,19 +114,34 @@ class AffineVariable:
 
 @dataclass
 class LmiConstraint:
-    """S(x) = constant + sum_v tensordot(x_v, terms[v]) >= margin * I."""
+    """S(x) = constant + sum_k x_k (e_{r_k} v_k^T + v_k e_{r_k}^T) >= margin * I.
+
+    Every term is a symmetric rank-2 placement: parameter k of a variable
+    puts its vector v_k on hub row and column r_k. ``rows[var]`` holds the
+    hub rows r_k, ``terms[var]`` the (p, dim) array whose row k is v_k.
+    """
 
     name: str
     dim: int
     constant: np.ndarray
     margin: float = 0.0
     terms: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def add_term(self, var_name: str, tensor: np.ndarray) -> None:
-        tensor = np.asarray(tensor, dtype=float)
-        if tensor.ndim != 3 or tensor.shape[1:] != (self.dim, self.dim):
-            raise ValueError(f"term tensor for {var_name} must be (p, {self.dim}, {self.dim})")
-        self.terms[var_name] = tensor
+    def add_term(self, var_name: str, rows: np.ndarray, vectors: np.ndarray) -> None:
+        """Register a variable's terms; ValueError on a bad shape or hub row."""
+        vectors = np.asarray(vectors, dtype=float)
+        rows = np.asarray(rows)
+        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
+            raise ValueError(f"term vectors for {var_name} must be (p, {self.dim})")
+        if rows.shape != (vectors.shape[0],):
+            raise ValueError(f"term rows for {var_name} must be one hub row per vector")
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"term rows for {var_name} must be integers")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.dim):
+            raise ValueError(f"term rows for {var_name} must lie in [0, {self.dim})")
+        self.rows[var_name] = rows.astype(np.intp)
+        self.terms[var_name] = vectors
 
 
 @dataclass
@@ -261,7 +276,8 @@ class SdpProblem:
             "lmis": [
                 {"name": c.name, "dim": c.dim, "margin": c.margin,
                  "constant": c.constant.tolist(),
-                 "terms": {k: t.tolist() for k, t in c.terms.items()}}
+                 "terms": {k: {"rows": c.rows[k].tolist(), "vectors": t.tolist()}
+                           for k, t in c.terms.items()}}
                 for c in self.lmis
             ],
             "scalars": [
@@ -309,8 +325,26 @@ class SdpSolution:
 # assembly plan
 
 
+@dataclass
+class _LmiLocal:
+    """One LMI's stacked terms: term k belongs to global parameter idx[k] and
+    places vectors[k] on hub row rows[k]. ``blocks`` pairs each variable's
+    local term range with its global parameter slice."""
+
+    con: LmiConstraint
+    idx: np.ndarray
+    rows: np.ndarray
+    vectors: np.ndarray     # (p, dim)
+    blocks: list[tuple[slice, slice]]
+
+    def __post_init__(self):
+        # hub[k] = e_{rows[k]}, so sum_k x_k e_{r_k} v_k^T = hub^T diag(x) V.
+        self.hub = np.zeros_like(self.vectors)
+        self.hub[np.arange(self.rows.size), self.rows] = 1.0
+
+
 class _Plan:
-    """Per-solve preprocessed views: index maps, stacked tensors, box radii."""
+    """Per-solve preprocessed views: index maps, LMI factors, box radii."""
 
     def __init__(self, problem: SdpProblem, opts: SolverOptions,
                  phase1: bool, x0_hint: np.ndarray | None):
@@ -330,22 +364,21 @@ class _Plan:
 
         self.sym_list = list(problem.sym_vars.values())
 
-        # LMI locals: global index array + stacked tensor (+ identity page for t).
-        self.lmi_locals: list[tuple[LmiConstraint, np.ndarray, np.ndarray]] = []
+        # LMI locals: the factors of every variable's terms, stacked. The
+        # phase-1 shift t*I is not rank 2 and is handled in closed form.
+        self.lmis: list[_LmiLocal] = []
         for con in problem.lmis:
-            idx_parts = []
-            tensor_parts = []
-            for var_name, tensor in con.terms.items():
-                v = problem.variable(var_name)
-                idx_parts.append(np.arange(v.offset, v.offset + v.num_params))
-                tensor_parts.append(tensor)
-            if phase1:
-                idx_parts.append(np.array([self.t_idx]))
-                tensor_parts.append(np.eye(con.dim)[None, :, :])
-            idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=int)
-            tensor = np.concatenate(tensor_parts, axis=0) if tensor_parts \
-                else np.zeros((0, con.dim, con.dim))
-            self.lmi_locals.append((con, idx, tensor))
+            blocks, at = [], 0
+            for name, vectors in con.terms.items():
+                blocks.append((slice(at, at + len(vectors)), problem.var_slice(name)))
+                at += len(vectors)
+            self.lmis.append(_LmiLocal(
+                con=con,
+                idx=np.concatenate([np.zeros(0, dtype=np.intp),
+                                    *(np.arange(g.start, g.stop) for _, g in blocks)]),
+                rows=np.concatenate([np.zeros(0, dtype=np.intp), *con.rows.values()]),
+                vectors=np.concatenate([np.zeros((0, con.dim)), *con.terms.values()]),
+                blocks=blocks))
 
         # Scalar locals.
         self.scalar_locals: list[tuple[ScalarConstraint, np.ndarray, np.ndarray]] = []
@@ -378,13 +411,13 @@ class _Plan:
 
     # -- slack evaluation ------------------------------------------------
 
-    def lmi_slack(self, con: LmiConstraint, idx: np.ndarray, tensor: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-        S = con.constant.copy()
-        if con.margin:
-            S[np.diag_indices_from(S)] -= con.margin
-        if idx.size:
-            S += np.tensordot(x[idx], tensor, axes=(0, 0))
+    def lmi_slack(self, lmi: _LmiLocal, x: np.ndarray) -> np.ndarray:
+        con = lmi.con
+        M = lmi.hub.T @ (x[lmi.idx, None] * lmi.vectors)
+        S = con.constant + M + M.T
+        shift = con.margin - (x[self.t_idx] if self.phase1 else 0.0)
+        if shift:
+            S[np.diag_indices_from(S)] -= shift
         return S
 
     def sym_slack(self, v: SymVariable, x: np.ndarray) -> np.ndarray:
@@ -407,7 +440,7 @@ def _logdet_from_chol(L: np.ndarray) -> float:
 
 
 def _inv_from_chol(L: np.ndarray) -> np.ndarray:
-    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True, check_finite=False)
     return Linv.T @ Linv
 
 
@@ -419,28 +452,11 @@ def _sym_gvec(Minv: np.ndarray, v: SymVariable) -> np.ndarray:
 def _sym_hmat(Minv: np.ndarray, v: SymVariable) -> np.ndarray:
     """Hessian of -log det: H_ab = tr(Minv E_a Minv E_b) via index products."""
     I, J = v.rows, v.cols
-    T1 = Minv[np.ix_(I, I)] * Minv[np.ix_(J, J)]
-    T1 += Minv[np.ix_(I, J)] * Minv[np.ix_(J, I)]
+    MI, MJ = Minv[I], Minv[J]
+    T1 = MI[:, I] * MJ[:, J]
+    T1 += MI[:, J] * MJ[:, I]
     T1 *= 2.0 * (v.alpha[:, None] * v.alpha[None, :])
     return T1
-
-
-def _lmi_newton_parts(L: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-parameter traces and vectorized congruences for one LMI slack.
-
-    Returns (trvec, V) with trvec[k] = tr(S^{-1} T_k) and V[k] = vec(W_k),
-    W_k = L^{-1} T_k L^{-T}, so that the barrier Hessian block is V V^T.
-    """
-    p, d, _ = tensor.shape
-    if p == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    B = solve_triangular(L, tensor.transpose(1, 0, 2).reshape(d, p * d), lower=True)
-    B = B.reshape(d, p, d)
-    Ct = solve_triangular(L, B.transpose(2, 1, 0).reshape(d, p * d), lower=True)
-    Ct = Ct.reshape(d, p, d)            # Ct[j, k, i] = W_k[i, j]
-    W = Ct.transpose(1, 2, 0)           # (p, d, d)
-    trvec = np.einsum("kii->k", W)
-    return trvec, W.reshape(p, d * d)
 
 
 class _Infeasible(Exception):
@@ -505,18 +521,35 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
                         hess[plan.t_idx, sl] += cross
                         hess[plan.t_idx, plan.t_idx] += mu * float(np.trace(S2))
 
-    # General LMIs.
-    for con, idx, tensor in plan.lmi_locals:
-        S = plan.lmi_slack(con, idx, tensor, x)
+    # General LMIs, from the rank-2 factors T_k = e_r v_k^T + v_k e_r^T with
+    # P = S^{-1}: tr(P T_k) = 2 (P V)[r_k, k] and
+    # tr(P T_k P T_l) = 2 (P[r_k, r_l] (V^T P V)[k, l] + B[k, l] B[l, k]),
+    # B = (P V)[r, :].
+    for lmi in plan.lmis:
+        S = plan.lmi_slack(lmi, x)
         L = _chol_or_none(S)
         if L is None:
-            raise _Infeasible(f"lmi {con.name}")
+            raise _Infeasible(f"lmi {lmi.con.name}")
         barrier += -_logdet_from_chol(L)
-        if order >= 1 and idx.size:
-            trvec, V = _lmi_newton_parts(L, tensor)
-            grad[idx] += -mu * trvec
+        if order >= 1:
+            P = _inv_from_chol(L)
+            PV = P @ lmi.vectors.T
+            B = PV[lmi.rows]
+            grad[lmi.idx] += -2.0 * mu * np.diagonal(B)
+            if plan.phase1:
+                grad[plan.t_idx] += -mu * float(np.trace(P))
             if order >= 2:
-                hess[np.ix_(idx, idx)] += mu * (V @ V.T)
+                H = P[lmi.rows][:, lmi.rows] * (lmi.vectors @ PV)
+                H += B * B.T
+                H *= 2.0 * mu
+                for loc_a, glob_a in lmi.blocks:
+                    for loc_b, glob_b in lmi.blocks:
+                        hess[glob_a, glob_b] += H[loc_a, loc_b]
+                if plan.phase1:
+                    cross = 2.0 * mu * np.einsum("kj,jk->k", P[lmi.rows], PV)
+                    hess[lmi.idx, plan.t_idx] += cross
+                    hess[plan.t_idx, lmi.idx] += cross
+                    hess[plan.t_idx, plan.t_idx] += mu * float(np.sum(P * P))
 
     # Scalar inequalities.
     for sc, idx, coef in plan.scalar_locals:
@@ -695,26 +728,17 @@ def find_feasible(problem: SdpProblem, opts: SolverOptions | None = None,
     if rng is not None:
         x0[:n] = rng.uniform(-0.5 * scale, 0.5 * scale, size=n)
 
-    # Shift t0 until every relaxed slack is comfortably interior.
+    # Shift t0 until every relaxed slack is comfortably interior; with
+    # x0[n] = 0 the phase-1 slacks are the unrelaxed ones.
+    plan = _Plan(problem, opts, phase1=True, x0_hint=None)
     t0 = 0.0
-    for con in problem.lmis:
-        S = con.constant.copy()
-        for var_name, tensor in con.terms.items():
-            v = problem.variable(var_name)
-            blk = x0[v.offset:v.offset + v.num_params]
-            S += np.tensordot(blk, tensor, axes=(0, 0))
-        w = np.linalg.eigvalsh(0.5 * (S + S.T))
-        t0 = max(t0, con.margin - float(w[0]))
-    for name, v in problem.sym_vars.items():
+    for lmi in plan.lmis:
+        t0 = max(t0, -float(np.linalg.eigvalsh(plan.lmi_slack(lmi, x0))[0]))
+    for v in plan.sym_list:
         if v.psd_margin is not None:
-            w = np.linalg.eigvalsh(v.matrix(x0))
-            t0 = max(t0, v.psd_margin - float(w[0]))
-    for sc in problem.scalars:
-        g = sc.constant
-        for var_name, coeffs in sc.coeffs.items():
-            v = problem.variable(var_name)
-            g += float(np.asarray(coeffs) @ x0[v.offset:v.offset + v.num_params])
-        t0 = max(t0, -g)
+            t0 = max(t0, -float(np.linalg.eigvalsh(plan.sym_slack(v, x0))[0]))
+    for sc, idx, coef in plan.scalar_locals:
+        t0 = max(t0, -(sc.constant + float(coef @ x0[idx])))
     x0[n] = t0 + 1.0 + 0.1 * scale
 
     def reached(xcur: np.ndarray) -> bool:
@@ -783,11 +807,11 @@ def check_solution(problem: SdpProblem, x: np.ndarray | dict,
 
     for con in problem.lmis:
         S = con.constant.copy()
-        for var_name, tensor in con.terms.items():
-            v = problem.variable(var_name)
-            blk = xv[v.offset:v.offset + v.num_params]
-            for k in range(blk.shape[0]):
-                S = S + blk[k] * tensor[k]
+        for var_name, vectors in con.terms.items():
+            blk = xv[problem.var_slice(var_name)]
+            for xk, r, vk in zip(blk, con.rows[var_name], vectors):
+                S[r, :] += xk * vk
+                S[:, r] += xk * vk
         S = S - con.margin * np.eye(con.dim)
         w = np.linalg.eigvalsh(0.5 * (S + S.T))
         mins = float(w[0])

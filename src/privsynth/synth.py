@@ -22,7 +22,7 @@ from scipy.linalg import cho_factor, cho_solve
 from . import __version__ as _version
 from . import sdp
 from .gauss import GaussianJoint, entropy, mutual_information, HALF_LOG2_2PIE
-from .lift import LiftedSystem, build_lift, output_moments, joint_ZS_moments
+from .lift import LiftedSystem, _sym, build_lift, output_moments, joint_ZS_moments
 from .model import SystemModel, SynthesisRequest, ValidationError, content_hash, validate
 
 log = logging.getLogger(__name__)
@@ -53,10 +53,6 @@ class ExtractionFailure(RuntimeError):
     is not positive definite."""
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
-
-
 def g_blocks_to_matrix(blocks: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """Block-diagonal output matrix from the per-step list."""
     blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
@@ -82,6 +78,8 @@ class Mechanism:
         self.G_blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in self.G_blocks]
         self.Sigma_V = _sym(np.asarray(self.Sigma_V, dtype=float))
         self.Sigma_H = _sym(np.asarray(self.Sigma_H, dtype=float))
+        if not all(np.all(np.isfinite(a)) for a in (*self.G_blocks, self.Sigma_V, self.Sigma_H)):
+            raise ValueError("mechanism has non-finite entries")
         try:
             self.chol_V = np.linalg.cholesky(self.Sigma_V)
         except np.linalg.LinAlgError:
@@ -213,16 +211,14 @@ def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest
     )
 
 
-def _sym_basis_tensor(n: int, embed_dim: int, row0: int, col0: int, sign: float) -> np.ndarray:
-    """Tensor placing +/-E_a of an n-dim symmetric variable inside a larger block."""
-    p = sdp.sym_param_count(n)
-    rows, cols = sdp.sym_param_indices(n)
-    T = np.zeros((p, embed_dim, embed_dim))
-    for a, (i, j) in enumerate(zip(rows, cols)):
-        T[a, row0 + i, col0 + j] += sign
-        if i != j:
-            T[a, row0 + j, col0 + i] += sign
-    return T
+def _sym_basis_factors(var: sdp.SymVariable, dim: int, offset: int,
+                       sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors placing +/-E_a of a symmetric variable on the diagonal block at
+    ``offset`` of a dim x dim LMI: E_a = alpha_a (e_i e_j^T + e_j e_i^T) is the
+    rank-2 placement with hub row i and vector alpha_a e_j."""
+    vectors = np.zeros((var.num_params, dim))
+    vectors[np.arange(var.num_params), offset + var.cols] = sign * var.alpha
+    return offset + var.rows, vectors
 
 
 def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> sdp.SdpProblem:
@@ -238,32 +234,30 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     d = ctx.delta
 
     prob = sdp.SdpProblem()
-    prob.add_sym_var("Pi", NS, logdet_weight=1.0, psd_margin=d)
-    prob.add_sym_var("Sigma_Z", NY)
+    pi = prob.add_sym_var("Pi", NS, logdet_weight=1.0, psd_margin=d)
+    sz = prob.add_sym_var("Sigma_Z", NY)
     prob.add_affine_var("G", K * n_y * n_y)
     prob.add_sym_var("Sigma_H", NU, logdet_weight=1.0, psd_margin=d)
 
     M_zs = ctx.cov_YS                   # rows: Y/Z stack, cols: S stack, pre-G
     pg = K * n_y * n_y
+    # G parameter p = (k*n_y + r)*n_y + c is entry (rg, cg) of the stacked G.
+    k, r, c = np.unravel_index(np.arange(pg), (K, n_y, n_y))
+    rg, cg = k * n_y + r, k * n_y + c
 
     # Leakage LMI: [[Sigma_S - Pi, cov(S,Z)], [cov(Z,S), Sigma_Z]] >= 0.
     dim = NS + NY
     const = np.zeros((dim, dim))
     const[:NS, :NS] = ctx.Sigma_S
     mi = prob.add_lmi("leakage", dim, constant=const, margin=0.0)
-    mi.add_term("Pi", _sym_basis_tensor(NS, dim, 0, 0, -1.0))
-    mi.add_term("Sigma_Z", _sym_basis_tensor(NY, dim, NS, NS, +1.0))
-    Tg = np.zeros((pg, dim, dim))
-    for k in range(K):
-        for r in range(n_y):
-            for c in range(n_y):
-                p = (k * n_y + r) * n_y + c
-                zrow = NS + k * n_y + r
-                Tg[p, zrow, 0:NS] += M_zs[k * n_y + c, :]
-                Tg[p, 0:NS, zrow] += M_zs[k * n_y + c, :]
-    mi.add_term("G", Tg)
+    mi.add_term("Pi", *_sym_basis_factors(pi, dim, 0, -1.0))
+    mi.add_term("Sigma_Z", *_sym_basis_factors(sz, dim, NS, +1.0))
+    vg = np.zeros((pg, dim))
+    vg[:, :NS] = M_zs[cg, :]
+    mi.add_term("G", NS + rg, vg)
 
-    # Output distortion budget as an epigraph LMI (finite budget only).
+    # Output distortion budget as an epigraph LMI (finite budget only); every
+    # term has hub row 0.
     if math.isfinite(ctx.eps_y):
         m_w = req.W_Y.shape[0]
         dimd = 1 + m_w
@@ -274,22 +268,14 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         const[1:, 0] = -Wmu
         const[1:, 1:] = np.eye(m_w)
         dist = prob.add_lmi("output_distortion_budget", dimd, constant=const, margin=0.0)
-        Tz = np.zeros((sdp.sym_param_count(NY), dimd, dimd))
-        rows, cols = sdp.sym_param_indices(NY)
-        for a, (i, j) in enumerate(zip(rows, cols)):
-            Tz[a, 0, 0] = -(ctx.MYq[i, j] * (2.0 if i != j else 1.0))
-        dist.add_term("Sigma_Z", Tz)
+        vz = np.zeros((sz.num_params, dimd))
+        vz[:, 0] = -sz.alpha * ctx.MYq[sz.rows, sz.cols]
+        dist.add_term("Sigma_Z", np.zeros(sz.num_params, dtype=int), vz)
         MS = ctx.MYq @ ctx.Sigma_Y
-        Tg = np.zeros((pg, dimd, dimd))
-        for k in range(K):
-            for r in range(n_y):
-                for c in range(n_y):
-                    p = (k * n_y + r) * n_y + c
-                    rg, cg = k * n_y + r, k * n_y + c
-                    Tg[p, 0, 0] = 2.0 * MS[cg, rg]
-                    Tg[p, 1:, 0] += req.W_Y[:, rg] * ctx.mu_Y[cg]
-                    Tg[p, 0, 1:] += req.W_Y[:, rg] * ctx.mu_Y[cg]
-        dist.add_term("G", Tg)
+        vg = np.zeros((pg, dimd))
+        vg[:, 0] = MS[cg, rg]
+        vg[:, 1:] = req.W_Y[:, rg].T * ctx.mu_Y[cg, None]
+        dist.add_term("G", np.zeros(pg, dtype=int), vg)
 
     # Input distortion budget (finite budget only).
     if math.isfinite(ctx.eps_u):
@@ -304,16 +290,10 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     const = np.zeros((dimn, dimn))
     const[NY:, NY:] = ctx.Winv
     floor = prob.add_lmi("noise_floor", dimn, constant=const, margin=d)
-    floor.add_term("Sigma_Z", _sym_basis_tensor(NY, dimn, 0, 0, +1.0))
-    Tg = np.zeros((pg, dimn, dimn))
-    for k in range(K):
-        for r in range(n_y):
-            for c in range(n_y):
-                p = (k * n_y + r) * n_y + c
-                rg, cg = k * n_y + r, k * n_y + c
-                Tg[p, rg, NY + cg] = 1.0
-                Tg[p, NY + cg, rg] = 1.0
-    floor.add_term("G", Tg)
+    floor.add_term("Sigma_Z", *_sym_basis_factors(sz, dimn, 0, +1.0))
+    vg = np.zeros((pg, dimn))
+    vg[np.arange(pg), NY + cg] = 1.0
+    floor.add_term("G", rg, vg)
 
     prob.meta["context"] = ctx
     return prob

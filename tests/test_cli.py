@@ -3,6 +3,7 @@ formats, manifests and determinism."""
 
 import hashlib
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -71,6 +72,9 @@ def test_synthesize_writes_linked_artifacts(scalar_artifacts):
     for p in (out, report, iters):
         assert mdoc["artifacts"][str(p)] == sha(p)
     assert "wall_clock" in mdoc and mdoc["command"] == "synthesize"
+    # The BLAS thread setting is recorded, outside the hashed core.
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert mdoc["thread_env"][name] == os.environ.get(name, "1")
 
 
 def test_synthesize_status_line(tmp_path):
@@ -125,6 +129,27 @@ def test_evaluate_dimension_mismatch(scalar_artifacts):
     proc = cli("evaluate", FIXTURES / "twostate.json", scalar_artifacts)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+def _negate_sigma_v(doc):
+    doc["Sigma_V"] = [[-v for v in row] for row in doc["Sigma_V"]]
+
+
+def _nan_gains(doc):
+    doc["G_blocks"][0][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("corrupt", [_negate_sigma_v, _nan_gains])
+def test_corrupt_mechanism_is_a_one_line_error(scalar_artifacts, tmp_path, command, corrupt):
+    doc = json.loads(pathlib.Path(scalar_artifacts).read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    extra = [tmp_path / "sim.csv", "--n-runs", 10] if command == "simulate" else []
+    proc = cli(command, FIXTURES / "scalar.json", bad, *extra)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_simulate_csv_format(scalar_artifacts, tmp_path):
@@ -251,3 +276,16 @@ def test_version_flag():
     proc = cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("privsynth ")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_defaults_blas_to_one_thread(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, privsynth; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (preset or "1")

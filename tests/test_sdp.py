@@ -1,10 +1,15 @@
 """Barrier solver on tiny programs with known optima, plus its certificates."""
 
+import copy
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from privsynth import sdp
+from privsynth.lift import build_lift
+from privsynth.model import load_model, with_overrides
 from privsynth.sdp import (
     SdpProblem,
     SolverOptions,
@@ -18,6 +23,9 @@ from privsynth.sdp import (
     sym_to_matrix,
     write_iteration_csv,
 )
+from privsynth.synth import analytic_start, assemble_program
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def scalar_cap_problem(cap=4.0, margin=1e-8):
@@ -42,10 +50,11 @@ def lmi_cap_problem(n=2):
     """maximize log2 det X  s.t.  X <= I; optimum X = I."""
     prob = SdpProblem()
     prob.add_sym_var("X", n, logdet_weight=1.0, psd_margin=1e-8)
-    p = sym_param_count(n)
-    tensor = np.stack([-sym_to_matrix(np.eye(p)[i], n) for i in range(p)])
+    rows, cols = sym_param_indices(n)
+    # -E_a is the rank-2 placement with hub row i and vector -alpha_a e_j.
+    vectors = -np.eye(n)[cols] * np.where(rows == cols, 0.5, 1.0)[:, None]
     con = prob.add_lmi("upper_cap", n, constant=np.eye(n))
-    con.add_term("X", tensor)
+    con.add_term("X", rows, vectors)
     return prob
 
 
@@ -179,3 +188,72 @@ def test_problem_dump(tmp_path):
     doc = json.loads(path.read_text())
     assert isinstance(doc, dict) and doc
     assert "X" in json.dumps(doc)
+    # LMI terms are written in factor form: hub rows plus (p, dim) vectors.
+    lmi_cap_problem().dump(str(path))
+    term = json.loads(path.read_text())["lmis"][0]["terms"]["X"]
+    assert term["rows"] == [0, 1, 1]
+    assert term["vectors"] == [[-0.5, 0.0], [-1.0, 0.0], [0.0, -0.5]]
+
+
+def test_add_term_rejects_bad_input():
+    con = SdpProblem().add_lmi("c", 3)
+    with pytest.raises(ValueError, match="must be"):
+        con.add_term("X", [0, 1], np.zeros((2, 4)))      # vectors not (p, dim)
+    with pytest.raises(ValueError, match="one hub row"):
+        con.add_term("X", [0], np.zeros((2, 3)))         # rows and vectors disagree
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        con.add_term("X", [0, 3], np.zeros((2, 3)))      # hub row out of range
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        con.add_term("X", [-1, 0], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="integers"):
+        con.add_term("X", [0.0, 1.0], np.zeros((2, 3)))
+    assert con.terms == {} and con.rows == {}
+
+
+def _dense_lmi_newton(plan, x, mu):
+    """LMI barrier gradient and Hessian from explicit d x d term matrices:
+    g_k = -mu tr(S^-1 T_k), H_kl = mu tr(S^-1 T_k S^-1 T_l)."""
+    grad = np.zeros(plan.n)
+    hess = np.zeros((plan.n, plan.n))
+    prob = plan.problem
+    for con in prob.lmis:
+        idx, mats = [], []
+        for name, vectors in con.terms.items():
+            sl = prob.var_slice(name)
+            for k, (r, v) in enumerate(zip(con.rows[name], vectors)):
+                T = np.zeros((con.dim, con.dim))
+                T[r, :] += v
+                T[:, r] += v
+                idx.append(sl.start + k)
+                mats.append(T)
+        if plan.phase1:
+            idx.append(plan.t_idx)
+            mats.append(np.eye(con.dim))
+        S = con.constant - con.margin * np.eye(con.dim)
+        S = S + sum(x[i] * T for i, T in zip(idx, mats))
+        W = np.array([np.linalg.solve(S, T) for T in mats])      # S^-1 T_k
+        grad[idx] += -mu * np.einsum("kii->k", W)
+        hess[np.ix_(idx, idx)] += mu * np.einsum("kij,lji->kl", W, W)
+    return grad, hess
+
+
+@pytest.mark.parametrize("phase1", [False, True])
+def test_factor_newton_matches_dense_reference(phase1):
+    """The rank-2 factor assembly of the LMI barrier terms equals the
+    textbook dense formulas, on a program with all three LMIs."""
+    model, req = load_model(str(FIXTURES / "reactor4.json"))
+    model, req = with_overrides(model, req, K=5, eps_y=2.0, eps_u=2.0)
+    prob = assemble_program(build_lift(model, req.K), model, req)
+    assert len(prob.lmis) == 3
+    x = prob.pack(analytic_start(prob))
+    if phase1:
+        x = np.append(x, 0.25)
+    plan = sdp._Plan(prob, SolverOptions(), phase1, x)
+    no_lmis = copy.copy(plan)
+    no_lmis.lmis = []
+    mu = 0.7
+    _, _, g_all, h_all = sdp._evaluate(plan, x, mu, 2)
+    _, _, g_rest, h_rest = sdp._evaluate(no_lmis, x, mu, 2)
+    g_ref, h_ref = _dense_lmi_newton(plan, x, mu)
+    assert np.linalg.norm(g_all - g_rest - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+    assert np.linalg.norm(h_all - h_rest - h_ref) <= 1e-10 * np.linalg.norm(h_ref)
