@@ -26,17 +26,19 @@ import numpy as np
 
 from . import __version__
 from .model import (
-    ModelFormatError,
     ValidationError,
     load_model,
+    validate,
     with_overrides,
 )
 from .sdp import SolverOptions, write_iteration_csv
 from .synth import (
     ExtractionFailure,
     InfeasibleProgram,
+    Mechanism,
     SolverFailure,
     evaluate_mechanism,
+    input_noise,
     load_mechanism,
     save_mechanism,
     synthesize,
@@ -63,9 +65,12 @@ def _parse_eps(text: str) -> float:
 
 
 def _parse_grid(text: str) -> list[float]:
-    vals = [_parse_eps(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        vals = [_parse_eps(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"bad grid: {exc}") from None
     if not vals:
-        raise ValueError("empty grid")
+        raise ValueError("bad grid: empty")
     return vals
 
 
@@ -135,15 +140,7 @@ def _check_dims(model, req, mech) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_model(args.model)
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        for line in exc.report.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return 1
+    load_model(args.model)
     print("ok")
     return 0
 
@@ -155,49 +152,26 @@ def cmd_synthesize(args) -> int:
     iters_path = base + ".iterations.csv"
     manifest_path = base + ".manifest.json"
 
-    try:
-        core, mh = _manifest_core(
-            "synthesize",
-            inputs={"model": args.model},
-            options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
-                     "out_mechanism": args.out_mechanism},
-            seeds={"seed": args.seed},
-        )
-        model, req = _load_with_overrides(args)
-    except ValidationError as exc:
-        for line in exc.report.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return 1
-    except (OSError, ModelFormatError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        rep = synthesize(model, req, solver_opts=SolverOptions(seed=args.seed))
-    except InfeasibleProgram as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ExtractionFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    core, mh = _manifest_core(
+        "synthesize",
+        inputs={"model": args.model},
+        options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
+                 "out_mechanism": args.out_mechanism},
+        seeds={"seed": args.seed},
+    )
+    model, req = _load_with_overrides(args)
+    rep = synthesize(model, req, solver_opts=SolverOptions(seed=args.seed))
 
     rep.mechanism.provenance["manifest_hash"] = mh
-    try:
-        save_mechanism(rep.mechanism, args.out_mechanism)
-        doc = rep.to_dict()
-        doc["manifest_hash"] = mh
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_iteration_csv(rep.solution, iters_path, header_comment=f"manifest_hash={mh}")
-        _write_manifest(manifest_path, core, mh,
-                        [args.out_mechanism, report_path, iters_path], t0)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    save_mechanism(rep.mechanism, args.out_mechanism)
+    doc = rep.to_dict()
+    doc["manifest_hash"] = mh
+    with open(report_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    write_iteration_csv(rep.solution, iters_path, header_comment=f"manifest_hash={mh}")
+    _write_manifest(manifest_path, core, mh,
+                    [args.out_mechanism, report_path, iters_path], t0)
 
     print(f"status=Optimal cost_bits={rep.cost_bits:.9g} mi_bits={rep.mi_bits:.9g} "
           f"entropy_H_bits={rep.entropy_H_bits:.9g} distortion_Y={rep.distortion_Y:.9g} "
@@ -206,24 +180,16 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        core, mh = _manifest_core(
-            "evaluate",
-            inputs={"model": args.model, "mechanism": args.mechanism},
-            options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
-                     "out": args.out},
-            seeds={},
-        )
-        model, req = _load_with_overrides(args)
-        mech = load_mechanism(args.mechanism)
-        _check_dims(model, req, mech)
-    except ValidationError as exc:
-        for line in exc.report.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return 1
-    except (OSError, ModelFormatError, ValueError, KeyError, ExtractionFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    core, mh = _manifest_core(
+        "evaluate",
+        inputs={"model": args.model, "mechanism": args.mechanism},
+        options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
+                 "out": args.out},
+        seeds={},
+    )
+    model, req = _load_with_overrides(args)
+    mech = load_mechanism(args.mechanism)
+    _check_dims(model, req, mech)
 
     metrics = evaluate_mechanism(model, req, mech)
     doc = {
@@ -237,14 +203,10 @@ def cmd_evaluate(args) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         t0 = time.time()
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            _write_manifest(_strip(args.out, ".json") + ".manifest.json", core, mh,
-                            [args.out], t0)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _write_manifest(_strip(args.out, ".json") + ".manifest.json", core, mh,
+                        [args.out], t0)
     else:
         sys.stdout.write(text)
     return 0
@@ -253,138 +215,129 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     t0 = time.time()
     if args.n_runs <= 0:
-        print("error: n_runs must be positive", file=sys.stderr)
-        return 1
-    try:
-        core, mh = _manifest_core(
-            "simulate",
-            inputs={"model": args.model, "mechanism": args.mechanism},
-            options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
-                     "n_runs": args.n_runs, "r_entries": args.r_entries,
-                     "out_csv": args.out_csv},
-            seeds={"seed": args.seed},
-        )
-        model, req = _load_with_overrides(args)
-        mech = load_mechanism(args.mechanism)
-        _check_dims(model, req, mech)
-    except ValidationError as exc:
-        for line in exc.report.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return 1
-    except (OSError, ModelFormatError, ValueError, KeyError, ExtractionFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("n_runs must be positive")
+    core, mh = _manifest_core(
+        "simulate",
+        inputs={"model": args.model, "mechanism": args.mechanism},
+        options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
+                 "n_runs": args.n_runs, "r_entries": args.r_entries,
+                 "out_csv": args.out_csv},
+        seeds={"seed": args.seed},
+    )
+    model, req = _load_with_overrides(args)
+    mech = load_mechanism(args.mechanism)
+    _check_dims(model, req, mech)
 
     summ = run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed,
                           r_entries=args.r_entries)
-    try:
-        with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# manifest_hash={mh}\n")
-            fh.write("k,mse_yu,mse_zr,se_mse_zr,s_mean,shat_zr_mean\n")
-            for k in range(summ.K):
-                fh.write(",".join([
-                    str(k + 1),
-                    _fmt(summ.mse_yu[k]),
-                    _fmt(summ.mse_zr[k]),
-                    _fmt(summ.se_mse_zr[k]),
-                    _fmt(summ.s_mean[k]),
-                    _fmt(summ.shat_zr_mean[k]),
-                ]) + "\n")
-        _write_manifest(_strip(args.out_csv, ".csv") + ".manifest.json", core, mh,
-                        [args.out_csv], t0)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# manifest_hash={mh}\n")
+        fh.write("k,mse_yu,mse_zr,se_mse_zr,s_mean,shat_zr_mean\n")
+        for k in range(summ.K):
+            fh.write(",".join([
+                str(k + 1),
+                _fmt(summ.mse_yu[k]),
+                _fmt(summ.mse_zr[k]),
+                _fmt(summ.se_mse_zr[k]),
+                _fmt(summ.s_mean[k]),
+                _fmt(summ.shat_zr_mean[k]),
+            ]) + "\n")
+    _write_manifest(_strip(args.out_csv, ".csv") + ".manifest.json", core, mh,
+                    [args.out_csv], t0)
     print(f"n_runs={summ.n_runs} mse_yu_total={summ.mse_yu_total:.9g} "
           f"mse_zr_total={summ.mse_zr_total:.9g}")
     return 0
 
 
-def _sweep_point(model_path: str, k: int | None, eps_y: float, eps_u: float,
-                 seed: int | None) -> tuple:
-    """One grid point, safe to run in a worker process.
+def _sweep_row(model_path: str, k: int | None, eps_y: float, grid_u: list[float],
+               seed: int | None) -> list[tuple]:
+    """Every eps_U cell of one eps_Y row, with at most one solve; safe to run
+    in a worker process.
 
-    Returns (status, cost, mi, entropy, distortion_Y, distortion_U).
+    The output design (G, Sigma_V) does not depend on eps_U. The first cell
+    that passes validation and the input-noise closed form is synthesized;
+    every later such cell pairs that design with its own input noise, or
+    gets the status the solve failed with. Returns one (status, cost, mi,
+    entropy, distortion_Y, distortion_U) tuple per eps_U.
     """
     nan = math.nan
-    try:
-        model, req = load_model(model_path)
-        model, req = with_overrides(model, req, K=k, eps_y=eps_y, eps_u=eps_u)
-        rep = synthesize(model, req, solver_opts=SolverOptions(seed=seed))
-        return ("Optimal", rep.cost_bits, rep.mi_bits, rep.entropy_H_bits,
-                rep.distortion_Y, rep.distortion_U)
-    except InfeasibleProgram:
-        return ("Infeasible", nan, nan, nan, nan, nan)
-    except SolverFailure as exc:
-        status = "SolverFailure"
-        if exc.solution is not None:
-            status = exc.solution.status.value
-        return (status, nan, nan, nan, nan, nan)
-    except ExtractionFailure:
-        return ("ExtractionFailure", nan, nan, nan, nan, nan)
-    except (ValidationError, ValueError):
-        return ("ValidationError", nan, nan, nan, nan, nan)
+    model, req = load_model(model_path)
+    design = None      # the row's solved mechanism, or the status its solve failed with
+    cells = []
+    for eu in grid_u:
+        status, solving = "Optimal", False
+        try:
+            m, r = with_overrides(model, req, K=k, eps_y=eps_y, eps_u=eu)
+            report = validate(m, r)
+            if not report.ok:
+                raise ValidationError(report)
+            sigma_h = input_noise(r)
+            if design is None:
+                solving = True
+                design = synthesize(m, r, solver_opts=SolverOptions(seed=seed)).mechanism
+            if isinstance(design, str):
+                status = design
+            else:
+                met = evaluate_mechanism(m, r, Mechanism(design.G_blocks, design.Sigma_V, sigma_h))
+        except InfeasibleProgram:
+            status = "Infeasible"
+        except SolverFailure as exc:
+            status = "SolverFailure" if exc.solution is None else exc.solution.status.value
+        except ExtractionFailure:
+            status = "ExtractionFailure"
+        except ValueError:          # ValidationError is a ValueError
+            status = "ValidationError"
+        if solving and status != "Optimal":
+            design = status
+        cells.append((status, met.cost_bits, met.mi_bits, met.entropy_H_bits,
+                      met.distortion_Y, met.distortion_U) if status == "Optimal"
+                     else (status, nan, nan, nan, nan, nan))
+    return cells
 
 
-def _sweep_point_star(t: tuple) -> tuple:
-    return _sweep_point(*t)
+def _sweep_row_star(t: tuple) -> list[tuple]:
+    return _sweep_row(*t)
 
 
 def cmd_sweep(args) -> int:
     t0 = time.time()
-    try:
-        grid_y = _parse_grid(args.eps_y_grid)
-        grid_u = _parse_grid(args.eps_u_grid)
-    except ValueError as exc:
-        print(f"error: bad grid: {exc}", file=sys.stderr)
-        return 1
+    grid_y = _parse_grid(args.eps_y_grid)
+    grid_u = _parse_grid(args.eps_u_grid)
 
-    try:
-        # jobs is an execution knob with no effect on results, so it stays
-        # outside the hashed manifest core.
-        core, mh = _manifest_core(
-            "sweep",
-            inputs={"model": args.model},
-            options={"k": args.k, "eps_y_grid": [_fmt(v) for v in grid_y],
-                     "eps_u_grid": [_fmt(v) for v in grid_u],
-                     "out_csv": args.out_csv},
-            seeds={"seed": args.seed},
-        )
-        load_model(args.model)      # surface validation problems before sweeping
-    except ValidationError as exc:
-        for line in exc.report.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return 1
-    except (OSError, ModelFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # jobs is an execution knob with no effect on results, so it stays
+    # outside the hashed manifest core.
+    core, mh = _manifest_core(
+        "sweep",
+        inputs={"model": args.model},
+        options={"k": args.k, "eps_y_grid": [_fmt(v) for v in grid_y],
+                 "eps_u_grid": [_fmt(v) for v in grid_u],
+                 "out_csv": args.out_csv},
+        seeds={"seed": args.seed},
+    )
+    load_model(args.model)      # surface validation problems before sweeping
 
-    points = [(args.model, args.k, ey, eu, args.seed)
-              for ey in grid_y for eu in grid_u]
+    rows = [(args.model, args.k, ey, grid_u, args.seed) for ey in grid_y]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_point_star, points))
+            results = list(pool.map(_sweep_row_star, rows))
     else:
-        results = [_sweep_point_star(p) for p in points]
+        results = [_sweep_row_star(r) for r in rows]
 
-    try:
-        with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# manifest_hash={mh}\n")
-            fh.write("eps_Y,eps_U,cost_bits,mi_bits,entropy_H_bits,"
-                     "distortion_Y,distortion_U,solver_status\n")
-            for (_, _, ey, eu, _), (status, cost, mi, ent, dy, du) in zip(points, results):
+    with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# manifest_hash={mh}\n")
+        fh.write("eps_Y,eps_U,cost_bits,mi_bits,entropy_H_bits,"
+                 "distortion_Y,distortion_U,solver_status\n")
+        for ey, cells in zip(grid_y, results):
+            for eu, (status, cost, mi, ent, dy, du) in zip(grid_u, cells):
                 fh.write(",".join([
                     _fmt(ey), _fmt(eu), _fmt(cost), _fmt(mi), _fmt(ent),
                     _fmt(dy), _fmt(du), status,
                 ]) + "\n")
-        _write_manifest(_strip(args.out_csv, ".csv") + ".manifest.json", core, mh,
-                        [args.out_csv], t0)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write_manifest(_strip(args.out_csv, ".csv") + ".manifest.json", core, mh,
+                    [args.out_csv], t0)
 
-    n_ok = sum(1 for r in results if r[0] == "Optimal")
-    print(f"grid_points={len(points)} optimal={n_ok}")
+    n_ok = sum(1 for cells in results for c in cells if c[0] == "Optimal")
+    print(f"grid_points={len(grid_y) * len(grid_u)} optimal={n_ok}")
     return 0
 
 
@@ -453,9 +406,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every error a command raises maps to its exit code here."""
     args = build_parser().parse_args(argv)
     np.seterr(all="ignore")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValidationError as exc:
+        lines, code = [f"violation: {v}" for v in exc.report.violations], 1
+    except (OSError, ValueError, KeyError) as exc:   # ModelFormatError is a ValueError
+        lines, code = [f"error: {exc}"], 1
+    except InfeasibleProgram as exc:
+        lines, code = [f"error: {exc}"], 2
+    except (SolverFailure, ExtractionFailure) as exc:
+        lines, code = [f"error: {exc}"], 3
+    for line in lines:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

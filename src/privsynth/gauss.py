@@ -83,9 +83,13 @@ class GaussianJoint:
             self.mu_y, self.mu_x, self.Sigma_yy, self.Sigma_xy.T, self.Sigma_xx)
 
 
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.T)
+
+
 def _chol(Sigma: np.ndarray, what: str) -> np.ndarray:
     try:
-        return np.linalg.cholesky(0.5 * (Sigma + Sigma.T))
+        return np.linalg.cholesky(_sym(Sigma))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{what} is not positive definite") from None
 
@@ -124,8 +128,7 @@ def _conditional_cov(joint: GaussianJoint) -> np.ndarray:
     Ly = _chol(joint.Sigma_yy, "Sigma_yy")
     # T = Ly^{-1} Sigma_yx, so the correction is T^T T.
     T = solve_triangular(Ly, joint.Sigma_xy.T, lower=True)
-    cond = joint.Sigma_xx - T.T @ T
-    return 0.5 * (cond + cond.T)
+    return _sym(joint.Sigma_xx - T.T @ T)
 
 
 def mutual_information(joint: GaussianJoint) -> float:
@@ -169,7 +172,7 @@ def mmse_estimate(joint: GaussianJoint, y: np.ndarray) -> tuple[np.ndarray, np.n
     if y.shape[0] != joint.n:
         raise ValueError(f"y must have length {joint.n}, got {y.shape[0]}")
     try:
-        cf = cho_factor(0.5 * (joint.Sigma_yy + joint.Sigma_yy.T), lower=True)
+        cf = cho_factor(_sym(joint.Sigma_yy), lower=True)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("Sigma_yy is not positive definite") from None
     xhat = joint.mu_x + joint.Sigma_xy @ cho_solve(cf, y - joint.mu_y)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import GaussianJoint, NotPositiveDefinite
+from .gauss import GaussianJoint, NotPositiveDefinite, _sym
 
 DEFAULT_MAX_DIM = 5000
 
@@ -26,10 +26,6 @@ def _max_dim_default() -> int:
         return int(raw) if raw else DEFAULT_MAX_DIM
     except ValueError:
         return DEFAULT_MAX_DIM
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Interior-point solver for determinant-maximization programs.
 
-Problem class: minimize ``sum_b w_b * (-log2 det X_b) + c^T x`` over a
+Problem class: minimize ``sum_b w_b * (-log2 det X_b) + c^T x + c_0`` over a
 parameter vector ``x`` holding symmetric matrix blocks (parameterized by
 their lower triangles) and generic affine blocks, subject to
 
@@ -159,7 +159,8 @@ class SdpProblem:
     Variables are registered in order; their parameters are concatenated into
     one global vector. The objective is sum of -log2 det terms (weights on
     symmetric variables) plus an affine term (coefficients per variable, in
-    the same reported units as the logdet terms).
+    the same reported units as the logdet terms) plus ``objective_offset``,
+    a constant that moves the reported objective but not the iterates.
     """
 
     def __init__(self):
@@ -168,6 +169,7 @@ class SdpProblem:
         self.lmis: list[LmiConstraint] = []
         self.scalars: list[ScalarConstraint] = []
         self.affine_objective: dict[str, np.ndarray] = {}
+        self.objective_offset = 0.0
         self._num_params = 0
         self.meta: dict = {}
 
@@ -273,6 +275,7 @@ class SdpProblem:
                 for v in self.affine_vars.values()
             ],
             "affine_objective": {k: v.tolist() for k, v in self.affine_objective.items()},
+            "objective_offset": self.objective_offset,
             "lmis": [
                 {"name": c.name, "dim": c.dim, "margin": c.margin,
                  "constant": c.constant.tolist(),
@@ -701,9 +704,11 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None,
 
     status, x, log, mu, message, nsteps, plan = _barrier_loop(problem, x0, opts)
     f_bits = _objective_bits(problem, x)
+    # The duality measure the barrier tested, which excludes the offset.
+    f_nats = (f_bits - problem.objective_offset) * LN2
     sol = SdpSolution(
         status=status, objective=f_bits, x=x, variables=problem.values(x),
-        residuals=_residuals(problem, x, mu * plan.nu / max(1.0, abs(f_bits * LN2))),
+        residuals=_residuals(problem, x, mu * plan.nu / max(1.0, abs(f_nats))),
         iterations=log, message=message, mu_final=mu, newton_steps=nsteps)
     return sol
 
@@ -846,7 +851,7 @@ def check_solution(problem: SdpProblem, x: np.ndarray | dict,
 
 
 def _objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = False) -> float:
-    f = 0.0
+    f = problem.objective_offset
     for name, v in problem.sym_vars.items():
         if v.logdet_weight == 0.0:
             continue

@@ -3,9 +3,11 @@
 The synthesized mechanism discloses Z = G Y + V (per-step output matrices
 G_1..G_K on the block diagonal, V a horizon-correlated zero-mean Gaussian)
 and R = U + H (H zero-mean Gaussian over the full input stack). The design
-program minimizes the information the disclosed stack leaks about the
-private stack minus the entropy injected into the inputs, subject to
-output/input distortion budgets, as one determinant-maximization problem.
+minimizes the information the disclosed stack leaks about the private stack
+minus the entropy injected into the inputs, subject to output/input
+distortion budgets. The input noise decouples and has the closed form
+Sigma_H* = (eps_U/NU) (W_U^T W_U)^{-1}; the output part (G, Sigma_V) is one
+determinant-maximization problem that does not depend on eps_U.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import __version__ as _version
 from . import sdp
-from .gauss import GaussianJoint, entropy, mutual_information, HALF_LOG2_2PIE
-from .lift import LiftedSystem, _sym, build_lift, output_moments, joint_ZS_moments
-from .model import SystemModel, SynthesisRequest, ValidationError, content_hash, validate
+from .gauss import _sym, entropy, mutual_information
+from .lift import LiftedSystem, build_lift, output_moments, joint_ZS_moments
+from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationReport,
+                    content_hash, validate)
 
 log = logging.getLogger(__name__)
 
@@ -129,8 +131,13 @@ def save_mechanism(mech: Mechanism, path: str) -> None:
 
 
 def load_mechanism(path: str) -> Mechanism:
+    """Read a mechanism file; a non-PD covariance in it is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return Mechanism.from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return Mechanism.from_dict(data)
+    except ExtractionFailure as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -174,10 +181,8 @@ class _Context:
 
     K: int
     n_y: int
-    n_u: int
     n_s: int
     NY: int
-    NU: int
     NS: int
     Sigma_Y: np.ndarray
     Winv: np.ndarray
@@ -185,29 +190,26 @@ class _Context:
     Sigma_S: np.ndarray
     mu_Y: np.ndarray
     MYq: np.ndarray
-    MUq: np.ndarray
     delta: float
     trace_scale: float
     eps_y: float
-    eps_u: float
 
 
 def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> _Context:
     mom = output_moments(lift, model)
     NY = req.K * model.n_y
-    NU = req.K * model.n_u
     NS = req.K * model.n_s
     cf = cho_factor(mom.Sigma_Y, lower=True)
     Winv = _sym(cho_solve(cf, np.eye(NY)))
     trace_scale = max(1.0, float(np.trace(mom.Sigma_Y)) / NY)
     return _Context(
-        K=req.K, n_y=model.n_y, n_u=model.n_u, n_s=model.n_s,
-        NY=NY, NU=NU, NS=NS,
+        K=req.K, n_y=model.n_y, n_s=model.n_s,
+        NY=NY, NS=NS,
         Sigma_Y=mom.Sigma_Y, Winv=Winv, cov_YS=mom.cov_YS,
         Sigma_S=mom.Sigma_S, mu_Y=mom.mu_Y,
-        MYq=_sym(req.W_Y.T @ req.W_Y), MUq=_sym(req.W_U.T @ req.W_U),
+        MYq=_sym(req.W_Y.T @ req.W_Y),
         delta=1e-8 * trace_scale, trace_scale=trace_scale,
-        eps_y=req.eps_y, eps_u=req.eps_u,
+        eps_y=req.eps_y,
     )
 
 
@@ -221,23 +223,45 @@ def _sym_basis_factors(var: sdp.SymVariable, dim: int, offset: int,
     return offset + var.rows, vectors
 
 
+def input_noise(req: SynthesisRequest) -> np.ndarray:
+    """Optimal input noise covariance Sigma_H* = (eps_U/NU) (W_U^T W_U)^{-1}.
+
+    Sigma_H enters the design only through its -log det term and the input
+    budget tr(W_U^T W_U Sigma_H) <= eps_U, whose optimum is this closed form
+    with the budget met exactly. Raises InfeasibleProgram for eps_U <= 0 and
+    ValidationError for eps_U = inf, where the injected entropy is unbounded.
+    """
+    if not req.eps_u > 0.0:
+        raise InfeasibleProgram("input distortion budget infeasible",
+                                worst_constraint="input_distortion_budget")
+    if math.isinf(req.eps_u):
+        raise ValidationError(ValidationReport([
+            "eps_U = inf makes the input-noise entropy unbounded; "
+            "synthesis needs a finite input budget"]))
+    NU = req.W_U.shape[1]
+    cf = cho_factor(_sym(req.W_U.T @ req.W_U), lower=True)
+    return _sym((req.eps_u / NU) * cho_solve(cf, np.eye(NU)))
+
+
 def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> sdp.SdpProblem:
-    """Exact constraint system of the synthesis program as one SdpProblem.
+    """Exact constraint system of the output design as one SdpProblem.
 
     Variables: leakage bound Pi (logdet objective), disclosed covariance
-    Sigma_Z, per-step output blocks G (affine), input noise covariance
-    Sigma_H (logdet objective). An infinite budget drops the corresponding
-    distortion constraint entirely.
+    Sigma_Z, per-step output blocks G (affine). The closed-form input noise
+    (``meta["Sigma_H"]``) enters only as the constant objective offset
+    -log2 det Sigma_H*, so the iterates do not depend on eps_U. An infinite
+    output budget drops the output distortion constraint entirely.
     """
+    Sigma_H = input_noise(req)
     ctx = _build_context(lift, model, req)
-    K, n_y, NY, NS, NU = ctx.K, ctx.n_y, ctx.NY, ctx.NS, ctx.NU
+    K, n_y, NY, NS = ctx.K, ctx.n_y, ctx.NY, ctx.NS
     d = ctx.delta
 
     prob = sdp.SdpProblem()
+    prob.objective_offset = -float(np.linalg.slogdet(Sigma_H)[1]) / math.log(2.0)
     pi = prob.add_sym_var("Pi", NS, logdet_weight=1.0, psd_margin=d)
     sz = prob.add_sym_var("Sigma_Z", NY)
     prob.add_affine_var("G", K * n_y * n_y)
-    prob.add_sym_var("Sigma_H", NU, logdet_weight=1.0, psd_margin=d)
 
     M_zs = ctx.cov_YS                   # rows: Y/Z stack, cols: S stack, pre-G
     pg = K * n_y * n_y
@@ -277,13 +301,6 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         vg[:, 1:] = req.W_Y[:, rg].T * ctx.mu_Y[cg, None]
         dist.add_term("G", np.zeros(pg, dtype=int), vg)
 
-    # Input distortion budget (finite budget only).
-    if math.isfinite(ctx.eps_u):
-        rows, cols = sdp.sym_param_indices(NU)
-        coef = np.array([-(ctx.MUq[i, j] * (2.0 if i != j else 1.0))
-                         for i, j in zip(rows, cols)])
-        prob.add_scalar("input_distortion_budget", ctx.eps_u, {"Sigma_H": coef})
-
     # Noise-floor LMI: [[Sigma_Z, G], [G^T, Winv]] strictly positive; its
     # Schur complement is the extracted output noise covariance.
     dimn = 2 * NY
@@ -296,6 +313,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     floor.add_term("G", rg, vg)
 
     prob.meta["context"] = ctx
+    prob.meta["Sigma_H"] = Sigma_H
     return prob
 
 
@@ -317,10 +335,7 @@ def analytic_start(problem: sdp.SdpProblem) -> dict | None:
     eps_z = s
     if math.isfinite(ctx.eps_y):
         eps_z = min(s, ctx.eps_y / (2.0 * float(np.trace(ctx.MYq)) + 1.0))
-    c_h = s
-    if math.isfinite(ctx.eps_u):
-        c_h = min(s, ctx.eps_u / (2.0 * float(np.trace(ctx.MUq)) + 1.0))
-    if eps_z <= 10.0 * d or c_h <= 10.0 * d:
+    if eps_z <= 10.0 * d:
         return None
 
     Sigma_Z0 = ctx.Sigma_Y + eps_z * np.eye(ctx.NY)
@@ -335,10 +350,9 @@ def analytic_start(problem: sdp.SdpProblem) -> dict | None:
         "Pi": 0.5 * lam * np.eye(ctx.NS),
         "Sigma_Z": Sigma_Z0,
         "G": _identity_g_params(ctx.K, ctx.n_y),
-        "Sigma_H": c_h * np.eye(ctx.NU),
     }
     x = problem.pack(values)
-    rep = sdp.check_solution(problem, x, tol_psd=0.0, tol_scalar=0.0)
+    rep = sdp.check_solution(problem, x, tol_psd=0.0)
     if not rep.ok or any(c.min_slack <= d for c in rep.checks):
         return None
     return values
@@ -399,32 +413,29 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
     blocks = [Gt[k * ctx.n_y:(k + 1) * ctx.n_y, k * ctx.n_y:(k + 1) * ctx.n_y].copy()
               for k in range(ctx.K)]
     mech = Mechanism(
-        G_blocks=blocks, Sigma_V=Sigma_V, Sigma_H=sol.variables["Sigma_H"],
+        G_blocks=blocks, Sigma_V=Sigma_V, Sigma_H=problem.meta["Sigma_H"],
         provenance={
             "model_hash": content_hash(model, req),
             "K": req.K,
             "eps_Y": "inf" if math.isinf(req.eps_y) else req.eps_y,
-            "eps_U": "inf" if math.isinf(req.eps_u) else req.eps_u,
+            "eps_U": req.eps_u,
             "solver_status": sol.status.value,
             "package_version": _version,
         })
 
     metrics = evaluate_mechanism(model, req, mech, lift=lift)
 
-    # The solver objective and the reported cost differ by fixed constants:
-    # cost = objective/2 + 0.5*log2 det Sigma_S - (K*n_u/2)*log2(2 pi e).
+    # The Pi part of the solver objective (-log2 det Pi) and the reported
+    # leakage differ by a fixed constant: mi = (-log2 det Pi)/2 + 0.5*log2 det Sigma_S.
     sign, ld = np.linalg.slogdet(ctx.Sigma_S)
-    expected_cost = sol.objective / 2.0 + 0.5 * ld / math.log(2.0) - ctx.NU * HALF_LOG2_2PIE
-    reconciliation = metrics.cost_bits - expected_cost
-    if abs(reconciliation) > 1e-3 * max(1.0, abs(metrics.cost_bits)):
+    expected_mi = (sol.objective - problem.objective_offset) / 2.0 + 0.5 * ld / math.log(2.0)
+    reconciliation = metrics.mi_bits - expected_mi
+    if abs(reconciliation) > 1e-3 * max(1.0, abs(metrics.mi_bits)):
         log.warning("cost reconciliation drift %.3e bits", reconciliation)
 
     dist_y_active = (math.isfinite(req.eps_y)
                      and abs(metrics.distortion_Y - req.eps_y) <= BUDGET_ACTIVE_RTOL * req.eps_y)
-    dist_u_active = (math.isfinite(req.eps_u)
-                     and abs(metrics.distortion_U - req.eps_u) <= BUDGET_ACTIVE_RTOL * req.eps_u)
-    if (math.isfinite(req.eps_y) or math.isfinite(req.eps_u)) and not (dist_y_active or dist_u_active):
-        log.warning("no distortion budget is active at the optimum")
+    dist_u_active = abs(metrics.distortion_U - req.eps_u) <= BUDGET_ACTIVE_RTOL * req.eps_u
 
     return SynthesisReport(
         mechanism=mech,

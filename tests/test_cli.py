@@ -11,6 +11,13 @@ import sys
 
 import pytest
 
+from privsynth import cli as cli_module
+from privsynth import sdp
+from privsynth.model import (ModelFormatError, ValidationError, ValidationReport, load_model,
+                             with_overrides)
+from privsynth.synth import (ExtractionFailure, InfeasibleProgram, SolverFailure,
+                             synthesize)
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -104,6 +111,79 @@ def test_infeasible_budget_exit_code(tmp_path):
     proc = cli("synthesize", FIXTURES / "eps_u_zero.json", tmp_path / "m.json")
     assert proc.returncode == 2
     assert "input distortion budget infeasible" in proc.stderr
+
+
+def test_infinite_input_budget_is_a_one_line_error(scalar_artifacts, tmp_path):
+    """Synthesis needs a finite eps_U; the commands that only read a model accept inf."""
+    msg = ("violation: eps_U = inf makes the input-noise entropy unbounded; "
+           "synthesis needs a finite input budget")
+    proc = cli("synthesize", FIXTURES / "scalar.json", tmp_path / "m.json", "--eps-u", "inf")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [msg]
+    assert not (tmp_path / "m.json").exists()
+
+    csv_path = tmp_path / "sweep.csv"
+    assert cli("sweep", FIXTURES / "scalar.json", csv_path,
+               "--eps-y-grid", "1", "--eps-u-grid", "inf").returncode == 0
+    row = csv_path.read_text().splitlines()[2].split(",")
+    assert row[7] == "ValidationError" and row[2] == "nan"
+
+    data = json.loads((FIXTURES / "scalar.json").read_text())
+    data["eps_U"] = "inf"
+    model = tmp_path / "inf.json"
+    model.write_text(json.dumps(data))
+    assert cli("validate", model).returncode == 0
+    assert cli("evaluate", model, scalar_artifacts).returncode == 0
+    assert cli("simulate", model, scalar_artifacts, tmp_path / "sim.csv",
+               "--n-runs", 10).returncode == 0
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (ValidationError(ValidationReport(["eps_Y must be nonnegative"])), 1, "violation:"),
+    (OSError("disk full"), 1, "error:"),
+    (ModelFormatError("field A: not a matrix"), 1, "error:"),
+    (ValueError("bad value"), 1, "error:"),
+    (KeyError("G_blocks"), 1, "error:"),
+    (InfeasibleProgram("output distortion budget infeasible"), 2, "error:"),
+    (SolverFailure("solver status MaxIterations"), 3, "error:"),
+    (ExtractionFailure("extracted output noise covariance is not PD"), 3, "error:"),
+], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None)
+def test_exit_code_map(monkeypatch, capsys, tmp_path, exc, code, prefix):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli_module, "synthesize", fail)
+    rc = cli_module.main(["synthesize", str(FIXTURES / "scalar.json"), str(tmp_path / "m.json")])
+    assert rc == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+
+
+def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
+    """One solve per eps_Y row; every cell equals synthesize's own report."""
+    calls = []
+    real_solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda *a, **kw: calls.append(1) or real_solve(*a, **kw))
+    csv_path = tmp_path / "sweep.csv"
+    assert cli_module.main(["sweep", str(FIXTURES / "twostate.json"), str(csv_path),
+                            "--eps-y-grid", "1,2", "--eps-u-grid", "0,0.5,2",
+                            "--jobs", "1", "--seed", "42"]) == 0
+    assert len(calls) == 2
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
+    assert len(rows) == 6
+
+    fmt = cli_module._fmt
+    model, req = load_model(str(FIXTURES / "twostate.json"))
+    for row in rows:
+        m, r = with_overrides(model, req, eps_y=float(row[0]), eps_u=float(row[1]))
+        if r.eps_u == 0.0:
+            with pytest.raises(InfeasibleProgram):
+                synthesize(m, r, solver_opts=sdp.SolverOptions(seed=42))
+            want = ["nan"] * 5 + ["Infeasible"]
+        else:
+            rep = synthesize(m, r, solver_opts=sdp.SolverOptions(seed=42))
+            want = [fmt(rep.cost_bits), fmt(rep.mi_bits), fmt(rep.entropy_H_bits),
+                    fmt(rep.distortion_Y), fmt(rep.distortion_U), "Optimal"]
+        assert row[2:] == want, row
 
 
 def test_evaluate_stdout_matches_report(scalar_artifacts):

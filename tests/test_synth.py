@@ -9,13 +9,15 @@ import pytest
 
 from privsynth import sdp
 from privsynth.lift import build_lift, output_moments
-from privsynth.model import content_hash, load_model, with_overrides
+from privsynth.model import (SynthesisRequest, ValidationError, content_hash, load_model,
+                             with_overrides)
 from privsynth.synth import (
     InfeasibleProgram,
     Mechanism,
     analytic_start,
     assemble_program,
     evaluate_mechanism,
+    input_noise,
     load_mechanism,
     sample_mechanism,
     save_mechanism,
@@ -33,22 +35,58 @@ def assembled(name, **overrides):
     return model, req, lift, assemble_program(lift, model, req)
 
 
-def test_constraint_set_with_finite_budgets():
-    _, _, _, prob = assembled("scalar")
+def test_constraint_set_with_finite_budgets(tmp_path):
+    """The input noise is no variable: it enters only as the objective offset."""
+    _, req, _, prob = assembled("scalar")
     lmi_names = {c.name for c in prob.lmis}
     assert lmi_names == {"leakage", "output_distortion_budget", "noise_floor"}
-    assert [s.name for s in prob.scalars] == ["input_distortion_budget"]
-    # Pi and Sigma_H carry strict PSD floors; Sigma_Z does not need its own.
+    assert set(prob.sym_vars) == {"Pi", "Sigma_Z"} and set(prob.affine_vars) == {"G"}
+    assert prob.scalars == []
+    # Pi carries a strict PSD floor; Sigma_Z does not need its own.
     assert prob.sym_vars["Pi"].psd_margin > 0.0
-    assert prob.sym_vars["Sigma_H"].psd_margin > 0.0
     assert prob.sym_vars["Sigma_Z"].psd_margin is None
+    Sigma_H = input_noise(req)
+    np.testing.assert_array_equal(prob.meta["Sigma_H"], Sigma_H)
+    assert prob.objective_offset == pytest.approx(-math.log2(np.linalg.det(Sigma_H)), abs=1e-12)
+    prob.dump(str(tmp_path / "prob.json"))
+    doc = json.loads((tmp_path / "prob.json").read_text())
+    assert doc["objective_offset"] == prob.objective_offset
 
 
 def test_constraint_set_with_infinite_budgets():
-    """Infinite budgets drop their distortion constraints entirely."""
-    _, _, _, prob = assembled("scalar", eps_y=math.inf, eps_u=math.inf)
+    """An infinite output budget drops its distortion LMI; an infinite or zero
+    input budget is rejected before any solve."""
+    _, _, _, prob = assembled("scalar", eps_y=math.inf)
     assert {c.name for c in prob.lmis} == {"leakage", "noise_floor"}
     assert prob.scalars == []
+    with pytest.raises(ValidationError) as exc:
+        assembled("scalar", eps_u=math.inf)
+    assert exc.value.report.violations == [
+        "eps_U = inf makes the input-noise entropy unbounded; "
+        "synthesis needs a finite input budget"]
+    with pytest.raises(InfeasibleProgram) as exc:
+        assembled("scalar", eps_u=0.0)
+    assert exc.value.worst_constraint == "input_distortion_budget"
+    assert str(exc.value) == "input distortion budget infeasible"
+
+
+def test_input_noise_matches_generic_maxdet():
+    """The closed form equals the generic solver's optimum of
+    maximize log det S  s.t.  tr(W_U^T W_U S) <= eps_U."""
+    NU, eps_u = 6, 1.7
+    rng = np.random.default_rng(11)
+    W_U = rng.standard_normal((NU, NU)) + 2.0 * np.eye(NU)
+    assert np.linalg.matrix_rank(W_U) == NU
+    req = SynthesisRequest(K=NU, eps_y=1.0, eps_u=eps_u, W_Y=np.eye(NU), W_U=W_U)
+
+    prob = sdp.SdpProblem()
+    prob.add_sym_var("S", NU, logdet_weight=1.0, psd_margin=1e-8)
+    M = W_U.T @ W_U
+    rows, cols = sdp.sym_param_indices(NU)
+    prob.add_scalar("budget", eps_u, {"S": -np.where(rows == cols, 1.0, 2.0) * M[rows, cols]})
+    sol = sdp.solve(prob, init={"S": (eps_u / (2.0 * np.trace(M))) * np.eye(NU)})
+    assert sol.status is sdp.SolverStatus.OPTIMAL
+    np.testing.assert_allclose(sol.variables["S"], input_noise(req), atol=1e-6)
 
 
 def test_program_dimensions():
@@ -60,7 +98,9 @@ def test_program_dimensions():
     assert leak.dim == NS + NY
     floor = next(c for c in prob.lmis if c.name == "noise_floor")
     assert floor.dim == 2 * NY
-    assert prob.sym_vars["Sigma_H"].n == NU
+    assert prob.meta["Sigma_H"].shape == (NU, NU)
+    assert prob.num_params == (sdp.sym_param_count(NS) + sdp.sym_param_count(NY)
+                               + K * n_y * n_y)
 
 
 @pytest.mark.parametrize("name", ["scalar", "twostate"])
