@@ -22,9 +22,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
+from .lift import build_lift
 from .model import (
     ValidationError,
     load_model,
@@ -262,6 +261,7 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float, grid_u: list[float]
     """
     nan = math.nan
     model, req = load_model(model_path)
+    lift = None        # the row's horizon lift, built once for its first valid cell
     design = None      # the row's solved mechanism, or the status its solve failed with
     cells = []
     for eu in grid_u:
@@ -272,13 +272,17 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float, grid_u: list[float]
             if not report.ok:
                 raise ValidationError(report)
             sigma_h = input_noise(r)
+            if lift is None:
+                lift = build_lift(m, r.K)
             if design is None:
                 solving = True
-                design = synthesize(m, r, solver_opts=SolverOptions(seed=seed)).mechanism
+                design = synthesize(m, r, solver_opts=SolverOptions(seed=seed),
+                                    lift=lift).mechanism
             if isinstance(design, str):
                 status = design
             else:
-                met = evaluate_mechanism(m, r, Mechanism(design.G_blocks, design.Sigma_V, sigma_h))
+                met = evaluate_mechanism(m, r, Mechanism(design.G_blocks, design.Sigma_V, sigma_h),
+                                         lift=lift)
         except InfeasibleProgram:
             status = "Infeasible"
         except SolverFailure as exc:
@@ -408,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every error a command raises maps to its exit code here."""
     args = build_parser().parse_args(argv)
-    np.seterr(all="ignore")
     try:
         return args.func(args)
     except ValidationError as exc:

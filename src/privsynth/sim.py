@@ -9,9 +9,14 @@ adversaries against each trajectory:
 * a baseline observer with the clean measurements Y and the true input U,
   whose estimate is the exact conditional mean.
 
-Random draws use counter-based Philox streams keyed by (salt, seed, tag) so
-that run i of a batch is identical regardless of the batch size, and serial
-or parallel aggregation orders cannot change any reported number.
+Random draws use counter-based Philox streams keyed by (salt, seed, tag),
+one per draw category. Runs are rows of those streams, drawn in order, so
+run i of a batch is identical regardless of the batch size.
+
+``run_experiment`` streams: it simulates at most ``CHUNK`` runs at a time
+and keeps only running sums, so its memory is set by ``CHUNK`` and does not
+depend on the number of runs. Drawing the next rows of a stream continues
+it, so the chunking does not change the noise of any run.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ _TAG_PROCESS = 1
 _TAG_MEASURE = 2
 _TAG_MECH_OUT = 3
 _TAG_MECH_IN = 4
+_TAGS = (_TAG_INITIAL, _TAG_PROCESS, _TAG_MEASURE, _TAG_MECH_OUT, _TAG_MECH_IN)
+
+CHUNK = 8192       # runs run_experiment simulates at once; sets its memory
+N_BATCHES = 20     # batches of the batch-means standard error
 
 
 def stream(seed: int, tag: int) -> np.random.Generator:
@@ -109,52 +118,92 @@ class ExperimentSummary:
         }
 
 
-def _simulate_state_batch(model: SystemModel, K: int, n_runs: int, seed: int):
-    """Vectorized draw of the pre-mechanism system; run index = row index."""
-    n_x, n_y = model.n_x, model.n_y
-    u_seq = model.input_sequence(K)
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The five generators of one seed, in tag order."""
+    return [stream(seed, tag) for tag in _TAGS]
 
-    cx = np.linalg.cholesky(model.Sigma_x1)
-    ct = np.linalg.cholesky(model.Sigma_T)
-    cw = np.linalg.cholesky(model.Sigma_W)
 
-    x = np.empty((n_runs, K, n_x))
-    x[:, 0] = model.mu_x1 + stream(seed, _TAG_INITIAL).standard_normal((n_runs, n_x)) @ cx.T
-    tnoise = stream(seed, _TAG_PROCESS).standard_normal((n_runs, (K - 1) * n_x))
-    tnoise = tnoise.reshape(n_runs, K - 1, n_x) @ ct.T
+def _draw(gens: list[np.random.Generator], m: int, K: int, n_x: int, n_y: int,
+          n_u: int) -> list[np.ndarray]:
+    """Standard normals for the next m runs: one (m, width) block per generator.
+
+    Rows are runs. Each block continues its generator's stream, so draws of
+    m1, m2, ... rows equal one draw of m1 + m2 + ... rows: run i gets the
+    same noise however the runs are split into chunks.
+    """
+    widths = (n_x, (K - 1) * n_x, K * n_y, K * n_y, K * n_u)
+    return [g.standard_normal((m, w)) for g, w in zip(gens, widths)]
+
+
+def _color(e: np.ndarray, width: int, chol: np.ndarray) -> np.ndarray:
+    """Run-major normals (m, steps * width) with every width-block times chol."""
+    return (e.reshape(-1, width) @ chol.T).reshape(e.shape)
+
+
+def _run_major(a: np.ndarray) -> np.ndarray:
+    """(K, m, width) -> stacked rows (m, K * width)."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _states(model: SystemModel, u_seq: np.ndarray, e_init: np.ndarray,
+            e_proc: np.ndarray, e_meas: np.ndarray):
+    """Pre-mechanism system from its normals: the states time-major,
+    x (K, m, n_x), and the outputs as stacked rows, y (m, K n_y) and
+    s (m, K n_s)."""
+    K, m, n_x = u_seq.shape[0], e_init.shape[0], model.n_x
+    tnoise = _color(e_proc, n_x, np.linalg.cholesky(model.Sigma_T)).reshape(m, K - 1, n_x)
+    AT = np.ascontiguousarray(model.A.T)
+
+    x = np.empty((K, m, n_x))
+    x[0] = model.mu_x1 + _color(e_init, n_x, np.linalg.cholesky(model.Sigma_x1))
     for k in range(K - 1):
-        x[:, k + 1] = x[:, k] @ model.A.T + model.B @ u_seq[k] + tnoise[:, k]
+        np.matmul(x[k], AT, out=x[k + 1])
+        x[k + 1] += model.B @ u_seq[k]
+        x[k + 1] += tnoise[:, k]
 
-    w = stream(seed, _TAG_MEASURE).standard_normal((n_runs, K * n_y))
-    w = w.reshape(n_runs, K, n_y) @ cw.T
-    y = x @ model.C.T + w
-    s = x @ model.D.T
-    return x, u_seq, y, s
+    flat = x.reshape(K * m, n_x)
+    w = _color(e_meas, model.n_y, np.linalg.cholesky(model.Sigma_W))
+    y = _run_major((flat @ model.C.T).reshape(K, m, -1)) + w
+    s = _run_major((flat @ model.D.T).reshape(K, m, -1))
+    return x, y, s
 
 
-def _mechanism_noise_batch(mech: Mechanism, n_runs: int, seed: int):
-    NY = mech.K * mech.n_y
-    NU = mech.Sigma_H.shape[0]
-    v = stream(seed, _TAG_MECH_OUT).standard_normal((n_runs, NY)) @ mech.chol_V.T
-    h = stream(seed, _TAG_MECH_IN).standard_normal((n_runs, NU)) @ mech.chol_H.T
-    return v, h
+def _disclose(mech: Mechanism, y_stack: np.ndarray, u_flat: np.ndarray,
+              e_out: np.ndarray, e_in: np.ndarray):
+    """Disclosed stacks z (m, K n_y) and r (m, K n_u) from clean stacks and
+    the mechanism's normals."""
+    z = y_stack @ mech.Gtilde.T + e_out @ mech.chol_V.T
+    r = u_flat + e_in @ mech.chol_H.T
+    return z, r
+
+
+def _simulate_chunk(model: SystemModel, mech: Mechanism, u_seq: np.ndarray,
+                    gens: list[np.random.Generator], m: int):
+    """The next m runs of the generators: x time-major (K, m, n_x); y, s, z
+    and r as stacked rows (m, .)."""
+    e = _draw(gens, m, mech.K, model.n_x, model.n_y, model.n_u)
+    x, y, s = _states(model, u_seq, *e[:3])
+    z, r = _disclose(mech, y, u_seq.reshape(-1), *e[3:])
+    return x, y, s, z, r
 
 
 def _simulate_batch(model: SystemModel, mech: Mechanism, n_runs: int, seed: int):
-    K, n_y = mech.K, mech.n_y
-    x, u_seq, y, s = _simulate_state_batch(model, K, n_runs, seed)
-    v, h = _mechanism_noise_batch(mech, n_runs, seed)
-    z = y.reshape(n_runs, K * n_y) @ mech.Gtilde.T + v
-    r = u_seq.reshape(-1) + h
-    n_u = model.n_u
-    return x, u_seq, y, s, z.reshape(n_runs, K, n_y), r.reshape(n_runs, K, n_u)
+    """n_runs runs of one seed as (n_runs, K, .) arrays; run index = row index."""
+    K = mech.K
+    u_seq = model.input_sequence(K)
+    x, y, s, z, r = _simulate_chunk(model, mech, u_seq, _streams(seed), n_runs)
+    return (x.transpose(1, 0, 2), u_seq,
+            *(a.reshape(n_runs, K, -1) for a in (y, s, z, r)))
 
 
 def simulate(model: SystemModel, K: int, seed: int) -> Trajectory:
     """One pre-mechanism trajectory; equals row 0 of any batch of the
     same seed regardless of batch size."""
-    x, u_seq, y, s = _simulate_state_batch(model, K, 1, seed)
-    return Trajectory(x_seq=x[0], u_seq=u_seq, y_seq=y[0], s_seq=s[0], seed=seed)
+    u_seq = model.input_sequence(K)
+    e = _draw(_streams(seed), 1, K, model.n_x, model.n_y, model.n_u)
+    x, y, s = _states(model, u_seq, *e[:3])
+    return Trajectory(x_seq=x[:, 0], u_seq=u_seq, y_seq=y.reshape(K, -1),
+                      s_seq=s.reshape(K, -1), seed=seed)
 
 
 def apply_mechanism(traj: Trajectory, mech: Mechanism,
@@ -169,9 +218,8 @@ def apply_mechanism(traj: Trajectory, mech: Mechanism,
     K, n_y = mech.K, mech.n_y
     if traj.y_seq.shape[0] != K:
         raise ValueError(f"trajectory horizon {traj.y_seq.shape[0]} does not match mechanism {K}")
-    v, h = _mechanism_noise_batch(mech, 1, seed)
-    z = traj.y_seq.reshape(K * n_y) @ mech.Gtilde.T + v[0]
-    r = traj.u_seq.reshape(-1) + h[0]
+    e = _draw(_streams(seed), 1, K, traj.x_seq.shape[1], n_y, traj.u_seq.shape[1])
+    z, r = _disclose(mech, traj.y_seq.reshape(1, -1), traj.u_seq.reshape(-1), *e[3:])
     return replace(traj, z_seq=z.reshape(K, n_y), r_seq=r.reshape(K, -1))
 
 
@@ -182,7 +230,7 @@ class _PlugInEstimator:
     input; it substitutes the first K-1 disclosed input entries for the true
     input when forming the prior means (later entries cannot influence the
     horizon). The extra estimation error caused by that substitution is
-    exactly M Sigma_H_used M^T with M mapping input noise through the
+    exactly P Sigma_H_used P^T with P mapping input noise through the
     dynamics into the estimate.
     """
 
@@ -201,27 +249,20 @@ class _PlugInEstimator:
         self.B_z = cho_solve(cfz, cov_ZS).T            # (NS, NY)
         self.cond_cov = mom.Sigma_S - self.B_z @ cov_ZS
 
-        self.F_mu = lift.F @ model.mu_x1               # input-free state mean
-        self.L = lift.L                                # (K n_x, (K-1) n_u)
-        self.Ct, self.Dt = lift.Ct, lift.Dt
-        self.Gt = Gt
-        self.n_u = model.n_u
-
-        GC_L = Gt @ self.Ct @ self.L
-        M = self.Dt @ self.L - self.B_z @ GC_L         # (NS, (K-1) n_u)
-        used = (K - 1) * model.n_u
-        Sigma_H_used = mech.Sigma_H[:used, :used]
-        self.plugin_cov = M @ Sigma_H_used @ M.T
+        # The prior state mean F mu_x1 + L r_used enters the estimate
+        # mu_S + B_z (z - mu_Z) through Dt - B_z Gt Ct, so the estimate is
+        # affine: shat = c + P r_used + B_z z.
+        resid = lift.Dt - self.B_z @ (Gt @ lift.Ct)    # (NS, K n_x)
+        self.c = resid @ (lift.F @ model.mu_x1)
+        self.P = resid @ lift.L                        # (NS, (K-1) n_u)
+        used = self.P.shape[1]
+        self.plugin_cov = self.P @ mech.Sigma_H[:used, :used] @ self.P.T
         self.err_cov = self.cond_cov + self.plugin_cov
 
     def estimate(self, z_stack: np.ndarray, r_stack: np.ndarray) -> np.ndarray:
         """Batched: z_stack (n, NY), r_stack (n, K n_u) -> (n, NS)."""
-        used = (self.K - 1) * self.n_u
-        r_used = r_stack[:, :used]
-        mu_base = self.F_mu + r_used @ self.L.T        # (n, K n_x)
-        mu_S = mu_base @ self.Dt.T
-        mu_Z = mu_base @ (self.Gt @ self.Ct).T
-        return mu_S + (z_stack - mu_Z) @ self.B_z.T
+        r_used = r_stack[:, :self.P.shape[1]]
+        return self.c + r_used @ self.P.T + z_stack @ self.B_z.T
 
 
 class _BaselineEstimator:
@@ -234,11 +275,10 @@ class _BaselineEstimator:
         cfy = cho_factor(mom.Sigma_Y, lower=True)
         self.B_y = cho_solve(cfy, mom.cov_YS).T
         self.err_cov = mom.Sigma_S - self.B_y @ mom.cov_YS
-        self.mu_Y = mom.mu_Y
-        self.mu_S = mom.mu_S
+        self.c = mom.mu_S - self.B_y @ mom.mu_Y
 
     def estimate(self, y_stack: np.ndarray) -> np.ndarray:
-        return self.mu_S + (y_stack - self.mu_Y) @ self.B_y.T
+        return self.c + y_stack @ self.B_y.T
 
 
 def adversary_estimate(model: SystemModel, lift: LiftedSystem | None,
@@ -264,15 +304,23 @@ def adversary_estimate(model: SystemModel, lift: LiftedSystem | None,
     )
 
 
-def _batch_se(values: np.ndarray, n_batches: int = 20) -> float:
-    """Standard error from batch means along axis 0."""
-    n = values.shape[0]
-    b = min(n_batches, n)
-    if b < 2:
-        return float("nan")
-    cut = (n // b) * b
-    means = values[:cut].reshape(b, cut // b).mean(axis=1)
-    return float(np.std(means, ddof=1) / np.sqrt(b))
+def _pieces(n_runs: int):
+    """(runs, batch) of consecutive pieces of at most CHUNK runs that cover
+    runs 0..n_runs-1 in order.
+
+    The batch-means standard error uses b = min(N_BATCHES, n_runs) batches
+    of n_runs // b consecutive runs; no piece straddles two of them. batch
+    is the piece's batch index, or None for the remainder after the last
+    batch, which counts in the means but not in the standard error.
+    """
+    b = min(N_BATCHES, n_runs)
+    size = n_runs // b
+    spans = [(size, i) for i in range(b)]
+    if b * size < n_runs:
+        spans.append((n_runs - b * size, None))
+    for runs, batch in spans:
+        for done in range(0, runs, CHUNK):
+            yield min(CHUNK, runs - done), batch
 
 
 def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
@@ -283,6 +331,9 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     ("K" or "K-1"); only the first K-1 influence the horizon, so both
     settings yield the same estimate and the choice is recorded for the
     run manifest.
+
+    Runs are simulated CHUNK at a time and only running sums are kept, so
+    memory does not grow with n_runs.
     """
     if r_entries not in ("K", "K-1"):
         raise ValueError(f"r_entries must be 'K' or 'K-1', got {r_entries!r}")
@@ -293,45 +344,57 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
         raise ValueError(f"request horizon {req.K} does not match mechanism horizon {K}")
     n_s = model.n_s
 
-    x, u_seq, y, s, z, r = _simulate_batch(model, mech, n_runs, seed)
-    y_stack = y.reshape(n_runs, -1)
-    s_stack = s.reshape(n_runs, -1)
-    z_stack = z.reshape(n_runs, -1)
-    r_stack = r.reshape(n_runs, -1)
-
     lift = build_lift(model, K)
     plug = _PlugInEstimator(model, mech, lift=lift)
     base = _BaselineEstimator(model, K, lift=lift)
-
-    shat_zr = plug.estimate(z_stack, r_stack)
-    shat_yu = base.estimate(y_stack)
-
-    err_zr = (shat_zr - s_stack).reshape(n_runs, K, n_s)
-    err_yu = (shat_yu - s_stack).reshape(n_runs, K, n_s)
-    sq_zr = np.sum(err_zr * err_zr, axis=2)    # (n_runs, K)
-    sq_yu = np.sum(err_yu * err_yu, axis=2)
-
-    mse_zr = sq_zr.mean(axis=0)
-    mse_yu = sq_yu.mean(axis=0)
-    se_mse_zr = np.array([_batch_se(sq_zr[:, k]) for k in range(K)])
-
-    dy = (z_stack - y_stack) @ req.W_Y.T
-    dist_y = np.sum(dy * dy, axis=1)
+    u_seq = model.input_sequence(K)
     u_flat = u_seq.reshape(-1)
-    du = (r_stack - u_flat) @ req.W_U.T
-    dist_u = np.sum(du * du, axis=1)
+    gens = _streams(seed)
+
+    # One column per accumulated per-run quantity: squared error per step of
+    # the (Z, R) and the (Y, U) adversary, first private component and its
+    # (Z, R) estimate per step, then the Y and U distortions.
+    ZR, YU, S0, SH0 = (slice(i * K, (i + 1) * K) for i in range(4))
+    DY, DU = 4 * K, 4 * K + 1
+    total = np.zeros(4 * K + 2)
+    batch_total = np.zeros((min(N_BATCHES, n_runs), 4 * K + 2))
+    for m, batch in _pieces(n_runs):
+        _, y, s, z, r = _simulate_chunk(model, mech, u_seq, gens, m)
+        shat_zr = plug.estimate(z, r)
+        err_zr = (shat_zr - s).reshape(m, K, n_s)
+        err_yu = (base.estimate(y) - s).reshape(m, K, n_s)
+        dy = (z - y) @ req.W_Y.T
+        du = (r - u_flat) @ req.W_U.T
+
+        cols = np.empty((m, 4 * K + 2))
+        cols[:, ZR] = np.sum(err_zr * err_zr, axis=2)
+        cols[:, YU] = np.sum(err_yu * err_yu, axis=2)
+        cols[:, S0] = s.reshape(m, K, n_s)[:, :, 0]
+        cols[:, SH0] = shat_zr.reshape(m, K, n_s)[:, :, 0]
+        cols[:, DY] = np.sum(dy * dy, axis=1)
+        cols[:, DU] = np.sum(du * du, axis=1)
+        piece = cols.sum(axis=0)
+        total += piece
+        if batch is not None:
+            batch_total[batch] += piece
+
+    mean = total / n_runs
+    b = batch_total.shape[0]
+    if b < 2:
+        se = np.full(4 * K + 2, np.nan)
+    else:
+        se = np.std(batch_total / (n_runs // b), axis=0, ddof=1) / np.sqrt(b)
 
     return ExperimentSummary(
         K=K, n_runs=n_runs, seed=seed, r_entries=r_entries,
-        mse_yu=mse_yu, mse_zr=mse_zr, se_mse_zr=se_mse_zr,
-        s_mean=s[:, :, 0].mean(axis=0),
-        shat_zr_mean=shat_zr.reshape(n_runs, K, n_s)[:, :, 0].mean(axis=0),
-        mse_yu_total=float(sq_yu.sum(axis=1).mean()),
-        mse_zr_total=float(sq_zr.sum(axis=1).mean()),
+        mse_yu=mean[YU], mse_zr=mean[ZR], se_mse_zr=se[ZR],
+        s_mean=mean[S0], shat_zr_mean=mean[SH0],
+        mse_yu_total=float(mean[YU].sum()),
+        mse_zr_total=float(mean[ZR].sum()),
         mse_yu_theory=float(np.trace(base.err_cov)),
         mse_zr_theory=float(np.trace(plug.err_cov)),
-        distortion_Y_hat=float(dist_y.mean()),
-        se_distortion_Y=_batch_se(dist_y),
-        distortion_U_hat=float(dist_u.mean()),
-        se_distortion_U=_batch_se(dist_u),
+        distortion_Y_hat=float(mean[DY]),
+        se_distortion_Y=float(se[DY]),
+        distortion_U_hat=float(mean[DU]),
+        se_distortion_U=float(se[DU]),
     )
