@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 LOG2E = math.log2(math.e)
 # Differential entropy constant per dimension: 0.5*log2(2*pi*e).
@@ -125,6 +124,7 @@ def entropy(Sigma: np.ndarray) -> float:
 
 def _conditional_cov(joint: GaussianJoint) -> np.ndarray:
     """Sigma_xx - Sigma_xy Sigma_yy^{-1} Sigma_yx via a triangular solve."""
+    from scipy.linalg import solve_triangular
     Ly = _chol(joint.Sigma_yy, "Sigma_yy")
     # T = Ly^{-1} Sigma_yx, so the correction is T^T T.
     T = solve_triangular(Ly, joint.Sigma_xy.T, lower=True)
@@ -171,6 +171,7 @@ def mmse_estimate(joint: GaussianJoint, y: np.ndarray) -> tuple[np.ndarray, np.n
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != joint.n:
         raise ValueError(f"y must have length {joint.n}, got {y.shape[0]}")
+    from scipy.linalg import cho_factor, cho_solve
     try:
         cf = cho_factor(_sym(joint.Sigma_yy), lower=True)
     except np.linalg.LinAlgError:

@@ -114,16 +114,18 @@ def output_moments(lift: LiftedSystem, model) -> LiftedMoments:
     )
 
 
-def joint_ZS_moments(lift: LiftedSystem, model, Gtilde: np.ndarray,
-                     Sigma_V: np.ndarray) -> GaussianJoint:
+def joint_ZS_moments(lift: LiftedSystem | None, model, Gtilde: np.ndarray,
+                     Sigma_V: np.ndarray, moments: LiftedMoments | None = None) -> GaussianJoint:
     """Joint Gaussian of (disclosed output stack Z, private stack S).
 
     Z = Gtilde @ Y + V with V ~ N(0, Sigma_V) independent of everything.
-    The partition order is (Z, S). Raises NotPositiveDefinite if the joint
-    covariance fails a Cholesky factorization.
+    The partition order is (Z, S). ``moments``, if given, are
+    ``output_moments(lift, model)`` and ``lift`` is not read. Raises
+    NotPositiveDefinite if the joint covariance fails a Cholesky
+    factorization.
     """
-    mom = output_moments(lift, model)
-    ny = lift.Ct.shape[0]
+    mom = output_moments(lift, model) if moments is None else moments
+    ny = mom.Sigma_Y.shape[0]
     if Gtilde.shape != (ny, ny):
         raise ValueError(f"Gtilde must be {ny}x{ny}, got {Gtilde.shape}")
     if Sigma_V.shape != (ny, ny):

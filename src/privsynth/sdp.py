@@ -1,17 +1,28 @@
 """Interior-point solver for determinant-maximization programs.
 
-Problem class: minimize ``sum_b w_b * (-log2 det X_b) + c^T x + c_0`` over a
-parameter vector ``x`` holding symmetric matrix blocks (parameterized by
-their lower triangles) and generic affine blocks, subject to
+Problem class: minimize
+
+    f(x) = sum_b w_b * (-log2 det X_b) + sum_j w_j * (-log2 det S_j(x)) + c^T x + c_0
+
+over a parameter vector ``x`` holding symmetric matrix blocks ``X_b``
+(parameterized by their lower triangles) and generic affine blocks, subject to
 
 * linear matrix inequalities ``S_j(x) >= margin_j * I`` with ``S_j`` affine,
+  where ``S_j(x)`` is the slack net of its margin,
 * scalar affine inequalities ``g_l(x) >= 0``,
 * optional per-variable floors ``X_b >= margin_b * I``.
+
+The weights ``w_j >= 0`` on LMI slacks and ``w_b`` (of either sign) on
+symmetric variables must leave ``f`` convex on the feasible set; a negative
+``w_b`` is how a Schur complement ``-log det(S_j / X_b)`` is written, as in a
+program whose other variables were minimized out in closed form.
 
 The solver is a log-barrier path-following method: for a decreasing barrier
 parameter ``mu`` (schedule ``mu <- mu / 10``) it centers
 ``f(x) - mu * sum log det(slacks)`` with damped Newton steps and a
-backtracking line search that keeps every slack positive definite. A wide
+backtracking line search that keeps every slack positive definite; an LMI
+with weight ``w_j`` so enters the centered function with coefficient
+``w_j + mu``. A wide
 elementwise box barrier around all parameters bounds the subproblems even
 when the objective is flat along feasible rays. All runs are deterministic:
 the same problem, options and seed reproduce the iteration log bit for bit.
@@ -21,10 +32,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 LN2 = math.log(2.0)
 
@@ -41,7 +51,6 @@ class SolverOptions:
     """Tolerances and iteration budgets; defaults are the pinned contract values."""
 
     tol_gap: float = 1e-7          # duality measure mu*nu / max(1, |f|)
-    tol_feas: float = 1e-8         # certificate eigenvalue floor
     max_outer: int = 60
     max_inner: int = 50
     mu_factor: float = 10.0
@@ -119,12 +128,15 @@ class LmiConstraint:
     Every term is a symmetric rank-2 placement: parameter k of a variable
     puts its vector v_k on hub row and column r_k. ``rows[var]`` holds the
     hub rows r_k, ``terms[var]`` the (p, dim) array whose row k is v_k.
+    A nonzero ``weight`` adds ``weight * (-log2 det(S(x) - margin * I))``
+    to the objective.
     """
 
     name: str
     dim: int
     constant: np.ndarray
     margin: float = 0.0
+    weight: float = 0.0
     terms: dict[str, np.ndarray] = field(default_factory=dict)
     rows: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -158,9 +170,10 @@ class SdpProblem:
 
     Variables are registered in order; their parameters are concatenated into
     one global vector. The objective is sum of -log2 det terms (weights on
-    symmetric variables) plus an affine term (coefficients per variable, in
-    the same reported units as the logdet terms) plus ``objective_offset``,
-    a constant that moves the reported objective but not the iterates.
+    symmetric variables and on LMI slacks) plus an affine term (coefficients
+    per variable, in the same reported units as the logdet terms) plus
+    ``objective_offset``, a constant that moves the reported objective but
+    not the iterates.
     """
 
     def __init__(self):
@@ -193,11 +206,14 @@ class SdpProblem:
         return v
 
     def add_lmi(self, name: str, dim: int, constant: np.ndarray | None = None,
-                margin: float = 0.0) -> LmiConstraint:
+                margin: float = 0.0, weight: float = 0.0) -> LmiConstraint:
         constant = np.zeros((dim, dim)) if constant is None else np.asarray(constant, dtype=float)
         if constant.shape != (dim, dim):
             raise ValueError(f"LMI constant must be {dim}x{dim}")
-        con = LmiConstraint(name=name, dim=dim, constant=constant, margin=float(margin))
+        if not weight >= 0.0:
+            raise ValueError(f"LMI objective weight must be >= 0, got {weight}")
+        con = LmiConstraint(name=name, dim=dim, constant=constant, margin=float(margin),
+                            weight=float(weight))
         self.lmis.append(con)
         return con
 
@@ -277,7 +293,7 @@ class SdpProblem:
             "affine_objective": {k: v.tolist() for k, v in self.affine_objective.items()},
             "objective_offset": self.objective_offset,
             "lmis": [
-                {"name": c.name, "dim": c.dim, "margin": c.margin,
+                {"name": c.name, "dim": c.dim, "margin": c.margin, "weight": c.weight,
                  "constant": c.constant.tolist(),
                  "terms": {k: {"rows": c.rows[k].tolist(), "vectors": t.tolist()}
                            for k, t in c.terms.items()}}
@@ -443,6 +459,7 @@ def _logdet_from_chol(L: np.ndarray) -> float:
 
 
 def _inv_from_chol(L: np.ndarray) -> np.ndarray:
+    from scipy.linalg import solve_triangular
     Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True, check_finite=False)
     return Linv.T @ Linv
 
@@ -490,10 +507,11 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
     if order >= 1:
         grad += plan.c
 
-    # Symmetric variables: objective logdet and PSD floor barrier.
+    # Symmetric variables: objective logdet (a negative weight is concave
+    # here, convex only together with the LMIs) and PSD floor barrier.
     for v in plan.sym_list:
         sl = slice(v.offset, v.offset + v.num_params)
-        if v.logdet_weight > 0.0 and not plan.phase1:
+        if v.logdet_weight != 0.0 and not plan.phase1:
             M = v.matrix(x)
             L = _chol_or_none(M)
             if L is None:
@@ -527,24 +545,29 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
     # General LMIs, from the rank-2 factors T_k = e_r v_k^T + v_k e_r^T with
     # P = S^{-1}: tr(P T_k) = 2 (P V)[r_k, k] and
     # tr(P T_k P T_l) = 2 (P[r_k, r_l] (V^T P V)[k, l] + B[k, l] B[l, k]),
-    # B = (P V)[r, :].
+    # B = (P V)[r, :]. An LMI with objective weight w enters psi as
+    # -(w + mu) log det S.
     for lmi in plan.lmis:
         S = plan.lmi_slack(lmi, x)
         L = _chol_or_none(S)
         if L is None:
             raise _Infeasible(f"lmi {lmi.con.name}")
-        barrier += -_logdet_from_chol(L)
+        logdet = _logdet_from_chol(L)
+        barrier += -logdet
+        w = 0.0 if plan.phase1 else lmi.con.weight
+        f += w * -logdet
         if order >= 1:
+            coef = w + mu
             P = _inv_from_chol(L)
             PV = P @ lmi.vectors.T
             B = PV[lmi.rows]
-            grad[lmi.idx] += -2.0 * mu * np.diagonal(B)
+            grad[lmi.idx] += -2.0 * coef * np.diagonal(B)
             if plan.phase1:
                 grad[plan.t_idx] += -mu * float(np.trace(P))
             if order >= 2:
                 H = P[lmi.rows][:, lmi.rows] * (lmi.vectors @ PV)
                 H += B * B.T
-                H *= 2.0 * mu
+                H *= 2.0 * coef
                 for loc_a, glob_a in lmi.blocks:
                     for loc_b, glob_b in lmi.blocks:
                         hess[glob_a, glob_b] += H[loc_a, loc_b]
@@ -571,6 +594,7 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
 
 def _solve_newton(hess: np.ndarray, grad: np.ndarray, opts: SolverOptions):
     """Newton direction with ridge retries; returns (d, decrement_sq) or None."""
+    from scipy.linalg import cho_factor, cho_solve
     diag_scale = max(1.0, float(np.max(np.diag(hess))))
     ridge = opts.regularization * diag_scale
     H = hess
@@ -811,14 +835,7 @@ def check_solution(problem: SdpProblem, x: np.ndarray | dict,
     max_scalar = 0.0
 
     for con in problem.lmis:
-        S = con.constant.copy()
-        for var_name, vectors in con.terms.items():
-            blk = xv[problem.var_slice(var_name)]
-            for xk, r, vk in zip(blk, con.rows[var_name], vectors):
-                S[r, :] += xk * vk
-                S[:, r] += xk * vk
-        S = S - con.margin * np.eye(con.dim)
-        w = np.linalg.eigvalsh(0.5 * (S + S.T))
+        w = np.linalg.eigvalsh(_lmi_matrix(problem, con, xv))
         mins = float(w[0])
         checks.append(ConstraintCheck(con.name, "lmi", mins))
         max_psd = max(max_psd, -mins)
@@ -850,22 +867,33 @@ def check_solution(problem: SdpProblem, x: np.ndarray | dict,
 # shared helpers
 
 
+def _lmi_matrix(problem: SdpProblem, con: LmiConstraint, x: np.ndarray) -> np.ndarray:
+    """The slack S(x) - margin * I, placed term by term."""
+    M = np.zeros((con.dim, con.dim))
+    for var_name, vectors in con.terms.items():
+        np.add.at(M, con.rows[var_name], x[problem.var_slice(var_name), None] * vectors)
+    S = con.constant + M + M.T
+    S[np.diag_indices_from(S)] -= con.margin
+    return S
+
+
 def _objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = False) -> float:
     f = problem.objective_offset
-    for name, v in problem.sym_vars.items():
-        if v.logdet_weight == 0.0:
-            continue
-        M = v.matrix(x)
+    weighted = [(v.logdet_weight, v.matrix(x)) for v in problem.sym_vars.values()
+                if v.logdet_weight != 0.0]
+    weighted += [(con.weight, _lmi_matrix(problem, con, x)) for con in problem.lmis
+                 if con.weight != 0.0]
+    for weight, M in weighted:
         if use_slogdet:
             sign, ld = np.linalg.slogdet(M)
             if sign <= 0:
                 return math.inf
-            f += v.logdet_weight * (-ld / LN2)
         else:
             L = _chol_or_none(M)
             if L is None:
                 return math.inf
-            f += v.logdet_weight * (-_logdet_from_chol(L) / LN2)
+            ld = _logdet_from_chol(L)
+        f += weight * (-ld / LN2)
     for name, coeffs in problem.affine_objective.items():
         sl = problem.var_slice(name)
         f += float(np.asarray(coeffs) @ x[sl])
@@ -878,9 +906,23 @@ def _strictly_feasible(problem: SdpProblem, x: np.ndarray) -> bool:
         return False
     # logdet domains must also be open.
     for v in problem.sym_vars.values():
-        if v.logdet_weight > 0.0 and _chol_or_none(v.matrix(x)) is None:
+        if v.logdet_weight != 0.0 and _chol_or_none(v.matrix(x)) is None:
             return False
     return all(c.min_slack > 0.0 for c in rep.checks)
+
+
+def restate(problem: SdpProblem, x: np.ndarray, run: SdpSolution) -> SdpSolution:
+    """``run`` reported at the point ``x`` of ``problem``.
+
+    Status, iteration log, barrier parameter, step count and the duality
+    measure the barrier tested stay ``run``'s; the objective, variables and
+    residuals are recomputed on ``problem``. A solve of a reduced view, with
+    some variables minimized out in closed form, is so reported and
+    certified on the full program once those variables are packed back in.
+    """
+    return replace(run, objective=_objective_bits(problem, x), x=x,
+                   variables=problem.values(x),
+                   residuals=_residuals(problem, x, run.residuals.duality_measure))
 
 
 def _residuals(problem: SdpProblem, x: np.ndarray, duality: float) -> Residuals:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .lift import LiftedSystem, build_lift, output_moments
 from .model import SystemModel, SynthesisRequest
@@ -236,6 +235,7 @@ class _PlugInEstimator:
 
     def __init__(self, model: SystemModel, mech: Mechanism,
                  lift: LiftedSystem | None = None):
+        from scipy.linalg import cho_factor, cho_solve
         K = mech.K
         self.K, self.n_s = K, model.n_s
         if lift is None:
@@ -269,6 +269,7 @@ class _BaselineEstimator:
     """Exact conditional mean of the private stack given clean (Y, U)."""
 
     def __init__(self, model: SystemModel, K: int, lift: LiftedSystem | None = None):
+        from scipy.linalg import cho_factor, cho_solve
         if lift is None:
             lift = build_lift(model, K)
         mom = output_moments(lift, model)

@@ -8,6 +8,12 @@ minus the entropy injected into the inputs, subject to output/input
 distortion budgets. The input noise decouples and has the closed form
 Sigma_H* = (eps_U/NU) (W_U^T W_U)^{-1}; the output part (G, Sigma_V) is one
 determinant-maximization problem that does not depend on eps_U.
+
+That program bounds the leakage by a matrix Pi <= Schur := Sigma_S - C^T
+Sigma_Z^{-1} C, C = cov(Z, S). At every barrier center Pi has the closed
+form Schur / (1 + mu), so the solver runs on the reduced view without Pi
+(``reduced_view``) and Pi is packed back in for the certificate, which is
+always taken on the full program of ``assemble_program``.
 """
 
 from __future__ import annotations
@@ -18,12 +24,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import __version__ as _version
 from . import sdp
-from .gauss import _sym, entropy, mutual_information
-from .lift import LiftedSystem, build_lift, output_moments, joint_ZS_moments
+from .gauss import GaussianJoint, _conditional_cov, _sym, entropy, mutual_information
+from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments, joint_ZS_moments
 from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationReport,
                     content_hash, validate)
 
@@ -184,11 +189,8 @@ class _Context:
     n_s: int
     NY: int
     NS: int
-    Sigma_Y: np.ndarray
+    mom: LiftedMoments
     Winv: np.ndarray
-    cov_YS: np.ndarray
-    Sigma_S: np.ndarray
-    mu_Y: np.ndarray
     MYq: np.ndarray
     delta: float
     trace_scale: float
@@ -196,6 +198,7 @@ class _Context:
 
 
 def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> _Context:
+    from scipy.linalg import cho_factor, cho_solve
     mom = output_moments(lift, model)
     NY = req.K * model.n_y
     NS = req.K * model.n_s
@@ -205,8 +208,7 @@ def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest
     return _Context(
         K=req.K, n_y=model.n_y, n_s=model.n_s,
         NY=NY, NS=NS,
-        Sigma_Y=mom.Sigma_Y, Winv=Winv, cov_YS=mom.cov_YS,
-        Sigma_S=mom.Sigma_S, mu_Y=mom.mu_Y,
+        mom=mom, Winv=Winv,
         MYq=_sym(req.W_Y.T @ req.W_Y),
         delta=1e-8 * trace_scale, trace_scale=trace_scale,
         eps_y=req.eps_y,
@@ -238,6 +240,7 @@ def input_noise(req: SynthesisRequest) -> np.ndarray:
         raise ValidationError(ValidationReport([
             "eps_U = inf makes the input-noise entropy unbounded; "
             "synthesis needs a finite input budget"]))
+    from scipy.linalg import cho_factor, cho_solve
     NU = req.W_U.shape[1]
     cf = cho_factor(_sym(req.W_U.T @ req.W_U), lower=True)
     return _sym((req.eps_u / NU) * cho_solve(cf, np.eye(NU)))
@@ -250,7 +253,9 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     Sigma_Z, per-step output blocks G (affine). The closed-form input noise
     (``meta["Sigma_H"]``) enters only as the constant objective offset
     -log2 det Sigma_H*, so the iterates do not depend on eps_U. An infinite
-    output budget drops the output distortion constraint entirely.
+    output budget drops the output distortion constraint entirely. This is
+    the program every solution is certified on; ``synthesize`` solves its
+    ``reduced_view``.
     """
     Sigma_H = input_noise(req)
     ctx = _build_context(lift, model, req)
@@ -263,7 +268,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     sz = prob.add_sym_var("Sigma_Z", NY)
     prob.add_affine_var("G", K * n_y * n_y)
 
-    M_zs = ctx.cov_YS                   # rows: Y/Z stack, cols: S stack, pre-G
+    M_zs = ctx.mom.cov_YS               # rows: Y/Z stack, cols: S stack, pre-G
     pg = K * n_y * n_y
     # G parameter p = (k*n_y + r)*n_y + c is entry (rg, cg) of the stacked G.
     k, r, c = np.unravel_index(np.arange(pg), (K, n_y, n_y))
@@ -272,7 +277,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     # Leakage LMI: [[Sigma_S - Pi, cov(S,Z)], [cov(Z,S), Sigma_Z]] >= 0.
     dim = NS + NY
     const = np.zeros((dim, dim))
-    const[:NS, :NS] = ctx.Sigma_S
+    const[:NS, :NS] = ctx.mom.Sigma_S
     mi = prob.add_lmi("leakage", dim, constant=const, margin=0.0)
     mi.add_term("Pi", *_sym_basis_factors(pi, dim, 0, -1.0))
     mi.add_term("Sigma_Z", *_sym_basis_factors(sz, dim, NS, +1.0))
@@ -285,9 +290,9 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     if math.isfinite(ctx.eps_y):
         m_w = req.W_Y.shape[0]
         dimd = 1 + m_w
-        Wmu = req.W_Y @ ctx.mu_Y
+        Wmu = req.W_Y @ ctx.mom.mu_Y
         const = np.zeros((dimd, dimd))
-        const[0, 0] = ctx.eps_y - float(np.sum(ctx.Sigma_Y * ctx.MYq))
+        const[0, 0] = ctx.eps_y - float(np.sum(ctx.mom.Sigma_Y * ctx.MYq))
         const[0, 1:] = -Wmu
         const[1:, 0] = -Wmu
         const[1:, 1:] = np.eye(m_w)
@@ -295,10 +300,10 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         vz = np.zeros((sz.num_params, dimd))
         vz[:, 0] = -sz.alpha * ctx.MYq[sz.rows, sz.cols]
         dist.add_term("Sigma_Z", np.zeros(sz.num_params, dtype=int), vz)
-        MS = ctx.MYq @ ctx.Sigma_Y
+        MS = ctx.MYq @ ctx.mom.Sigma_Y
         vg = np.zeros((pg, dimd))
         vg[:, 0] = MS[cg, rg]
-        vg[:, 1:] = req.W_Y[:, rg].T * ctx.mu_Y[cg, None]
+        vg[:, 1:] = req.W_Y[:, rg].T * ctx.mom.mu_Y[cg, None]
         dist.add_term("G", np.zeros(pg, dtype=int), vg)
 
     # Noise-floor LMI: [[Sigma_Z, G], [G^T, Winv]] strictly positive; its
@@ -317,6 +322,48 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     return prob
 
 
+def reduced_view(problem: sdp.SdpProblem) -> sdp.SdpProblem:
+    """The synthesis program with the leakage bound Pi minimized out.
+
+    Pi enters only through -log det Pi, its floor and the leakage LMI
+    [[Sigma_S - Pi, C^T], [C, Sigma_Z]] >= 0, i.e. Pi <= Schur := Sigma_S -
+    C^T Sigma_Z^{-1} C. Minimizing -log det Pi - mu log det(Schur - Pi) gives
+    Pi = Schur / (1 + mu), and what remains of the barrier function is
+    -(1 + mu) log det J + log det Sigma_Z with J = [[Sigma_S, C^T], [C,
+    Sigma_Z]]: the leakage LMI without Pi's term, with objective weight 1,
+    and Sigma_Z with logdet weight -1. Its objective is -log2 det Schur plus
+    the same offset, the full objective at Pi = Schur. The other LMIs, the
+    term data and ``meta`` are shared with ``problem``.
+    """
+    red = sdp.SdpProblem()
+    red.objective_offset = problem.objective_offset
+    red.meta = problem.meta
+    sz = problem.sym_vars["Sigma_Z"]
+    red.add_sym_var("Sigma_Z", sz.n, logdet_weight=-1.0, psd_margin=sz.psd_margin)
+    red.add_affine_var("G", problem.affine_vars["G"].num_params)
+    for con in problem.lmis:
+        view = red.add_lmi(con.name, con.dim, constant=con.constant, margin=con.margin,
+                           weight=1.0 if con.name == "leakage" else con.weight)
+        for name, vectors in con.terms.items():
+            if name != "Pi":
+                view.add_term(name, con.rows[name], vectors)
+    return red
+
+
+def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.SdpSolution:
+    """A solution of ``reduced_view(problem)`` at barrier parameter mu, with
+    its closed-form leakage bound Pi = Schur / (1 + mu) packed in, as a
+    solution of the full ``problem``."""
+    ctx: _Context = problem.meta["context"]
+    values = dict(sol.variables)
+    cov_ZS = _g_matrix_from_params(values["G"], ctx.K, ctx.n_y) @ ctx.mom.cov_YS
+    # Schur is the conditional covariance of S given Z; the means do not enter.
+    joint = GaussianJoint.from_blocks(ctx.mom.mu_S, ctx.mom.mu_Y, ctx.mom.Sigma_S, cov_ZS.T,
+                                      values["Sigma_Z"])
+    values["Pi"] = _conditional_cov(joint) / (1.0 + sol.mu_final)
+    return sdp.restate(problem, problem.pack(values), sol)
+
+
 def _identity_g_params(K: int, n_y: int) -> np.ndarray:
     g = np.zeros(K * n_y * n_y)
     for k in range(K):
@@ -326,8 +373,9 @@ def _identity_g_params(K: int, n_y: int) -> np.ndarray:
 
 
 def analytic_start(problem: sdp.SdpProblem) -> dict | None:
-    """Strictly feasible start for the synthesis program, if the budgets
-    admit the pass-through construction (G = I, small extra noise)."""
+    """Strictly feasible start for ``reduced_view`` of the synthesis
+    program, if the budgets admit the pass-through construction (G = I,
+    small extra noise); every LMI slack must exceed delta."""
     ctx: _Context = problem.meta["context"]
     d = ctx.delta
     s = ctx.trace_scale
@@ -338,17 +386,8 @@ def analytic_start(problem: sdp.SdpProblem) -> dict | None:
     if eps_z <= 10.0 * d:
         return None
 
-    Sigma_Z0 = ctx.Sigma_Y + eps_z * np.eye(ctx.NY)
-    cf = cho_factor(Sigma_Z0, lower=True)
-    # cov(Z,S) at G=I equals cov(Y,S); conditional covariance of S given Z:
-    schur = _sym(ctx.Sigma_S - ctx.cov_YS.T @ cho_solve(cf, ctx.cov_YS))
-    lam = float(np.linalg.eigvalsh(schur)[0])
-    if lam <= 20.0 * d:
-        return None
-
     values = {
-        "Pi": 0.5 * lam * np.eye(ctx.NS),
-        "Sigma_Z": Sigma_Z0,
+        "Sigma_Z": ctx.mom.Sigma_Y + eps_z * np.eye(ctx.NY),
         "G": _identity_g_params(ctx.K, ctx.n_y),
     }
     x = problem.pack(values)
@@ -373,10 +412,11 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
         lift = build_lift(model, req.K)
     problem = assemble_program(lift, model, req)
     ctx: _Context = problem.meta["context"]
+    reduced = reduced_view(problem)
 
-    init = analytic_start(problem)
+    init = analytic_start(reduced)
     if init is None:
-        feas = sdp.find_feasible(problem, solver_opts)
+        feas = sdp.find_feasible(reduced, solver_opts)
         if feas.status is sdp.SolverStatus.INFEASIBLE:
             worst = _worst_from_message(feas.message)
             raise InfeasibleProgram(
@@ -386,7 +426,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
             raise SolverFailure(f"phase 1 failed: {feas.message}", feas)
         init = feas.x
 
-    sol = sdp.solve(problem, solver_opts, init=init)
+    sol = sdp.solve(reduced, solver_opts, init=init)
     if sol.status is sdp.SolverStatus.INFEASIBLE:
         worst = _worst_from_message(sol.message)
         raise InfeasibleProgram(
@@ -394,10 +434,11 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
             worst_constraint=worst)
     if sol.status is not sdp.SolverStatus.OPTIMAL:
         raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
+    sol = _pack_leakage_bound(problem, sol)
 
     Gt = _g_matrix_from_params(sol.variables["G"], ctx.K, ctx.n_y)
     Sigma_Z = sol.variables["Sigma_Z"]
-    Sigma_V = _sym(Sigma_Z - Gt @ ctx.Sigma_Y @ Gt.T)
+    Sigma_V = _sym(Sigma_Z - Gt @ ctx.mom.Sigma_Y @ Gt.T)
     lam_min = float(np.linalg.eigvalsh(Sigma_V)[0])
     if lam_min <= 0.0:
         raise ExtractionFailure(
@@ -405,7 +446,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
     if lam_min < 10.0 * ctx.delta:
         log.warning("extracted output noise covariance is near singular (min eig %.3e)",
                     lam_min)
-    recon = Gt @ ctx.Sigma_Y @ Gt.T + Sigma_V
+    recon = Gt @ ctx.mom.Sigma_Y @ Gt.T + Sigma_V
     rel = float(np.linalg.norm(recon - Sigma_Z) / max(np.linalg.norm(Sigma_Z), 1e-300))
     if rel > RECONSTRUCTION_RTOL:
         raise ExtractionFailure(f"disclosed covariance reconstruction error {rel:.3e}")
@@ -423,11 +464,11 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
             "package_version": _version,
         })
 
-    metrics = evaluate_mechanism(model, req, mech, lift=lift)
+    metrics = evaluate_mechanism(model, req, mech, lift=lift, moments=ctx.mom)
 
     # The Pi part of the solver objective (-log2 det Pi) and the reported
     # leakage differ by a fixed constant: mi = (-log2 det Pi)/2 + 0.5*log2 det Sigma_S.
-    sign, ld = np.linalg.slogdet(ctx.Sigma_S)
+    sign, ld = np.linalg.slogdet(ctx.mom.Sigma_S)
     expected_mi = (sol.objective - problem.objective_offset) / 2.0 + 0.5 * ld / math.log(2.0)
     reconciliation = metrics.mi_bits - expected_mi
     if abs(reconciliation) > 1e-3 * max(1.0, abs(metrics.mi_bits)):
@@ -485,19 +526,22 @@ def _worst_from_message(message: str) -> str:
 
 
 def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
-                       lift: LiftedSystem | None = None) -> MechanismMetrics:
+                       lift: LiftedSystem | None = None,
+                       moments: LiftedMoments | None = None) -> MechanismMetrics:
     """Closed-form leakage, injected entropy and distortion for a mechanism.
 
     The leakage is the mutual information between the private stack and the
     disclosed output stack; the disclosed input stack is independent of the
     private stack once its mean is accounted for and contributes nothing.
+    ``lift`` and ``moments``, if given, must be those of ``model`` at the
+    request's horizon.
     """
-    if lift is None:
-        lift = build_lift(model, req.K)
-    mom = output_moments(lift, model)
+    mom = moments
+    if mom is None:
+        mom = output_moments(lift if lift is not None else build_lift(model, req.K), model)
     Gt = mech.Gtilde
 
-    joint = joint_ZS_moments(lift, model, Gt, mech.Sigma_V)
+    joint = joint_ZS_moments(lift, model, Gt, mech.Sigma_V, moments=mom)
     mi = mutual_information(joint)
     ent_h = entropy(mech.Sigma_H)
 

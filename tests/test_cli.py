@@ -369,3 +369,14 @@ def test_import_defaults_blas_to_one_thread(preset):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == (preset or "1")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """Every command imports the CLI; scipy.linalg loads only where a
+    factorization is run, so `validate` never pays for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, privsynth.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

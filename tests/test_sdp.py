@@ -1,6 +1,7 @@
 """Barrier solver on tiny programs with known optima, plus its certificates."""
 
 import copy
+import dataclasses
 import math
 import pathlib
 
@@ -23,7 +24,7 @@ from privsynth.sdp import (
     sym_to_matrix,
     write_iteration_csv,
 )
-from privsynth.synth import analytic_start, assemble_program
+from privsynth.synth import analytic_start, assemble_program, reduced_view
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -190,9 +191,24 @@ def test_problem_dump(tmp_path):
     assert "X" in json.dumps(doc)
     # LMI terms are written in factor form: hub rows plus (p, dim) vectors.
     lmi_cap_problem().dump(str(path))
-    term = json.loads(path.read_text())["lmis"][0]["terms"]["X"]
-    assert term["rows"] == [0, 1, 1]
-    assert term["vectors"] == [[-0.5, 0.0], [-1.0, 0.0], [0.0, -0.5]]
+    lmi = json.loads(path.read_text())["lmis"][0]
+    assert lmi["weight"] == 0.0
+    assert lmi["terms"]["X"]["rows"] == [0, 1, 1]
+    assert lmi["terms"]["X"]["vectors"] == [[-0.5, 0.0], [-1.0, 0.0], [0.0, -0.5]]
+
+
+def test_weighted_lmi_objective():
+    """maximize log2 det(I - X) + log2 det X: the LMI weight puts the cap's
+    slack into the objective, and the optimum is X = I/2."""
+    prob = lmi_cap_problem()
+    prob.lmis[0].weight = 1.0
+    sol = solve(prob)
+    assert sol.status is SolverStatus.OPTIMAL
+    np.testing.assert_allclose(sol.variables["X"], 0.5 * np.eye(2), atol=1e-6)
+    assert sol.objective == pytest.approx(4.0, abs=1e-6)
+    assert check_solution(prob, sol.x).objective == pytest.approx(sol.objective, abs=1e-12)
+    with pytest.raises(ValueError, match="weight"):
+        SdpProblem().add_lmi("c", 2, weight=-1.0)
 
 
 def test_add_term_rejects_bad_input():
@@ -210,12 +226,33 @@ def test_add_term_rejects_bad_input():
     assert con.terms == {} and con.rows == {}
 
 
-def _dense_lmi_newton(plan, x, mu):
-    """LMI barrier gradient and Hessian from explicit d x d term matrices:
-    g_k = -mu tr(S^-1 T_k), H_kl = mu tr(S^-1 T_k S^-1 T_l)."""
+def _dense_logdet_newton(plan, x, mu):
+    """Gradient and Hessian of the weighted -log det terms from explicit
+    matrices: an LMI with weight w and term matrices T_k gives
+    g_k = -(w + mu) tr(S^-1 T_k), H_kl = (w + mu) tr(S^-1 T_k S^-1 T_l); a
+    symmetric variable with logdet weight w and basis E_a gives
+    g_a = -w tr(X^-1 E_a), H_ab = w tr(X^-1 E_a X^-1 E_b). Phase 1 ignores
+    the weights."""
     grad = np.zeros(plan.n)
     hess = np.zeros((plan.n, plan.n))
     prob = plan.problem
+
+    def add(idx, S, mats, coef):
+        W = np.array([np.linalg.solve(S, T) for T in mats])      # S^-1 T_k
+        grad[idx] += -coef * np.einsum("kii->k", W)
+        hess[np.ix_(idx, idx)] += coef * np.einsum("kij,lji->kl", W, W)
+
+    for v in prob.sym_vars.values():
+        if v.logdet_weight == 0.0 or plan.phase1:
+            continue
+        mats = []
+        for i, j, a in zip(v.rows, v.cols, v.alpha):
+            E = np.zeros((v.n, v.n))
+            E[i, j] += a
+            E[j, i] += a
+            mats.append(E)
+        add(np.arange(v.offset, v.offset + v.num_params), v.matrix(x), mats,
+            v.logdet_weight)
     for con in prob.lmis:
         idx, mats = [], []
         for name, vectors in con.terms.items():
@@ -231,29 +268,58 @@ def _dense_lmi_newton(plan, x, mu):
             mats.append(np.eye(con.dim))
         S = con.constant - con.margin * np.eye(con.dim)
         S = S + sum(x[i] * T for i, T in zip(idx, mats))
-        W = np.array([np.linalg.solve(S, T) for T in mats])      # S^-1 T_k
-        grad[idx] += -mu * np.einsum("kii->k", W)
-        hess[np.ix_(idx, idx)] += mu * np.einsum("kij,lji->kl", W, W)
+        add(idx, S, mats, mu + (0.0 if plan.phase1 else con.weight))
     return grad, hess
+
+
+def _reactor_reduced_program():
+    model, req = load_model(str(FIXTURES / "reactor4.json"))
+    model, req = with_overrides(model, req, K=5, eps_y=2.0, eps_u=2.0)
+    return reduced_view(assemble_program(build_lift(model, req.K), model, req))
 
 
 @pytest.mark.parametrize("phase1", [False, True])
 def test_factor_newton_matches_dense_reference(phase1):
-    """The rank-2 factor assembly of the LMI barrier terms equals the
-    textbook dense formulas, on a program with all three LMIs."""
-    model, req = load_model(str(FIXTURES / "reactor4.json"))
-    model, req = with_overrides(model, req, K=5, eps_y=2.0, eps_u=2.0)
-    prob = assemble_program(build_lift(model, req.K), model, req)
+    """The rank-2 factor assembly of the weighted logdet and barrier terms
+    equals the textbook dense formulas, on the reduced synthesis program:
+    three LMIs, the leakage LMI with objective weight 1 (coefficient
+    1 + mu) and Sigma_Z with logdet weight -1."""
+    prob = _reactor_reduced_program()
     assert len(prob.lmis) == 3
+    assert [c.weight for c in prob.lmis if c.name == "leakage"] == [1.0]
+    assert prob.sym_vars["Sigma_Z"].logdet_weight == -1.0
     x = prob.pack(analytic_start(prob))
     if phase1:
         x = np.append(x, 0.25)
     plan = sdp._Plan(prob, SolverOptions(), phase1, x)
-    no_lmis = copy.copy(plan)
-    no_lmis.lmis = []
+    rest = copy.copy(plan)
+    rest.lmis = []
+    rest.sym_list = [dataclasses.replace(v, logdet_weight=0.0) for v in plan.sym_list]
     mu = 0.7
     _, _, g_all, h_all = sdp._evaluate(plan, x, mu, 2)
-    _, _, g_rest, h_rest = sdp._evaluate(no_lmis, x, mu, 2)
-    g_ref, h_ref = _dense_lmi_newton(plan, x, mu)
+    _, _, g_rest, h_rest = sdp._evaluate(rest, x, mu, 2)
+    g_ref, h_ref = _dense_logdet_newton(plan, x, mu)
     assert np.linalg.norm(g_all - g_rest - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
     assert np.linalg.norm(h_all - h_rest - h_ref) <= 1e-10 * np.linalg.norm(h_ref)
+
+
+def test_reduced_derivatives_match_finite_differences():
+    """Near the end of the barrier path (mu = 1e-9) the reduced function is
+    almost all -(1 + mu) log det J + log det Sigma_Z, a difference of two
+    convex terms; its gradient and Hessian match central differences, and
+    the Hessian is positive definite."""
+    prob = _reactor_reduced_program()
+    x = prob.pack(analytic_start(prob))
+    plan = sdp._Plan(prob, SolverOptions(), False, x)
+    mu, h = 1e-9, 1e-5
+    _, _, g, H = sdp._evaluate(plan, x, mu, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        d = rng.standard_normal(x.size)
+        d /= np.linalg.norm(d)
+        psi_p, _, g_p, _ = sdp._evaluate(plan, x + h * d, mu, 1)
+        psi_m, _, g_m, _ = sdp._evaluate(plan, x - h * d, mu, 1)
+        assert (psi_p - psi_m) / (2 * h) == pytest.approx(g @ d, rel=1e-6, abs=1e-9)
+        fd = (g_p - g_m) / (2 * h)
+        assert np.linalg.norm(fd - H @ d) <= 1e-6 * np.linalg.norm(H @ d)
+    assert np.linalg.eigvalsh(H)[0] > 0.0

@@ -7,7 +7,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from privsynth import lift as lift_module
 from privsynth import sdp
+from privsynth import synth as synth_module
 from privsynth.lift import build_lift, output_moments
 from privsynth.model import (SynthesisRequest, ValidationError, content_hash, load_model,
                              with_overrides)
@@ -19,6 +21,7 @@ from privsynth.synth import (
     evaluate_mechanism,
     input_noise,
     load_mechanism,
+    reduced_view,
     sample_mechanism,
     save_mechanism,
     synthesize,
@@ -103,26 +106,90 @@ def test_program_dimensions():
                                + K * n_y * n_y)
 
 
+def test_reduced_view_drops_the_leakage_bound():
+    """The reduced view has no Pi, weights the leakage LMI's log det by 1
+    and Sigma_Z's by -1, and shares every other piece of data."""
+    _, _, _, prob = assembled("twostate")
+    red = reduced_view(prob)
+    assert set(red.sym_vars) == {"Sigma_Z"} and set(red.affine_vars) == {"G"}
+    assert red.sym_vars["Sigma_Z"].logdet_weight == -1.0
+    assert red.num_params == prob.num_params - prob.sym_vars["Pi"].num_params
+    assert [(c.name, c.weight) for c in red.lmis] == [
+        ("leakage", 1.0), ("output_distortion_budget", 0.0), ("noise_floor", 0.0)]
+    for full, view in zip(prob.lmis, red.lmis):
+        assert view.constant is full.constant and view.margin == full.margin
+        assert set(view.terms) == set(full.terms) - {"Pi"}
+        for name, vectors in view.terms.items():
+            assert vectors is full.terms[name]
+    assert red.objective_offset == prob.objective_offset and red.meta is prob.meta
+
+
 @pytest.mark.parametrize("name", ["scalar", "twostate"])
 def test_analytic_start_is_strictly_feasible(name):
     _, _, _, prob = assembled(name)
-    init = analytic_start(prob)
-    assert init is not None
-    rep = sdp.check_solution(prob, init, tol_psd=0.0, tol_scalar=0.0)
+    red = reduced_view(prob)
+    init = analytic_start(red)
+    assert init is not None and set(init) == {"Sigma_Z", "G"}
+    rep = sdp.check_solution(red, init, tol_psd=0.0, tol_scalar=0.0)
     assert rep.ok
     assert min(c.min_slack for c in rep.checks) > 0.0
 
 
 def test_find_feasible_agrees_with_analytic_path():
-    """Phase 1 also reaches the interior, and the optimum does not depend
-    on which start was used."""
-    _, _, _, prob = assembled("scalar")
+    """Phase 1 also reaches the interior of the full program, and the
+    generic solve of that program from there agrees with the reduced solve
+    from the analytic start that ``synthesize`` runs."""
+    model, req, _, prob = assembled("scalar")
     feas = sdp.find_feasible(prob, seed=5)
     assert feas.status is sdp.SolverStatus.OPTIMAL
     sol_cold = sdp.solve(prob, sdp.SolverOptions(seed=5))
-    _, _, _, prob2 = assembled("scalar")
-    sol_warm = sdp.solve(prob2, init=analytic_start(prob2))
+    sol_warm = synthesize(model, req).solution
     assert sol_cold.objective == pytest.approx(sol_warm.objective, abs=1e-5)
+
+
+def test_packed_leakage_bound_is_the_barrier_center():
+    """Pi = Schur / (1 + mu_final): every eigenvalue of Schur^-1 Pi, with
+    Schur taken from the full program's leakage LMI at the returned point,
+    is 1 / (1 + mu_final); the full program certifies the point, with the
+    reported objective, and the reduced solve stays within 30 Newton steps
+    (the full program took about 48)."""
+    model, req = load_model(str(FIXTURES / "reactor4.json"))
+    assert req.K == 10
+    lift = build_lift(model, req.K)
+    rep = synthesize(model, req, lift=lift)
+    sol = rep.solution
+    assert sol.newton_steps <= 30
+    prob = assemble_program(lift, model, req)
+    leak = next(c for c in prob.lmis if c.name == "leakage")
+    NS = prob.sym_vars["Pi"].n
+    x = sol.x.copy()
+    x[prob.var_slice("Pi")] = 0.0
+    J = sdp._lmi_matrix(prob, leak, x)
+    schur = J[:NS, :NS] - J[:NS, NS:] @ np.linalg.solve(J[NS:, NS:], J[NS:, :NS])
+    ratios = np.linalg.eigvals(np.linalg.solve(schur, sol.variables["Pi"]))
+    np.testing.assert_allclose(ratios.real, 1.0 / (1.0 + sol.mu_final), rtol=0, atol=1e-10)
+    assert np.max(np.abs(ratios.imag)) <= 1e-10
+    cert = sdp.check_solution(prob, sol.x)
+    assert cert.ok
+    assert cert.objective == pytest.approx(sol.objective, abs=1e-12)
+
+
+def test_output_moments_once_per_call(monkeypatch, scalar_case):
+    """synthesize and evaluate_mechanism each compute the output moments once."""
+    calls = []
+    real = lift_module.output_moments
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(lift_module, "output_moments", counting)
+    monkeypatch.setattr(synth_module, "output_moments", counting)
+    model, req = scalar_case
+    rep = synthesize(model, req)
+    assert len(calls) == 1
+    calls.clear()
+    evaluate_mechanism(model, req, rep.mechanism)
+    assert len(calls) == 1
 
 
 def test_separable_case_closed_form():
