@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import __version__
-from .lift import build_lift
+from .lift import build_lift, output_moments
 from .model import (
     ValidationError,
     load_model,
@@ -261,7 +261,7 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float, grid_u: list[float]
     """
     nan = math.nan
     model, req = load_model(model_path)
-    lift = None        # the row's horizon lift, built once for its first valid cell
+    lift = mom = None  # the row's horizon lift and output moments, built for its first valid cell
     design = None      # the row's solved mechanism, or the status its solve failed with
     cells = []
     for eu in grid_u:
@@ -274,6 +274,7 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float, grid_u: list[float]
             sigma_h = input_noise(r)
             if lift is None:
                 lift = build_lift(m, r.K)
+                mom = output_moments(lift, m)
             if design is None:
                 solving = True
                 design = synthesize(m, r, solver_opts=SolverOptions(seed=seed),
@@ -282,7 +283,7 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float, grid_u: list[float]
                 status = design
             else:
                 met = evaluate_mechanism(m, r, Mechanism(design.G_blocks, design.Sigma_V, sigma_h),
-                                         lift=lift)
+                                         moments=mom)
         except InfeasibleProgram:
             status = "Infeasible"
         except SolverFailure as exc:

@@ -38,6 +38,8 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
+CERT_TOL = 1e-8     # default PSD and scalar tolerance of check_solution
+
 
 class SolverStatus(enum.Enum):
     OPTIMAL = "Optimal"
@@ -823,7 +825,7 @@ class CertificateReport:
 
 
 def check_solution(problem: SdpProblem, x: np.ndarray | dict,
-                   tol_psd: float = 1e-8, tol_scalar: float = 1e-8) -> CertificateReport:
+                   tol_psd: float = CERT_TOL, tol_scalar: float = CERT_TOL) -> CertificateReport:
     """Recompute every residual from scratch (eigenvalue route, slogdet objective).
 
     Deliberately avoids the solver's Cholesky/assembly code paths so it can

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -353,7 +353,12 @@ def reduced_view(problem: sdp.SdpProblem) -> sdp.SdpProblem:
 def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.SdpSolution:
     """A solution of ``reduced_view(problem)`` at barrier parameter mu, with
     its closed-form leakage bound Pi = Schur / (1 + mu) packed in, as a
-    solution of the full ``problem``."""
+    solution of the full ``problem``.
+
+    The iteration log keeps the full program's meaning too: the objective
+    of an iterate at barrier parameter mu is that of the full program with
+    its packed Pi, the reduced objective -log2 det Schur plus NS log2(1 + mu).
+    """
     ctx: _Context = problem.meta["context"]
     values = dict(sol.variables)
     cov_ZS = _g_matrix_from_params(values["G"], ctx.K, ctx.n_y) @ ctx.mom.cov_YS
@@ -361,7 +366,10 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     joint = GaussianJoint.from_blocks(ctx.mom.mu_S, ctx.mom.mu_Y, ctx.mom.Sigma_S, cov_ZS.T,
                                       values["Sigma_Z"])
     values["Pi"] = _conditional_cov(joint) / (1.0 + sol.mu_final)
-    return sdp.restate(problem, problem.pack(values), sol)
+    ns = problem.sym_vars["Pi"].n
+    log_full = [replace(rec, objective=rec.objective + ns * math.log2(1.0 + rec.mu))
+                for rec in sol.iterations]
+    return sdp.restate(problem, problem.pack(values), replace(sol, iterations=log_full))
 
 
 def _identity_g_params(K: int, n_y: int) -> np.ndarray:
@@ -435,6 +443,13 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
     if sol.status is not sdp.SolverStatus.OPTIMAL:
         raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
     sol = _pack_leakage_bound(problem, sol)
+    res = sol.residuals
+    if max(res.max_psd_violation, res.max_scalar_violation) > sdp.CERT_TOL:
+        message = (f"the full program rejects the packed leakage bound (max PSD violation "
+                   f"{res.max_psd_violation:.3e}, max scalar violation "
+                   f"{res.max_scalar_violation:.3e})")
+        raise SolverFailure(message, replace(sol, status=sdp.SolverStatus.NUMERICAL_FAILURE,
+                                             message=message))
 
     Gt = _g_matrix_from_params(sol.variables["G"], ctx.K, ctx.n_y)
     Sigma_Z = sol.variables["Sigma_Z"]
@@ -464,7 +479,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
             "package_version": _version,
         })
 
-    metrics = evaluate_mechanism(model, req, mech, lift=lift, moments=ctx.mom)
+    metrics = evaluate_mechanism(model, req, mech, moments=ctx.mom)
 
     # The Pi part of the solver objective (-log2 det Pi) and the reported
     # leakage differ by a fixed constant: mi = (-log2 det Pi)/2 + 0.5*log2 det Sigma_S.
@@ -526,22 +541,19 @@ def _worst_from_message(message: str) -> str:
 
 
 def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
-                       lift: LiftedSystem | None = None,
                        moments: LiftedMoments | None = None) -> MechanismMetrics:
     """Closed-form leakage, injected entropy and distortion for a mechanism.
 
     The leakage is the mutual information between the private stack and the
     disclosed output stack; the disclosed input stack is independent of the
     private stack once its mean is accounted for and contributes nothing.
-    ``lift`` and ``moments``, if given, must be those of ``model`` at the
+    ``moments``, if given, must be ``output_moments`` of ``model`` at the
     request's horizon.
     """
-    mom = moments
-    if mom is None:
-        mom = output_moments(lift if lift is not None else build_lift(model, req.K), model)
+    mom = moments if moments is not None else output_moments(build_lift(model, req.K), model)
     Gt = mech.Gtilde
 
-    joint = joint_ZS_moments(lift, model, Gt, mech.Sigma_V, moments=mom)
+    joint = joint_ZS_moments(None, model, Gt, mech.Sigma_V, moments=mom)
     mi = mutual_information(joint)
     ent_h = entropy(mech.Sigma_H)
 

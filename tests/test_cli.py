@@ -13,6 +13,7 @@ import pytest
 
 from privsynth import cli as cli_module
 from privsynth import sdp
+from privsynth import synth as synth_module
 from privsynth.model import (ModelFormatError, ValidationError, ValidationReport, load_model,
                              with_overrides)
 from privsynth.synth import (ExtractionFailure, InfeasibleProgram, SolverFailure,
@@ -159,15 +160,23 @@ def test_exit_code_map(monkeypatch, capsys, tmp_path, exc, code, prefix):
 
 
 def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
-    """One solve per eps_Y row; every cell equals synthesize's own report."""
+    """One solve per eps_Y row, and two output-moment computations (the
+    solve's and the one every cell of the row is evaluated with); every
+    cell equals synthesize's own report."""
     calls = []
     real_solve = sdp.solve
     monkeypatch.setattr(sdp, "solve", lambda *a, **kw: calls.append(1) or real_solve(*a, **kw))
+    moment_calls = []
+    real_moments = cli_module.output_moments
+    for module in (cli_module, synth_module):
+        monkeypatch.setattr(module, "output_moments",
+                            lambda *a, **kw: moment_calls.append(1) or real_moments(*a, **kw))
     csv_path = tmp_path / "sweep.csv"
     assert cli_module.main(["sweep", str(FIXTURES / "twostate.json"), str(csv_path),
                             "--eps-y-grid", "1,2", "--eps-u-grid", "0,0.5,2",
                             "--jobs", "1", "--seed", "42"]) == 0
     assert len(calls) == 2
+    assert len(moment_calls) == 4
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
     assert len(rows) == 6
 

@@ -272,35 +272,52 @@ def _dense_logdet_newton(plan, x, mu):
     return grad, hess
 
 
-def _reactor_reduced_program():
+def _reactor_programs():
     model, req = load_model(str(FIXTURES / "reactor4.json"))
     model, req = with_overrides(model, req, K=5, eps_y=2.0, eps_u=2.0)
-    return reduced_view(assemble_program(build_lift(model, req.K), model, req))
+    full = assemble_program(build_lift(model, req.K), model, req)
+    return full, reduced_view(full)
+
+
+def _reactor_points():
+    """The full reactor program (with Pi) and its reduced view, each at an
+    interior point: the analytic start, with Pi halfway to the Schur
+    complement of the leakage LMI for the full program."""
+    full, red = _reactor_programs()
+    values = analytic_start(red)
+    leak = next(c for c in red.lmis if c.name == "leakage")
+    J = sdp._lmi_matrix(red, leak, red.pack(values))
+    ns = full.sym_vars["Pi"].n
+    schur = J[:ns, :ns] - J[:ns, ns:] @ np.linalg.solve(J[ns:, ns:], J[ns:, :ns])
+    return [(full, full.pack({**values, "Pi": 0.5 * schur})), (red, red.pack(values))]
 
 
 @pytest.mark.parametrize("phase1", [False, True])
 def test_factor_newton_matches_dense_reference(phase1):
     """The rank-2 factor assembly of the weighted logdet and barrier terms
-    equals the textbook dense formulas, on the reduced synthesis program:
-    three LMIs, the leakage LMI with objective weight 1 (coefficient
-    1 + mu) and Sigma_Z with logdet weight -1."""
-    prob = _reactor_reduced_program()
-    assert len(prob.lmis) == 3
-    assert [c.weight for c in prob.lmis if c.name == "leakage"] == [1.0]
-    assert prob.sym_vars["Sigma_Z"].logdet_weight == -1.0
-    x = prob.pack(analytic_start(prob))
-    if phase1:
-        x = np.append(x, 0.25)
-    plan = sdp._Plan(prob, SolverOptions(), phase1, x)
-    rest = copy.copy(plan)
-    rest.lmis = []
-    rest.sym_list = [dataclasses.replace(v, logdet_weight=0.0) for v in plan.sym_list]
-    mu = 0.7
-    _, _, g_all, h_all = sdp._evaluate(plan, x, mu, 2)
-    _, _, g_rest, h_rest = sdp._evaluate(rest, x, mu, 2)
-    g_ref, h_ref = _dense_logdet_newton(plan, x, mu)
-    assert np.linalg.norm(g_all - g_rest - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
-    assert np.linalg.norm(h_all - h_rest - h_ref) <= 1e-10 * np.linalg.norm(h_ref)
+    equals the textbook dense formulas on both synthesis programs, each
+    with three LMIs: the full one (Pi with logdet weight 1, its floor and
+    its negative-sign term in the leakage LMI) and its reduced view (the
+    leakage LMI with objective weight 1, so coefficient 1 + mu, and
+    Sigma_Z with logdet weight -1)."""
+    (full, x_full), (red, x_red) = _reactor_points()
+    assert full.sym_vars["Pi"].logdet_weight == 1.0
+    assert [c.weight for c in full.lmis] == [0.0, 0.0, 0.0]
+    assert [c.weight for c in red.lmis] == [1.0, 0.0, 0.0]
+    assert red.sym_vars["Sigma_Z"].logdet_weight == -1.0
+    for label, prob, x in (("full", full, x_full), ("reduced", red, x_red)):
+        if phase1:
+            x = np.append(x, 0.25)
+        plan = sdp._Plan(prob, SolverOptions(), phase1, x)
+        rest = copy.copy(plan)
+        rest.lmis = []
+        rest.sym_list = [dataclasses.replace(v, logdet_weight=0.0) for v in plan.sym_list]
+        mu = 0.7
+        _, _, g_all, h_all = sdp._evaluate(plan, x, mu, 2)
+        _, _, g_rest, h_rest = sdp._evaluate(rest, x, mu, 2)
+        g_ref, h_ref = _dense_logdet_newton(plan, x, mu)
+        assert np.linalg.norm(g_all - g_rest - g_ref) <= 1e-10 * np.linalg.norm(g_ref), label
+        assert np.linalg.norm(h_all - h_rest - h_ref) <= 1e-10 * np.linalg.norm(h_ref), label
 
 
 def test_reduced_derivatives_match_finite_differences():
@@ -308,7 +325,7 @@ def test_reduced_derivatives_match_finite_differences():
     almost all -(1 + mu) log det J + log det Sigma_Z, a difference of two
     convex terms; its gradient and Hessian match central differences, and
     the Hessian is positive definite."""
-    prob = _reactor_reduced_program()
+    _, prob = _reactor_programs()
     x = prob.pack(analytic_start(prob))
     plan = sdp._Plan(prob, SolverOptions(), False, x)
     mu, h = 1e-9, 1e-5

@@ -1,5 +1,6 @@
 """Program assembly, synthesis pipeline, extraction and mechanism round trips."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -16,6 +17,7 @@ from privsynth.model import (SynthesisRequest, ValidationError, content_hash, lo
 from privsynth.synth import (
     InfeasibleProgram,
     Mechanism,
+    SolverFailure,
     analytic_start,
     assemble_program,
     evaluate_mechanism,
@@ -135,16 +137,39 @@ def test_analytic_start_is_strictly_feasible(name):
     assert min(c.min_slack for c in rep.checks) > 0.0
 
 
-def test_find_feasible_agrees_with_analytic_path():
-    """Phase 1 also reaches the interior of the full program, and the
-    generic solve of that program from there agrees with the reduced solve
-    from the analytic start that ``synthesize`` runs."""
+def test_find_feasible_agrees_with_analytic_path(monkeypatch):
+    """Phase 1 reaches the interior of both programs. On the full program
+    the generic solve from there agrees with ``synthesize``. On the reduced
+    view, the program ``synthesize`` solves (leakage LMI weight 1, Sigma_Z
+    logdet weight -1), the solve from the phase-1 point agrees with the one
+    from the analytic start, both packed points pass the full certificate,
+    and ``synthesize`` without an analytic start takes that phase-1 path to
+    the same answer."""
     model, req, _, prob = assembled("scalar")
     feas = sdp.find_feasible(prob, seed=5)
     assert feas.status is sdp.SolverStatus.OPTIMAL
     sol_cold = sdp.solve(prob, sdp.SolverOptions(seed=5))
     sol_warm = synthesize(model, req).solution
     assert sol_cold.objective == pytest.approx(sol_warm.objective, abs=1e-5)
+
+    red = reduced_view(prob)
+    feas = sdp.find_feasible(red, seed=5)
+    assert feas.status is sdp.SolverStatus.OPTIMAL
+    assert sdp._strictly_feasible(red, feas.x)
+    runs = [sdp.solve(red, init=feas.x), sdp.solve(red, init=analytic_start(red))]
+    assert runs[0].objective == pytest.approx(runs[1].objective, abs=1e-5)
+    for run in runs:
+        assert run.status is sdp.SolverStatus.OPTIMAL
+        packed = synth_module._pack_leakage_bound(prob, run)
+        cert = sdp.check_solution(prob, packed.x)
+        assert cert.ok
+        assert cert.objective == pytest.approx(packed.objective, abs=1e-12)
+        assert packed.objective == pytest.approx(sol_warm.objective, abs=1e-5)
+
+    monkeypatch.setattr(synth_module, "analytic_start", lambda problem: None)
+    sol_phase1 = synthesize(model, req).solution
+    assert sol_phase1.objective == pytest.approx(sol_warm.objective, abs=1e-5)
+    assert sol_phase1.residuals.max_psd_violation <= sdp.CERT_TOL
 
 
 def test_packed_leakage_bound_is_the_barrier_center():
@@ -172,6 +197,36 @@ def test_packed_leakage_bound_is_the_barrier_center():
     cert = sdp.check_solution(prob, sol.x)
     assert cert.ok
     assert cert.objective == pytest.approx(sol.objective, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_packed_point_certified_at_scale(scale):
+    """At eps_Y = inf Sigma_Z runs out to the box while the leakage LMI's
+    slack is only about mu * Schur, so that is where the full certificate
+    of the packed point is tightest; it stays clean with every noise
+    covariance scaled up by 1e3 (phase 1 then supplies the start)."""
+    model, req = load_model(str(FIXTURES / "reactor4.json"))
+    model, req = with_overrides(model, req, eps_y=math.inf, eps_u=2.0)
+    model = dataclasses.replace(model, Sigma_x1=scale * model.Sigma_x1,
+                                Sigma_T=scale * model.Sigma_T, Sigma_W=scale * model.Sigma_W)
+    lift = build_lift(model, req.K)
+    rep = synthesize(model, req, lift=lift)
+    cert = sdp.check_solution(assemble_program(lift, model, req), rep.solution.x)
+    assert cert.ok
+    assert rep.solver["max_psd_violation"] == cert.max_psd_violation <= sdp.CERT_TOL
+
+
+def test_rejected_packed_point_is_a_solver_failure(monkeypatch, scalar_case):
+    """A packed leakage bound the full program rejects is no Optimal answer:
+    with Pi twice its closed form the leakage LMI fails, and ``synthesize``
+    raises SolverFailure with a NumericalFailure solution."""
+    real = synth_module._conditional_cov
+    monkeypatch.setattr(synth_module, "_conditional_cov", lambda joint: 2.0 * real(joint))
+    model, req = scalar_case
+    with pytest.raises(SolverFailure, match="rejects the packed leakage bound") as exc:
+        synthesize(model, req)
+    assert exc.value.solution.status is sdp.SolverStatus.NUMERICAL_FAILURE
+    assert exc.value.solution.residuals.max_psd_violation > sdp.CERT_TOL
 
 
 def test_output_moments_once_per_call(monkeypatch, scalar_case):
