@@ -3,6 +3,10 @@
 All information quantities are in bits (base-2 logs at the interface;
 natural logs only inside intermediate algebra). All routines factor
 covariances with Cholesky and never form explicit inverses.
+
+This module also owns the package's factorizations: ``cholesky``,
+``solve_lower`` and ``cho_solve`` are the only Cholesky factor and
+triangular-solve code, and they need nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -82,13 +86,74 @@ class GaussianJoint:
             self.mu_y, self.mu_x, self.Sigma_yy, self.Sigma_xy.T, self.Sigma_xx)
 
 
+# Diagonal block of the substitution in solve_lower. Each block is one dense
+# (LU) solve, O(BLOCK^3), which dominates a single right-hand side; a GEMM
+# updates the rows below it. On a 2-core Xeon with one OpenBLAS thread, 64
+# measured fastest of 64/80/128 both for the Newton direction (n = 230 to
+# 860) and for inverting LMI slacks up to 120 wide, where one dense solve
+# was no faster than two blocks.
+BLOCK = 64
+
+
+def cholesky(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix.
+
+    Reads the lower triangle of ``M`` only. Raises ``np.linalg.LinAlgError``
+    if ``M`` is not positive definite and ``ValueError`` if that triangle
+    holds an inf or NaN. numpy's factorization passes non-finite entries
+    through instead of failing; every one of them reaches the diagonal of
+    the factor, so checking that diagonal (O(n)) catches them all without a
+    full pass over ``M``.
+    """
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        if not np.isfinite(M).all():
+            raise ValueError("array must not contain infs or NaNs") from None
+        raise
+    if not np.isfinite(L.diagonal()).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return L
+
+
+def solve_lower(L: np.ndarray, B: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Solve ``L X = B`` (``L^T X = B`` with ``trans``) for lower-triangular L.
+
+    Blocked substitution: a dense solve on each BLOCK-wide diagonal block
+    and a matrix product to update the remaining rows, so a right-hand side
+    costs O(n^2) and L is never refactored as a whole. ``B`` may be a vector
+    or a matrix; it is not modified.
+    """
+    X = np.array(B, dtype=float)
+    if not np.isfinite(X).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = L.shape[0]
+    starts = range(0, n, BLOCK)
+    if not trans:
+        for i in starts:
+            j = min(i + BLOCK, n)
+            X[i:j] = np.linalg.solve(L[i:j, i:j], X[i:j])
+            X[j:] -= L[j:, i:j] @ X[i:j]
+    else:
+        for i in reversed(starts):
+            j = min(i + BLOCK, n)
+            X[i:j] = np.linalg.solve(L[i:j, i:j].T, X[i:j])
+            X[:i] -= L[i:j, :i].T @ X[i:j]
+    return X
+
+
+def cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve ``M X = B`` given the lower Cholesky factor ``L`` of M."""
+    return solve_lower(L, solve_lower(L, B), trans=True)
+
+
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
 def _chol(Sigma: np.ndarray, what: str) -> np.ndarray:
     try:
-        return np.linalg.cholesky(_sym(Sigma))
+        return cholesky(_sym(Sigma))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{what} is not positive definite") from None
 
@@ -124,10 +189,9 @@ def entropy(Sigma: np.ndarray) -> float:
 
 def _conditional_cov(joint: GaussianJoint) -> np.ndarray:
     """Sigma_xx - Sigma_xy Sigma_yy^{-1} Sigma_yx via a triangular solve."""
-    from scipy.linalg import solve_triangular
     Ly = _chol(joint.Sigma_yy, "Sigma_yy")
     # T = Ly^{-1} Sigma_yx, so the correction is T^T T.
-    T = solve_triangular(Ly, joint.Sigma_xy.T, lower=True)
+    T = solve_lower(Ly, joint.Sigma_xy.T)
     return _sym(joint.Sigma_xx - T.T @ T)
 
 
@@ -171,10 +235,6 @@ def mmse_estimate(joint: GaussianJoint, y: np.ndarray) -> tuple[np.ndarray, np.n
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != joint.n:
         raise ValueError(f"y must have length {joint.n}, got {y.shape[0]}")
-    from scipy.linalg import cho_factor, cho_solve
-    try:
-        cf = cho_factor(_sym(joint.Sigma_yy), lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("Sigma_yy is not positive definite") from None
-    xhat = joint.mu_x + joint.Sigma_xy @ cho_solve(cf, y - joint.mu_y)
+    Ly = _chol(joint.Sigma_yy, "Sigma_yy")
+    xhat = joint.mu_x + joint.Sigma_xy @ cho_solve(Ly, y - joint.mu_y)
     return xhat, _conditional_cov(joint)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import GaussianJoint, NotPositiveDefinite, _sym
+from .gauss import GaussianJoint, NotPositiveDefinite, _sym, cholesky
 
 DEFAULT_MAX_DIM = 5000
 
@@ -137,7 +137,7 @@ def joint_ZS_moments(lift: LiftedSystem | None, model, Gtilde: np.ndarray,
 
     joint = GaussianJoint.from_blocks(mu_Z, mom.mu_S, Sigma_Z, cov_ZS, mom.Sigma_S)
     try:
-        np.linalg.cholesky(joint.Sigma)
+        cholesky(joint.Sigma)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("joint (Z, S) covariance is not positive definite") from None
     return joint

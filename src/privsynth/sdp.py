@@ -36,6 +36,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .gauss import cho_solve, cholesky, solve_lower
+
 LN2 = math.log(2.0)
 
 CERT_TOL = 1e-8     # default PSD and scalar tolerance of check_solution
@@ -450,9 +452,11 @@ class _Plan:
 
 
 def _chol_or_none(M: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of M, or None where M is outside the PD cone (a
+    non-finite M included)."""
     try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
+        return cholesky(M)
+    except (np.linalg.LinAlgError, ValueError):
         return None
 
 
@@ -461,8 +465,7 @@ def _logdet_from_chol(L: np.ndarray) -> float:
 
 
 def _inv_from_chol(L: np.ndarray) -> np.ndarray:
-    from scipy.linalg import solve_triangular
-    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True, check_finite=False)
+    Linv = solve_lower(L, np.eye(L.shape[0]))
     return Linv.T @ Linv
 
 
@@ -596,18 +599,17 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
 
 def _solve_newton(hess: np.ndarray, grad: np.ndarray, opts: SolverOptions):
     """Newton direction with ridge retries; returns (d, decrement_sq) or None."""
-    from scipy.linalg import cho_factor, cho_solve
     diag_scale = max(1.0, float(np.max(np.diag(hess))))
     ridge = opts.regularization * diag_scale
     H = hess
     for attempt in range(opts.reg_retries + 1):
         try:
-            cf = cho_factor(H, lower=True)
+            L = cholesky(H)
         except np.linalg.LinAlgError:
             H = hess + ridge * np.eye(hess.shape[0])
             ridge *= 1e3
             continue
-        d = -cho_solve(cf, grad)
+        d = -cho_solve(L, grad)
         dec_sq = float(-grad @ d)
         if dec_sq < 0.0:
             # Indefiniteness slipped past the factorization: regularize more.

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .gauss import cho_solve, cholesky
 from .lift import LiftedSystem, build_lift, output_moments
 from .model import SystemModel, SynthesisRequest
 from .synth import Mechanism
@@ -150,18 +151,18 @@ def _states(model: SystemModel, u_seq: np.ndarray, e_init: np.ndarray,
     x (K, m, n_x), and the outputs as stacked rows, y (m, K n_y) and
     s (m, K n_s)."""
     K, m, n_x = u_seq.shape[0], e_init.shape[0], model.n_x
-    tnoise = _color(e_proc, n_x, np.linalg.cholesky(model.Sigma_T)).reshape(m, K - 1, n_x)
+    tnoise = _color(e_proc, n_x, cholesky(model.Sigma_T)).reshape(m, K - 1, n_x)
     AT = np.ascontiguousarray(model.A.T)
 
     x = np.empty((K, m, n_x))
-    x[0] = model.mu_x1 + _color(e_init, n_x, np.linalg.cholesky(model.Sigma_x1))
+    x[0] = model.mu_x1 + _color(e_init, n_x, cholesky(model.Sigma_x1))
     for k in range(K - 1):
         np.matmul(x[k], AT, out=x[k + 1])
         x[k + 1] += model.B @ u_seq[k]
         x[k + 1] += tnoise[:, k]
 
     flat = x.reshape(K * m, n_x)
-    w = _color(e_meas, model.n_y, np.linalg.cholesky(model.Sigma_W))
+    w = _color(e_meas, model.n_y, cholesky(model.Sigma_W))
     y = _run_major((flat @ model.C.T).reshape(K, m, -1)) + w
     s = _run_major((flat @ model.D.T).reshape(K, m, -1))
     return x, y, s
@@ -235,7 +236,6 @@ class _PlugInEstimator:
 
     def __init__(self, model: SystemModel, mech: Mechanism,
                  lift: LiftedSystem | None = None):
-        from scipy.linalg import cho_factor, cho_solve
         K = mech.K
         self.K, self.n_s = K, model.n_s
         if lift is None:
@@ -245,8 +245,7 @@ class _PlugInEstimator:
 
         Sigma_Z = Gt @ mom.Sigma_Y @ Gt.T + mech.Sigma_V
         cov_ZS = Gt @ mom.cov_YS
-        cfz = cho_factor(Sigma_Z, lower=True)
-        self.B_z = cho_solve(cfz, cov_ZS).T            # (NS, NY)
+        self.B_z = cho_solve(cholesky(Sigma_Z), cov_ZS).T  # (NS, NY)
         self.cond_cov = mom.Sigma_S - self.B_z @ cov_ZS
 
         # The prior state mean F mu_x1 + L r_used enters the estimate
@@ -269,12 +268,10 @@ class _BaselineEstimator:
     """Exact conditional mean of the private stack given clean (Y, U)."""
 
     def __init__(self, model: SystemModel, K: int, lift: LiftedSystem | None = None):
-        from scipy.linalg import cho_factor, cho_solve
         if lift is None:
             lift = build_lift(model, K)
         mom = output_moments(lift, model)
-        cfy = cho_factor(mom.Sigma_Y, lower=True)
-        self.B_y = cho_solve(cfy, mom.cov_YS).T
+        self.B_y = cho_solve(cholesky(mom.Sigma_Y), mom.cov_YS).T
         self.err_cov = mom.Sigma_S - self.B_y @ mom.cov_YS
         self.c = mom.mu_S - self.B_y @ mom.mu_Y
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__ as _version
 from . import sdp
-from .gauss import GaussianJoint, _conditional_cov, _sym, entropy, mutual_information
+from .gauss import (GaussianJoint, _conditional_cov, _sym, cho_solve, cholesky, entropy,
+                    mutual_information)
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments, joint_ZS_moments
 from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationReport,
                     content_hash, validate)
@@ -88,11 +89,11 @@ class Mechanism:
         if not all(np.all(np.isfinite(a)) for a in (*self.G_blocks, self.Sigma_V, self.Sigma_H)):
             raise ValueError("mechanism has non-finite entries")
         try:
-            self.chol_V = np.linalg.cholesky(self.Sigma_V)
+            self.chol_V = cholesky(self.Sigma_V)
         except np.linalg.LinAlgError:
             raise ExtractionFailure("output noise covariance is not positive definite") from None
         try:
-            self.chol_H = np.linalg.cholesky(self.Sigma_H)
+            self.chol_H = cholesky(self.Sigma_H)
         except np.linalg.LinAlgError:
             raise ExtractionFailure("input noise covariance is not positive definite") from None
 
@@ -198,12 +199,10 @@ class _Context:
 
 
 def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> _Context:
-    from scipy.linalg import cho_factor, cho_solve
     mom = output_moments(lift, model)
     NY = req.K * model.n_y
     NS = req.K * model.n_s
-    cf = cho_factor(mom.Sigma_Y, lower=True)
-    Winv = _sym(cho_solve(cf, np.eye(NY)))
+    Winv = _sym(cho_solve(cholesky(mom.Sigma_Y), np.eye(NY)))
     trace_scale = max(1.0, float(np.trace(mom.Sigma_Y)) / NY)
     return _Context(
         K=req.K, n_y=model.n_y, n_s=model.n_s,
@@ -240,10 +239,9 @@ def input_noise(req: SynthesisRequest) -> np.ndarray:
         raise ValidationError(ValidationReport([
             "eps_U = inf makes the input-noise entropy unbounded; "
             "synthesis needs a finite input budget"]))
-    from scipy.linalg import cho_factor, cho_solve
     NU = req.W_U.shape[1]
-    cf = cho_factor(_sym(req.W_U.T @ req.W_U), lower=True)
-    return _sym((req.eps_u / NU) * cho_solve(cf, np.eye(NU)))
+    L = cholesky(_sym(req.W_U.T @ req.W_U))
+    return _sym((req.eps_u / NU) * cho_solve(L, np.eye(NU)))
 
 
 def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> sdp.SdpProblem:

@@ -389,3 +389,34 @@ def test_import_leaves_scipy_linalg_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
+from privsynth import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(name for name, mod in sys.modules.items()
+                if mod is not None and name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy_loaded": loaded}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """The runtime needs numpy only: every command runs to exit 0 in a
+    process where scipy cannot be imported, and none loads it."""
+    reactor, twostate = str(FIXTURES / "reactor4.json"), str(FIXTURES / "twostate.json")
+    mech = str(tmp_path / "mech.json")
+    commands = [
+        ["validate", reactor],
+        ["synthesize", reactor, mech],
+        ["evaluate", reactor, mech, "--out", str(tmp_path / "metrics.json")],
+        ["simulate", reactor, mech, str(tmp_path / "sim.csv"), "--n-runs", "200"],
+        ["sweep", twostate, str(tmp_path / "sweep.csv"),
+         "--eps-y-grid", "1,2", "--eps-u-grid", "1", "--jobs", "1"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0] * len(commands), "scipy_loaded": []}, proc.stderr

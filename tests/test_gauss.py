@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from privsynth.gauss import (
+    BLOCK,
     GaussianJoint,
     NotPositiveDefinite,
     SchurSingular,
+    cho_solve,
+    cholesky,
     entropy,
     mmse_estimate,
     mutual_information,
+    solve_lower,
 )
 
 
@@ -130,3 +134,51 @@ def test_from_blocks_layout():
 def test_joint_shape_checks():
     with pytest.raises(ValueError):
         GaussianJoint(mu=np.zeros(3), Sigma=np.eye(2), m=1, n=1)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("ncols", [None, 4])
+def test_cholesky_solves_match_dense_reference(n, ncols):
+    """Blocked substitution agrees with a dense solve on every block layout:
+    one partial block, exactly one, one plus a row, several plus a tail."""
+    rng = np.random.default_rng(n)
+    M = random_pd(rng, n)
+    B = rng.standard_normal(n if ncols is None else (n, ncols))
+    L = cholesky(M)
+    np.testing.assert_allclose(L @ L.T, M, rtol=1e-12, atol=1e-12 * np.abs(M).max())
+    for got, ref in ((solve_lower(L, B), np.linalg.solve(L, B)),
+                     (solve_lower(L, B, trans=True), np.linalg.solve(L.T, B)),
+                     (cho_solve(L, B), np.linalg.solve(M, B))):
+        assert got.shape == B.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    before = B.copy()
+    cho_solve(L, B)
+    np.testing.assert_array_equal(B, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cholesky_rejects_non_finite(bad):
+    """Any inf or NaN in the triangle the factorization reads is a
+    ValueError, wherever it sits; so is one in a right-hand side."""
+    rng = np.random.default_rng(17)
+    n = BLOCK + 9
+    M = random_pd(rng, n)
+    for i, j in [(0, 0), (n - 1, n - 1), (5, 2), (n - 1, 0), (BLOCK + 3, BLOCK - 2)]:
+        A = M.copy()
+        A[i, j] = A[j, i] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            cholesky(A)
+    L = cholesky(M)
+    rhs = np.ones(n)
+    rhs[n // 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_lower(L, rhs)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cho_solve(L, rhs)
+
+
+def test_cholesky_rejects_non_pd():
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky(np.zeros((3, 3)))

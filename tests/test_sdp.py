@@ -340,3 +340,45 @@ def test_reduced_derivatives_match_finite_differences():
         fd = (g_p - g_m) / (2 * h)
         assert np.linalg.norm(fd - H @ d) <= 1e-6 * np.linalg.norm(H @ d)
     assert np.linalg.eigvalsh(H)[0] > 0.0
+
+
+@pytest.mark.parametrize("hess", [np.ones((2, 2)), np.diag([1.0, -1e-13])],
+                         ids=["singular", "indefinite"])
+def test_newton_ridge_retry_gives_descent(hess):
+    """A Hessian the factorization rejects is retried with a ridge scaled to
+    its diagonal, and the direction solves the ridged system."""
+    opts = SolverOptions()
+    grad = np.array([1.0, 0.0])
+    d, dec_sq = sdp._solve_newton(hess, grad, opts)
+    ridged = hess + opts.regularization * np.eye(2)
+    np.testing.assert_allclose(d, -np.linalg.solve(ridged, grad), rtol=1e-9)
+    assert dec_sq > 0.0
+    assert grad @ d < 0.0
+
+
+@pytest.mark.parametrize("retries", [0, 3])
+def test_newton_gives_up_when_ridges_run_out(retries):
+    """diag(1, -1) stays indefinite under ridges up to 1e-6: None."""
+    opts = SolverOptions(reg_retries=retries)
+    assert sdp._solve_newton(np.diag([1.0, -1.0]), np.ones(2), opts) is None
+
+
+@pytest.mark.parametrize("hess, grad", [
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2)),
+    (np.diag([np.inf, 1.0]), np.ones(2)),
+    (np.eye(2), np.array([np.nan, 1.0])),
+], ids=["nan-hessian", "inf-hessian", "nan-gradient"])
+def test_newton_rejects_non_finite_system(hess, grad):
+    """A non-finite Newton system is an error, not a ridge retry."""
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sdp._solve_newton(hess, grad, SolverOptions())
+
+
+def test_non_finite_slack_is_outside_the_domain():
+    """The barrier treats a slack it cannot factor, non-finite included, as
+    outside the domain, so the line search backtracks instead of carrying
+    NaN into the iterate."""
+    assert sdp._chol_or_none(np.array([[1.0, np.nan], [np.nan, 1.0]])) is None
+    assert sdp._chol_or_none(np.diag([np.inf, 1.0])) is None
+    assert sdp._chol_or_none(np.diag([1.0, -1.0])) is None
+    np.testing.assert_allclose(sdp._chol_or_none(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
