@@ -1,16 +1,21 @@
 """Streamed Monte Carlo: equal to a one-shot computation, flat memory, folded
-estimator; one horizon lift per sweep row; no process-wide float settings."""
+estimator, draws prefetched on one helper thread; one horizon lift per sweep
+row; no process-wide float settings."""
 
+import json
 import pathlib
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from privsynth import cli, synth
+from privsynth import cli, sim, synth
+from privsynth import lift as lift_module
 from privsynth.lift import build_lift, output_moments
-from privsynth.sim import CHUNK, _PlugInEstimator, _simulate_batch, run_experiment
+from privsynth.sim import CHUNK, _PlugInEstimator, _pieces, _simulate_batch, run_experiment
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -95,6 +100,90 @@ def test_run_experiment_memory_is_flat(scalar_case, scalar_report):
     finally:
         tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+class _InlineExecutor:
+    """Stands in for the helper thread: runs each submitted call at once, on
+    the calling thread, and counts the calls."""
+
+    submitted = 0
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        type(self).submitted += 1
+        done = Future()
+        try:
+            done.set_result(fn(*args, **kwargs))
+        except BaseException as exc:       # noqa: BLE001 - handed to the caller
+            done.set_exception(exc)
+        return done
+
+
+@pytest.mark.parametrize("n_runs", [1, 20 * CHUNK + 17])
+def test_prefetch_matches_serial_draws(monkeypatch, twostate_case, twostate_report, n_runs):
+    """Drawing on the helper thread changes no bit of the summary."""
+    model, req = twostate_case
+    mech = twostate_report.mechanism
+    threaded = run_experiment(model, req, mech, n_runs, seed=5).to_dict()
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "submitted", 0)
+    serial = run_experiment(model, req, mech, n_runs, seed=5).to_dict()
+    assert _InlineExecutor.submitted == len(list(_pieces(n_runs)))
+    # repr round-trips every float, nan included, so equal text is equal bits
+    assert json.dumps(threaded, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_draw_error_leaves_no_helper_thread(monkeypatch, twostate_case, twostate_report):
+    """A failed draw on the helper surfaces from run_experiment, and the
+    helper has ended by the time it does."""
+    model, req = twostate_case
+    mech = twostate_report.mechanism
+    before = set(threading.enumerate())
+    real = sim._draw
+    drawn_on = []
+
+    def failing(*args):
+        drawn_on.append(threading.current_thread())
+        if len(drawn_on) == 2:
+            raise RuntimeError("second draw failed")
+        return real(*args)
+
+    monkeypatch.setattr(sim, "_draw", failing)
+    with pytest.raises(RuntimeError, match="second draw failed"):
+        run_experiment(model, req, mech, 3 * CHUNK, seed=5)
+    assert len(drawn_on) == 2
+    assert threading.main_thread() not in drawn_on
+    assert set(threading.enumerate()) == before
+
+
+def test_run_experiment_setup_once_per_call(monkeypatch, twostate_case, twostate_report):
+    """The output moments are computed once per call, and the factorizations
+    do not grow with the number of pieces."""
+    model, req = twostate_case
+    mech = twostate_report.mechanism
+    moments, factors = [], []
+    real_moments, real_cholesky = lift_module.output_moments, sim.cholesky
+    counting = lambda *a, **kw: moments.append(1) or real_moments(*a, **kw)     # noqa: E731
+    monkeypatch.setattr(lift_module, "output_moments", counting)
+    monkeypatch.setattr(sim, "output_moments", counting)
+    monkeypatch.setattr(sim, "cholesky",
+                        lambda *a: factors.append(1) or real_cholesky(*a))
+    per_call = []
+    for n_runs in (1, 3 * CHUNK + 1):
+        moments.clear()
+        factors.clear()
+        run_experiment(model, req, mech, n_runs, seed=5)
+        assert len(moments) == 1
+        per_call.append(len(factors))
+    assert per_call[0] == per_call[1], per_call
 
 
 def test_folded_plugin_estimate_matches_unfolded(twostate_case, twostate_report):
