@@ -68,7 +68,9 @@ def one_shot(model, req, mech, n, seed):
     }
 
 
-@pytest.mark.parametrize("n_runs", [1, 19, 20, 20 * CHUNK + 17, 20 * (CHUNK + 5) + 3])
+# The two large counts give batches of two whole pieces each, and batches of
+# two whole pieces and a 5-run piece, each with a short remainder.
+@pytest.mark.parametrize("n_runs", [1, 19, 20, 20 * (2 * CHUNK) + 17, 20 * (2 * CHUNK + 5) + 3])
 def test_streamed_experiment_matches_one_shot(twostate_case, twostate_report, n_runs):
     """Pieces, batch boundaries and the remainder change no reported number
     beyond summation order; a single run keeps nan standard errors."""
