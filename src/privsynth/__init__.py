@@ -38,7 +38,7 @@ from .gauss import (
     mutual_information,
     mmse_estimate,
 )
-from .sdp import SdpProblem, SdpSolution, SolverOptions, SolverStatus, solve, find_feasible, check_solution
+from .sdp import SdpProblem, SdpSolution, SolverOptions, SolverStatus, solve, check_solution
 from .synth import (
     Mechanism,
     MechanismMetrics,
@@ -86,7 +86,6 @@ __all__ = [
     "SolverOptions",
     "SolverStatus",
     "solve",
-    "find_feasible",
     "check_solution",
     "Mechanism",
     "MechanismMetrics",

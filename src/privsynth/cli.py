@@ -30,7 +30,7 @@ from .model import (
     validate,
     with_overrides,
 )
-from .sdp import SolverOptions, write_iteration_csv
+from .sdp import write_iteration_csv
 from .synth import (
     ExtractionFailure,
     InfeasibleProgram,
@@ -159,7 +159,7 @@ def cmd_synthesize(args) -> int:
         seeds={"seed": args.seed},
     )
     model, req = _load_with_overrides(args)
-    rep = synthesize(model, req, solver_opts=SolverOptions(seed=args.seed))
+    rep = synthesize(model, req)
 
     rep.mechanism.provenance["manifest_hash"] = mh
     save_mechanism(rep.mechanism, args.out_mechanism)
@@ -248,8 +248,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_row(model_path: str, k: int | None, eps_y: float, grid_u: list[float],
-               seed: int | None) -> list[tuple]:
+def _sweep_row(model_path: str, k: int | None, eps_y: float,
+               grid_u: list[float]) -> list[tuple]:
     """Every eps_U cell of one eps_Y row, with at most one solve; safe to run
     in a worker process.
 
@@ -277,8 +277,7 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float, grid_u: list[float]
                 mom = output_moments(lift, m)
             if design is None:
                 solving = True
-                design = synthesize(m, r, solver_opts=SolverOptions(seed=seed),
-                                    lift=lift).mechanism
+                design = synthesize(m, r, lift=lift).mechanism
             if isinstance(design, str):
                 status = design
             else:
@@ -321,7 +320,7 @@ def cmd_sweep(args) -> int:
     )
     load_model(args.model)      # surface validation problems before sweeping
 
-    rows = [(args.model, args.k, ey, grid_u, args.seed) for ey in grid_y]
+    rows = [(args.model, args.k, ey, grid_u) for ey in grid_y]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_row_star, rows))
@@ -374,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("out_mechanism")
     _add_override_flags(p)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42,
+                   help="recorded in the manifest; the solve is deterministic and seeds nothing")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("evaluate", help="closed-form metrics of a mechanism against a model")
@@ -403,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-u-grid", required=True,
                    help="comma-separated input budgets (numbers or 'inf')")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42,
+                   help="recorded in the manifest; the solves are deterministic and seed nothing")
     p.add_argument("--k", type=int, default=None, help="override horizon length")
     p.set_defaults(func=cmd_sweep)
 

@@ -7,8 +7,7 @@ Problem class: minimize
 over a parameter vector ``x`` holding symmetric matrix blocks ``X_b``
 (parameterized by their lower triangles) and generic affine blocks, subject to
 
-* linear matrix inequalities ``S_j(x) >= margin_j * I`` with ``S_j`` affine,
-  where ``S_j(x)`` is the slack net of its margin,
+* linear matrix inequalities ``S_j(x) >= 0`` with ``S_j`` affine,
 * scalar affine inequalities ``g_l(x) >= 0``,
 * optional per-variable floors ``X_b >= margin_b * I``.
 
@@ -22,10 +21,10 @@ parameter ``mu`` (schedule ``mu <- mu / 10``) it centers
 ``f(x) - mu * sum log det(slacks)`` with damped Newton steps and a
 backtracking line search that keeps every slack positive definite; an LMI
 with weight ``w_j`` so enters the centered function with coefficient
-``w_j + mu``. A wide
-elementwise box barrier around all parameters bounds the subproblems even
-when the objective is flat along feasible rays. All runs are deterministic:
-the same problem, options and seed reproduce the iteration log bit for bit.
+``w_j + mu``. The run starts from a strictly feasible point the caller
+supplies and needs a program whose objective is bounded below on the
+feasible set. All runs are deterministic: the same problem, options and
+start reproduce the iteration log bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ CERT_TOL = 1e-8     # default PSD and scalar tolerance of check_solution
 
 class SolverStatus(enum.Enum):
     OPTIMAL = "Optimal"
-    INFEASIBLE = "Infeasible"
     MAX_ITERATIONS = "MaxIterations"
     NUMERICAL_FAILURE = "NumericalFailure"
 
@@ -58,17 +56,12 @@ class SolverOptions:
     max_outer: int = 60
     max_inner: int = 50
     mu_factor: float = 10.0
-    mu_init: float | None = None   # None: max(1, |f(x0)| / nu)
     inner_tol: float = 1e-2        # decrement^2/2 <= inner_tol * mu ends centering
     armijo: float = 0.01
     backtrack: float = 0.5
     max_backtracks: int = 60
     regularization: float = 1e-12  # Hessian ridge, relative to its diagonal scale
     reg_retries: int = 3
-    box_radius: float = 1e6        # times the problem scale, per parameter
-    stall_steps: int = 3
-    stall_rtol: float = 0.02
-    seed: int | None = None        # find_feasible restart randomization only
 
 
 def sym_param_count(n: int) -> int:
@@ -127,19 +120,17 @@ class AffineVariable:
 
 @dataclass
 class LmiConstraint:
-    """S(x) = constant + sum_k x_k (e_{r_k} v_k^T + v_k e_{r_k}^T) >= margin * I.
+    """S(x) = constant + sum_k x_k (e_{r_k} v_k^T + v_k e_{r_k}^T) >= 0.
 
     Every term is a symmetric rank-2 placement: parameter k of a variable
     puts its vector v_k on hub row and column r_k. ``rows[var]`` holds the
     hub rows r_k, ``terms[var]`` the (p, dim) array whose row k is v_k.
-    A nonzero ``weight`` adds ``weight * (-log2 det(S(x) - margin * I))``
-    to the objective.
+    A nonzero ``weight`` adds ``weight * (-log2 det S(x))`` to the objective.
     """
 
     name: str
     dim: int
     constant: np.ndarray
-    margin: float = 0.0
     weight: float = 0.0
     terms: dict[str, np.ndarray] = field(default_factory=dict)
     rows: dict[str, np.ndarray] = field(default_factory=dict)
@@ -210,14 +201,13 @@ class SdpProblem:
         return v
 
     def add_lmi(self, name: str, dim: int, constant: np.ndarray | None = None,
-                margin: float = 0.0, weight: float = 0.0) -> LmiConstraint:
+                weight: float = 0.0) -> LmiConstraint:
         constant = np.zeros((dim, dim)) if constant is None else np.asarray(constant, dtype=float)
         if constant.shape != (dim, dim):
             raise ValueError(f"LMI constant must be {dim}x{dim}")
         if not weight >= 0.0:
             raise ValueError(f"LMI objective weight must be >= 0, got {weight}")
-        con = LmiConstraint(name=name, dim=dim, constant=constant, margin=float(margin),
-                            weight=float(weight))
+        con = LmiConstraint(name=name, dim=dim, constant=constant, weight=float(weight))
         self.lmis.append(con)
         return con
 
@@ -259,17 +249,6 @@ class SdpProblem:
             out[name] = blk.reshape(v.shape) if v.shape else blk.copy()
         return out
 
-    def scale(self) -> float:
-        """Magnitude of the constant data; normalizes margins and box radii."""
-        vals = [1.0]
-        for con in self.lmis:
-            if con.constant.size:
-                vals.append(float(np.max(np.abs(con.constant))))
-        for sc in self.scalars:
-            if math.isfinite(sc.constant):
-                vals.append(abs(sc.constant))
-        return max(vals)
-
     def pack(self, values: dict[str, np.ndarray]) -> np.ndarray:
         """Global parameter vector from named matrices / parameter blocks."""
         x = np.zeros(self.num_params)
@@ -297,7 +276,7 @@ class SdpProblem:
             "affine_objective": {k: v.tolist() for k, v in self.affine_objective.items()},
             "objective_offset": self.objective_offset,
             "lmis": [
-                {"name": c.name, "dim": c.dim, "margin": c.margin, "weight": c.weight,
+                {"name": c.name, "dim": c.dim, "weight": c.weight,
                  "constant": c.constant.tolist(),
                  "terms": {k: {"rows": c.rows[k].tolist(), "vectors": t.tolist()}
                            for k, t in c.terms.items()}}
@@ -339,7 +318,6 @@ class SdpSolution:
     residuals: Residuals
     iterations: list[IterationRecord]
     message: str = ""
-    margin: float | None = None      # phase-1 slack margin (find_feasible only)
     mu_final: float = math.nan
     newton_steps: int = 0
 
@@ -367,28 +345,21 @@ class _LmiLocal:
 
 
 class _Plan:
-    """Per-solve preprocessed views: index maps, LMI factors, box radii."""
+    """Per-solve preprocessed views: index maps and LMI factors."""
 
-    def __init__(self, problem: SdpProblem, opts: SolverOptions,
-                 phase1: bool, x0_hint: np.ndarray | None):
+    def __init__(self, problem: SdpProblem):
         self.problem = problem
-        self.phase1 = phase1
-        self.n = problem.num_params + (1 if phase1 else 0)
-        self.t_idx = problem.num_params if phase1 else None
+        self.n = problem.num_params
 
         # Internal affine objective in nats (reported values divide by ln 2).
         self.c = np.zeros(self.n)
         for name, coeffs in problem.affine_objective.items():
             sl = problem.var_slice(name)
             self.c[sl] = LN2 * coeffs
-        if phase1:
-            self.c[:] = 0.0
-            self.c[self.t_idx] = LN2
 
         self.sym_list = list(problem.sym_vars.values())
 
-        # LMI locals: the factors of every variable's terms, stacked. The
-        # phase-1 shift t*I is not rank 2 and is handled in closed form.
+        # LMI locals: the factors of every variable's terms, stacked.
         self.lmis: list[_LmiLocal] = []
         for con in problem.lmis:
             blocks, at = [], 0
@@ -411,43 +382,26 @@ class _Plan:
                 v = problem.variable(var_name)
                 idx_parts.append(np.arange(v.offset, v.offset + v.num_params))
                 coef_parts.append(np.asarray(coeffs, dtype=float))
-            if phase1:
-                idx_parts.append(np.array([self.t_idx]))
-                coef_parts.append(np.ones(1))
             idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=int)
             coef = np.concatenate(coef_parts) if coef_parts else np.zeros(0)
             self.scalar_locals.append((sc, idx, coef))
 
-        # Barrier degree: LMI dims + PSD floors + scalars + box terms.
+        # Barrier degree: LMI dims + PSD floors + scalars.
         nu = sum(con.dim for con in problem.lmis)
         nu += sum(v.n for v in self.sym_list if v.psd_margin is not None)
         nu += len(problem.scalars)
-        nu += 2 * self.n
         self.nu = nu
-
-        # Box radii; widened if the start point is large.
-        scale = problem.scale()
-        r = opts.box_radius * scale
-        if x0_hint is not None and x0_hint.size:
-            r = max(r, 10.0 * float(np.max(np.abs(x0_hint))))
-        self.box_r = np.full(self.n, r)
 
     # -- slack evaluation ------------------------------------------------
 
     def lmi_slack(self, lmi: _LmiLocal, x: np.ndarray) -> np.ndarray:
-        con = lmi.con
         M = lmi.hub.T @ (x[lmi.idx, None] * lmi.vectors)
-        S = con.constant + M + M.T
-        shift = con.margin - (x[self.t_idx] if self.phase1 else 0.0)
-        if shift:
-            S[np.diag_indices_from(S)] -= shift
-        return S
+        return lmi.con.constant + M + M.T
 
     def sym_slack(self, v: SymVariable, x: np.ndarray) -> np.ndarray:
         S = v.matrix(x)
-        shift = (v.psd_margin or 0.0) - (x[self.t_idx] if self.phase1 else 0.0)
-        if shift:
-            S[np.diag_indices_from(S)] -= shift
+        if v.psd_margin:
+            S[np.diag_indices_from(S)] -= v.psd_margin
         return S
 
 
@@ -496,17 +450,7 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
     n = plan.n
     grad = np.zeros(n) if order >= 1 else None
     hess = np.zeros((n, n)) if order >= 2 else None
-
-    # Box barrier.
-    hi = plan.box_r - x
-    lo = plan.box_r + x
-    if np.min(hi) <= 0.0 or np.min(lo) <= 0.0:
-        raise _Infeasible("box")
-    barrier = -float(np.sum(np.log(hi)) + np.sum(np.log(lo)))
-    if order >= 1:
-        grad += mu * (1.0 / hi - 1.0 / lo)
-    if order >= 2:
-        hess[np.diag_indices(n)] += mu * (1.0 / hi ** 2 + 1.0 / lo ** 2)
+    barrier = 0.0
 
     f = float(plan.c @ x)
     if order >= 1:
@@ -516,7 +460,7 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
     # here, convex only together with the LMIs) and PSD floor barrier.
     for v in plan.sym_list:
         sl = slice(v.offset, v.offset + v.num_params)
-        if v.logdet_weight != 0.0 and not plan.phase1:
+        if v.logdet_weight != 0.0:
             M = v.matrix(x)
             L = _chol_or_none(M)
             if L is None:
@@ -536,16 +480,8 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
             if order >= 1:
                 Sinv = _inv_from_chol(L)
                 grad[sl] += -mu * _sym_gvec(Sinv, v)
-                if plan.phase1:
-                    grad[plan.t_idx] += -mu * float(np.trace(Sinv))
                 if order >= 2:
                     hess[sl, sl] += mu * _sym_hmat(Sinv, v)
-                    if plan.phase1:
-                        S2 = Sinv @ Sinv
-                        cross = mu * 2.0 * v.alpha * S2[v.rows, v.cols]
-                        hess[sl, plan.t_idx] += cross
-                        hess[plan.t_idx, sl] += cross
-                        hess[plan.t_idx, plan.t_idx] += mu * float(np.trace(S2))
 
     # General LMIs, from the rank-2 factors T_k = e_r v_k^T + v_k e_r^T with
     # P = S^{-1}: tr(P T_k) = 2 (P V)[r_k, k] and
@@ -559,7 +495,7 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
             raise _Infeasible(f"lmi {lmi.con.name}")
         logdet = _logdet_from_chol(L)
         barrier += -logdet
-        w = 0.0 if plan.phase1 else lmi.con.weight
+        w = lmi.con.weight
         f += w * -logdet
         if order >= 1:
             coef = w + mu
@@ -567,8 +503,6 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
             PV = P @ lmi.vectors.T
             B = PV[lmi.rows]
             grad[lmi.idx] += -2.0 * coef * np.diagonal(B)
-            if plan.phase1:
-                grad[plan.t_idx] += -mu * float(np.trace(P))
             if order >= 2:
                 H = P[lmi.rows][:, lmi.rows] * (lmi.vectors @ PV)
                 H += B * B.T
@@ -576,11 +510,6 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
                 for loc_a, glob_a in lmi.blocks:
                     for loc_b, glob_b in lmi.blocks:
                         hess[glob_a, glob_b] += H[loc_a, loc_b]
-                if plan.phase1:
-                    cross = 2.0 * mu * np.einsum("kj,jk->k", P[lmi.rows], PV)
-                    hess[lmi.idx, plan.t_idx] += cross
-                    hess[plan.t_idx, lmi.idx] += cross
-                    hess[plan.t_idx, plan.t_idx] += mu * float(np.sum(P * P))
 
     # Scalar inequalities.
     for sc, idx, coef in plan.scalar_locals:
@@ -620,10 +549,9 @@ def _solve_newton(hess: np.ndarray, grad: np.ndarray, opts: SolverOptions):
     return None
 
 
-def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions,
-                  phase1: bool = False, early_exit=None):
-    """Shared path-following engine; returns (status, x, log, mu, message, nsteps)."""
-    plan = _Plan(problem, opts, phase1, x0)
+def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
+    """Path-following engine; returns (status, x, log, mu, message, nsteps, plan)."""
+    plan = _Plan(problem)
     x = x0.copy()
 
     try:
@@ -632,14 +560,13 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions,
         return (SolverStatus.NUMERICAL_FAILURE, x, [], math.nan,
                 f"start point outside domain ({exc})", 0, plan)
 
-    mu = opts.mu_init if opts.mu_init is not None else max(1.0, abs(f) / plan.nu)
+    mu = max(1.0, abs(f) / max(plan.nu, 1))
     log: list[IterationRecord] = []
     it = 0
     status = SolverStatus.MAX_ITERATIONS
     message = "outer iteration limit reached"
 
     for outer in range(opts.max_outer):
-        dec_history: list[float] = []
         for inner in range(opts.max_inner):
             try:
                 psi, f, grad, hess = _evaluate(plan, x, mu, 2)
@@ -679,17 +606,6 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions,
             log.append(IterationRecord(iteration=it, mu=mu, objective=f / LN2,
                                        max_residual=0.0, decrement=math.sqrt(dec_sq)))
 
-            if early_exit is not None and early_exit(x):
-                return (SolverStatus.OPTIMAL, x, log, mu, "early exit", it, plan)
-
-            # Flat directions stall the decrement; move on to the next mu.
-            dec_history.append(dec_sq)
-            if len(dec_history) > opts.stall_steps:
-                dec_history.pop(0)
-                lo, hi = min(dec_history), max(dec_history)
-                if hi > 0 and (hi - lo) <= opts.stall_rtol * hi:
-                    break
-
         gap = mu * plan.nu / max(1.0, abs(f))
         if gap <= opts.tol_gap:
             status = SolverStatus.OPTIMAL
@@ -704,106 +620,34 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions,
 # public entry points
 
 
-def solve(problem: SdpProblem, opts: SolverOptions | None = None,
-          init: np.ndarray | dict | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, opts: SolverOptions | None = None, *,
+          init: np.ndarray | dict) -> SdpSolution:
     """Minimize the determinant-maximization objective over the feasible set.
 
-    ``init`` may be a global parameter vector or a dict of named values; it
-    must be strictly feasible. Without an init, a phase-1 search is run
-    first. Returns an SdpSolution; the iteration log is deterministic for
-    identical problem, options and init/seed.
+    ``init``, a global parameter vector or a dict of named values, must be
+    strictly feasible; a start outside the barrier's domain ends the run at
+    once with status NumericalFailure. The iteration log is deterministic
+    for identical problem, options and init.
     """
     opts = opts or SolverOptions()
-    x0 = None
-    if init is not None:
-        x0 = problem.pack(init) if isinstance(init, dict) else np.asarray(init, dtype=float).copy()
-        if not _strictly_feasible(problem, x0):
-            x0 = None
-    if x0 is None:
-        feas = find_feasible(problem, opts, seed=opts.seed)
-        if feas.status is not SolverStatus.OPTIMAL:
-            return SdpSolution(
-                status=feas.status if feas.status is SolverStatus.INFEASIBLE
-                else SolverStatus.NUMERICAL_FAILURE,
-                objective=math.nan, x=feas.x, variables=problem.values(feas.x),
-                residuals=_residuals(problem, feas.x, math.nan),
-                iterations=feas.iterations, message=f"phase 1: {feas.message}")
-        x0 = feas.x
-
+    x0 = problem.pack(init) if isinstance(init, dict) else np.asarray(init, dtype=float)
     status, x, log, mu, message, nsteps, plan = _barrier_loop(problem, x0, opts)
     f_bits = _objective_bits(problem, x)
     # The duality measure the barrier tested, which excludes the offset.
     f_nats = (f_bits - problem.objective_offset) * LN2
-    sol = SdpSolution(
+    return SdpSolution(
         status=status, objective=f_bits, x=x, variables=problem.values(x),
         residuals=_residuals(problem, x, mu * plan.nu / max(1.0, abs(f_nats))),
         iterations=log, message=message, mu_final=mu, newton_steps=nsteps)
-    return sol
 
 
-def find_feasible(problem: SdpProblem, opts: SolverOptions | None = None,
-                  seed: int | None = None, delta_init: float | None = None) -> SdpSolution:
-    """Phase-1 search for a strictly feasible point.
-
-    Minimizes an added slack shift t over the relaxed cones S(x) + t I >= ...,
-    stopping as soon as t is safely negative. Status OPTIMAL means a point
-    interior by at least ``delta_init`` (default 1e-8 * problem scale) was
-    found; INFEASIBLE means the phase-1 optimum proves no such point exists.
-    With a ``seed`` the start point is randomized (restart sampling).
-    """
-    opts = opts or SolverOptions()
-    scale = problem.scale()
-    target = delta_init if delta_init is not None else 1e-8 * scale
-
-    n = problem.num_params
-    rng = np.random.default_rng(seed) if seed is not None else None
-    x0 = np.zeros(n + 1)
-    if rng is not None:
-        x0[:n] = rng.uniform(-0.5 * scale, 0.5 * scale, size=n)
-
-    # Shift t0 until every relaxed slack is comfortably interior; with
-    # x0[n] = 0 the phase-1 slacks are the unrelaxed ones.
-    plan = _Plan(problem, opts, phase1=True, x0_hint=None)
-    t0 = 0.0
-    for lmi in plan.lmis:
-        t0 = max(t0, -float(np.linalg.eigvalsh(plan.lmi_slack(lmi, x0))[0]))
-    for v in plan.sym_list:
-        if v.psd_margin is not None:
-            t0 = max(t0, -float(np.linalg.eigvalsh(plan.sym_slack(v, x0))[0]))
-    for sc, idx, coef in plan.scalar_locals:
-        t0 = max(t0, -(sc.constant + float(coef @ x0[idx])))
-    x0[n] = t0 + 1.0 + 0.1 * scale
-
-    def reached(xcur: np.ndarray) -> bool:
-        return xcur[n] <= -2.0 * target
-
-    status, x, log, mu, message, nsteps, plan = _barrier_loop(
-        problem, x0, opts, phase1=True, early_exit=reached)
-
-    t_final = float(x[n])
-    x_point = x[:n].copy()
-    if t_final <= -target:
-        margin = -t_final
-        return SdpSolution(status=SolverStatus.OPTIMAL, objective=t_final,
-                           x=x_point, variables=problem.values(x_point),
-                           residuals=_residuals(problem, x_point, math.nan),
-                           iterations=log, message="feasible point found",
-                           margin=margin, mu_final=mu, newton_steps=nsteps)
-    if status is SolverStatus.OPTIMAL or status is SolverStatus.MAX_ITERATIONS:
-        worst = _worst_constraint(problem, x_point)
-        final_status = (SolverStatus.INFEASIBLE if status is SolverStatus.OPTIMAL
-                        else SolverStatus.MAX_ITERATIONS)
-        return SdpSolution(status=final_status, objective=t_final, x=x_point,
-                           variables=problem.values(x_point),
-                           residuals=_residuals(problem, x_point, math.nan),
-                           iterations=log,
-                           message=f"no strictly feasible point (worst constraint: {worst})",
-                           margin=None, mu_final=mu, newton_steps=nsteps)
-    return SdpSolution(status=status, objective=t_final, x=x_point,
-                       variables=problem.values(x_point),
-                       residuals=_residuals(problem, x_point, math.nan),
-                       iterations=log, message=message, margin=None,
-                       mu_final=mu, newton_steps=nsteps)
+def exact_solution(problem: SdpProblem, x: np.ndarray, message: str) -> SdpSolution:
+    """``x``, an optimum known in closed form, reported with no barrier run:
+    status Optimal, no Newton steps, an empty iteration log, barrier
+    parameter and duality measure 0, and residuals from ``check_solution``."""
+    return SdpSolution(status=SolverStatus.OPTIMAL, objective=_objective_bits(problem, x),
+                       x=x, variables=problem.values(x), residuals=_residuals(problem, x, 0.0),
+                       iterations=[], message=message, mu_final=0.0, newton_steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -872,13 +716,11 @@ def check_solution(problem: SdpProblem, x: np.ndarray | dict,
 
 
 def _lmi_matrix(problem: SdpProblem, con: LmiConstraint, x: np.ndarray) -> np.ndarray:
-    """The slack S(x) - margin * I, placed term by term."""
+    """The slack S(x), placed term by term."""
     M = np.zeros((con.dim, con.dim))
     for var_name, vectors in con.terms.items():
         np.add.at(M, con.rows[var_name], x[problem.var_slice(var_name), None] * vectors)
-    S = con.constant + M + M.T
-    S[np.diag_indices_from(S)] -= con.margin
-    return S
+    return con.constant + M + M.T
 
 
 def _objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = False) -> float:
@@ -904,17 +746,6 @@ def _objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = Fals
     return f
 
 
-def _strictly_feasible(problem: SdpProblem, x: np.ndarray) -> bool:
-    rep = check_solution(problem, x, tol_psd=0.0, tol_scalar=0.0)
-    if not rep.ok:
-        return False
-    # logdet domains must also be open.
-    for v in problem.sym_vars.values():
-        if v.logdet_weight != 0.0 and _chol_or_none(v.matrix(x)) is None:
-            return False
-    return all(c.min_slack > 0.0 for c in rep.checks)
-
-
 def restate(problem: SdpProblem, x: np.ndarray, run: SdpSolution) -> SdpSolution:
     """``run`` reported at the point ``x`` of ``problem``.
 
@@ -934,25 +765,6 @@ def _residuals(problem: SdpProblem, x: np.ndarray, duality: float) -> Residuals:
     return Residuals(max_psd_violation=rep.max_psd_violation,
                      max_scalar_violation=rep.max_scalar_violation,
                      duality_measure=duality)
-
-
-def _worst_constraint(problem: SdpProblem, x: np.ndarray) -> str:
-    """Name the constraint to blame for phase-1 infeasibility.
-
-    Among the constraints whose slack is comparable to the most violated
-    one, explicit scalar constraints are blamed before LMIs and LMIs before
-    structural positivity floors: a floor can only end up binding at the
-    phase-1 optimum because some requested constraint pushes against it.
-    """
-    rep = check_solution(problem, x)
-    worst_val = min((c.min_slack for c in rep.checks), default=math.inf)
-    cutoff = 0.5 * worst_val if worst_val < 0 else worst_val
-    rank = {"scalar": 0, "lmi": 1, "psd_floor": 2}
-    candidates = [c for c in rep.checks if c.min_slack <= cutoff]
-    if not candidates:
-        return ""
-    best = min(candidates, key=lambda c: (rank.get(c.kind, 3), c.min_slack))
-    return best.name
 
 
 def write_iteration_csv(solution: SdpSolution, path: str,

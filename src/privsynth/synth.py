@@ -14,6 +14,13 @@ Sigma_Z^{-1} C, C = cov(Z, S). At every barrier center Pi has the closed
 form Schur / (1 + mu), so the solver runs on the reduced view without Pi
 (``reduced_view``) and Pi is packed back in for the certificate, which is
 always taken on the full program of ``assemble_program``.
+
+The output noise floor Sigma_V > delta I makes the output distortion at
+least delta tr(W_Y^T W_Y), with equality approached by passing Y through
+(G = I) with noise delta I. So the program is strictly feasible exactly when
+eps_Y exceeds that threshold, and every feasible budget has the pass-through
+start of ``analytic_start``. At eps_Y = inf the optimum is closed form:
+G = 0 discloses pure noise and leaks nothing.
 """
 
 from __future__ import annotations
@@ -253,12 +260,20 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     -log2 det Sigma_H*, so the iterates do not depend on eps_U. An infinite
     output budget drops the output distortion constraint entirely. This is
     the program every solution is certified on; ``synthesize`` solves its
-    ``reduced_view``.
+    ``reduced_view``. Raises InfeasibleProgram for eps_Y at or below the
+    noise-floor threshold delta tr(W_Y^T W_Y), where no point is strictly
+    feasible.
     """
     Sigma_H = input_noise(req)
     ctx = _build_context(lift, model, req)
     K, n_y, NY, NS = ctx.K, ctx.n_y, ctx.NY, ctx.NS
     d = ctx.delta
+    threshold = d * float(np.trace(ctx.MYq))
+    if not ctx.eps_y > threshold:
+        raise InfeasibleProgram(
+            f"output distortion budget infeasible: eps_Y = {ctx.eps_y:.6g} must exceed the "
+            f"output noise floor delta*tr(W_Y^T W_Y) = {threshold:.6g}",
+            worst_constraint="output_distortion_budget")
 
     prob = sdp.SdpProblem()
     prob.objective_offset = -float(np.linalg.slogdet(Sigma_H)[1]) / math.log(2.0)
@@ -276,7 +291,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     dim = NS + NY
     const = np.zeros((dim, dim))
     const[:NS, :NS] = ctx.mom.Sigma_S
-    mi = prob.add_lmi("leakage", dim, constant=const, margin=0.0)
+    mi = prob.add_lmi("leakage", dim, constant=const)
     mi.add_term("Pi", *_sym_basis_factors(pi, dim, 0, -1.0))
     mi.add_term("Sigma_Z", *_sym_basis_factors(sz, dim, NS, +1.0))
     vg = np.zeros((pg, dim))
@@ -294,7 +309,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         const[0, 1:] = -Wmu
         const[1:, 0] = -Wmu
         const[1:, 1:] = np.eye(m_w)
-        dist = prob.add_lmi("output_distortion_budget", dimd, constant=const, margin=0.0)
+        dist = prob.add_lmi("output_distortion_budget", dimd, constant=const)
         vz = np.zeros((sz.num_params, dimd))
         vz[:, 0] = -sz.alpha * ctx.MYq[sz.rows, sz.cols]
         dist.add_term("Sigma_Z", np.zeros(sz.num_params, dtype=int), vz)
@@ -304,12 +319,14 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         vg[:, 1:] = req.W_Y[:, rg].T * ctx.mom.mu_Y[cg, None]
         dist.add_term("G", np.zeros(pg, dtype=int), vg)
 
-    # Noise-floor LMI: [[Sigma_Z, G], [G^T, Winv]] strictly positive; its
-    # Schur complement is the extracted output noise covariance.
+    # Noise-floor LMI: [[Sigma_Z - delta I, G], [G^T, Winv]] >= 0; its Schur
+    # complement is Sigma_V - delta I, Sigma_V the extracted output noise
+    # covariance, so the floor is on Sigma_V in the program's own units.
     dimn = 2 * NY
     const = np.zeros((dimn, dimn))
+    const[:NY, :NY] = -d * np.eye(NY)
     const[NY:, NY:] = ctx.Winv
-    floor = prob.add_lmi("noise_floor", dimn, constant=const, margin=d)
+    floor = prob.add_lmi("noise_floor", dimn, constant=const)
     floor.add_term("Sigma_Z", *_sym_basis_factors(sz, dimn, 0, +1.0))
     vg = np.zeros((pg, dimn))
     vg[np.arange(pg), NY + cg] = 1.0
@@ -340,7 +357,7 @@ def reduced_view(problem: sdp.SdpProblem) -> sdp.SdpProblem:
     red.add_sym_var("Sigma_Z", sz.n, logdet_weight=-1.0, psd_margin=sz.psd_margin)
     red.add_affine_var("G", problem.affine_vars["G"].num_params)
     for con in problem.lmis:
-        view = red.add_lmi(con.name, con.dim, constant=con.constant, margin=con.margin,
+        view = red.add_lmi(con.name, con.dim, constant=con.constant,
                            weight=1.0 if con.name == "leakage" else con.weight)
         for name, vectors in con.terms.items():
             if name != "Pi":
@@ -378,28 +395,27 @@ def _identity_g_params(K: int, n_y: int) -> np.ndarray:
     return g
 
 
-def analytic_start(problem: sdp.SdpProblem) -> dict | None:
-    """Strictly feasible start for ``reduced_view`` of the synthesis
-    program, if the budgets admit the pass-through construction (G = I,
-    small extra noise); every LMI slack must exceed delta."""
+def analytic_start(problem: sdp.SdpProblem) -> dict:
+    """Strictly feasible start for ``reduced_view`` of the synthesis program
+    at any eps_Y above the noise-floor threshold: pass Y through (G = I)
+    with noise eps I, delta < eps < eps_Y / tr(W_Y^T W_Y), so the output
+    distortion eps tr(W_Y^T W_Y) stays below eps_Y (eps is the trace scale
+    at eps_Y = inf). Raises SolverFailure if some slack at that point is not
+    strictly positive."""
     ctx: _Context = problem.meta["context"]
-    d = ctx.delta
-    s = ctx.trace_scale
-
-    eps_z = s
+    eps_z = ctx.trace_scale
     if math.isfinite(ctx.eps_y):
-        eps_z = min(s, ctx.eps_y / (2.0 * float(np.trace(ctx.MYq)) + 1.0))
-    if eps_z <= 10.0 * d:
-        return None
-
+        tr = float(np.trace(ctx.MYq))
+        eps_z = max(min(eps_z, ctx.eps_y / (2.0 * tr + 1.0)), 0.5 * (ctx.delta + ctx.eps_y / tr))
     values = {
         "Sigma_Z": ctx.mom.Sigma_Y + eps_z * np.eye(ctx.NY),
         "G": _identity_g_params(ctx.K, ctx.n_y),
     }
-    x = problem.pack(values)
-    rep = sdp.check_solution(problem, x, tol_psd=0.0)
-    if not rep.ok or any(c.min_slack <= d for c in rep.checks):
-        return None
+    worst = min(sdp.check_solution(problem, values, tol_psd=0.0).checks,
+                key=lambda c: c.min_slack)
+    if not worst.min_slack > 0.0:
+        raise SolverFailure(f"the pass-through start is not strictly feasible "
+                            f"({worst.name} slack {worst.min_slack:.3e})")
     return values
 
 
@@ -418,29 +434,20 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
         lift = build_lift(model, req.K)
     problem = assemble_program(lift, model, req)
     ctx: _Context = problem.meta["context"]
-    reduced = reduced_view(problem)
 
-    init = analytic_start(reduced)
-    if init is None:
-        feas = sdp.find_feasible(reduced, solver_opts)
-        if feas.status is sdp.SolverStatus.INFEASIBLE:
-            worst = _worst_from_message(feas.message)
-            raise InfeasibleProgram(
-                f"{_humanize(worst)} infeasible" if worst else feas.message,
-                worst_constraint=worst)
-        if feas.status is not sdp.SolverStatus.OPTIMAL:
-            raise SolverFailure(f"phase 1 failed: {feas.message}", feas)
-        init = feas.x
-
-    sol = sdp.solve(reduced, solver_opts, init=init)
-    if sol.status is sdp.SolverStatus.INFEASIBLE:
-        worst = _worst_from_message(sol.message)
-        raise InfeasibleProgram(
-            f"{_humanize(worst)} infeasible" if worst else sol.message,
-            worst_constraint=worst)
-    if sol.status is not sdp.SolverStatus.OPTIMAL:
-        raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
-    sol = _pack_leakage_bound(problem, sol)
+    if math.isinf(ctx.eps_y):
+        # Without an output budget, disclosing pure noise (G = 0) leaks
+        # nothing, so it is optimal with Pi = Sigma_S. Any PD Sigma_V is
+        # optimal then; Sigma_V = Sigma_Y gives Z the covariance of Y.
+        x = problem.pack({"Pi": ctx.mom.Sigma_S, "Sigma_Z": ctx.mom.Sigma_Y,
+                          "G": np.zeros(problem.affine_vars["G"].num_params)})
+        sol = sdp.exact_solution(problem, x, "closed form at eps_Y = inf: G = 0")
+    else:
+        reduced = reduced_view(problem)
+        sol = sdp.solve(reduced, solver_opts, init=analytic_start(reduced))
+        if sol.status is not sdp.SolverStatus.OPTIMAL:
+            raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
+        sol = _pack_leakage_bound(problem, sol)
     res = sol.residuals
     if max(res.max_psd_violation, res.max_scalar_violation) > sdp.CERT_TOL:
         message = (f"the full program rejects the packed leakage bound (max PSD violation "
@@ -524,18 +531,6 @@ def _g_matrix_from_params(g: np.ndarray, K: int, n_y: int) -> np.ndarray:
         blk = g[k * n_y * n_y:(k + 1) * n_y * n_y].reshape(n_y, n_y)
         G[k * n_y:(k + 1) * n_y, k * n_y:(k + 1) * n_y] = blk
     return G
-
-
-def _humanize(name: str) -> str:
-    return name.replace("_budget", " budget").replace("_", " ")
-
-
-def _worst_from_message(message: str) -> str:
-    # find_feasible reports "... (worst constraint: <name>)".
-    marker = "worst constraint: "
-    if marker in message:
-        return message.split(marker, 1)[1].rstrip(")")
-    return ""
 
 
 def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanism,

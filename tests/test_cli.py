@@ -186,10 +186,10 @@ def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
         m, r = with_overrides(model, req, eps_y=float(row[0]), eps_u=float(row[1]))
         if r.eps_u == 0.0:
             with pytest.raises(InfeasibleProgram):
-                synthesize(m, r, solver_opts=sdp.SolverOptions(seed=42))
+                synthesize(m, r)
             want = ["nan"] * 5 + ["Infeasible"]
         else:
-            rep = synthesize(m, r, solver_opts=sdp.SolverOptions(seed=42))
+            rep = synthesize(m, r)
             want = [fmt(rep.cost_bits), fmt(rep.mi_bits), fmt(rep.entropy_H_bits),
                     fmt(rep.distortion_Y), fmt(rep.distortion_U), "Optimal"]
         assert row[2:] == want, row

@@ -16,7 +16,6 @@ from privsynth.sdp import (
     SolverOptions,
     SolverStatus,
     check_solution,
-    find_feasible,
     matrix_to_sym_params,
     solve,
     sym_param_count,
@@ -70,21 +69,21 @@ def test_sym_param_round_trip():
 
 
 def test_scalar_cap_optimum():
-    sol = solve(scalar_cap_problem())
+    sol = solve(scalar_cap_problem(), init={"x": np.array([[1.0]])})
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.variables["x"][0, 0] == pytest.approx(4.0, rel=1e-6)
     assert sol.objective == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_trace_cap_optimum():
-    sol = solve(trace_cap_problem())
+    sol = solve(trace_cap_problem(), init={"X": 0.5 * np.eye(2)})
     assert sol.status is SolverStatus.OPTIMAL
     np.testing.assert_allclose(sol.variables["X"], 1.5 * np.eye(2), atol=1e-5)
     assert sol.objective == pytest.approx(-2.0 * math.log2(1.5), abs=1e-6)
 
 
 def test_lmi_cap_optimum():
-    sol = solve(lmi_cap_problem())
+    sol = solve(lmi_cap_problem(), init={"X": 0.5 * np.eye(2)})
     assert sol.status is SolverStatus.OPTIMAL
     np.testing.assert_allclose(sol.variables["X"], np.eye(2), atol=1e-5)
     assert sol.objective == pytest.approx(0.0, abs=1e-6)
@@ -97,26 +96,14 @@ def test_affine_objective_box():
     prob.add_scalar("lower", 0.0, {"t": np.array([1.0])})
     prob.add_scalar("upper", 5.0, {"t": np.array([-1.0])})
     prob.set_affine_objective("t", np.array([1.0]))
-    sol = solve(prob)
+    sol = solve(prob, init={"t": np.array([2.5])})
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-5)
 
 
-def test_contradictory_cones_infeasible():
-    """x >= margin together with x <= -1 has no solution."""
-    prob = SdpProblem()
-    prob.add_sym_var("x", 1, logdet_weight=1.0, psd_margin=1e-8)
-    prob.add_scalar("cap", -1.0, {"x": np.array([-1.0])})
-    feas = find_feasible(prob)
-    assert feas.status is SolverStatus.INFEASIBLE
-    assert "cap" in feas.message
-    sol = solve(prob)
-    assert sol.status is SolverStatus.INFEASIBLE
-
-
 def test_iteration_log_deterministic(tmp_path):
     """Identical problems and options give bit-identical logs and CSV files."""
-    sols = [solve(trace_cap_problem(), SolverOptions(seed=0)) for _ in range(2)]
+    sols = [solve(trace_cap_problem(), init={"X": 0.5 * np.eye(2)}) for _ in range(2)]
     a, b = sols
     assert a.newton_steps == b.newton_steps
     assert len(a.iterations) == len(b.iterations)
@@ -132,7 +119,7 @@ def test_iteration_log_deterministic(tmp_path):
 
 
 def test_iteration_csv_header_comment(tmp_path):
-    sol = solve(scalar_cap_problem())
+    sol = solve(scalar_cap_problem(), init={"x": np.array([[1.0]])})
     path = tmp_path / "iters.csv"
     write_iteration_csv(sol, str(path), header_comment="manifest_hash=deadbeef")
     lines = path.read_text().splitlines()
@@ -160,25 +147,33 @@ def test_check_solution_flags_psd_violation():
     assert bad.max_psd_violation == pytest.approx(1.0, abs=1e-9)
 
 
-def test_phase1_seed_does_not_move_optimum():
-    objs = [solve(trace_cap_problem(), SolverOptions(seed=s)).objective
-            for s in (0, 1, 2)]
-    assert max(objs) - min(objs) < 1e-6
-
-
 def test_outer_budget_exhaustion():
     opts = SolverOptions(max_outer=2, tol_gap=1e-30)
-    sol = solve(trace_cap_problem(), opts)
+    sol = solve(trace_cap_problem(), opts, init={"X": 0.5 * np.eye(2)})
     assert sol.status is SolverStatus.MAX_ITERATIONS
     assert math.isfinite(sol.objective)
 
 
 def test_strict_init_is_used():
-    """A strictly feasible init skips phase 1 and still reaches the optimum."""
+    """The run starts at the given strictly feasible init and reaches the
+    optimum from there."""
     prob = trace_cap_problem()
-    sol = solve(prob, init={"X": 0.5 * np.eye(2)})
+    sol = solve(prob, init=prob.pack({"X": np.diag([0.2, 2.7])}))
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.objective == pytest.approx(-2.0 * math.log2(1.5), abs=1e-6)
+
+
+@pytest.mark.parametrize("X", [np.diag([2.0, 2.0]), np.diag([1.0, 0.0])],
+                         ids=["over-cap", "on-floor"])
+def test_start_outside_the_domain_is_a_failure(X):
+    """An init that is not strictly feasible ends the run at once: no
+    Newton step, status NumericalFailure, and the start is returned."""
+    prob = trace_cap_problem()
+    sol = solve(prob, init={"X": X})
+    assert sol.status is SolverStatus.NUMERICAL_FAILURE
+    assert "start point outside domain" in sol.message
+    assert sol.newton_steps == 0 and sol.iterations == []
+    np.testing.assert_array_equal(sol.variables["X"], X)
 
 
 def test_problem_dump(tmp_path):
@@ -202,7 +197,7 @@ def test_weighted_lmi_objective():
     slack into the objective, and the optimum is X = I/2."""
     prob = lmi_cap_problem()
     prob.lmis[0].weight = 1.0
-    sol = solve(prob)
+    sol = solve(prob, init={"X": 0.25 * np.eye(2)})
     assert sol.status is SolverStatus.OPTIMAL
     np.testing.assert_allclose(sol.variables["X"], 0.5 * np.eye(2), atol=1e-6)
     assert sol.objective == pytest.approx(4.0, abs=1e-6)
@@ -231,8 +226,7 @@ def _dense_logdet_newton(plan, x, mu):
     matrices: an LMI with weight w and term matrices T_k gives
     g_k = -(w + mu) tr(S^-1 T_k), H_kl = (w + mu) tr(S^-1 T_k S^-1 T_l); a
     symmetric variable with logdet weight w and basis E_a gives
-    g_a = -w tr(X^-1 E_a), H_ab = w tr(X^-1 E_a X^-1 E_b). Phase 1 ignores
-    the weights."""
+    g_a = -w tr(X^-1 E_a), H_ab = w tr(X^-1 E_a X^-1 E_b)."""
     grad = np.zeros(plan.n)
     hess = np.zeros((plan.n, plan.n))
     prob = plan.problem
@@ -243,7 +237,7 @@ def _dense_logdet_newton(plan, x, mu):
         hess[np.ix_(idx, idx)] += coef * np.einsum("kij,lji->kl", W, W)
 
     for v in prob.sym_vars.values():
-        if v.logdet_weight == 0.0 or plan.phase1:
+        if v.logdet_weight == 0.0:
             continue
         mats = []
         for i, j, a in zip(v.rows, v.cols, v.alpha):
@@ -263,12 +257,8 @@ def _dense_logdet_newton(plan, x, mu):
                 T[:, r] += v
                 idx.append(sl.start + k)
                 mats.append(T)
-        if plan.phase1:
-            idx.append(plan.t_idx)
-            mats.append(np.eye(con.dim))
-        S = con.constant - con.margin * np.eye(con.dim)
-        S = S + sum(x[i] * T for i, T in zip(idx, mats))
-        add(idx, S, mats, mu + (0.0 if plan.phase1 else con.weight))
+        S = con.constant + sum(x[i] * T for i, T in zip(idx, mats))
+        add(idx, S, mats, mu + con.weight)
     return grad, hess
 
 
@@ -292,8 +282,7 @@ def _reactor_points():
     return [(full, full.pack({**values, "Pi": 0.5 * schur})), (red, red.pack(values))]
 
 
-@pytest.mark.parametrize("phase1", [False, True])
-def test_factor_newton_matches_dense_reference(phase1):
+def test_factor_newton_matches_dense_reference():
     """The rank-2 factor assembly of the weighted logdet and barrier terms
     equals the textbook dense formulas on both synthesis programs, each
     with three LMIs: the full one (Pi with logdet weight 1, its floor and
@@ -306,9 +295,7 @@ def test_factor_newton_matches_dense_reference(phase1):
     assert [c.weight for c in red.lmis] == [1.0, 0.0, 0.0]
     assert red.sym_vars["Sigma_Z"].logdet_weight == -1.0
     for label, prob, x in (("full", full, x_full), ("reduced", red, x_red)):
-        if phase1:
-            x = np.append(x, 0.25)
-        plan = sdp._Plan(prob, SolverOptions(), phase1, x)
+        plan = sdp._Plan(prob)
         rest = copy.copy(plan)
         rest.lmis = []
         rest.sym_list = [dataclasses.replace(v, logdet_weight=0.0) for v in plan.sym_list]
@@ -327,7 +314,7 @@ def test_reduced_derivatives_match_finite_differences():
     the Hessian is positive definite."""
     _, prob = _reactor_programs()
     x = prob.pack(analytic_start(prob))
-    plan = sdp._Plan(prob, SolverOptions(), False, x)
+    plan = sdp._Plan(prob)
     mu, h = 1e-9, 1e-5
     _, _, g, H = sdp._evaluate(plan, x, mu, 2)
     rng = np.random.default_rng(7)

@@ -210,7 +210,7 @@ def test_sweep_row_builds_one_lift(monkeypatch):
     counting = lambda *a, **kw: calls.append(1) or real(*a, **kw)     # noqa: E731
     monkeypatch.setattr(cli, "build_lift", counting)
     monkeypatch.setattr(synth, "build_lift", counting)
-    cells = cli._sweep_row(str(FIXTURES / "twostate.json"), None, 1.0, [0.0, 0.5, 1.0, 2.0], 42)
+    cells = cli._sweep_row(str(FIXTURES / "twostate.json"), None, 1.0, [0.0, 0.5, 1.0, 2.0])
     assert [c[0] for c in cells] == ["Infeasible", "Optimal", "Optimal", "Optimal"]
     assert len(calls) == 1
 

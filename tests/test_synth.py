@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from privsynth import cli as cli_module
 from privsynth import lift as lift_module
 from privsynth import sdp
 from privsynth import synth as synth_module
@@ -119,7 +120,7 @@ def test_reduced_view_drops_the_leakage_bound():
     assert [(c.name, c.weight) for c in red.lmis] == [
         ("leakage", 1.0), ("output_distortion_budget", 0.0), ("noise_floor", 0.0)]
     for full, view in zip(prob.lmis, red.lmis):
-        assert view.constant is full.constant and view.margin == full.margin
+        assert view.constant is full.constant
         assert set(view.terms) == set(full.terms) - {"Pi"}
         for name, vectors in view.terms.items():
             assert vectors is full.terms[name]
@@ -135,41 +136,6 @@ def test_analytic_start_is_strictly_feasible(name):
     rep = sdp.check_solution(red, init, tol_psd=0.0, tol_scalar=0.0)
     assert rep.ok
     assert min(c.min_slack for c in rep.checks) > 0.0
-
-
-def test_find_feasible_agrees_with_analytic_path(monkeypatch):
-    """Phase 1 reaches the interior of both programs. On the full program
-    the generic solve from there agrees with ``synthesize``. On the reduced
-    view, the program ``synthesize`` solves (leakage LMI weight 1, Sigma_Z
-    logdet weight -1), the solve from the phase-1 point agrees with the one
-    from the analytic start, both packed points pass the full certificate,
-    and ``synthesize`` without an analytic start takes that phase-1 path to
-    the same answer."""
-    model, req, _, prob = assembled("scalar")
-    feas = sdp.find_feasible(prob, seed=5)
-    assert feas.status is sdp.SolverStatus.OPTIMAL
-    sol_cold = sdp.solve(prob, sdp.SolverOptions(seed=5))
-    sol_warm = synthesize(model, req).solution
-    assert sol_cold.objective == pytest.approx(sol_warm.objective, abs=1e-5)
-
-    red = reduced_view(prob)
-    feas = sdp.find_feasible(red, seed=5)
-    assert feas.status is sdp.SolverStatus.OPTIMAL
-    assert sdp._strictly_feasible(red, feas.x)
-    runs = [sdp.solve(red, init=feas.x), sdp.solve(red, init=analytic_start(red))]
-    assert runs[0].objective == pytest.approx(runs[1].objective, abs=1e-5)
-    for run in runs:
-        assert run.status is sdp.SolverStatus.OPTIMAL
-        packed = synth_module._pack_leakage_bound(prob, run)
-        cert = sdp.check_solution(prob, packed.x)
-        assert cert.ok
-        assert cert.objective == pytest.approx(packed.objective, abs=1e-12)
-        assert packed.objective == pytest.approx(sol_warm.objective, abs=1e-5)
-
-    monkeypatch.setattr(synth_module, "analytic_start", lambda problem: None)
-    sol_phase1 = synthesize(model, req).solution
-    assert sol_phase1.objective == pytest.approx(sol_warm.objective, abs=1e-5)
-    assert sol_phase1.residuals.max_psd_violation <= sdp.CERT_TOL
 
 
 def test_packed_leakage_bound_is_the_barrier_center():
@@ -199,21 +165,90 @@ def test_packed_leakage_bound_is_the_barrier_center():
     assert cert.objective == pytest.approx(sol.objective, abs=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e3])
+def scaled(model, req, s):
+    """The same system in other units: every covariance times s, the means
+    and inputs times sqrt(s), the budgets times s. The information figures
+    do not change."""
+    model = dataclasses.replace(model, mu_x1=math.sqrt(s) * model.mu_x1,
+                                Sigma_x1=s * model.Sigma_x1, Sigma_T=s * model.Sigma_T,
+                                Sigma_W=s * model.Sigma_W, U=math.sqrt(s) * model.U)
+    return model, dataclasses.replace(req, eps_y=s * req.eps_y, eps_u=s * req.eps_u)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e4])
 def test_packed_point_certified_at_scale(scale):
-    """At eps_Y = inf Sigma_Z runs out to the box while the leakage LMI's
-    slack is only about mu * Schur, so that is where the full certificate
-    of the packed point is tightest; it stays clean with every noise
-    covariance scaled up by 1e3 (phase 1 then supplies the start)."""
+    """With every noise covariance scaled up, the full certificate of the
+    reported point stays clean: at eps_Y = inf, the closed-form point with
+    no Newton step and no leakage, and at eps_Y = 2 * scale, the packed
+    point of the barrier solve."""
     model, req = load_model(str(FIXTURES / "reactor4.json"))
-    model, req = with_overrides(model, req, eps_y=math.inf, eps_u=2.0)
+    model, req = with_overrides(model, req, eps_u=2.0)
     model = dataclasses.replace(model, Sigma_x1=scale * model.Sigma_x1,
                                 Sigma_T=scale * model.Sigma_T, Sigma_W=scale * model.Sigma_W)
     lift = build_lift(model, req.K)
-    rep = synthesize(model, req, lift=lift)
-    cert = sdp.check_solution(assemble_program(lift, model, req), rep.solution.x)
-    assert cert.ok
-    assert rep.solver["max_psd_violation"] == cert.max_psd_violation <= sdp.CERT_TOL
+    for eps_y in (math.inf, 2.0 * scale):
+        r = dataclasses.replace(req, eps_y=eps_y)
+        rep = synthesize(model, r, lift=lift)
+        cert = sdp.check_solution(assemble_program(lift, model, r), rep.solution.x)
+        assert cert.ok, eps_y
+        assert rep.solver["max_psd_violation"] == cert.max_psd_violation <= sdp.CERT_TOL
+        if math.isinf(eps_y):
+            assert rep.solver["newton_steps"] == 0 and rep.mi_bits == 0.0
+
+
+@pytest.mark.parametrize("name", ["twostate", "reactor4"])
+def test_information_does_not_depend_on_units(name):
+    """The noise floor sits on Sigma_V in the program's own units, so a
+    change of units moves neither feasibility nor the optimum: the leakage
+    agrees to 1e-5 bits for covariances scaled by 1, 1e2 and 1e4, and every
+    certificate is clean."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    mi = []
+    for s in (1.0, 1e2, 1e4):
+        m, r = scaled(model, req, s)
+        lift = build_lift(m, r.K)
+        rep = synthesize(m, r, lift=lift)
+        assert sdp.check_solution(assemble_program(lift, m, r), rep.solution.x).ok, s
+        mi.append(rep.mi_bits)
+    assert max(mi) - min(mi) <= 1e-5, mi
+
+
+def _output_threshold(model, req):
+    """delta * tr(W_Y^T W_Y), delta = 1e-8 * max(1, tr(Sigma_Y) / NY), from
+    the model's own moments."""
+    Sigma_Y = output_moments(build_lift(model, req.K), model).Sigma_Y
+    delta = 1e-8 * max(1.0, float(np.trace(Sigma_Y)) / Sigma_Y.shape[0])
+    return delta * float(np.trace(req.W_Y.T @ req.W_Y))
+
+
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4"])
+def test_output_budget_threshold(name, tmp_path, capsys):
+    """The program is strictly feasible exactly above eps_Y = delta *
+    tr(W_Y^T W_Y): just below, synthesize blames the output budget and
+    names the threshold, and the command line exits 2 with one line; just
+    above, the pass-through start solves to a clean certificate."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    thr = _output_threshold(model, req)
+    below = dataclasses.replace(req, eps_y=0.999 * thr)
+    with pytest.raises(InfeasibleProgram) as exc:
+        synthesize(model, below)
+    assert exc.value.worst_constraint == "output_distortion_budget"
+    assert f"{thr:.6g}" in str(exc.value)
+    assert "\n" not in str(exc.value)
+
+    rc = cli_module.main(["synthesize", str(FIXTURES / f"{name}.json"),
+                          str(tmp_path / "m.json"), "--eps-y", repr(0.999 * thr)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert not (tmp_path / "m.json").exists()
+
+    above = dataclasses.replace(req, eps_y=1.001 * thr)
+    lift = build_lift(model, req.K)
+    rep = synthesize(model, above, lift=lift)
+    assert rep.solver["status"] == "Optimal"
+    assert sdp.check_solution(assemble_program(lift, model, above), rep.solution.x).ok
+    assert rep.distortion_Y <= above.eps_y * (1 + 1e-6)
 
 
 def test_rejected_packed_point_is_a_solver_failure(monkeypatch, scalar_case):
