@@ -495,10 +495,9 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
             raise _Infeasible(f"lmi {lmi.con.name}")
         logdet = _logdet_from_chol(L)
         barrier += -logdet
-        w = lmi.con.weight
-        f += w * -logdet
+        f += lmi.con.weight * -logdet
         if order >= 1:
-            coef = w + mu
+            coef = lmi.con.weight + mu
             P = _inv_from_chol(L)
             PV = P @ lmi.vectors.T
             B = PV[lmi.rows]
