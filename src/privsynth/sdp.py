@@ -586,8 +586,9 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
             accepted = False
             gd = float(grad @ d)
             for _ in range(opts.max_backtracks):
+                trial = x + alpha * d
                 try:
-                    psi_trial, _, _, _ = _evaluate(plan, x + alpha * d, mu, 0)
+                    psi_trial, f_trial, _, _ = _evaluate(plan, trial, mu, 0)
                 except _Infeasible:
                     alpha *= opts.backtrack
                     continue
@@ -599,9 +600,8 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
                 return (SolverStatus.NUMERICAL_FAILURE, x, log, mu,
                         "line search failed to make progress", it, plan)
 
-            x = x + alpha * d
+            x, f = trial, f_trial
             it += 1
-            _, f, _, _ = _evaluate(plan, x, mu, 0)
             log.append(IterationRecord(iteration=it, mu=mu, objective=f / LN2,
                                        max_residual=0.0, decrement=math.sqrt(dec_sq)))
 

@@ -13,29 +13,36 @@ Random draws use counter-based Philox streams keyed by (salt, seed, tag),
 one per draw category. Runs are rows of those streams, drawn in order, so
 run i of a batch is identical regardless of the batch size.
 
-``run_experiment`` streams: it simulates at most ``CHUNK`` runs at a time
-and keeps only running sums, so its memory is set by ``CHUNK`` and does not
+``run_experiment`` streams: it draws at most ``CHUNK`` runs at a time and
+keeps only running sums, so its memory is set by ``CHUNK`` and does not
 depend on the number of runs. Drawing the next rows of a stream continues
 it, so the chunking does not change the noise of any run.
 
-It also overlaps drawing with estimation: while the calling thread
-simulates, estimates and accumulates one piece, a single helper thread
-draws the normals of the next. numpy fills the arrays with the GIL
-released, so on two cores the draws, about 40% of the work, come off the
-critical path. The helper is the only code that touches the generators, and
-it starts a draw only after the previous one has been handed over, so every
-stream is consumed in the same order as by a serial loop and the results do
-not depend on the thread. On one core the two simply take turns.
+It simulates probe runs only. Every per-run number it sums (each
+adversary's error, the first private component and its estimate, the two
+distortion vectors) is an affine function c + M^T e of that run's normals
+e, so it builds c and M once per call by running the simulator and the
+estimators on probe runs, and keeps only the sample moments of the
+normals: per batch, the run count, their sum and their Gram matrix e^T e.
+The sums and sums of squares of every per-run number follow exactly from
+those moments.
 
-Two pieces are in memory at once, the one being estimated and the next
-one's normals, so ``CHUNK`` is half of what one piece in flight would
-allow: the peak stays below that of a serial loop over pieces twice as
-large, and a piece is still wide enough to keep each matrix product
-efficient.
+With the simulation gone the draws are most of the work, so two threads
+share them: a helper thread draws the leading streams in tag order, about
+half of the columns, and the calling thread draws the rest and forms the
+Gram products. numpy fills the arrays with the GIL released, so on two
+cores the two draw at once; on one core they take turns. Each stream is
+drawn by one thread only, in its serial order, so the normals, and with
+them the results, do not depend on which thread draws what.
+
+Two pieces of normals are in memory at once, the one being reduced and the
+next one being drawn, each in one (CHUNK, width) buffer reused for every
+piece.
 """
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -139,6 +146,11 @@ def _streams(seed: int) -> list[np.random.Generator]:
     return [stream(seed, tag) for tag in _TAGS]
 
 
+def _widths(K: int, n_x: int, n_y: int, n_u: int) -> tuple[int, ...]:
+    """Normals per run drawn from each generator, in tag order."""
+    return (n_x, (K - 1) * n_x, K * n_y, K * n_y, K * n_u)
+
+
 def _draw(gens: list[np.random.Generator], m: int, K: int, n_x: int, n_y: int,
           n_u: int) -> list[np.ndarray]:
     """Standard normals for the next m runs: one (m, width) block per generator.
@@ -147,8 +159,29 @@ def _draw(gens: list[np.random.Generator], m: int, K: int, n_x: int, n_y: int,
     m1, m2, ... rows equal one draw of m1 + m2 + ... rows: run i gets the
     same noise however the runs are split into chunks.
     """
-    widths = (n_x, (K - 1) * n_x, K * n_y, K * n_y, K * n_u)
-    return [g.standard_normal((m, w)) for g, w in zip(gens, widths)]
+    return [g.standard_normal((m, w)) for g, w in zip(gens, _widths(K, n_x, n_y, n_u))]
+
+
+def _helper_streams(widths: tuple[int, ...]) -> tuple[int, ...]:
+    """The generators run_experiment's helper thread draws: the leading ones
+    in tag order, until they hold at least half of the normals. The calling
+    thread draws the others and also forms the Gram products."""
+    taken, half = 0, sum(widths) / 2
+    for i, w in enumerate(widths):
+        taken += w
+        if taken >= half:
+            break
+    return tuple(range(i + 1))
+
+
+def _fill(gens: list[np.random.Generator], which: tuple[int, ...], bounds: list[int],
+          out: np.ndarray) -> None:
+    """The next out.shape[0] rows of each generator in which, written into
+    its columns bounds[i]:bounds[i + 1] of out, the normals of ``_draw`` side
+    by side."""
+    for i in which:
+        out[:, bounds[i]:bounds[i + 1]] = gens[i].standard_normal(
+            (out.shape[0], bounds[i + 1] - bounds[i]))
 
 
 def _color(e: np.ndarray, width: int, chol: np.ndarray) -> np.ndarray:
@@ -323,6 +356,27 @@ class _BaselineEstimator:
         return self.c + y_stack @ self.B_y.T
 
 
+def _offset_free(est):
+    """A copy of an estimator with its constant term set to zero."""
+    free = copy.copy(est)
+    free.c = np.zeros_like(est.c)
+    return free
+
+
+def _per_run(plant: _Plant, mech: Mechanism, req: SynthesisRequest, plug: _PlugInEstimator,
+             base: _BaselineEstimator, u_flat: np.ndarray, e: list[np.ndarray]) -> np.ndarray:
+    """Every number run_experiment sums, one row per run of the normals e
+    (from ``_draw``), in columns: the (Z, R) and the (Y, U) estimation errors
+    (K n_s each), the first private component and its (Z, R) estimate per
+    step (K each), then W_Y (Z - Y) and W_U (R - U)."""
+    K, n_s, m = mech.K, plant.model.n_s, e[0].shape[0]
+    _, y, s, z, r = _simulate_chunk(plant, mech, u_flat, e)
+    shat = plug.estimate(z, r)
+    return np.hstack([shat - s, base.estimate(y) - s,
+                      s.reshape(m, K, n_s)[:, :, 0], shat.reshape(m, K, n_s)[:, :, 0],
+                      (z - y) @ req.W_Y.T, (r - u_flat) @ req.W_U.T])
+
+
 def adversary_estimate(model: SystemModel, lift: LiftedSystem | None,
                        mech: Mechanism, z_seq: np.ndarray,
                        r_seq: np.ndarray) -> AdversaryResult:
@@ -374,9 +428,9 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     settings yield the same estimate and the choice is recorded for the
     run manifest.
 
-    Runs are simulated CHUNK at a time and only running sums are kept, so
-    memory does not grow with n_runs. One helper thread draws the next
-    piece's normals meanwhile and has ended when this returns or raises.
+    The runs are drawn CHUNK at a time and reduced to sample moments of
+    their normals, so memory does not grow with n_runs. One helper thread
+    draws part of every piece and has ended when this returns or raises.
     """
     if r_entries not in ("K", "K-1"):
         raise ValueError(f"r_entries must be 'K' or 'K-1', got {r_entries!r}")
@@ -394,51 +448,82 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     u_seq = model.input_sequence(K)
     u_flat = u_seq.reshape(-1)
     plant = _Plant.of(model, u_seq)
-    gens = _streams(seed)
-    pieces = list(_pieces(n_runs))
-    dims = (K, model.n_x, model.n_y, model.n_u)
+    widths = _widths(K, model.n_x, model.n_y, model.n_u)
+    bounds = [0, *np.cumsum(widths).tolist()]
+    W = bounds[-1]
 
-    # One column per accumulated per-run quantity: squared error per step of
-    # the (Z, R) and the (Y, U) adversary, first private component and its
-    # (Z, R) estimate per step, then the Y and U distortions.
+    # The per-run numbers are q = c + M^T e for the run's normals e (W,).
+    # c is the run with all-zero normals. M comes from a mean-free probe
+    # (zero initial mean, input and estimator offsets) on one unit vector
+    # per normal, so no entry of M is a difference of mean-sized numbers.
+    def split(e):
+        return np.split(e, bounds[1:-1], axis=1)
+
+    c = _per_run(plant, mech, req, plug, base, u_flat, split(np.zeros((1, W))))[0]
+    free = replace(plant, drive=np.zeros_like(plant.drive),
+                   model=replace(model, mu_x1=np.zeros_like(model.mu_x1)))
+    M = _per_run(free, mech, req, _offset_free(plug), _offset_free(base),
+                 np.zeros_like(u_flat), split(np.eye(W)))
+
+    # Moments of the normals per slot, the batches then the remainder: run
+    # count, sum and Gram matrix.
+    pieces = list(_pieces(n_runs))
+    b = min(N_BATCHES, n_runs)
+    count = np.zeros(b + 1)
+    first = np.zeros((b + 1, W))
+    gram = np.zeros((b + 1, W, W))
+    gens = _streams(seed)
+    theirs = _helper_streams(widths)
+    mine = tuple(i for i in range(len(widths)) if i not in theirs)
+    rows = max(m for m, _ in pieces)
+    bufs = [np.empty((rows, W)) for _ in range(min(2, len(pieces)))]
+    # Piece j is drawn into bufs[j % 2]: the helper fills its columns of
+    # piece j + 1 while this thread reduces piece j and then fills its own.
+    # Each generator is drawn by one thread only, and the helper's next draw
+    # is submitted after its previous one has been taken, so every stream
+    # keeps its serial order.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="privsynth-draw") as helper:
+        e = bufs[0][:pieces[0][0]]
+        drawn = helper.submit(_fill, gens, theirs, bounds, e)
+        _fill(gens, mine, bounds, e)
+        for j, (m, batch) in enumerate(pieces):
+            drawn.result()
+            if j + 1 < len(pieces):
+                after = bufs[(j + 1) % 2][:pieces[j + 1][0]]
+                drawn = helper.submit(_fill, gens, theirs, bounds, after)
+            slot = b if batch is None else batch
+            count[slot] += m
+            first[slot] += e.sum(axis=0)
+            gram[slot] += e.T @ e
+            if j + 1 < len(pieces):
+                _fill(gens, mine, bounds, after)
+                e = after
+
+    # Per slot, the sum of each q_k is n c_k + (M^T sum e)_k, and the sum of
+    # its square n c_k^2 + 2 c_k (M^T sum e)_k + (M^T Gram M)_kk. The terms
+    # in c alone are the same for every full batch, so the standard errors
+    # are taken from the rest and no mean-sized number enters them.
+    cut = np.cumsum([K * n_s, K * n_s, K, K, req.W_Y.shape[0]])
+
+    def fold(squares, sums):
+        """One column per reported figure: squared error per step of the
+        (Z, R) and the (Y, U) adversary, first private component and its
+        (Z, R) estimate per step, then the Y and U distortions."""
+        sq_zr, sq_yu, _, _, sq_dy, sq_du = np.split(squares, cut, axis=1)
+        _, _, s0, sh0, _, _ = np.split(sums, cut, axis=1)
+        return np.hstack([sq_zr.reshape(-1, K, n_s).sum(axis=2),
+                          sq_yu.reshape(-1, K, n_s).sum(axis=2), s0, sh0,
+                          sq_dy.sum(axis=1, keepdims=True), sq_du.sum(axis=1, keepdims=True)])
+
+    lin = first @ M
+    spread = fold(2 * c * lin + np.einsum("swq,wq->sq", gram @ M, M), lin)
+    mean = (spread.sum(axis=0) + fold(n_runs * c[None] ** 2, n_runs * c[None])[0]) / n_runs
     ZR, YU, S0, SH0 = (slice(i * K, (i + 1) * K) for i in range(4))
     DY, DU = 4 * K, 4 * K + 1
-    total = np.zeros(4 * K + 2)
-    batch_total = np.zeros((min(N_BATCHES, n_runs), 4 * K + 2))
-    # The helper draws the normals of piece j + 1 while this thread works on
-    # piece j. It is the only user of gens, and each draw is submitted after
-    # the previous one has been taken, so the streams keep their serial order.
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="privsynth-draw") as helper:
-        drawn = helper.submit(_draw, gens, pieces[0][0], *dims)
-        for j, (m, batch) in enumerate(pieces):
-            e = drawn.result()
-            if j + 1 < len(pieces):
-                drawn = helper.submit(_draw, gens, pieces[j + 1][0], *dims)
-            _, y, s, z, r = _simulate_chunk(plant, mech, u_flat, e)
-            shat_zr = plug.estimate(z, r)
-            err_zr = (shat_zr - s).reshape(m, K, n_s)
-            err_yu = (base.estimate(y) - s).reshape(m, K, n_s)
-            dy = (z - y) @ req.W_Y.T
-            du = (r - u_flat) @ req.W_U.T
-
-            cols = np.empty((m, 4 * K + 2))
-            cols[:, ZR] = np.sum(err_zr * err_zr, axis=2)
-            cols[:, YU] = np.sum(err_yu * err_yu, axis=2)
-            cols[:, S0] = s.reshape(m, K, n_s)[:, :, 0]
-            cols[:, SH0] = shat_zr.reshape(m, K, n_s)[:, :, 0]
-            cols[:, DY] = np.sum(dy * dy, axis=1)
-            cols[:, DU] = np.sum(du * du, axis=1)
-            piece = cols.sum(axis=0)
-            total += piece
-            if batch is not None:
-                batch_total[batch] += piece
-
-    mean = total / n_runs
-    b = batch_total.shape[0]
     if b < 2:
         se = np.full(4 * K + 2, np.nan)
     else:
-        se = np.std(batch_total / (n_runs // b), axis=0, ddof=1) / np.sqrt(b)
+        se = np.std(spread[:b] / (n_runs // b), axis=0, ddof=1) / np.sqrt(b)
 
     return ExperimentSummary(
         K=K, n_runs=n_runs, seed=seed, r_entries=r_entries,

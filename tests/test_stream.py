@@ -1,20 +1,23 @@
-"""Streamed Monte Carlo: equal to a one-shot computation, flat memory, folded
-estimator, draws prefetched on one helper thread; one horizon lift per sweep
-row; no process-wide float settings."""
+"""Streamed Monte Carlo: equal to a one-shot computation, also with means far
+above the noise; flat and bounded memory; folded estimator; draws split
+between the calling thread and one helper, each stream on one thread; one
+horizon lift per sweep row; no process-wide float settings."""
 
 import json
 import pathlib
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from privsynth import cli, sim, synth
+from privsynth import cli, sim, synth, synthesize
 from privsynth import lift as lift_module
 from privsynth.lift import build_lift, output_moments
+from privsynth.model import with_overrides
 from privsynth.sim import CHUNK, _PlugInEstimator, _pieces, _simulate_batch, run_experiment
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -85,23 +88,60 @@ def test_streamed_experiment_matches_one_shot(twostate_case, twostate_report, n_
         assert np.isnan(got["se_distortion_Y"]) and np.isnan(got["se_distortion_U"])
 
 
-def test_run_experiment_memory_is_flat(scalar_case, scalar_report):
-    """The traced allocation peak does not grow with the number of runs."""
-    model, req = scalar_case
-    mech = scalar_report.mechanism
+def test_mean_shifted_experiment_matches_one_shot(twostate_case, twostate_report):
+    """With the initial mean and the input 1e7 times larger, far above the
+    noise, the summary still matches one_shot: no entry of the affine map
+    from the normals is a difference of two mean-sized numbers.
+
+    The standard errors are compared at 1e-8, not 1e-10: one_shot forms each
+    run's figures from mean-sized numbers, so its own standard errors carry
+    a relative rounding of about 2e-16 times the mean-to-noise ratio, 1e-9
+    here. Every mean is held to 1e-10."""
+    model, req = twostate_case
+    mech = twostate_report.mechanism
+    shifted = replace(model, mu_x1=1e7 * model.mu_x1, U=1e7 * model.U)
+    n_runs = 20 * CHUNK + 17
+    got = run_experiment(shifted, req, mech, n_runs, seed=5).to_dict()
+    want = one_shot(shifted, req, mech, n_runs, seed=5)
+    for key, value in want.items():
+        rtol = 1e-8 if key.startswith("se_") else 1e-10
+        np.testing.assert_allclose(got[key], value, rtol=rtol, atol=0, err_msg=key)
+
+
+def _traced_peaks(model, req, mech, run_counts):
+    """run_experiment's traced allocation peak at each run count, in bytes."""
     run_experiment(model, req, mech, 100, seed=1)      # first-call allocations
-    n = 20 * CHUNK
     peaks = []
     tracemalloc.start()
     try:
-        for n_runs in (n, 4 * n):
+        for n_runs in run_counts:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run_experiment(model, req, mech, n_runs, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+def test_run_experiment_memory_is_flat(scalar_case, scalar_report):
+    """The traced allocation peak does not grow with the number of runs."""
+    model, req = scalar_case
+    n = 20 * CHUNK
+    peaks = _traced_peaks(model, req, scalar_report.mechanism, (n, 4 * n))
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_run_experiment_peak_is_four_pieces_at_most(reactor_case):
+    """On the four-state model at K=20 (140 normals per run), the traced
+    peak stays within four pieces of normals: the two draw buffers, one
+    piece's draw temporaries and the per-batch Gram matrices. Simulating
+    each piece took about six."""
+    model, req = with_overrides(*reactor_case, K=20)
+    mech = synthesize(model, req).mechanism
+    piece = CHUNK * req.K * (model.n_x + 2 * model.n_y + model.n_u) * 8
+    peaks = _traced_peaks(model, req, mech, (20 * CHUNK, 80 * CHUNK))
+    assert max(peaks) <= 4 * piece, [p / piece for p in peaks]
 
 
 class _InlineExecutor:
@@ -143,27 +183,60 @@ def test_prefetch_matches_serial_draws(monkeypatch, twostate_case, twostate_repo
     assert json.dumps(threaded, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
+@pytest.mark.parametrize("theirs", [(), (1, 3), (0, 1, 2, 3, 4)])
+def test_stream_split_changes_no_bit(monkeypatch, twostate_case, twostate_report, theirs):
+    """Which generators the helper draws, and whether it runs on a thread
+    at all, changes no bit of the summary."""
+    model, req = twostate_case
+    mech = twostate_report.mechanism
+    n_runs = 20 * CHUNK + 17
+    default = run_experiment(model, req, mech, n_runs, seed=5).to_dict()
+    monkeypatch.setattr(sim, "_helper_streams", lambda widths: theirs)
+    split = run_experiment(model, req, mech, n_runs, seed=5).to_dict()
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", _InlineExecutor)
+    inline = run_experiment(model, req, mech, n_runs, seed=5).to_dict()
+    texts = {json.dumps(d, sort_keys=True) for d in (default, split, inline)}
+    assert len(texts) == 1
+
+
+def test_helper_draws_the_leading_half():
+    """The helper draws the leading streams up to half of the normals: the
+    initial-state and process noise of the K=20 four-state model."""
+    assert sim._helper_streams((4, 76, 20, 20, 20)) == (0, 1)
+    assert sim._helper_streams((2, 4, 6, 6, 3)) == (0, 1, 2)
+    assert sim._helper_streams((1, 1, 2, 2, 2)) == (0, 1, 2)
+
+
 def test_draw_error_leaves_no_helper_thread(monkeypatch, twostate_case, twostate_report):
-    """A failed draw on the helper surfaces from run_experiment, and the
-    helper has ended by the time it does."""
+    """A failed draw on either drawing thread surfaces from run_experiment,
+    and the helper has ended by the time it does. Each generator is drawn
+    by one thread only, and both threads draw."""
     model, req = twostate_case
     mech = twostate_report.mechanism
     before = set(threading.enumerate())
-    real = sim._draw
-    drawn_on = []
+    caller = threading.current_thread()
+    real = sim._fill
+    for fail_on_caller in (False, True):
+        drawn_by = {}
+        failing_calls = []
 
-    def failing(*args):
-        drawn_on.append(threading.current_thread())
-        if len(drawn_on) == 2:
-            raise RuntimeError("second draw failed")
-        return real(*args)
+        def failing(gens, which, bounds, out):
+            here = threading.current_thread()
+            for i in which:
+                drawn_by.setdefault(i, set()).add(here)
+            if (here is caller) == fail_on_caller:
+                failing_calls.append(here)
+                if len(failing_calls) == 2:
+                    raise RuntimeError("second draw failed")
+            return real(gens, which, bounds, out)
 
-    monkeypatch.setattr(sim, "_draw", failing)
-    with pytest.raises(RuntimeError, match="second draw failed"):
-        run_experiment(model, req, mech, 3 * CHUNK, seed=5)
-    assert len(drawn_on) == 2
-    assert threading.main_thread() not in drawn_on
-    assert set(threading.enumerate()) == before
+        monkeypatch.setattr(sim, "_fill", failing)
+        with pytest.raises(RuntimeError, match="second draw failed"):
+            run_experiment(model, req, mech, 3 * CHUNK, seed=5)
+        assert len(failing_calls) == 2
+        assert all(len(threads) == 1 for threads in drawn_by.values()), drawn_by
+        assert len(set().union(*drawn_by.values())) == 2
+        assert set(threading.enumerate()) == before
 
 
 def test_run_experiment_setup_once_per_call(monkeypatch, twostate_case, twostate_report):
