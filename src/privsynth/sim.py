@@ -13,37 +13,28 @@ Random draws use counter-based Philox streams keyed by (salt, seed, tag),
 one per draw category. Runs are rows of those streams, drawn in order, so
 run i of a batch is identical regardless of the batch size.
 
-``run_experiment`` streams: it draws at most ``CHUNK`` runs at a time and
-keeps only running sums, so its memory is set by ``CHUNK`` and does not
-depend on the number of runs. Drawing the next rows of a stream continues
-it, so the chunking does not change the noise of any run.
+``run_experiment`` simulates probe runs only. Every per-run number it sums
+(each adversary's error, the first private component and its estimate, the
+two distortion vectors) is an affine function c + M^T e of that run's W
+normals e, so it builds c and M once per call by running the simulator and
+the estimators on probe runs. The sums and sums of squares of every per-run
+number then follow exactly from three statistics of the normals of each
+batch of m runs: m, the sum and the Gram matrix e^T e.
 
-It simulates probe runs only. Every per-run number it sums (each
-adversary's error, the first private component and its estimate, the two
-distortion vectors) is an affine function c + M^T e of that run's normals
-e, so it builds c and M once per call by running the simulator and the
-estimators on probe runs, and keeps only the sample moments of the
-normals: per batch, the run count, their sum and their Gram matrix e^T e.
-The sums and sums of squares of every per-run number follow exactly from
-those moments.
-
-With the simulation gone the draws are most of the work, so two threads
-share them: a helper thread draws the leading streams in tag order, about
-half of the columns, and the calling thread draws the rest and forms the
-Gram products. numpy fills the arrays with the GIL released, so on two
-cores the two draw at once; on one core they take turns. Each stream is
-drawn by one thread only, in its serial order, so the normals, and with
-them the results, do not depend on which thread draws what.
-
-Two pieces of normals are in memory at once, the one being reduced and the
-next one being drawn, each in one (CHUNK, width) buffer reused for every
-piece.
+Those statistics have a known joint law, so each batch's are drawn directly
+from one further stream: the mean e_bar ~ N(0, I/m) is independent of the
+centred scatter S ~ Wishart(m - 1, I), drawn by the Bartlett decomposition
+(Odell & Feiveson, JASA 61, 1966), and Gram = S + m e_bar e_bar^T. A batch
+of m <= W runs draws its m x W normals instead. The cost is O(W^3) per batch
+and the memory O(W^2), whatever the number of runs; no run is drawn. The law
+of every reported number is that of drawing all the runs, but not the
+realization: the per-run streams are left to ``simulate``,
+``apply_mechanism`` and ``_simulate_batch``.
 """
 
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,8 +52,8 @@ _TAG_MEASURE = 2
 _TAG_MECH_OUT = 3
 _TAG_MECH_IN = 4
 _TAGS = (_TAG_INITIAL, _TAG_PROCESS, _TAG_MEASURE, _TAG_MECH_OUT, _TAG_MECH_IN)
+_TAG_MOMENTS = 5   # run_experiment's per-batch sums and Gram matrices
 
-CHUNK = 4096       # runs run_experiment simulates at once; sets its memory
 N_BATCHES = 20     # batches of the batch-means standard error
 
 
@@ -157,31 +148,9 @@ def _draw(gens: list[np.random.Generator], m: int, K: int, n_x: int, n_y: int,
 
     Rows are runs. Each block continues its generator's stream, so draws of
     m1, m2, ... rows equal one draw of m1 + m2 + ... rows: run i gets the
-    same noise however the runs are split into chunks.
+    same noise however the runs are split.
     """
     return [g.standard_normal((m, w)) for g, w in zip(gens, _widths(K, n_x, n_y, n_u))]
-
-
-def _helper_streams(widths: tuple[int, ...]) -> tuple[int, ...]:
-    """The generators run_experiment's helper thread draws: the leading ones
-    in tag order, until they hold at least half of the normals. The calling
-    thread draws the others and also forms the Gram products."""
-    taken, half = 0, sum(widths) / 2
-    for i, w in enumerate(widths):
-        taken += w
-        if taken >= half:
-            break
-    return tuple(range(i + 1))
-
-
-def _fill(gens: list[np.random.Generator], which: tuple[int, ...], bounds: list[int],
-          out: np.ndarray) -> None:
-    """The next out.shape[0] rows of each generator in which, written into
-    its columns bounds[i]:bounds[i + 1] of out, the normals of ``_draw`` side
-    by side."""
-    for i in which:
-        out[:, bounds[i]:bounds[i + 1]] = gens[i].standard_normal(
-            (out.shape[0], bounds[i + 1] - bounds[i]))
 
 
 def _color(e: np.ndarray, width: int, chol: np.ndarray) -> np.ndarray:
@@ -197,7 +166,7 @@ def _run_major(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Plant:
     """The constants of the pre-mechanism simulation at one horizon, so
-    that each piece of runs only multiplies."""
+    that simulating runs only multiplies."""
 
     model: SystemModel
     AT: np.ndarray          # A^T, contiguous
@@ -249,8 +218,8 @@ def _disclose(mech: Mechanism, y_stack: np.ndarray, u_flat: np.ndarray,
     return z, r
 
 
-def _simulate_chunk(plant: _Plant, mech: Mechanism, u_flat: np.ndarray,
-                    e: list[np.ndarray]):
+def _simulate_runs(plant: _Plant, mech: Mechanism, u_flat: np.ndarray,
+                   e: list[np.ndarray]):
     """The runs of the normals e (from ``_draw``): x time-major (K, m, n_x);
     y, s, z and r as stacked rows (m, .)."""
     x, y, s = _states(plant, *e[:3])
@@ -263,7 +232,7 @@ def _simulate_batch(model: SystemModel, mech: Mechanism, n_runs: int, seed: int)
     K = mech.K
     u_seq = model.input_sequence(K)
     e = _draw(_streams(seed), n_runs, K, model.n_x, model.n_y, model.n_u)
-    x, y, s, z, r = _simulate_chunk(_Plant.of(model, u_seq), mech, u_seq.reshape(-1), e)
+    x, y, s, z, r = _simulate_runs(_Plant.of(model, u_seq), mech, u_seq.reshape(-1), e)
     return (x.transpose(1, 0, 2), u_seq,
             *(a.reshape(n_runs, K, -1) for a in (y, s, z, r)))
 
@@ -370,7 +339,7 @@ def _per_run(plant: _Plant, mech: Mechanism, req: SynthesisRequest, plug: _PlugI
     (K n_s each), the first private component and its (Z, R) estimate per
     step (K each), then W_Y (Z - Y) and W_U (R - U)."""
     K, n_s, m = mech.K, plant.model.n_s, e[0].shape[0]
-    _, y, s, z, r = _simulate_chunk(plant, mech, u_flat, e)
+    _, y, s, z, r = _simulate_runs(plant, mech, u_flat, e)
     shat = plug.estimate(z, r)
     return np.hstack([shat - s, base.estimate(y) - s,
                       s.reshape(m, K, n_s)[:, :, 0], shat.reshape(m, K, n_s)[:, :, 0],
@@ -400,23 +369,129 @@ def adversary_estimate(model: SystemModel, lift: LiftedSystem | None,
     )
 
 
-def _pieces(n_runs: int):
-    """(runs, batch) of consecutive pieces of at most CHUNK runs that cover
-    runs 0..n_runs-1 in order.
-
-    The batch-means standard error uses b = min(N_BATCHES, n_runs) batches
-    of n_runs // b consecutive runs; no piece straddles two of them. batch
-    is the piece's batch index, or None for the remainder after the last
-    batch, which counts in the means but not in the standard error.
-    """
+def _slot_sizes(n_runs: int) -> list[int]:
+    """Runs per slot of run_experiment: b = min(N_BATCHES, n_runs) batches of
+    n_runs // b runs for the batch-means standard error, then the remainder,
+    which counts in the means only (0 runs when b divides n_runs)."""
     b = min(N_BATCHES, n_runs)
-    size = n_runs // b
-    spans = [(size, i) for i in range(b)]
-    if b * size < n_runs:
-        spans.append((n_runs - b * size, None))
-    for runs, batch in spans:
-        for done in range(0, runs, CHUNK):
-            yield min(CHUNK, runs - done), batch
+    return [n_runs // b] * b + [n_runs % b]
+
+
+def _slot_moments(gen: np.random.Generator, m: int, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum (W,) and Gram matrix (W, W) of m runs of W standard normals,
+    drawn from their joint law with the next draws of gen.
+
+    For m - 1 >= W: the mean e_bar = N(0, I)/sqrt(m), then S = L L^T with L
+    lower triangular, L_ii = sqrt(chi2(m - 1 - i)) for i = 0..W-1 and
+    N(0, 1) entries below the diagonal, drawn row by row (Bartlett); the sum
+    is m e_bar and the Gram matrix S + m e_bar e_bar^T. For fewer runs S is
+    singular and the m x W normals themselves are drawn.
+    """
+    if m - 1 < W:
+        e = gen.standard_normal((m, W))
+        return e.sum(axis=0), e.T @ e
+    e_bar = gen.standard_normal(W) / np.sqrt(m)
+    L = np.diag(np.sqrt(gen.chisquare(m - 1 - np.arange(W))))
+    L[np.tril_indices(W, -1)] = gen.standard_normal(W * (W - 1) // 2)
+    return m * e_bar, L @ L.T + m * np.outer(e_bar, e_bar)
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What run_experiment needs besides the normals' moments: the map
+    q = c + M^T e from one run's normals e (W,) to every number it sums,
+    and the exact error traces of both adversaries.
+
+    The columns of q are those of ``_per_run``. c is the run with all-zero
+    normals. M comes from a mean-free probe (zero initial mean, input and
+    estimator offsets) on one unit vector per normal, so no entry of M is a
+    difference of mean-sized numbers.
+    """
+
+    K: int
+    n_s: int
+    n_dy: int               # rows of W_Y
+    c: np.ndarray           # (Q,)
+    M: np.ndarray           # (W, Q)
+    mse_yu_theory: float
+    mse_zr_theory: float
+
+    @classmethod
+    def of(cls, model: SystemModel, req: SynthesisRequest, mech: Mechanism) -> "_Experiment":
+        K = mech.K
+        lift = build_lift(model, K)
+        mom = output_moments(lift, model)
+        plug = _PlugInEstimator(model, mech, lift=lift, moments=mom)
+        base = _BaselineEstimator(model, K, lift=lift, moments=mom)
+        u_seq = model.input_sequence(K)
+        u_flat = u_seq.reshape(-1)
+        plant = _Plant.of(model, u_seq)
+        bounds = np.cumsum(_widths(K, model.n_x, model.n_y, model.n_u))
+        W = int(bounds[-1])
+
+        def split(e):
+            return np.split(e, bounds[:-1], axis=1)
+
+        c = _per_run(plant, mech, req, plug, base, u_flat, split(np.zeros((1, W))))[0]
+        free = replace(plant, drive=np.zeros_like(plant.drive),
+                       model=replace(model, mu_x1=np.zeros_like(model.mu_x1)))
+        M = _per_run(free, mech, req, _offset_free(plug), _offset_free(base),
+                     np.zeros_like(u_flat), split(np.eye(W)))
+        return cls(K=K, n_s=model.n_s, n_dy=req.W_Y.shape[0], c=c, M=M,
+                   mse_yu_theory=float(np.trace(base.err_cov)),
+                   mse_zr_theory=float(np.trace(plug.err_cov)))
+
+    @property
+    def W(self) -> int:
+        return self.M.shape[0]
+
+    def summary(self, n_runs: int, first: np.ndarray, gram: np.ndarray, seed: int,
+                r_entries: str) -> ExperimentSummary:
+        """The summary of n_runs runs from the moments of their normals per
+        slot of ``_slot_sizes(n_runs)``: sums first (slots, W) and Gram
+        matrices gram (slots, W, W)."""
+        K, n_s, c, M = self.K, self.n_s, self.c, self.M
+        b = len(first) - 1
+        # Per slot, the sum of each q_k is n c_k + (M^T sum e)_k, and the sum
+        # of its square n c_k^2 + 2 c_k (M^T sum e)_k + (M^T Gram M)_kk. The
+        # terms in c alone are the same for every full batch, so the standard
+        # errors are taken from the rest and no mean-sized number enters them.
+        cut = np.cumsum([K * n_s, K * n_s, K, K, self.n_dy])
+
+        def fold(squares, sums):
+            """One column per reported figure: squared error per step of the
+            (Z, R) and the (Y, U) adversary, first private component and its
+            (Z, R) estimate per step, then the Y and U distortions."""
+            sq_zr, sq_yu, _, _, sq_dy, sq_du = np.split(squares, cut, axis=1)
+            _, _, s0, sh0, _, _ = np.split(sums, cut, axis=1)
+            return np.hstack([sq_zr.reshape(-1, K, n_s).sum(axis=2),
+                              sq_yu.reshape(-1, K, n_s).sum(axis=2), s0, sh0,
+                              sq_dy.sum(axis=1, keepdims=True),
+                              sq_du.sum(axis=1, keepdims=True)])
+
+        lin = first @ M
+        spread = fold(2 * c * lin + np.einsum("swq,wq->sq", gram @ M, M), lin)
+        mean = (spread.sum(axis=0) + fold(n_runs * c[None] ** 2, n_runs * c[None])[0]) / n_runs
+        ZR, YU, S0, SH0 = (slice(i * K, (i + 1) * K) for i in range(4))
+        DY, DU = 4 * K, 4 * K + 1
+        if b < 2:
+            se = np.full(4 * K + 2, np.nan)
+        else:
+            se = np.std(spread[:b] / (n_runs // b), axis=0, ddof=1) / np.sqrt(b)
+
+        return ExperimentSummary(
+            K=K, n_runs=n_runs, seed=seed, r_entries=r_entries,
+            mse_yu=mean[YU], mse_zr=mean[ZR], se_mse_zr=se[ZR],
+            s_mean=mean[S0], shat_zr_mean=mean[SH0],
+            mse_yu_total=float(mean[YU].sum()),
+            mse_zr_total=float(mean[ZR].sum()),
+            mse_yu_theory=self.mse_yu_theory,
+            mse_zr_theory=self.mse_zr_theory,
+            distortion_Y_hat=float(mean[DY]),
+            se_distortion_Y=float(se[DY]),
+            distortion_U_hat=float(mean[DU]),
+            se_distortion_U=float(se[DU]),
+        )
 
 
 def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
@@ -428,113 +503,22 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     settings yield the same estimate and the choice is recorded for the
     run manifest.
 
-    The runs are drawn CHUNK at a time and reduced to sample moments of
-    their normals, so memory does not grow with n_runs. One helper thread
-    draws part of every piece and has ended when this returns or raises.
+    Each slot of runs (the batches of the standard error, then the
+    remainder) gets the sum and the Gram matrix of its normals from
+    ``_slot_moments``, in slot order from one stream of the seed, so time
+    and memory do not grow with n_runs. The call runs on the calling thread
+    only.
     """
     if r_entries not in ("K", "K-1"):
         raise ValueError(f"r_entries must be 'K' or 'K-1', got {r_entries!r}")
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
-    K = mech.K
-    if req.K != K:
-        raise ValueError(f"request horizon {req.K} does not match mechanism horizon {K}")
-    n_s = model.n_s
-
-    lift = build_lift(model, K)
-    mom = output_moments(lift, model)
-    plug = _PlugInEstimator(model, mech, lift=lift, moments=mom)
-    base = _BaselineEstimator(model, K, lift=lift, moments=mom)
-    u_seq = model.input_sequence(K)
-    u_flat = u_seq.reshape(-1)
-    plant = _Plant.of(model, u_seq)
-    widths = _widths(K, model.n_x, model.n_y, model.n_u)
-    bounds = [0, *np.cumsum(widths).tolist()]
-    W = bounds[-1]
-
-    # The per-run numbers are q = c + M^T e for the run's normals e (W,).
-    # c is the run with all-zero normals. M comes from a mean-free probe
-    # (zero initial mean, input and estimator offsets) on one unit vector
-    # per normal, so no entry of M is a difference of mean-sized numbers.
-    def split(e):
-        return np.split(e, bounds[1:-1], axis=1)
-
-    c = _per_run(plant, mech, req, plug, base, u_flat, split(np.zeros((1, W))))[0]
-    free = replace(plant, drive=np.zeros_like(plant.drive),
-                   model=replace(model, mu_x1=np.zeros_like(model.mu_x1)))
-    M = _per_run(free, mech, req, _offset_free(plug), _offset_free(base),
-                 np.zeros_like(u_flat), split(np.eye(W)))
-
-    # Moments of the normals per slot, the batches then the remainder: run
-    # count, sum and Gram matrix.
-    pieces = list(_pieces(n_runs))
-    b = min(N_BATCHES, n_runs)
-    count = np.zeros(b + 1)
-    first = np.zeros((b + 1, W))
-    gram = np.zeros((b + 1, W, W))
-    gens = _streams(seed)
-    theirs = _helper_streams(widths)
-    mine = tuple(i for i in range(len(widths)) if i not in theirs)
-    rows = max(m for m, _ in pieces)
-    bufs = [np.empty((rows, W)) for _ in range(min(2, len(pieces)))]
-    # Piece j is drawn into bufs[j % 2]: the helper fills its columns of
-    # piece j + 1 while this thread reduces piece j and then fills its own.
-    # Each generator is drawn by one thread only, and the helper's next draw
-    # is submitted after its previous one has been taken, so every stream
-    # keeps its serial order.
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="privsynth-draw") as helper:
-        e = bufs[0][:pieces[0][0]]
-        drawn = helper.submit(_fill, gens, theirs, bounds, e)
-        _fill(gens, mine, bounds, e)
-        for j, (m, batch) in enumerate(pieces):
-            drawn.result()
-            if j + 1 < len(pieces):
-                after = bufs[(j + 1) % 2][:pieces[j + 1][0]]
-                drawn = helper.submit(_fill, gens, theirs, bounds, after)
-            slot = b if batch is None else batch
-            count[slot] += m
-            first[slot] += e.sum(axis=0)
-            gram[slot] += e.T @ e
-            if j + 1 < len(pieces):
-                _fill(gens, mine, bounds, after)
-                e = after
-
-    # Per slot, the sum of each q_k is n c_k + (M^T sum e)_k, and the sum of
-    # its square n c_k^2 + 2 c_k (M^T sum e)_k + (M^T Gram M)_kk. The terms
-    # in c alone are the same for every full batch, so the standard errors
-    # are taken from the rest and no mean-sized number enters them.
-    cut = np.cumsum([K * n_s, K * n_s, K, K, req.W_Y.shape[0]])
-
-    def fold(squares, sums):
-        """One column per reported figure: squared error per step of the
-        (Z, R) and the (Y, U) adversary, first private component and its
-        (Z, R) estimate per step, then the Y and U distortions."""
-        sq_zr, sq_yu, _, _, sq_dy, sq_du = np.split(squares, cut, axis=1)
-        _, _, s0, sh0, _, _ = np.split(sums, cut, axis=1)
-        return np.hstack([sq_zr.reshape(-1, K, n_s).sum(axis=2),
-                          sq_yu.reshape(-1, K, n_s).sum(axis=2), s0, sh0,
-                          sq_dy.sum(axis=1, keepdims=True), sq_du.sum(axis=1, keepdims=True)])
-
-    lin = first @ M
-    spread = fold(2 * c * lin + np.einsum("swq,wq->sq", gram @ M, M), lin)
-    mean = (spread.sum(axis=0) + fold(n_runs * c[None] ** 2, n_runs * c[None])[0]) / n_runs
-    ZR, YU, S0, SH0 = (slice(i * K, (i + 1) * K) for i in range(4))
-    DY, DU = 4 * K, 4 * K + 1
-    if b < 2:
-        se = np.full(4 * K + 2, np.nan)
-    else:
-        se = np.std(spread[:b] / (n_runs // b), axis=0, ddof=1) / np.sqrt(b)
-
-    return ExperimentSummary(
-        K=K, n_runs=n_runs, seed=seed, r_entries=r_entries,
-        mse_yu=mean[YU], mse_zr=mean[ZR], se_mse_zr=se[ZR],
-        s_mean=mean[S0], shat_zr_mean=mean[SH0],
-        mse_yu_total=float(mean[YU].sum()),
-        mse_zr_total=float(mean[ZR].sum()),
-        mse_yu_theory=float(np.trace(base.err_cov)),
-        mse_zr_theory=float(np.trace(plug.err_cov)),
-        distortion_Y_hat=float(mean[DY]),
-        se_distortion_Y=float(se[DY]),
-        distortion_U_hat=float(mean[DU]),
-        se_distortion_U=float(se[DU]),
-    )
+    if req.K != mech.K:
+        raise ValueError(f"request horizon {req.K} does not match mechanism horizon {mech.K}")
+    exp = _Experiment.of(model, req, mech)
+    sizes = _slot_sizes(n_runs)
+    first, gram = np.empty((len(sizes), exp.W)), np.empty((len(sizes), exp.W, exp.W))
+    gen = stream(seed, _TAG_MOMENTS)
+    for slot, m in enumerate(sizes):
+        first[slot], gram[slot] = _slot_moments(gen, m, exp.W)
+    return exp.summary(n_runs, first, gram, seed, r_entries)
