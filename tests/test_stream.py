@@ -67,9 +67,9 @@ def reference_runs(model, req, mech, n, seed):
 def one_shot(model, req, mech, n, seed):
     """Every run in memory at once, both estimators in their unfolded form."""
     K, n_s = mech.K, model.n_s
-    err_zr, err_yu, s0, sh0, dy, du = np.split(
-        reference_runs(model, req, mech, n, seed), np.cumsum([K * n_s, K * n_s, K, K, len(req.W_Y)]),
-        axis=1)
+    cut = np.cumsum([K * n_s, K * n_s, K, K, len(req.W_Y)])
+    runs = reference_runs(model, req, mech, n, seed)
+    err_zr, err_yu, s0, sh0, dy, du = np.split(runs, cut, axis=1)
     sq_zr = np.sum((err_zr ** 2).reshape(n, K, n_s), axis=2)
     sq_yu = np.sum((err_yu ** 2).reshape(n, K, n_s), axis=2)
     dist_y, dist_u = np.sum(dy * dy, axis=1), np.sum(du * du, axis=1)
@@ -131,8 +131,8 @@ def test_affine_map_matches_simulated_runs(twostate_case, twostate_report, shift
     np.testing.assert_array_equal(exp.M, sim._Experiment.of(model, req, mech).M)
 
 
-# Run counts 1, 19 and 20 give one-run batches, the first two with nan
-# standard errors or no remainder; 163857 = 20 * 8192 + 17 and
+# Run counts 1, 19 and 20 give one-run batches and no remainder, a single
+# run with nan standard errors; 163857 = 20 * 8192 + 17 and
 # 163943 = 20 * 8197 + 3 give batches of two whole pieces, or two whole
 # pieces and a 5-run piece, each with a short remainder.
 @pytest.mark.parametrize("n_runs", [1, 19, 20, 163857, 163943])
