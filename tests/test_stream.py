@@ -5,6 +5,7 @@ drawn with the moments of m runs, and the seed-to-seed spread matches the
 reported standard errors; flat and bounded memory; no thread; one horizon
 lift per sweep row; no process-wide float settings."""
 
+import json
 import pathlib
 import threading
 import tracemalloc
@@ -259,6 +260,24 @@ def test_run_experiment_peak_is_a_few_gram_stacks(reactor_case):
     stack = (sim.N_BATCHES + 1) * M.shape[0] ** 2 * 8
     peaks = _traced_peaks(model, req, mech, (40_000, 400_000))
     assert max(peaks) <= PEAK * stack + M.nbytes, [(p - M.nbytes) / stack for p in peaks]
+
+
+@pytest.mark.parametrize("n_runs", [1, 81937])
+def test_prefetch_matches_serial_draws(twostate_case, twostate_report, n_runs):
+    """No slot is drawn ahead: the summary equals, to the bit, the one from
+    drawing each slot's moments in turn from the seed's moment stream, and
+    a repeated call gives the same bits."""
+    model, req = twostate_case
+    mech = twostate_report.mechanism
+    exp = sim._Experiment.of(model, req, mech)
+    gen = sim.stream(5, sim._TAG_MOMENTS)
+    drawn = [sim._slot_moments(gen, m, exp.W) for m in sim._slot_sizes(n_runs)]
+    first, gram = (np.stack(parts) for parts in zip(*drawn))
+    serial = exp.summary(n_runs, first, gram, 5, "K").to_dict()
+    calls = [run_experiment(model, req, mech, n_runs, seed=5).to_dict() for _ in range(2)]
+    # repr round-trips every float, nan included, so equal text is equal bits
+    texts = {json.dumps(d, sort_keys=True) for d in [serial, *calls]}
+    assert len(texts) == 1
 
 
 def test_draw_error_leaves_no_helper_thread(monkeypatch, twostate_case, twostate_report):
