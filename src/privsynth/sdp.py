@@ -18,18 +18,26 @@ program whose other variables were minimized out in closed form.
 
 The solver is a log-barrier path-following method: for a decreasing barrier
 parameter ``mu`` (schedule ``mu <- mu / 10``) it centers
-``f(x) - mu * sum log det(slacks)`` with damped Newton steps and a
-backtracking line search that keeps every slack positive definite; an LMI
-with weight ``w_j`` so enters the centered function with coefficient
+``psi = f(x) + mu * phi(x)``, ``phi = -sum log det(slacks)``, with damped
+Newton steps and a backtracking line search that keeps every slack positive
+definite; an LMI with weight ``w_j`` so enters psi with coefficient
 ``w_j + mu``. The run starts from a strictly feasible point the caller
 supplies and needs a program whose objective is bounded below on the
 feasible set. All runs are deterministic: the same problem, options and
 start reproduce the iteration log bit for bit.
+
+Each iterate is built once. The build evaluates f and phi apart, with their
+gradients and Hessians, and the Newton system at any mu is the
+recombination ``H_f + mu * H_phi``. When a centering ends, mu is cut at the
+same x, so the next system costs one recombination and one factorization.
+The slacks are factored once per iterate, by the line-search trial that
+reaches it; the build reuses those factors.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -75,7 +83,10 @@ def sym_param_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sym_to_matrix(params: np.ndarray, n: int) -> np.ndarray:
-    rows, cols = sym_param_indices(n)
+    return _place_sym(params, n, *sym_param_indices(n))
+
+
+def _place_sym(params: np.ndarray, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     M = np.zeros((n, n))
     M[rows, cols] = params
     M[cols, rows] = params
@@ -105,7 +116,8 @@ class SymVariable:
         self.alpha = np.where(self.rows == self.cols, 0.5, 1.0)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        return sym_to_matrix(x[self.offset:self.offset + self.num_params], self.n)
+        return _place_sym(x[self.offset:self.offset + self.num_params], self.n,
+                          self.rows, self.cols)
 
 
 @dataclass
@@ -325,27 +337,67 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 # assembly plan
 
+# Row chunk of the Hessian builds: the elementwise products of one term
+# block are formed at most about this many entries at a time, so the only
+# large arrays of a build are its two n x n accumulators and the block
+# itself. 8192 entries measured faster than 32768 at K=20 and keeps the
+# chunk temporaries within a 2-core Xeon's L2.
+CHUNK_ENTRIES = 1 << 13
+
+
+def _row_chunks(width: int) -> list[slice]:
+    """Row slices covering range(width), each at most CHUNK_ENTRIES // width
+    rows long, so a chunk of a width-wide matrix holds at most about
+    CHUNK_ENTRIES entries."""
+    step = max(1, CHUNK_ENTRIES // max(width, 1))
+    return [slice(a, min(a + step, width)) for a in range(0, width, step)]
+
 
 @dataclass
-class _LmiLocal:
-    """One LMI's stacked terms: term k belongs to global parameter idx[k] and
-    places vectors[k] on hub row rows[k]. ``blocks`` pairs each variable's
-    local term range with its global parameter slice."""
+class _Terms:
+    """Rank-2 terms of an affine matrix function, stacked: term k belongs to
+    global parameter idx[k] and adds x[idx[k]] (e_r v^T + v e_r^T) with
+    r = rows[k] and v = vectors[k]. ``runs`` pairs each run of consecutive
+    global indices in idx, as a local and a global slice, when there are
+    few runs; it is None when idx is too scattered for one block add per
+    pair of runs to be cheaper than one fancy-indexed add (about 300
+    entries per pair)."""
 
-    con: LmiConstraint
     idx: np.ndarray
     rows: np.ndarray
     vectors: np.ndarray     # (p, dim)
-    blocks: list[tuple[slice, slice]]
 
     def __post_init__(self):
-        # hub[k] = e_{rows[k]}, so sum_k x_k e_{r_k} v_k^T = hub^T diag(x) V.
-        self.hub = np.zeros_like(self.vectors)
-        self.hub[np.arange(self.rows.size), self.rows] = 1.0
+        p = self.rows.size
+        self.terms_at = np.arange(p)
+        self.chunks = _row_chunks(p)
+        cuts = [0, *(np.flatnonzero(np.diff(self.idx) != 1) + 1), p]
+        runs = [(slice(a, b), slice(self.idx[a], self.idx[a] + b - a))
+                for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+        self.runs = runs if 300 * len(runs) ** 2 <= p * p else None
+
+    @classmethod
+    def basis(cls, v: SymVariable) -> "_Terms":
+        """A symmetric variable's own basis: E_a = alpha_a (e_i e_j^T + e_j e_i^T)
+        is the term with hub row i and vector alpha_a e_j."""
+        vectors = np.zeros((v.num_params, v.n))
+        vectors[np.arange(v.num_params), v.cols] = v.alpha
+        return cls(idx=v.offset + np.arange(v.num_params), rows=v.rows, vectors=vectors)
+
+    @functools.cached_property
+    def hub(self) -> np.ndarray:
+        """hub[k] = e_{rows[k]}, so sum_k x_k e_{r_k} v_k^T = hub^T diag(x) V."""
+        hub = np.zeros_like(self.vectors)
+        hub[self.terms_at, self.rows] = 1.0
+        return hub
+
+    def matrix(self, constant: np.ndarray, x: np.ndarray) -> np.ndarray:
+        M = self.hub.T @ (x[self.idx, None] * self.vectors)
+        return constant + M + M.T
 
 
 class _Plan:
-    """Per-solve preprocessed views: index maps and LMI factors."""
+    """Per-solve preprocessed views: index maps and stacked terms."""
 
     def __init__(self, problem: SdpProblem):
         self.problem = problem
@@ -358,21 +410,22 @@ class _Plan:
             self.c[sl] = LN2 * coeffs
 
         self.sym_list = list(problem.sym_vars.values())
+        self.sym_terms = {v.name: _Terms.basis(v) for v in self.sym_list
+                          if v.logdet_weight != 0.0 or v.psd_margin is not None}
 
-        # LMI locals: the factors of every variable's terms, stacked.
-        self.lmis: list[_LmiLocal] = []
+        # Each LMI with its terms; a term whose vector is zero places
+        # nothing and is left out.
+        self.lmis: list[tuple[LmiConstraint, _Terms]] = []
         for con in problem.lmis:
-            blocks, at = [], 0
-            for name, vectors in con.terms.items():
-                blocks.append((slice(at, at + len(vectors)), problem.var_slice(name)))
-                at += len(vectors)
-            self.lmis.append(_LmiLocal(
-                con=con,
-                idx=np.concatenate([np.zeros(0, dtype=np.intp),
-                                    *(np.arange(g.start, g.stop) for _, g in blocks)]),
-                rows=np.concatenate([np.zeros(0, dtype=np.intp), *con.rows.values()]),
-                vectors=np.concatenate([np.zeros((0, con.dim)), *con.terms.values()]),
-                blocks=blocks))
+            idx, rows, vectors = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], []
+            for name, v in con.terms.items():
+                keep = np.flatnonzero(np.any(v != 0.0, axis=1))
+                idx.append(problem.variable(name).offset + keep)
+                rows.append(con.rows[name][keep])
+                vectors.append(v[keep])
+            self.lmis.append((con, _Terms(
+                idx=np.concatenate(idx), rows=np.concatenate(rows),
+                vectors=np.concatenate([np.zeros((0, con.dim)), *vectors]))))
 
         # Scalar locals.
         self.scalar_locals: list[tuple[ScalarConstraint, np.ndarray, np.ndarray]] = []
@@ -391,12 +444,6 @@ class _Plan:
         nu += sum(v.n for v in self.sym_list if v.psd_margin is not None)
         nu += len(problem.scalars)
         self.nu = nu
-
-    # -- slack evaluation ------------------------------------------------
-
-    def lmi_slack(self, lmi: _LmiLocal, x: np.ndarray) -> np.ndarray:
-        M = lmi.hub.T @ (x[lmi.idx, None] * lmi.vectors)
-        return lmi.con.constant + M + M.T
 
     def sym_slack(self, v: SymVariable, x: np.ndarray) -> np.ndarray:
         S = v.matrix(x)
@@ -423,23 +470,149 @@ def _inv_from_chol(L: np.ndarray) -> np.ndarray:
     return Linv.T @ Linv
 
 
-def _sym_gvec(Minv: np.ndarray, v: SymVariable) -> np.ndarray:
-    """Gradient of log det along the lower-triangle parameterization."""
-    return 2.0 * v.alpha * Minv[v.rows, v.cols]
+def _terms_hess(terms: _Terms, P: np.ndarray, PV: np.ndarray) -> np.ndarray:
+    """Hessian of -log det S over the terms T_k = e_r v_k^T + v_k e_r^T, with
+    P = S^-1 and PV = P V^T:
+    tr(P T_k P T_l) = 2 (P[r_k, r_l] (V P V^T)[k, l] + B[k, l] B[l, k]),
+    B = PV[r, :]. The elementwise products are formed a row chunk at a
+    time, so their temporaries stay small."""
+    r = terms.rows
+    P2, B2 = 2.0 * P, 2.0 * PV
+    H = terms.vectors @ PV
+    for a in terms.chunks:
+        H[a] *= P2[r[a]][:, r]
+        Bt = PV[:, a][r].T
+        Bt *= B2[r[a]]
+        H[a] += Bt
+    return H
 
 
-def _sym_hmat(Minv: np.ndarray, v: SymVariable) -> np.ndarray:
-    """Hessian of -log det: H_ab = tr(Minv E_a Minv E_b) via index products."""
-    I, J = v.rows, v.cols
-    MI, MJ = Minv[I], Minv[J]
-    T1 = MI[:, I] * MJ[:, J]
-    T1 += MI[:, J] * MJ[:, I]
-    T1 *= 2.0 * (v.alpha[:, None] * v.alpha[None, :])
-    return T1
+def _add_hess(dest: np.ndarray, H: np.ndarray, terms: _Terms) -> None:
+    """dest[idx_k, idx_l] += H[k, l] over the terms."""
+    if terms.runs is None:
+        dest[np.ix_(terms.idx, terms.idx)] += H
+        return
+    for loc_a, glob_a in terms.runs:
+        for loc_b, glob_b in terms.runs:
+            dest[glob_a, glob_b] += H[loc_a, loc_b]
 
 
 class _Infeasible(Exception):
     pass
+
+
+@dataclass
+class _Parts:
+    """The barrier function's two parts at one point x, kept apart:
+    psi = f + mu * phi, with f the objective (in nats) and phi the barrier
+    -sum log det(slacks). Its derivatives at any mu so follow from one
+    build. ``factors`` holds the Cholesky factor of every slack in plan
+    order, for a later build at the same x."""
+
+    f: float
+    phi: float
+    factors: list[np.ndarray]
+    grad_f: np.ndarray | None = None
+    grad_phi: np.ndarray | None = None
+    hess_f: np.ndarray | None = None
+    hess_phi: np.ndarray | None = None
+
+    def psi(self, mu: float) -> float:
+        return self.f + mu * self.phi
+
+    def combine(self, mu: float):
+        """(psi, f, grad, hess) at barrier parameter mu; the derivatives not
+        built are None. The Hessian is a new array, the parts stay."""
+        grad = hess = None
+        if self.grad_f is not None:
+            grad = self.grad_f + mu * self.grad_phi
+        if self.hess_f is not None:
+            hess = np.multiply(self.hess_phi, mu)
+            hess += self.hess_f
+        return self.psi(mu), self.f, grad, hess
+
+    def add_logdet(self, terms: _Terms, L: np.ndarray, order: int,
+                   weight: float, barrier: bool) -> None:
+        """Adds -log det S, S = L L^T affine in x through ``terms``: weight
+        times into f and, for a barrier term, once into phi."""
+        value = -_logdet_from_chol(L)
+        if barrier:
+            self.phi += value
+        if weight != 0.0:
+            self.f += weight * value
+        if order < 1:
+            return
+        P = _inv_from_chol(L)
+        PV = P @ terms.vectors.T
+        g = -2.0 * PV[terms.rows, terms.terms_at]
+        if barrier:
+            self.grad_phi[terms.idx] += g
+        if weight != 0.0:
+            self.grad_f[terms.idx] += weight * g
+        if order < 2:
+            return
+        H = _terms_hess(terms, P, PV)
+        if barrier:
+            _add_hess(self.hess_phi, H, terms)
+        if weight != 0.0:
+            if weight != 1.0:
+                H *= weight
+            _add_hess(self.hess_f, H, terms)
+
+
+def _build(plan: _Plan, x: np.ndarray, order: int,
+           factors: list[np.ndarray] | None = None) -> _Parts:
+    """f and phi with their derivatives up to ``order`` (0, 1 or 2) at x;
+    raises _Infeasible outside the domain.
+
+    ``factors``, the ``factors`` of an earlier build at the same x, are used
+    instead of forming and factoring the slacks again.
+    """
+    n = plan.n
+    parts = _Parts(f=float(plan.c @ x), phi=0.0, factors=[])
+    if order >= 1:
+        parts.grad_f = plan.c.copy()
+        parts.grad_phi = np.zeros(n)
+    if order >= 2:
+        parts.hess_f = np.zeros((n, n))
+        parts.hess_phi = np.zeros((n, n))
+    reuse = None if factors is None else iter(factors)
+
+    def factor(slack, label: str) -> np.ndarray:
+        L = _chol_or_none(slack()) if reuse is None else next(reuse)
+        if L is None:
+            raise _Infeasible(label)
+        parts.factors.append(L)
+        return L
+
+    # Symmetric variables: objective logdet (a negative weight is concave
+    # here, convex only together with the LMIs) and PSD floor barrier.
+    for v in plan.sym_list:
+        if v.logdet_weight != 0.0:
+            L = factor(lambda: v.matrix(x), f"logdet domain {v.name}")
+            parts.add_logdet(plan.sym_terms[v.name], L, order, v.logdet_weight, barrier=False)
+        if v.psd_margin is not None:
+            L = factor(lambda: plan.sym_slack(v, x), f"psd floor {v.name}")
+            parts.add_logdet(plan.sym_terms[v.name], L, order, 0.0, barrier=True)
+
+    # General LMIs: an LMI with objective weight w adds w times its barrier
+    # term to f, so psi holds it with coefficient w + mu.
+    for con, terms in plan.lmis:
+        L = factor(lambda: terms.matrix(con.constant, x), f"lmi {con.name}")
+        parts.add_logdet(terms, L, order, con.weight, barrier=True)
+
+    # Scalar inequalities, barrier terms only.
+    for sc, idx, coef in plan.scalar_locals:
+        g = sc.constant + (float(coef @ x[idx]) if idx.size else 0.0)
+        if g <= 0.0:
+            raise _Infeasible(f"scalar {sc.name}")
+        parts.phi += -math.log(g)
+        if order >= 1 and idx.size:
+            parts.grad_phi[idx] += -coef / g
+            if order >= 2:
+                parts.hess_phi[np.ix_(idx, idx)] += np.outer(coef, coef) / (g * g)
+
+    return parts
 
 
 def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
@@ -447,82 +620,7 @@ def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
 
     order 0: values only; 1: plus gradient; 2: plus Hessian.
     """
-    n = plan.n
-    grad = np.zeros(n) if order >= 1 else None
-    hess = np.zeros((n, n)) if order >= 2 else None
-    barrier = 0.0
-
-    f = float(plan.c @ x)
-    if order >= 1:
-        grad += plan.c
-
-    # Symmetric variables: objective logdet (a negative weight is concave
-    # here, convex only together with the LMIs) and PSD floor barrier.
-    for v in plan.sym_list:
-        sl = slice(v.offset, v.offset + v.num_params)
-        if v.logdet_weight != 0.0:
-            M = v.matrix(x)
-            L = _chol_or_none(M)
-            if L is None:
-                raise _Infeasible(f"logdet domain {v.name}")
-            f += v.logdet_weight * (-_logdet_from_chol(L))
-            if order >= 1:
-                Minv = _inv_from_chol(L)
-                grad[sl] += -v.logdet_weight * _sym_gvec(Minv, v)
-                if order >= 2:
-                    hess[sl, sl] += v.logdet_weight * _sym_hmat(Minv, v)
-        if v.psd_margin is not None:
-            S = plan.sym_slack(v, x)
-            L = _chol_or_none(S)
-            if L is None:
-                raise _Infeasible(f"psd floor {v.name}")
-            barrier += -_logdet_from_chol(L)
-            if order >= 1:
-                Sinv = _inv_from_chol(L)
-                grad[sl] += -mu * _sym_gvec(Sinv, v)
-                if order >= 2:
-                    hess[sl, sl] += mu * _sym_hmat(Sinv, v)
-
-    # General LMIs, from the rank-2 factors T_k = e_r v_k^T + v_k e_r^T with
-    # P = S^{-1}: tr(P T_k) = 2 (P V)[r_k, k] and
-    # tr(P T_k P T_l) = 2 (P[r_k, r_l] (V^T P V)[k, l] + B[k, l] B[l, k]),
-    # B = (P V)[r, :]. An LMI with objective weight w enters psi as
-    # -(w + mu) log det S.
-    for lmi in plan.lmis:
-        S = plan.lmi_slack(lmi, x)
-        L = _chol_or_none(S)
-        if L is None:
-            raise _Infeasible(f"lmi {lmi.con.name}")
-        logdet = _logdet_from_chol(L)
-        barrier += -logdet
-        f += lmi.con.weight * -logdet
-        if order >= 1:
-            coef = lmi.con.weight + mu
-            P = _inv_from_chol(L)
-            PV = P @ lmi.vectors.T
-            B = PV[lmi.rows]
-            grad[lmi.idx] += -2.0 * coef * np.diagonal(B)
-            if order >= 2:
-                H = P[lmi.rows][:, lmi.rows] * (lmi.vectors @ PV)
-                H += B * B.T
-                H *= 2.0 * coef
-                for loc_a, glob_a in lmi.blocks:
-                    for loc_b, glob_b in lmi.blocks:
-                        hess[glob_a, glob_b] += H[loc_a, loc_b]
-
-    # Scalar inequalities.
-    for sc, idx, coef in plan.scalar_locals:
-        g = sc.constant + (float(coef @ x[idx]) if idx.size else 0.0)
-        if g <= 0.0:
-            raise _Infeasible(f"scalar {sc.name}")
-        barrier += -math.log(g)
-        if order >= 1 and idx.size:
-            grad[idx] += -mu * coef / g
-            if order >= 2:
-                hess[np.ix_(idx, idx)] += mu * np.outer(coef, coef) / (g * g)
-
-    psi = f + mu * barrier
-    return psi, f, grad, hess
+    return _build(plan, x, order).combine(mu)
 
 
 def _solve_newton(hess: np.ndarray, grad: np.ndarray, opts: SolverOptions):
@@ -534,31 +632,47 @@ def _solve_newton(hess: np.ndarray, grad: np.ndarray, opts: SolverOptions):
         try:
             L = cholesky(H)
         except np.linalg.LinAlgError:
-            H = hess + ridge * np.eye(hess.shape[0])
+            H = _ridged(hess, ridge)
             ridge *= 1e3
             continue
         d = -cho_solve(L, grad)
         dec_sq = float(-grad @ d)
         if dec_sq < 0.0:
             # Indefiniteness slipped past the factorization: regularize more.
-            H = hess + ridge * np.eye(hess.shape[0])
+            H = _ridged(hess, ridge)
             ridge *= 1e3
             continue
         return d, dec_sq
     return None
 
 
+def _ridged(hess: np.ndarray, ridge: float) -> np.ndarray:
+    """hess + ridge * I as one new array."""
+    H = hess.copy()
+    H[np.diag_indices_from(H)] += ridge
+    return H
+
+
 def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
-    """Path-following engine; returns (status, x, log, mu, message, nsteps, plan)."""
+    """Path-following engine; returns (status, x, log, mu, message, nsteps, plan).
+
+    Each iterate is built once: ``at_x`` holds f and phi with their
+    derivatives at x, and the Newton system at any mu is recombined from
+    them. When the centering test ends an outer iteration, mu is cut and x
+    stays, so the next system costs one recombination and no build. A step
+    to a new x passes on the slack factors of the accepted line-search
+    trial, so no slack is factored twice at one iterate.
+    """
     plan = _Plan(problem)
     x = x0.copy()
 
     try:
-        psi, f, _, _ = _evaluate(plan, x, 1.0, 0)
+        at_x = _build(plan, x, 0)
     except _Infeasible as exc:
         return (SolverStatus.NUMERICAL_FAILURE, x, [], math.nan,
                 f"start point outside domain ({exc})", 0, plan)
 
+    f = at_x.f
     mu = max(1.0, abs(f) / max(plan.nu, 1))
     log: list[IterationRecord] = []
     it = 0
@@ -567,12 +681,11 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
 
     for outer in range(opts.max_outer):
         for inner in range(opts.max_inner):
-            try:
-                psi, f, grad, hess = _evaluate(plan, x, mu, 2)
-            except _Infeasible as exc:
-                return (SolverStatus.NUMERICAL_FAILURE, x, log, mu,
-                        f"iterate left the domain ({exc})", it, plan)
+            if at_x.hess_f is None:
+                at_x = _build(plan, x, 2, at_x.factors)
+            psi, f, grad, hess = at_x.combine(mu)
             nd = _solve_newton(hess, grad, opts)
+            del hess
             if nd is None:
                 return (SolverStatus.NUMERICAL_FAILURE, x, log, mu,
                         "Newton system factorization failed", it, plan)
@@ -582,25 +695,25 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
                 break
 
             # Backtracking: keep every slack PD, then Armijo decrease.
+            at_x = None
             alpha = 1.0
-            accepted = False
             gd = float(grad @ d)
             for _ in range(opts.max_backtracks):
                 trial = x + alpha * d
                 try:
-                    psi_trial, f_trial, _, _ = _evaluate(plan, trial, mu, 0)
+                    at_trial = _build(plan, trial, 0)
                 except _Infeasible:
                     alpha *= opts.backtrack
                     continue
-                if psi_trial <= psi + opts.armijo * alpha * gd:
-                    accepted = True
+                if at_trial.psi(mu) <= psi + opts.armijo * alpha * gd:
+                    at_x = at_trial
                     break
                 alpha *= opts.backtrack
-            if not accepted:
+            if at_x is None:
                 return (SolverStatus.NUMERICAL_FAILURE, x, log, mu,
                         "line search failed to make progress", it, plan)
 
-            x, f = trial, f_trial
+            x, f = trial, at_x.f
             it += 1
             log.append(IterationRecord(iteration=it, mu=mu, objective=f / LN2,
                                        max_residual=0.0, decrement=math.sqrt(dec_sq)))
@@ -620,13 +733,17 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
 
 
 def solve(problem: SdpProblem, opts: SolverOptions | None = None, *,
-          init: np.ndarray | dict) -> SdpSolution:
+          init: np.ndarray | dict, _certify: bool = True) -> SdpSolution:
     """Minimize the determinant-maximization objective over the feasible set.
 
     ``init``, a global parameter vector or a dict of named values, must be
     strictly feasible; a start outside the barrier's domain ends the run at
     once with status NumericalFailure. The iteration log is deterministic
     for identical problem, options and init.
+
+    ``_certify=False`` is for a caller that certifies the point itself on
+    another program, as ``restate`` does: ``check_solution`` is not run, and
+    the residuals carry the duality measure with NaN violations.
     """
     opts = opts or SolverOptions()
     x0 = problem.pack(init) if isinstance(init, dict) else np.asarray(init, dtype=float)
@@ -634,10 +751,13 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None, *,
     f_bits = _objective_bits(problem, x)
     # The duality measure the barrier tested, which excludes the offset.
     f_nats = (f_bits - problem.objective_offset) * LN2
+    duality = mu * plan.nu / max(1.0, abs(f_nats))
+    residuals = (_residuals(problem, x, duality) if _certify
+                 else Residuals(math.nan, math.nan, duality))
     return SdpSolution(
         status=status, objective=f_bits, x=x, variables=problem.values(x),
-        residuals=_residuals(problem, x, mu * plan.nu / max(1.0, abs(f_nats))),
-        iterations=log, message=message, mu_final=mu, newton_steps=nsteps)
+        residuals=residuals, iterations=log, message=message, mu_final=mu,
+        newton_steps=nsteps)
 
 
 def exact_solution(problem: SdpProblem, x: np.ndarray, message: str) -> SdpSolution:

@@ -444,7 +444,9 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
         sol = sdp.exact_solution(problem, x, "closed form at eps_Y = inf: G = 0")
     else:
         reduced = reduced_view(problem)
-        sol = sdp.solve(reduced, solver_opts, init=analytic_start(reduced))
+        # The reduced view's point is certified once, on the full program,
+        # after Pi is packed in.
+        sol = sdp.solve(reduced, solver_opts, init=analytic_start(reduced), _certify=False)
         if sol.status is not sdp.SolverStatus.OPTIMAL:
             raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
         sol = _pack_leakage_bound(problem, sol)

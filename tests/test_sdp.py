@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from privsynth.sdp import (
     sym_to_matrix,
     write_iteration_csv,
 )
-from privsynth.synth import analytic_start, assemble_program, reduced_view
+from privsynth.synth import analytic_start, assemble_program, reduced_view, synthesize
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -369,3 +370,81 @@ def test_non_finite_slack_is_outside_the_domain():
     assert sdp._chol_or_none(np.diag([np.inf, 1.0])) is None
     assert sdp._chol_or_none(np.diag([1.0, -1.0])) is None
     np.testing.assert_allclose(sdp._chol_or_none(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
+
+
+def test_recombined_parts_match_fresh_evaluate():
+    """f and phi built once at x give, recombined at a second barrier
+    parameter, the same psi, f, gradient and Hessian as a fresh evaluation
+    there, on both synthesis programs; recombining leaves the parts as they
+    were."""
+    for prob, x in _reactor_points():
+        plan = sdp._Plan(prob)
+        parts = sdp._build(plan, x, 2)
+        kept = [parts.grad_f.copy(), parts.grad_phi.copy(),
+                parts.hess_f.copy(), parts.hess_phi.copy()]
+        parts.combine(0.7)
+        got = parts.combine(0.07)
+        want = sdp._evaluate(plan, x, 0.07, 2)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        for a, b in zip(kept, [parts.grad_f, parts.grad_phi, parts.hess_f, parts.hess_phi]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_build_from_reused_factors_is_bitwise(monkeypatch):
+    """A build handed the slack factors of an earlier build at the same x
+    factors no slack, and equals a fresh build bit for bit."""
+    def no_factoring(M):
+        raise AssertionError("a reused slack was factored again")
+
+    for prob, x in _reactor_points():
+        plan = sdp._Plan(prob)
+        fresh = sdp._build(plan, x, 2)
+        factors = sdp._build(plan, x, 0).factors
+        with monkeypatch.context() as m:
+            m.setattr(sdp, "_chol_or_none", no_factoring)
+            reused = sdp._build(plan, x.copy(), 2, factors)
+        assert (reused.f, reused.phi) == (fresh.f, fresh.phi)
+        for name in ("grad_f", "grad_phi", "hess_f", "hess_phi"):
+            np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
+        assert all(a is b for a, b in zip(reused.factors, factors))
+
+
+@pytest.mark.parametrize("fixture, steps", [("reactor4", 22), ("twostate", 32)])
+def test_one_newton_system_build_per_iterate(monkeypatch, fixture, steps):
+    """The Hessian is built once at the start and once per Newton step: a
+    cut of mu at the same x recombines the parts, and each build reuses the
+    slack factors of the line-search trial it starts from. The step counts
+    are those of a rebuild at every mu."""
+    builds = []
+    real = sdp._build
+
+    def counting(plan, x, order, factors=None):
+        builds.append((order, factors is not None))
+        return real(plan, x, order, factors)
+
+    monkeypatch.setattr(sdp, "_build", counting)
+    model, req = load_model(str(FIXTURES / f"{fixture}.json"))
+    sol = synthesize(model, req).solution
+    assert sol.newton_steps == steps
+    hessians = [reused for order, reused in builds if order == 2]
+    assert len(hessians) == sol.newton_steps + 1
+    assert all(hessians)
+
+
+def test_synthesize_peak_memory():
+    """On reactor4 at K=20 the solved program has n = 230 parameters, and
+    the traced allocation peak of synthesize stays within 8.6 n x n float
+    arrays: keeping f's and phi's Hessians apart adds no n x n array at the
+    peak, because each LMI's block is built in row chunks."""
+    model, req = with_overrides(*load_model(str(FIXTURES / "reactor4.json")), K=20)
+    n = reduced_view(assemble_program(build_lift(model, req.K), model, req)).num_params
+    assert n == 230
+    synthesize(model, req)      # first-call allocations
+    tracemalloc.start()
+    try:
+        synthesize(model, req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.6 * n * n * 8, peak / (n * n * 8)
