@@ -338,10 +338,10 @@ class SdpSolution:
 # assembly plan
 
 # Row chunk of the Hessian builds: the elementwise products of one term
-# block are formed at most about this many entries at a time, so the only
-# large arrays of a build are its two n x n accumulators and the block
-# itself. 8192 entries measured faster than 32768 at K=20 and keeps the
-# chunk temporaries within a 2-core Xeon's L2.
+# block are formed at most about this many entries at a time, so a build
+# needs no large array beyond the two Hessian accumulators and the block.
+# For one K=20 block on a 2-core Xeon, 8192 measured fastest of 4096 to
+# 65536.
 CHUNK_ENTRIES = 1 << 13
 
 
@@ -358,10 +358,9 @@ class _Terms:
     """Rank-2 terms of an affine matrix function, stacked: term k belongs to
     global parameter idx[k] and adds x[idx[k]] (e_r v^T + v e_r^T) with
     r = rows[k] and v = vectors[k]. ``runs`` pairs each run of consecutive
-    global indices in idx, as a local and a global slice, when there are
-    few runs; it is None when idx is too scattered for one block add per
-    pair of runs to be cheaper than one fancy-indexed add (about 300
-    entries per pair)."""
+    global indices in idx, as a local and a global slice. It is None when
+    idx is so scattered that one fancy-indexed add beats a block add per
+    pair of runs, taking a block add to cost about 300 indexed entries."""
 
     idx: np.ndarray
     rows: np.ndarray
