@@ -358,9 +358,8 @@ class _Terms:
     """Rank-2 terms of an affine matrix function, stacked: term k belongs to
     global parameter idx[k] and adds x[idx[k]] (e_r v^T + v e_r^T) with
     r = rows[k] and v = vectors[k]. ``runs`` pairs each run of consecutive
-    global indices in idx, as a local and a global slice. It is None when
-    idx is so scattered that one fancy-indexed add beats a block add per
-    pair of runs, taking a block add to cost about 300 indexed entries."""
+    global indices in idx, as a local and a global slice: one per variable
+    at most, since every variable's terms are stacked whole."""
 
     idx: np.ndarray
     rows: np.ndarray
@@ -371,9 +370,8 @@ class _Terms:
         self.terms_at = np.arange(p)
         self.chunks = _row_chunks(p)
         cuts = [0, *(np.flatnonzero(np.diff(self.idx) != 1) + 1), p]
-        runs = [(slice(a, b), slice(self.idx[a], self.idx[a] + b - a))
-                for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
-        self.runs = runs if 300 * len(runs) ** 2 <= p * p else None
+        self.runs = [(slice(a, b), slice(self.idx[a], self.idx[a] + b - a))
+                     for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
     @classmethod
     def basis(cls, v: SymVariable) -> "_Terms":
@@ -412,16 +410,14 @@ class _Plan:
         self.sym_terms = {v.name: _Terms.basis(v) for v in self.sym_list
                           if v.logdet_weight != 0.0 or v.psd_margin is not None}
 
-        # Each LMI with its terms; a term whose vector is zero places
-        # nothing and is left out.
+        # Each LMI with its terms, stacked variable by variable.
         self.lmis: list[tuple[LmiConstraint, _Terms]] = []
         for con in problem.lmis:
             idx, rows, vectors = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], []
             for name, v in con.terms.items():
-                keep = np.flatnonzero(np.any(v != 0.0, axis=1))
-                idx.append(problem.variable(name).offset + keep)
-                rows.append(con.rows[name][keep])
-                vectors.append(v[keep])
+                idx.append(problem.variable(name).offset + np.arange(len(v)))
+                rows.append(con.rows[name])
+                vectors.append(v)
             self.lmis.append((con, _Terms(
                 idx=np.concatenate(idx), rows=np.concatenate(rows),
                 vectors=np.concatenate([np.zeros((0, con.dim)), *vectors]))))
@@ -491,10 +487,7 @@ def _terms_hess(terms: _Terms, P: np.ndarray, PV: np.ndarray,
 
 
 def _add_hess(dest: np.ndarray, H: np.ndarray, terms: _Terms) -> None:
-    """dest[idx_k, idx_l] += H[k, l] over the terms."""
-    if terms.runs is None:
-        dest[np.ix_(terms.idx, terms.idx)] += H
-        return
+    """dest[idx_k, idx_l] += H[k, l] over the terms, a block per pair of runs."""
     for loc_a, glob_a in terms.runs:
         for loc_b, glob_b in terms.runs:
             dest[glob_a, glob_b] += H[loc_a, loc_b]
