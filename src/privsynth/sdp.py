@@ -465,19 +465,15 @@ def _inv_from_chol(L: np.ndarray) -> np.ndarray:
     return Linv.T @ Linv
 
 
-def _terms_hess(terms: _Terms, P: np.ndarray, PV: np.ndarray,
-                scratch: np.ndarray | None) -> np.ndarray:
+def _terms_hess(terms: _Terms, P: np.ndarray, PV: np.ndarray) -> np.ndarray:
     """Hessian of -log det S over the terms T_k = e_r v_k^T + v_k e_r^T, with
     P = S^-1 and PV = P V^T:
     tr(P T_k P T_l) = 2 (P[r_k, r_l] (V P V^T)[k, l] + B[k, l] B[l, k]),
     B = PV[r, :]. The elementwise products are formed a row chunk at a
-    time, so their temporaries stay small. The block is written into the
-    head of ``scratch``, an n x n array, unless that is None."""
+    time, so their temporaries stay small."""
     r = terms.rows
     P2, B2 = 2.0 * P, 2.0 * PV
-    p = r.size
-    out = None if scratch is None else scratch.reshape(-1)[:p * p].reshape(p, p)
-    H = np.matmul(terms.vectors, PV, out=out)
+    H = terms.vectors @ PV
     for a in terms.chunks:
         H[a] *= P2[r[a]][:, r]
         Bt = PV[:, a][r].T
@@ -503,9 +499,7 @@ class _Parts:
     psi = f + mu * phi, with f the objective (in nats) and phi the barrier
     -sum log det(slacks). Its derivatives at any mu so follow from one
     build. ``factors`` holds the Cholesky factor of every slack in plan
-    order, for a later build at the same x. ``scratch``, an n x n array or
-    None, holds each term's Hessian block while it is placed and then the
-    recombined Hessian, so that a solve allocates these once."""
+    order, for a later build at the same x."""
 
     f: float
     phi: float
@@ -514,20 +508,18 @@ class _Parts:
     grad_phi: np.ndarray | None = None
     hess_f: np.ndarray | None = None
     hess_phi: np.ndarray | None = None
-    scratch: np.ndarray | None = None
 
     def psi(self, mu: float) -> float:
         return self.f + mu * self.phi
 
     def combine(self, mu: float):
         """(psi, f, grad, hess) at barrier parameter mu; the derivatives not
-        built are None. The Hessian is ``scratch``, or a new array without
-        one; the parts stay."""
+        built are None. The parts stay."""
         grad = hess = None
         if self.grad_f is not None:
             grad = self.grad_f + mu * self.grad_phi
         if self.hess_f is not None:
-            hess = np.multiply(self.hess_phi, mu, out=self.scratch)
+            hess = mu * self.hess_phi
             hess += self.hess_f
         return self.psi(mu), self.f, grad, hess
 
@@ -551,7 +543,7 @@ class _Parts:
             self.grad_f[terms.idx] += weight * g
         if order < 2:
             return
-        H = _terms_hess(terms, P, PV, self.scratch)
+        H = _terms_hess(terms, P, PV)
         if barrier:
             _add_hess(self.hess_phi, H, terms)
         if weight != 0.0:
@@ -561,28 +553,19 @@ class _Parts:
 
 
 def _build(plan: _Plan, x: np.ndarray, order: int,
-           factors: list[np.ndarray] | None = None,
-           work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> _Parts:
+           factors: list[np.ndarray] | None = None) -> _Parts:
     """f and phi with their derivatives up to ``order`` (0, 1 or 2) at x;
     raises _Infeasible outside the domain.
 
     ``factors``, the ``factors`` of an earlier build at the same x, are used
-    instead of forming and factoring the slacks again. ``work``, three
-    n x n arrays, becomes the Hessians and the scratch of an order-2 build
-    instead of new arrays; a build into it ends the parts last built there.
-    """
+    instead of forming and factoring the slacks again."""
     n = plan.n
     parts = _Parts(f=float(plan.c @ x), phi=0.0, factors=[])
     if order >= 1:
         parts.grad_f = plan.c.copy()
         parts.grad_phi = np.zeros(n)
     if order >= 2:
-        if work is None:
-            parts.hess_f, parts.hess_phi = np.zeros((n, n)), np.zeros((n, n))
-        else:
-            parts.hess_f, parts.hess_phi, parts.scratch = work
-            parts.hess_f.fill(0.0)
-            parts.hess_phi.fill(0.0)
+        parts.hess_f, parts.hess_phi = np.zeros((n, n)), np.zeros((n, n))
     reuse = None if factors is None else iter(factors)
 
     def factor(slack, label: str) -> np.ndarray:
@@ -672,7 +655,6 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
     """
     plan = _Plan(problem)
     x = x0.copy()
-    work = tuple(np.empty((plan.n, plan.n)) for _ in range(3))
 
     try:
         at_x = _build(plan, x, 0)
@@ -690,7 +672,7 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
     for outer in range(opts.max_outer):
         for inner in range(opts.max_inner):
             if at_x.hess_f is None:
-                at_x = _build(plan, x, 2, at_x.factors, work)
+                at_x = _build(plan, x, 2, at_x.factors)
             psi, f, grad, hess = at_x.combine(mu)
             nd = _solve_newton(hess, grad, opts)
             if nd is None:

@@ -393,8 +393,7 @@ def test_recombined_parts_match_fresh_evaluate():
 
 def test_build_from_reused_factors_is_bitwise(monkeypatch):
     """A build handed the slack factors of an earlier build at the same x
-    factors no slack, and a build into the solver's reused n x n arrays
-    (left holding NaN) also equals a fresh build, bit for bit, recombined
+    factors no slack and equals a fresh build, bit for bit, recombined
     Hessian included."""
     def no_factoring(M):
         raise AssertionError("a reused slack was factored again")
@@ -403,15 +402,13 @@ def test_build_from_reused_factors_is_bitwise(monkeypatch):
         plan = sdp._Plan(prob)
         fresh = sdp._build(plan, x, 2)
         factors = sdp._build(plan, x, 0).factors
-        work = tuple(np.full((plan.n, plan.n), np.nan) for _ in range(3))
         with monkeypatch.context() as m:
             m.setattr(sdp, "_chol_or_none", no_factoring)
-            reused = sdp._build(plan, x.copy(), 2, factors, work)
+            reused = sdp._build(plan, x.copy(), 2, factors)
         assert (reused.f, reused.phi) == (fresh.f, fresh.phi)
         for name in ("grad_f", "grad_phi", "hess_f", "hess_phi"):
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
         np.testing.assert_array_equal(reused.combine(0.07)[3], fresh.combine(0.07)[3])
-        assert reused.combine(0.07)[3] is work[2]
         assert all(a is b for a, b in zip(reused.factors, factors))
 
 
@@ -424,9 +421,9 @@ def test_one_newton_system_build_per_iterate(monkeypatch, fixture, steps):
     builds = []
     real = sdp._build
 
-    def counting(plan, x, order, factors=None, work=None):
+    def counting(plan, x, order, factors=None):
         builds.append((order, factors is not None))
-        return real(plan, x, order, factors, work)
+        return real(plan, x, order, factors)
 
     monkeypatch.setattr(sdp, "_build", counting)
     model, req = load_model(str(FIXTURES / f"{fixture}.json"))
