@@ -6,10 +6,13 @@ Problem class: minimize
 
 over a parameter vector ``x`` holding symmetric matrix blocks ``X_b``
 (parameterized by their lower triangles) and generic affine blocks, subject to
+linear matrix inequalities ``S_j(x) >= 0`` with ``S_j`` affine.
 
-* linear matrix inequalities ``S_j(x) >= 0`` with ``S_j`` affine,
-* scalar affine inequalities ``g_l(x) >= 0``,
-* optional per-variable floors ``X_b >= margin_b * I``.
+The LMI is the only constraint kind, so each constraint has one dual block,
+``Z_j = mu S_j^-1`` at a barrier center. A scalar affine inequality
+``g(x) >= 0`` is a 1x1 LMI, and a floor ``X_b >= m I`` on a symmetric
+variable is the LMI ``X_b - m I >= 0``, placed with
+``SymVariable.basis_factors``.
 
 The weights ``w_j >= 0`` on LMI slacks and ``w_b`` (of either sign) on
 symmetric variables must leave ``f`` convex on the feasible set; a negative
@@ -17,7 +20,7 @@ symmetric variables must leave ``f`` convex on the feasible set; a negative
 program whose other variables were minimized out in closed form.
 
 The solver is a log-barrier path-following method: for a decreasing barrier
-parameter ``mu`` (schedule ``mu <- mu / 10``) it centers
+parameter ``mu`` (schedule ``mu <- mu / MU_FACTOR``) it centers
 ``psi = f(x) + mu * phi(x)``, ``phi = -sum log det(slacks)``, with damped
 Newton steps and a backtracking line search that keeps every slack positive
 definite; an LMI with weight ``w_j`` so enters psi with coefficient
@@ -47,7 +50,16 @@ from .gauss import cho_solve, cholesky, solve_lower
 
 LN2 = math.log(2.0)
 
-CERT_TOL = 1e-8     # default PSD and scalar tolerance of check_solution
+CERT_TOL = 1e-8     # default PSD tolerance of check_solution
+
+# Centering and line-search constants of the barrier method.
+MAX_INNER = 50          # Newton steps per centering
+MU_FACTOR = 10.0        # mu <- mu / MU_FACTOR after each centering
+INNER_TOL = 1e-2        # decrement^2/2 <= INNER_TOL * mu ends centering
+ARMIJO = 0.01
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 60
+REGULARIZATION = 1e-12  # Hessian ridge, relative to its diagonal scale
 
 
 class SolverStatus(enum.Enum):
@@ -62,13 +74,6 @@ class SolverOptions:
 
     tol_gap: float = 1e-7          # duality measure mu*nu / max(1, |f|)
     max_outer: int = 60
-    max_inner: int = 50
-    mu_factor: float = 10.0
-    inner_tol: float = 1e-2        # decrement^2/2 <= inner_tol * mu ends centering
-    armijo: float = 0.01
-    backtrack: float = 0.5
-    max_backtracks: int = 60
-    regularization: float = 1e-12  # Hessian ridge, relative to its diagonal scale
     reg_retries: int = 3
 
 
@@ -106,7 +111,6 @@ class SymVariable:
     name: str
     n: int
     logdet_weight: float
-    psd_margin: float | None
     offset: int
 
     def __post_init__(self):
@@ -118,6 +122,15 @@ class SymVariable:
     def matrix(self, x: np.ndarray) -> np.ndarray:
         return _place_sym(x[self.offset:self.offset + self.num_params], self.n,
                           self.rows, self.cols)
+
+    def basis_factors(self, dim: int, offset: int = 0,
+                      sign: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """Hub rows and vectors placing +/-E_a on the diagonal block at
+        ``offset`` of a dim x dim LMI: E_a = alpha_a (e_i e_j^T + e_j e_i^T)
+        is the rank-2 placement with hub row i and vector alpha_a e_j."""
+        vectors = np.zeros((self.num_params, dim))
+        vectors[np.arange(self.num_params), offset + self.cols] = sign * self.alpha
+        return offset + self.rows, vectors
 
 
 @dataclass
@@ -163,15 +176,6 @@ class LmiConstraint:
         self.terms[var_name] = vectors
 
 
-@dataclass
-class ScalarConstraint:
-    """g(x) = constant + sum_v coeffs[v] . x_v >= 0."""
-
-    name: str
-    constant: float
-    coeffs: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 class SdpProblem:
     """Container for variables, objective and constraints.
 
@@ -187,7 +191,6 @@ class SdpProblem:
         self.sym_vars: dict[str, SymVariable] = {}
         self.affine_vars: dict[str, AffineVariable] = {}
         self.lmis: list[LmiConstraint] = []
-        self.scalars: list[ScalarConstraint] = []
         self.affine_objective: dict[str, np.ndarray] = {}
         self.objective_offset = 0.0
         self._num_params = 0
@@ -195,11 +198,10 @@ class SdpProblem:
 
     # ---- construction -------------------------------------------------
 
-    def add_sym_var(self, name: str, n: int, logdet_weight: float = 0.0,
-                    psd_margin: float | None = None) -> SymVariable:
+    def add_sym_var(self, name: str, n: int, logdet_weight: float = 0.0) -> SymVariable:
         self._check_name(name)
         v = SymVariable(name=name, n=n, logdet_weight=float(logdet_weight),
-                        psd_margin=psd_margin, offset=self._num_params)
+                        offset=self._num_params)
         self.sym_vars[name] = v
         self._num_params += v.num_params
         return v
@@ -221,12 +223,6 @@ class SdpProblem:
             raise ValueError(f"LMI objective weight must be >= 0, got {weight}")
         con = LmiConstraint(name=name, dim=dim, constant=constant, weight=float(weight))
         self.lmis.append(con)
-        return con
-
-    def add_scalar(self, name: str, constant: float,
-                   coeffs: dict[str, np.ndarray] | None = None) -> ScalarConstraint:
-        con = ScalarConstraint(name=name, constant=float(constant), coeffs=dict(coeffs or {}))
-        self.scalars.append(con)
         return con
 
     def set_affine_objective(self, var_name: str, coeffs: np.ndarray) -> None:
@@ -277,7 +273,7 @@ class SdpProblem:
             "num_params": self.num_params,
             "sym_vars": [
                 {"name": v.name, "n": v.n, "logdet_weight": v.logdet_weight,
-                 "psd_margin": v.psd_margin, "offset": v.offset}
+                 "offset": v.offset}
                 for v in self.sym_vars.values()
             ],
             "affine_vars": [
@@ -293,11 +289,6 @@ class SdpProblem:
                  "terms": {k: {"rows": c.rows[k].tolist(), "vectors": t.tolist()}
                            for k, t in c.terms.items()}}
                 for c in self.lmis
-            ],
-            "scalars": [
-                {"name": c.name, "constant": c.constant,
-                 "coeffs": {k: v.tolist() for k, v in c.coeffs.items()}}
-                for c in self.scalars
             ],
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -317,7 +308,6 @@ class IterationRecord:
 @dataclass
 class Residuals:
     max_psd_violation: float
-    max_scalar_violation: float
     duality_measure: float
 
 
@@ -377,9 +367,8 @@ class _Terms:
     def basis(cls, v: SymVariable) -> "_Terms":
         """A symmetric variable's own basis: E_a = alpha_a (e_i e_j^T + e_j e_i^T)
         is the term with hub row i and vector alpha_a e_j."""
-        vectors = np.zeros((v.num_params, v.n))
-        vectors[np.arange(v.num_params), v.cols] = v.alpha
-        return cls(idx=v.offset + np.arange(v.num_params), rows=v.rows, vectors=vectors)
+        rows, vectors = v.basis_factors(v.n)
+        return cls(idx=v.offset + np.arange(v.num_params), rows=rows, vectors=vectors)
 
     @functools.cached_property
     def hub(self) -> np.ndarray:
@@ -408,7 +397,7 @@ class _Plan:
 
         self.sym_list = list(problem.sym_vars.values())
         self.sym_terms = {v.name: _Terms.basis(v) for v in self.sym_list
-                          if v.logdet_weight != 0.0 or v.psd_margin is not None}
+                          if v.logdet_weight != 0.0}
 
         # Each LMI with its terms, stacked variable by variable.
         self.lmis: list[tuple[LmiConstraint, _Terms]] = []
@@ -422,29 +411,8 @@ class _Plan:
                 idx=np.concatenate(idx), rows=np.concatenate(rows),
                 vectors=np.concatenate([np.zeros((0, con.dim)), *vectors]))))
 
-        # Scalar locals.
-        self.scalar_locals: list[tuple[ScalarConstraint, np.ndarray, np.ndarray]] = []
-        for sc in problem.scalars:
-            idx_parts, coef_parts = [], []
-            for var_name, coeffs in sc.coeffs.items():
-                v = problem.variable(var_name)
-                idx_parts.append(np.arange(v.offset, v.offset + v.num_params))
-                coef_parts.append(np.asarray(coeffs, dtype=float))
-            idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=int)
-            coef = np.concatenate(coef_parts) if coef_parts else np.zeros(0)
-            self.scalar_locals.append((sc, idx, coef))
-
-        # Barrier degree: LMI dims + PSD floors + scalars.
-        nu = sum(con.dim for con in problem.lmis)
-        nu += sum(v.n for v in self.sym_list if v.psd_margin is not None)
-        nu += len(problem.scalars)
-        self.nu = nu
-
-    def sym_slack(self, v: SymVariable, x: np.ndarray) -> np.ndarray:
-        S = v.matrix(x)
-        if v.psd_margin:
-            S[np.diag_indices_from(S)] -= v.psd_margin
-        return S
+        # Barrier degree.
+        self.nu = sum(con.dim for con in problem.lmis)
 
 
 def _chol_or_none(M: np.ndarray) -> np.ndarray | None:
@@ -575,48 +543,26 @@ def _build(plan: _Plan, x: np.ndarray, order: int,
         parts.factors.append(L)
         return L
 
-    # Symmetric variables: objective logdet (a negative weight is concave
-    # here, convex only together with the LMIs) and PSD floor barrier.
+    # Symmetric variables' objective logdet: a negative weight is concave
+    # here, convex only together with the LMIs.
     for v in plan.sym_list:
         if v.logdet_weight != 0.0:
             L = factor(lambda: v.matrix(x), f"logdet domain {v.name}")
             parts.add_logdet(plan.sym_terms[v.name], L, order, v.logdet_weight, barrier=False)
-        if v.psd_margin is not None:
-            L = factor(lambda: plan.sym_slack(v, x), f"psd floor {v.name}")
-            parts.add_logdet(plan.sym_terms[v.name], L, order, 0.0, barrier=True)
 
-    # General LMIs: an LMI with objective weight w adds w times its barrier
-    # term to f, so psi holds it with coefficient w + mu.
+    # LMIs: an LMI with objective weight w adds w times its barrier term to
+    # f, so psi holds it with coefficient w + mu.
     for con, terms in plan.lmis:
         L = factor(lambda: terms.matrix(con.constant, x), f"lmi {con.name}")
         parts.add_logdet(terms, L, order, con.weight, barrier=True)
 
-    # Scalar inequalities, barrier terms only.
-    for sc, idx, coef in plan.scalar_locals:
-        g = sc.constant + (float(coef @ x[idx]) if idx.size else 0.0)
-        if g <= 0.0:
-            raise _Infeasible(f"scalar {sc.name}")
-        parts.phi += -math.log(g)
-        if order >= 1 and idx.size:
-            parts.grad_phi[idx] += -coef / g
-            if order >= 2:
-                parts.hess_phi[np.ix_(idx, idx)] += np.outer(coef, coef) / (g * g)
-
     return parts
-
-
-def _evaluate(plan: _Plan, x: np.ndarray, mu: float, order: int):
-    """psi, f, grad, hess at x; raises _Infeasible outside the domain.
-
-    order 0: values only; 1: plus gradient; 2: plus Hessian.
-    """
-    return _build(plan, x, order).combine(mu)
 
 
 def _solve_newton(hess: np.ndarray, grad: np.ndarray, opts: SolverOptions):
     """Newton direction with ridge retries; returns (d, decrement_sq) or None."""
     diag_scale = max(1.0, float(np.max(np.diag(hess))))
-    ridge = opts.regularization * diag_scale
+    ridge = REGULARIZATION * diag_scale
     H = hess
     for attempt in range(opts.reg_retries + 1):
         try:
@@ -670,7 +616,7 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
     message = "outer iteration limit reached"
 
     for outer in range(opts.max_outer):
-        for inner in range(opts.max_inner):
+        for inner in range(MAX_INNER):
             if at_x.hess_f is None:
                 at_x = _build(plan, x, 2, at_x.factors)
             psi, f, grad, hess = at_x.combine(mu)
@@ -680,24 +626,24 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
                         "Newton system factorization failed", it, plan)
             d, dec_sq = nd
 
-            if 0.5 * dec_sq <= opts.inner_tol * mu:
+            if 0.5 * dec_sq <= INNER_TOL * mu:
                 break
 
             # Backtracking: keep every slack PD, then Armijo decrease.
             at_x = None
             alpha = 1.0
             gd = float(grad @ d)
-            for _ in range(opts.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 trial = x + alpha * d
                 try:
                     at_trial = _build(plan, trial, 0)
                 except _Infeasible:
-                    alpha *= opts.backtrack
+                    alpha *= BACKTRACK
                     continue
-                if at_trial.psi(mu) <= psi + opts.armijo * alpha * gd:
+                if at_trial.psi(mu) <= psi + ARMIJO * alpha * gd:
                     at_x = at_trial
                     break
-                alpha *= opts.backtrack
+                alpha *= BACKTRACK
             if at_x is None:
                 return (SolverStatus.NUMERICAL_FAILURE, x, log, mu,
                         "line search failed to make progress", it, plan)
@@ -712,7 +658,7 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
             status = SolverStatus.OPTIMAL
             message = "duality measure below tolerance"
             break
-        mu /= opts.mu_factor
+        mu /= MU_FACTOR
 
     return status, x, log, mu, message, it, plan
 
@@ -742,7 +688,7 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None, *,
     f_nats = (f_bits - problem.objective_offset) * LN2
     duality = mu * plan.nu / max(1.0, abs(f_nats))
     residuals = (_residuals(problem, x, duality) if _certify
-                 else Residuals(math.nan, math.nan, duality))
+                 else Residuals(math.nan, duality))
     return SdpSolution(
         status=status, objective=f_bits, x=x, variables=problem.values(x),
         residuals=residuals, iterations=log, message=message, mu_final=mu,
@@ -765,8 +711,7 @@ def exact_solution(problem: SdpProblem, x: np.ndarray, message: str) -> SdpSolut
 @dataclass
 class ConstraintCheck:
     name: str
-    kind: str               # "lmi" | "psd_floor" | "scalar"
-    min_slack: float        # min slack eigenvalue (lmi/psd) or slack value (scalar)
+    min_slack: float        # min eigenvalue of the LMI's slack
 
 
 @dataclass
@@ -775,7 +720,6 @@ class CertificateReport:
     objective: float
     checks: list[ConstraintCheck]
     max_psd_violation: float
-    max_scalar_violation: float
 
 
 def check_solution(problem: SdpProblem, x: np.ndarray | dict,
@@ -783,40 +727,23 @@ def check_solution(problem: SdpProblem, x: np.ndarray | dict,
     """Recompute every residual from scratch (eigenvalue route, slogdet objective).
 
     Deliberately avoids the solver's Cholesky/assembly code paths so it can
-    serve as an independent certificate of the returned point.
+    serve as an independent certificate of the returned point. Every
+    constraint is an LMI held to ``tol_psd``; ``tol_scalar`` is accepted and
+    unused, since a scalar constraint is a 1x1 LMI.
     """
     xv = problem.pack(x) if isinstance(x, dict) else np.asarray(x, dtype=float)
     checks: list[ConstraintCheck] = []
     max_psd = 0.0
-    max_scalar = 0.0
 
     for con in problem.lmis:
         w = np.linalg.eigvalsh(_lmi_matrix(problem, con, xv))
         mins = float(w[0])
-        checks.append(ConstraintCheck(con.name, "lmi", mins))
+        checks.append(ConstraintCheck(con.name, mins))
         max_psd = max(max_psd, -mins)
-
-    for name, v in problem.sym_vars.items():
-        if v.psd_margin is None:
-            continue
-        S = v.matrix(xv) - v.psd_margin * np.eye(v.n)
-        w = np.linalg.eigvalsh(S)
-        mins = float(w[0])
-        checks.append(ConstraintCheck(name, "psd_floor", mins))
-        max_psd = max(max_psd, -mins)
-
-    for sc in problem.scalars:
-        g = sc.constant
-        for var_name, coeffs in sc.coeffs.items():
-            v = problem.variable(var_name)
-            g += float(np.asarray(coeffs) @ xv[v.offset:v.offset + v.num_params])
-        checks.append(ConstraintCheck(sc.name, "scalar", g))
-        max_scalar = max(max_scalar, -g)
 
     objective = _objective_bits(problem, xv, use_slogdet=True)
-    ok = max_psd <= tol_psd and max_scalar <= tol_scalar
-    return CertificateReport(ok=ok, objective=objective, checks=checks,
-                             max_psd_violation=max_psd, max_scalar_violation=max_scalar)
+    return CertificateReport(ok=max_psd <= tol_psd, objective=objective, checks=checks,
+                             max_psd_violation=max_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -870,9 +797,7 @@ def restate(problem: SdpProblem, x: np.ndarray, run: SdpSolution) -> SdpSolution
 
 def _residuals(problem: SdpProblem, x: np.ndarray, duality: float) -> Residuals:
     rep = check_solution(problem, x)
-    return Residuals(max_psd_violation=rep.max_psd_violation,
-                     max_scalar_violation=rep.max_scalar_violation,
-                     duality_measure=duality)
+    return Residuals(max_psd_violation=rep.max_psd_violation, duality_measure=duality)
 
 
 def write_iteration_csv(solution: SdpSolution, path: str,

@@ -221,16 +221,6 @@ def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest
     )
 
 
-def _sym_basis_factors(var: sdp.SymVariable, dim: int, offset: int,
-                       sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factors placing +/-E_a of a symmetric variable on the diagonal block at
-    ``offset`` of a dim x dim LMI: E_a = alpha_a (e_i e_j^T + e_j e_i^T) is the
-    rank-2 placement with hub row i and vector alpha_a e_j."""
-    vectors = np.zeros((var.num_params, dim))
-    vectors[np.arange(var.num_params), offset + var.cols] = sign * var.alpha
-    return offset + var.rows, vectors
-
-
 def input_noise(req: SynthesisRequest) -> np.ndarray:
     """Optimal input noise covariance Sigma_H* = (eps_U/NU) (W_U^T W_U)^{-1}.
 
@@ -277,7 +267,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
 
     prob = sdp.SdpProblem()
     prob.objective_offset = -float(np.linalg.slogdet(Sigma_H)[1]) / math.log(2.0)
-    pi = prob.add_sym_var("Pi", NS, logdet_weight=1.0, psd_margin=d)
+    pi = prob.add_sym_var("Pi", NS, logdet_weight=1.0)
     sz = prob.add_sym_var("Sigma_Z", NY)
     prob.add_affine_var("G", K * n_y * n_y)
 
@@ -292,8 +282,8 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     const = np.zeros((dim, dim))
     const[:NS, :NS] = ctx.mom.Sigma_S
     mi = prob.add_lmi("leakage", dim, constant=const)
-    mi.add_term("Pi", *_sym_basis_factors(pi, dim, 0, -1.0))
-    mi.add_term("Sigma_Z", *_sym_basis_factors(sz, dim, NS, +1.0))
+    mi.add_term("Pi", *pi.basis_factors(dim, sign=-1.0))
+    mi.add_term("Sigma_Z", *sz.basis_factors(dim, NS))
     vg = np.zeros((pg, dim))
     vg[:, :NS] = M_zs[cg, :]
     mi.add_term("G", NS + rg, vg)
@@ -327,10 +317,15 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     const[:NY, :NY] = -d * np.eye(NY)
     const[NY:, NY:] = ctx.Winv
     floor = prob.add_lmi("noise_floor", dimn, constant=const)
-    floor.add_term("Sigma_Z", *_sym_basis_factors(sz, dimn, 0, +1.0))
+    floor.add_term("Sigma_Z", *sz.basis_factors(dimn))
     vg = np.zeros((pg, dimn))
     vg[np.arange(pg), NY + cg] = 1.0
     floor.add_term("G", rg, vg)
+
+    # Leakage-bound floor Pi - delta I >= 0, last so the LMIs above keep
+    # their order. Its only variable is Pi, so ``reduced_view`` drops it.
+    pi_floor = prob.add_lmi("pi_floor", NS, constant=-d * np.eye(NS))
+    pi_floor.add_term("Pi", *pi.basis_factors(NS))
 
     prob.meta["context"] = ctx
     prob.meta["Sigma_H"] = Sigma_H
@@ -340,23 +335,27 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
 def reduced_view(problem: sdp.SdpProblem) -> sdp.SdpProblem:
     """The synthesis program with the leakage bound Pi minimized out.
 
-    Pi enters only through -log det Pi, its floor and the leakage LMI
+    Pi enters only through -log det Pi, its floor LMI and the leakage LMI
     [[Sigma_S - Pi, C^T], [C, Sigma_Z]] >= 0, i.e. Pi <= Schur := Sigma_S -
     C^T Sigma_Z^{-1} C. Minimizing -log det Pi - mu log det(Schur - Pi) gives
     Pi = Schur / (1 + mu), and what remains of the barrier function is
     -(1 + mu) log det J + log det Sigma_Z with J = [[Sigma_S, C^T], [C,
     Sigma_Z]]: the leakage LMI without Pi's term, with objective weight 1,
     and Sigma_Z with logdet weight -1. Its objective is -log2 det Schur plus
-    the same offset, the full objective at Pi = Schur. The other LMIs, the
-    term data and ``meta`` are shared with ``problem``.
+    the same offset, the full objective at Pi = Schur. Every LMI whose only
+    variable is Pi, its floor, is dropped: the certificate checks it on
+    ``problem`` once Pi is packed in. The other LMIs, the term data and
+    ``meta`` are shared with ``problem``.
     """
     red = sdp.SdpProblem()
     red.objective_offset = problem.objective_offset
     red.meta = problem.meta
     sz = problem.sym_vars["Sigma_Z"]
-    red.add_sym_var("Sigma_Z", sz.n, logdet_weight=-1.0, psd_margin=sz.psd_margin)
+    red.add_sym_var("Sigma_Z", sz.n, logdet_weight=-1.0)
     red.add_affine_var("G", problem.affine_vars["G"].num_params)
     for con in problem.lmis:
+        if set(con.terms) == {"Pi"}:
+            continue
         view = red.add_lmi(con.name, con.dim, constant=con.constant,
                            weight=1.0 if con.name == "leakage" else con.weight)
         for name, vectors in con.terms.items():
@@ -451,10 +450,9 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
             raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
         sol = _pack_leakage_bound(problem, sol)
     res = sol.residuals
-    if max(res.max_psd_violation, res.max_scalar_violation) > sdp.CERT_TOL:
+    if res.max_psd_violation > sdp.CERT_TOL:
         message = (f"the full program rejects the packed leakage bound (max PSD violation "
-                   f"{res.max_psd_violation:.3e}, max scalar violation "
-                   f"{res.max_scalar_violation:.3e})")
+                   f"{res.max_psd_violation:.3e})")
         raise SolverFailure(message, replace(sol, status=sdp.SolverStatus.NUMERICAL_FAILURE,
                                              message=message))
 
@@ -514,7 +512,6 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
             "mu_final": sol.mu_final,
             "duality_measure": sol.residuals.duality_measure,
             "max_psd_violation": sol.residuals.max_psd_violation,
-            "max_scalar_violation": sol.residuals.max_scalar_violation,
             "cost_reconciliation_bits": reconciliation,
         },
         flags={

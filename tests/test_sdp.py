@@ -29,33 +29,46 @@ from privsynth.synth import analytic_start, assemble_program, reduced_view, synt
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def add_floor(prob, name, margin=1e-8):
+    """The floor X >= margin I on a symmetric variable, as an LMI."""
+    v = prob.sym_vars[name]
+    floor = prob.add_lmi(f"{name}_floor", v.n, constant=-margin * np.eye(v.n))
+    floor.add_term(name, *v.basis_factors(v.n))
+
+
 def scalar_cap_problem(cap=4.0, margin=1e-8):
-    """maximize log2 x  s.t.  x <= cap, x >= margin."""
+    """maximize log2 x  s.t.  x <= cap, x >= margin, both as 1x1 LMIs."""
     prob = SdpProblem()
-    prob.add_sym_var("x", 1, logdet_weight=1.0, psd_margin=margin)
-    prob.add_scalar("cap", cap, {"x": np.array([-1.0])})
+    x = prob.add_sym_var("x", 1, logdet_weight=1.0)
+    prob.add_lmi("cap", 1, constant=np.array([[cap]])).add_term(
+        "x", *x.basis_factors(1, sign=-1.0))
+    add_floor(prob, "x", margin)
     return prob
 
 
 def trace_cap_problem(n=2, cap=3.0):
     """maximize log2 det X  s.t.  tr X <= cap; optimum X = (cap/n) I."""
     prob = SdpProblem()
-    prob.add_sym_var("X", n, logdet_weight=1.0, psd_margin=1e-8)
+    prob.add_sym_var("X", n, logdet_weight=1.0)
     rows, cols = sym_param_indices(n)
-    coeffs = np.where(rows == cols, -1.0, 0.0)
-    prob.add_scalar("trace_cap", cap, {"X": coeffs})
+    # A 1x1 LMI adds 2 x_k v_k, so v_k is half the coefficient -[i == j].
+    vectors = np.where(rows == cols, -0.5, 0.0)[:, None]
+    prob.add_lmi("trace_cap", 1, constant=np.array([[cap]])).add_term(
+        "X", np.zeros(rows.size, dtype=int), vectors)
+    add_floor(prob, "X")
     return prob
 
 
 def lmi_cap_problem(n=2):
     """maximize log2 det X  s.t.  X <= I; optimum X = I."""
     prob = SdpProblem()
-    prob.add_sym_var("X", n, logdet_weight=1.0, psd_margin=1e-8)
+    prob.add_sym_var("X", n, logdet_weight=1.0)
     rows, cols = sym_param_indices(n)
     # -E_a is the rank-2 placement with hub row i and vector -alpha_a e_j.
     vectors = -np.eye(n)[cols] * np.where(rows == cols, 0.5, 1.0)[:, None]
     con = prob.add_lmi("upper_cap", n, constant=np.eye(n))
     con.add_term("X", rows, vectors)
+    add_floor(prob, "X")
     return prob
 
 
@@ -94,8 +107,8 @@ def test_affine_objective_box():
     """minimize t over 0 <= t <= 5 drives t to the lower edge."""
     prob = SdpProblem()
     prob.add_affine_var("t", 1)
-    prob.add_scalar("lower", 0.0, {"t": np.array([1.0])})
-    prob.add_scalar("upper", 5.0, {"t": np.array([-1.0])})
+    prob.add_lmi("lower", 1).add_term("t", [0], np.array([[0.5]]))
+    prob.add_lmi("upper", 1, constant=np.array([[5.0]])).add_term("t", [0], np.array([[-0.5]]))
     prob.set_affine_objective("t", np.array([1.0]))
     sol = solve(prob, init={"t": np.array([2.5])})
     assert sol.status is SolverStatus.OPTIMAL
@@ -133,7 +146,7 @@ def test_check_solution_flags_violation():
     prob = scalar_cap_problem()
     bad = check_solution(prob, {"x": np.array([[5.0]])})
     assert not bad.ok
-    assert bad.max_scalar_violation == pytest.approx(1.0, abs=1e-12)
+    assert bad.max_psd_violation == pytest.approx(1.0, abs=1e-12)
     cap_check = next(c for c in bad.checks if c.name == "cap")
     assert cap_check.min_slack == pytest.approx(-1.0, abs=1e-12)
     good = check_solution(prob, {"x": np.array([[3.0]])})
@@ -285,14 +298,14 @@ def _reactor_points():
 
 def test_factor_newton_matches_dense_reference():
     """The rank-2 factor assembly of the weighted logdet and barrier terms
-    equals the textbook dense formulas on both synthesis programs, each
-    with three LMIs: the full one (Pi with logdet weight 1, its floor and
-    its negative-sign term in the leakage LMI) and its reduced view (the
+    equals the textbook dense formulas on both synthesis programs: the full
+    one with four LMIs (Pi with logdet weight 1, its negative-sign term in
+    the leakage LMI and its floor LMI) and its reduced view with three (the
     leakage LMI with objective weight 1, so coefficient 1 + mu, and
     Sigma_Z with logdet weight -1)."""
     (full, x_full), (red, x_red) = _reactor_points()
     assert full.sym_vars["Pi"].logdet_weight == 1.0
-    assert [c.weight for c in full.lmis] == [0.0, 0.0, 0.0]
+    assert [c.weight for c in full.lmis] == [0.0, 0.0, 0.0, 0.0]
     assert [c.weight for c in red.lmis] == [1.0, 0.0, 0.0]
     assert red.sym_vars["Sigma_Z"].logdet_weight == -1.0
     for label, prob, x in (("full", full, x_full), ("reduced", red, x_red)):
@@ -301,8 +314,8 @@ def test_factor_newton_matches_dense_reference():
         rest.lmis = []
         rest.sym_list = [dataclasses.replace(v, logdet_weight=0.0) for v in plan.sym_list]
         mu = 0.7
-        _, _, g_all, h_all = sdp._evaluate(plan, x, mu, 2)
-        _, _, g_rest, h_rest = sdp._evaluate(rest, x, mu, 2)
+        _, _, g_all, h_all = sdp._build(plan, x, 2).combine(mu)
+        _, _, g_rest, h_rest = sdp._build(rest, x, 2).combine(mu)
         g_ref, h_ref = _dense_logdet_newton(plan, x, mu)
         assert np.linalg.norm(g_all - g_rest - g_ref) <= 1e-10 * np.linalg.norm(g_ref), label
         assert np.linalg.norm(h_all - h_rest - h_ref) <= 1e-10 * np.linalg.norm(h_ref), label
@@ -317,13 +330,13 @@ def test_reduced_derivatives_match_finite_differences():
     x = prob.pack(analytic_start(prob))
     plan = sdp._Plan(prob)
     mu, h = 1e-9, 1e-5
-    _, _, g, H = sdp._evaluate(plan, x, mu, 2)
+    _, _, g, H = sdp._build(plan, x, 2).combine(mu)
     rng = np.random.default_rng(7)
     for _ in range(3):
         d = rng.standard_normal(x.size)
         d /= np.linalg.norm(d)
-        psi_p, _, g_p, _ = sdp._evaluate(plan, x + h * d, mu, 1)
-        psi_m, _, g_m, _ = sdp._evaluate(plan, x - h * d, mu, 1)
+        psi_p, _, g_p, _ = sdp._build(plan, x + h * d, 1).combine(mu)
+        psi_m, _, g_m, _ = sdp._build(plan, x - h * d, 1).combine(mu)
         assert (psi_p - psi_m) / (2 * h) == pytest.approx(g @ d, rel=1e-6, abs=1e-9)
         fd = (g_p - g_m) / (2 * h)
         assert np.linalg.norm(fd - H @ d) <= 1e-6 * np.linalg.norm(H @ d)
@@ -335,10 +348,9 @@ def test_reduced_derivatives_match_finite_differences():
 def test_newton_ridge_retry_gives_descent(hess):
     """A Hessian the factorization rejects is retried with a ridge scaled to
     its diagonal, and the direction solves the ridged system."""
-    opts = SolverOptions()
     grad = np.array([1.0, 0.0])
-    d, dec_sq = sdp._solve_newton(hess, grad, opts)
-    ridged = hess + opts.regularization * np.eye(2)
+    d, dec_sq = sdp._solve_newton(hess, grad, SolverOptions())
+    ridged = hess + sdp.REGULARIZATION * np.eye(2)
     np.testing.assert_allclose(d, -np.linalg.solve(ridged, grad), rtol=1e-9)
     assert dec_sq > 0.0
     assert grad @ d < 0.0
@@ -384,7 +396,7 @@ def test_recombined_parts_match_fresh_evaluate():
                 parts.hess_f.copy(), parts.hess_phi.copy()]
         parts.combine(0.7)
         got = parts.combine(0.07)
-        want = sdp._evaluate(plan, x, 0.07, 2)
+        want = sdp._build(plan, x, 2).combine(0.07)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
         for a, b in zip(kept, [parts.grad_f, parts.grad_phi, parts.hess_f, parts.hess_phi]):

@@ -44,13 +44,17 @@ def assembled(name, **overrides):
 def test_constraint_set_with_finite_budgets(tmp_path):
     """The input noise is no variable: it enters only as the objective offset."""
     _, req, _, prob = assembled("scalar")
-    lmi_names = {c.name for c in prob.lmis}
-    assert lmi_names == {"leakage", "output_distortion_budget", "noise_floor"}
+    lmi_names = [c.name for c in prob.lmis]
+    assert lmi_names == ["leakage", "output_distortion_budget", "noise_floor", "pi_floor"]
     assert set(prob.sym_vars) == {"Pi", "Sigma_Z"} and set(prob.affine_vars) == {"G"}
-    assert prob.scalars == []
-    # Pi carries a strict PSD floor; Sigma_Z does not need its own.
-    assert prob.sym_vars["Pi"].psd_margin > 0.0
-    assert prob.sym_vars["Sigma_Z"].psd_margin is None
+    # Pi carries a strict PSD floor, the LMI Pi - delta I >= 0; Sigma_Z
+    # does not need its own.
+    floor = prob.lmis[-1]
+    assert set(floor.terms) == {"Pi"}
+    delta = -floor.constant[0, 0]
+    assert delta > 0.0
+    np.testing.assert_array_equal(floor.constant, -delta * np.eye(floor.dim))
+    assert not any(set(c.terms) == {"Sigma_Z"} for c in prob.lmis)
     Sigma_H = input_noise(req)
     np.testing.assert_array_equal(prob.meta["Sigma_H"], Sigma_H)
     assert prob.objective_offset == pytest.approx(-math.log2(np.linalg.det(Sigma_H)), abs=1e-12)
@@ -63,8 +67,7 @@ def test_constraint_set_with_infinite_budgets():
     """An infinite output budget drops its distortion LMI; an infinite or zero
     input budget is rejected before any solve."""
     _, _, _, prob = assembled("scalar", eps_y=math.inf)
-    assert {c.name for c in prob.lmis} == {"leakage", "noise_floor"}
-    assert prob.scalars == []
+    assert {c.name for c in prob.lmis} == {"leakage", "noise_floor", "pi_floor"}
     with pytest.raises(ValidationError) as exc:
         assembled("scalar", eps_u=math.inf)
     assert exc.value.report.violations == [
@@ -86,10 +89,14 @@ def test_input_noise_matches_generic_maxdet():
     req = SynthesisRequest(K=NU, eps_y=1.0, eps_u=eps_u, W_Y=np.eye(NU), W_U=W_U)
 
     prob = sdp.SdpProblem()
-    prob.add_sym_var("S", NU, logdet_weight=1.0, psd_margin=1e-8)
+    S = prob.add_sym_var("S", NU, logdet_weight=1.0)
     M = W_U.T @ W_U
-    rows, cols = sdp.sym_param_indices(NU)
-    prob.add_scalar("budget", eps_u, {"S": -np.where(rows == cols, 1.0, 2.0) * M[rows, cols]})
+    # The budget as a 1x1 LMI: eps_U - tr(M S) = eps_U + 2 sum_a s_a v_a.
+    budget = prob.add_lmi("budget", 1, constant=np.array([[eps_u]]))
+    budget.add_term("S", np.zeros(S.num_params, dtype=int),
+                    (-S.alpha * M[S.rows, S.cols])[:, None])
+    floor = prob.add_lmi("floor", NU, constant=-1e-8 * np.eye(NU))
+    floor.add_term("S", *S.basis_factors(NU))
     sol = sdp.solve(prob, init={"S": (eps_u / (2.0 * np.trace(M))) * np.eye(NU)})
     assert sol.status is sdp.SolverStatus.OPTIMAL
     np.testing.assert_allclose(sol.variables["S"], input_noise(req), atol=1e-6)
@@ -163,6 +170,28 @@ def test_packed_leakage_bound_is_the_barrier_center():
     cert = sdp.check_solution(prob, sol.x)
     assert cert.ok
     assert cert.objective == pytest.approx(sol.objective, abs=1e-12)
+
+
+def test_certificate_enforces_the_leakage_bound_floor(twostate_case, twostate_report):
+    """The reduced solve never sees Pi's floor, so the certificate on the
+    full program is what enforces Pi >= delta I: a solved point with Pi
+    shrunk below delta, the leakage LMI still feasible, is rejected, and
+    the floor LMI is the only check that fails."""
+    model, req = twostate_case
+    prob = assemble_program(build_lift(model, req.K), model, req)
+    delta = prob.meta["context"].delta
+    values = dict(twostate_report.solution.variables)
+    Pi = values["Pi"]
+    # Shrinking Pi by a multiple of I only loosens Sigma_S - Pi >= 0.
+    values["Pi"] = Pi - (np.linalg.eigvalsh(Pi)[0] + 1e-6) * np.eye(Pi.shape[0])
+    lam_min = float(np.linalg.eigvalsh(values["Pi"])[0])
+    assert lam_min < delta
+    rep = sdp.check_solution(prob, values)
+    assert not rep.ok
+    assert [c.name for c in rep.checks if c.min_slack < -sdp.CERT_TOL] == ["pi_floor"]
+    floor = next(c for c in rep.checks if c.name == "pi_floor")
+    assert floor.min_slack == pytest.approx(lam_min - delta, rel=1e-6)
+    assert rep.max_psd_violation == pytest.approx(delta - lam_min, rel=1e-6)
 
 
 def scaled(model, req, s):
