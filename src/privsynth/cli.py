@@ -6,8 +6,8 @@ file contents, resolved options and seeds (but not timing); all output
 files reference that hash, and a sibling manifest JSON records it together
 with artifact hashes and wall-clock data.
 
-Exit codes: 0 success, 1 validation or I/O error, 2 infeasible budgets,
-3 solver or extraction failure.
+Exit codes: 0 success, 1 usage, validation or I/O error, 2 infeasible
+budgets, 3 solver or extraction failure.
 """
 
 from __future__ import annotations
@@ -60,13 +60,16 @@ def _parse_eps(text: str) -> float:
     t = text.strip().lower()
     if t in ("inf", "infinity", "+inf"):
         return math.inf
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}") from None
 
 
 def _parse_grid(text: str) -> list[float]:
     try:
         vals = [_parse_eps(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"bad grid: {exc}") from None
     if not vals:
         raise ValueError("bad grid: empty")
@@ -179,6 +182,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    t0 = time.time()
     core, mh = _manifest_core(
         "evaluate",
         inputs={"model": args.model, "mechanism": args.mechanism},
@@ -201,7 +205,6 @@ def cmd_evaluate(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        t0 = time.time()
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         _write_manifest(_strip(args.out, ".json") + ".manifest.json", core, mh,
@@ -219,16 +222,14 @@ def cmd_simulate(args) -> int:
         "simulate",
         inputs={"model": args.model, "mechanism": args.mechanism},
         options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
-                 "n_runs": args.n_runs, "r_entries": args.r_entries,
-                 "out_csv": args.out_csv},
+                 "n_runs": args.n_runs, "out_csv": args.out_csv},
         seeds={"seed": args.seed},
     )
     model, req = _load_with_overrides(args)
     mech = load_mechanism(args.mechanism)
     _check_dims(model, req, mech)
 
-    summ = run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed,
-                          r_entries=args.r_entries)
+    summ = run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed)
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# manifest_hash={mh}\n")
         fh.write("k,mse_yu,mse_zr,se_mse_zr,s_mean,shat_zr_mean\n")
@@ -357,8 +358,17 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
                    help="override input distortion budget (number or 'inf')")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, which ``main`` reports in one line
+    with exit 1; argparse's own exit 2 would read as infeasible budgets.
+    Subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="privsynth",
         description="Synthesize and validate Gaussian privacy mechanisms for "
                     "finite-horizon linear stochastic systems.")
@@ -390,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_csv")
     p.add_argument("--n-runs", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--r-entries", choices=["K", "K-1"], default="K",
-                   help="how many disclosed input steps the adversary receives")
     _add_override_flags(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -412,9 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; every error a command raises maps to its exit code here."""
-    args = build_parser().parse_args(argv)
+    """Run one command; every error it raises, a usage error included, maps
+    to its exit code here."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         lines, code = [f"violation: {v}" for v in exc.report.violations], 1

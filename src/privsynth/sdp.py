@@ -2,7 +2,7 @@
 
 Problem class: minimize
 
-    f(x) = sum_b w_b * (-log2 det X_b) + sum_j w_j * (-log2 det S_j(x)) + c^T x + c_0
+    f(x) = sum_b w_b * (-log2 det X_b) + sum_j w_j * (-log2 det S_j(x)) + c_0
 
 over a parameter vector ``x`` holding symmetric matrix blocks ``X_b``
 (parameterized by their lower triangles) and generic affine blocks, subject to
@@ -29,6 +29,11 @@ supplies and needs a program whose objective is bounded below on the
 feasible set. All runs are deterministic: the same problem, options and
 start reproduce the iteration log bit for bit.
 
+``solve`` only solves: it reports the barrier's status and duality measure
+and certifies nothing. The certificate is ``check_solution``, which
+recomputes every slack and the objective by another route; a caller runs it
+once, on the program whose answer it reports.
+
 Each iterate is built once. The build evaluates f and phi apart, with their
 gradients and Hessians, and the Newton system at any mu is the
 recombination ``H_f + mu * H_phi``. When a centering ends, mu is cut at the
@@ -42,7 +47,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,7 +145,6 @@ class AffineVariable:
     name: str
     num_params: int
     offset: int
-    shape: tuple | None = None
 
 
 @dataclass
@@ -180,18 +184,15 @@ class SdpProblem:
     """Container for variables, objective and constraints.
 
     Variables are registered in order; their parameters are concatenated into
-    one global vector. The objective is sum of -log2 det terms (weights on
-    symmetric variables and on LMI slacks) plus an affine term (coefficients
-    per variable, in the same reported units as the logdet terms) plus
-    ``objective_offset``, a constant that moves the reported objective but
-    not the iterates.
+    one global vector. The objective is a sum of -log2 det terms (weights on
+    symmetric variables and on LMI slacks) plus ``objective_offset``, a
+    constant that moves the reported objective but not the iterates.
     """
 
     def __init__(self):
         self.sym_vars: dict[str, SymVariable] = {}
         self.affine_vars: dict[str, AffineVariable] = {}
         self.lmis: list[LmiConstraint] = []
-        self.affine_objective: dict[str, np.ndarray] = {}
         self.objective_offset = 0.0
         self._num_params = 0
         self.meta: dict = {}
@@ -206,10 +207,9 @@ class SdpProblem:
         self._num_params += v.num_params
         return v
 
-    def add_affine_var(self, name: str, num_params: int, shape: tuple | None = None) -> AffineVariable:
+    def add_affine_var(self, name: str, num_params: int) -> AffineVariable:
         self._check_name(name)
-        v = AffineVariable(name=name, num_params=int(num_params),
-                           offset=self._num_params, shape=shape)
+        v = AffineVariable(name=name, num_params=int(num_params), offset=self._num_params)
         self.affine_vars[name] = v
         self._num_params += v.num_params
         return v
@@ -224,9 +224,6 @@ class SdpProblem:
         con = LmiConstraint(name=name, dim=dim, constant=constant, weight=float(weight))
         self.lmis.append(con)
         return con
-
-    def set_affine_objective(self, var_name: str, coeffs: np.ndarray) -> None:
-        self.affine_objective[var_name] = np.asarray(coeffs, dtype=float)
 
     def _check_name(self, name: str) -> None:
         if name in self.sym_vars or name in self.affine_vars:
@@ -253,8 +250,7 @@ class SdpProblem:
         for name, v in self.sym_vars.items():
             out[name] = v.matrix(x)
         for name, v in self.affine_vars.items():
-            blk = x[v.offset:v.offset + v.num_params]
-            out[name] = blk.reshape(v.shape) if v.shape else blk.copy()
+            out[name] = x[v.offset:v.offset + v.num_params].copy()
         return out
 
     def pack(self, values: dict[str, np.ndarray]) -> np.ndarray:
@@ -265,35 +261,6 @@ class SdpProblem:
         for name, v in self.affine_vars.items():
             x[v.offset:v.offset + v.num_params] = np.asarray(values[name], dtype=float).reshape(-1)
         return x
-
-    def dump(self, path: str) -> None:
-        """Self-describing JSON dump of the full problem data."""
-        import json
-        doc = {
-            "num_params": self.num_params,
-            "sym_vars": [
-                {"name": v.name, "n": v.n, "logdet_weight": v.logdet_weight,
-                 "offset": v.offset}
-                for v in self.sym_vars.values()
-            ],
-            "affine_vars": [
-                {"name": v.name, "num_params": v.num_params, "offset": v.offset,
-                 "shape": list(v.shape) if v.shape else None}
-                for v in self.affine_vars.values()
-            ],
-            "affine_objective": {k: v.tolist() for k, v in self.affine_objective.items()},
-            "objective_offset": self.objective_offset,
-            "lmis": [
-                {"name": c.name, "dim": c.dim, "weight": c.weight,
-                 "constant": c.constant.tolist(),
-                 "terms": {k: {"rows": c.rows[k].tolist(), "vectors": t.tolist()}
-                           for k, t in c.terms.items()}}
-                for c in self.lmis
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 @dataclass
@@ -306,18 +273,12 @@ class IterationRecord:
 
 
 @dataclass
-class Residuals:
-    max_psd_violation: float
-    duality_measure: float
-
-
-@dataclass
 class SdpSolution:
     status: SolverStatus
     objective: float
     x: np.ndarray
     variables: dict[str, np.ndarray]
-    residuals: Residuals
+    duality_measure: float      # mu * nu / max(1, |f|), the barrier's stopping test
     iterations: list[IterationRecord]
     message: str = ""
     mu_final: float = math.nan
@@ -388,13 +349,6 @@ class _Plan:
     def __init__(self, problem: SdpProblem):
         self.problem = problem
         self.n = problem.num_params
-
-        # Internal affine objective in nats (reported values divide by ln 2).
-        self.c = np.zeros(self.n)
-        for name, coeffs in problem.affine_objective.items():
-            sl = problem.var_slice(name)
-            self.c[sl] = LN2 * coeffs
-
         self.sym_list = list(problem.sym_vars.values())
         self.sym_terms = {v.name: _Terms.basis(v) for v in self.sym_list
                           if v.logdet_weight != 0.0}
@@ -528,9 +482,9 @@ def _build(plan: _Plan, x: np.ndarray, order: int,
     ``factors``, the ``factors`` of an earlier build at the same x, are used
     instead of forming and factoring the slacks again."""
     n = plan.n
-    parts = _Parts(f=float(plan.c @ x), phi=0.0, factors=[])
+    parts = _Parts(f=0.0, phi=0.0, factors=[])
     if order >= 1:
-        parts.grad_f = plan.c.copy()
+        parts.grad_f = np.zeros(n)
         parts.grad_phi = np.zeros(n)
     if order >= 2:
         parts.hess_f, parts.hess_phi = np.zeros((n, n)), np.zeros((n, n))
@@ -668,7 +622,7 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
 
 
 def solve(problem: SdpProblem, opts: SolverOptions | None = None, *,
-          init: np.ndarray | dict, _certify: bool = True) -> SdpSolution:
+          init: np.ndarray | dict) -> SdpSolution:
     """Minimize the determinant-maximization objective over the feasible set.
 
     ``init``, a global parameter vector or a dict of named values, must be
@@ -676,32 +630,19 @@ def solve(problem: SdpProblem, opts: SolverOptions | None = None, *,
     once with status NumericalFailure. The iteration log is deterministic
     for identical problem, options and init.
 
-    ``_certify=False`` is for a caller that certifies the point itself on
-    another program, as ``restate`` does: ``check_solution`` is not run, and
-    the residuals carry the duality measure with NaN violations.
+    The returned point is not certified: ``check_solution`` is the
+    certificate, run by the caller on the program whose answer it reports.
     """
     opts = opts or SolverOptions()
     x0 = problem.pack(init) if isinstance(init, dict) else np.asarray(init, dtype=float)
     status, x, log, mu, message, nsteps, plan = _barrier_loop(problem, x0, opts)
-    f_bits = _objective_bits(problem, x)
+    f_bits = objective_bits(problem, x)
     # The duality measure the barrier tested, which excludes the offset.
     f_nats = (f_bits - problem.objective_offset) * LN2
-    duality = mu * plan.nu / max(1.0, abs(f_nats))
-    residuals = (_residuals(problem, x, duality) if _certify
-                 else Residuals(math.nan, duality))
     return SdpSolution(
         status=status, objective=f_bits, x=x, variables=problem.values(x),
-        residuals=residuals, iterations=log, message=message, mu_final=mu,
-        newton_steps=nsteps)
-
-
-def exact_solution(problem: SdpProblem, x: np.ndarray, message: str) -> SdpSolution:
-    """``x``, an optimum known in closed form, reported with no barrier run:
-    status Optimal, no Newton steps, an empty iteration log, barrier
-    parameter and duality measure 0, and residuals from ``check_solution``."""
-    return SdpSolution(status=SolverStatus.OPTIMAL, objective=_objective_bits(problem, x),
-                       x=x, variables=problem.values(x), residuals=_residuals(problem, x, 0.0),
-                       iterations=[], message=message, mu_final=0.0, newton_steps=0)
+        duality_measure=mu * plan.nu / max(1.0, abs(f_nats)), iterations=log,
+        message=message, mu_final=mu, newton_steps=nsteps)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +682,7 @@ def check_solution(problem: SdpProblem, x: np.ndarray | dict,
         checks.append(ConstraintCheck(con.name, mins))
         max_psd = max(max_psd, -mins)
 
-    objective = _objective_bits(problem, xv, use_slogdet=True)
+    objective = objective_bits(problem, xv, use_slogdet=True)
     return CertificateReport(ok=max_psd <= tol_psd, objective=objective, checks=checks,
                              max_psd_violation=max_psd)
 
@@ -758,7 +699,10 @@ def _lmi_matrix(problem: SdpProblem, con: LmiConstraint, x: np.ndarray) -> np.nd
     return con.constant + M + M.T
 
 
-def _objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = False) -> float:
+def objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = False) -> float:
+    """The objective at x in reported units: inf outside the logdet domain.
+    Slack determinants come from Cholesky factors, as in the solver, or
+    with ``use_slogdet`` from an LU route, as in the certificate."""
     f = problem.objective_offset
     weighted = [(v.logdet_weight, v.matrix(x)) for v in problem.sym_vars.values()
                 if v.logdet_weight != 0.0]
@@ -775,29 +719,7 @@ def _objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = Fals
                 return math.inf
             ld = _logdet_from_chol(L)
         f += weight * (-ld / LN2)
-    for name, coeffs in problem.affine_objective.items():
-        sl = problem.var_slice(name)
-        f += float(np.asarray(coeffs) @ x[sl])
     return f
-
-
-def restate(problem: SdpProblem, x: np.ndarray, run: SdpSolution) -> SdpSolution:
-    """``run`` reported at the point ``x`` of ``problem``.
-
-    Status, iteration log, barrier parameter, step count and the duality
-    measure the barrier tested stay ``run``'s; the objective, variables and
-    residuals are recomputed on ``problem``. A solve of a reduced view, with
-    some variables minimized out in closed form, is so reported and
-    certified on the full program once those variables are packed back in.
-    """
-    return replace(run, objective=_objective_bits(problem, x), x=x,
-                   variables=problem.values(x),
-                   residuals=_residuals(problem, x, run.residuals.duality_measure))
-
-
-def _residuals(problem: SdpProblem, x: np.ndarray, duality: float) -> Residuals:
-    rep = check_solution(problem, x)
-    return Residuals(max_psd_violation=rep.max_psd_violation, duality_measure=duality)
 
 
 def write_iteration_csv(solution: SdpSolution, path: str,

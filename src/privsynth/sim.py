@@ -93,7 +93,6 @@ class ExperimentSummary:
     K: int
     n_runs: int
     seed: int
-    r_entries: str
     mse_yu: np.ndarray          # (K,) baseline adversary mean squared error
     mse_zr: np.ndarray          # (K,) mechanism adversary mean squared error
     se_mse_zr: np.ndarray       # (K,) batch-means standard error of mse_zr
@@ -114,7 +113,6 @@ class ExperimentSummary:
             "K": self.K,
             "n_runs": self.n_runs,
             "seed": self.seed,
-            "r_entries": self.r_entries,
             "mse_yu": self.mse_yu.tolist(),
             "mse_zr": self.mse_zr.tolist(),
             "se_mse_zr": self.se_mse_zr.tolist(),
@@ -445,8 +443,8 @@ class _Experiment:
     def W(self) -> int:
         return self.M.shape[0]
 
-    def summary(self, n_runs: int, first: np.ndarray, gram: np.ndarray, seed: int,
-                r_entries: str) -> ExperimentSummary:
+    def summary(self, n_runs: int, first: np.ndarray, gram: np.ndarray,
+                seed: int) -> ExperimentSummary:
         """The summary of n_runs runs from the moments of their normals per
         slot of ``_slot_sizes(n_runs)``: sums first (slots, W) and Gram
         matrices gram (slots, W, W)."""
@@ -480,7 +478,7 @@ class _Experiment:
             se = np.std(spread[:b] / (n_runs // b), axis=0, ddof=1) / np.sqrt(b)
 
         return ExperimentSummary(
-            K=K, n_runs=n_runs, seed=seed, r_entries=r_entries,
+            K=K, n_runs=n_runs, seed=seed,
             mse_yu=mean[YU], mse_zr=mean[ZR], se_mse_zr=se[ZR],
             s_mean=mean[S0], shat_zr_mean=mean[SH0],
             mse_yu_total=float(mean[YU].sum()),
@@ -495,13 +493,8 @@ class _Experiment:
 
 
 def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
-                   n_runs: int, seed: int, r_entries: str = "K") -> ExperimentSummary:
+                   n_runs: int, seed: int) -> ExperimentSummary:
     """Monte Carlo comparison of the two adversaries over n_runs trajectories.
-
-    r_entries selects how many disclosed input steps the receiver is given
-    ("K" or "K-1"); only the first K-1 influence the horizon, so both
-    settings yield the same estimate and the choice is recorded for the
-    run manifest.
 
     Each slot of runs (the batches of the standard error, then the
     remainder) gets the sum and the Gram matrix of its normals from
@@ -509,8 +502,6 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     and memory do not grow with n_runs. The call runs on the calling thread
     only.
     """
-    if r_entries not in ("K", "K-1"):
-        raise ValueError(f"r_entries must be 'K' or 'K-1', got {r_entries!r}")
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
     if req.K != mech.K:
@@ -521,4 +512,4 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     gen = stream(seed, _TAG_MOMENTS)
     for slot, m in enumerate(sizes):
         first[slot], gram[slot] = _slot_moments(gen, m, exp.W)
-    return exp.summary(n_runs, first, gram, seed, r_entries)
+    return exp.summary(n_runs, first, gram, seed)

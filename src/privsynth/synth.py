@@ -12,8 +12,8 @@ determinant-maximization problem that does not depend on eps_U.
 That program bounds the leakage by a matrix Pi <= Schur := Sigma_S - C^T
 Sigma_Z^{-1} C, C = cov(Z, S). At every barrier center Pi has the closed
 form Schur / (1 + mu), so the solver runs on the reduced view without Pi
-(``reduced_view``) and Pi is packed back in for the certificate, which is
-always taken on the full program of ``assemble_program``.
+(``reduced_view``) and Pi is packed back in. ``synthesize`` certifies each
+answer once, on the full program of ``assemble_program``.
 
 The output noise floor Sigma_V > delta I makes the output distortion at
 least delta tr(W_Y^T W_Y), with equality approached by passing Y through
@@ -366,8 +366,9 @@ def reduced_view(problem: sdp.SdpProblem) -> sdp.SdpProblem:
 
 def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.SdpSolution:
     """A solution of ``reduced_view(problem)`` at barrier parameter mu, with
-    its closed-form leakage bound Pi = Schur / (1 + mu) packed in, as a
-    solution of the full ``problem``.
+    its closed-form leakage bound Pi = Schur / (1 + mu) packed in, as an
+    uncertified solution of the full ``problem``; the status, mu, step count
+    and duality measure stay ``sol``'s.
 
     The iteration log keeps the full program's meaning too: the objective
     of an iterate at barrier parameter mu is that of the full program with
@@ -383,7 +384,9 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     ns = problem.sym_vars["Pi"].n
     log_full = [replace(rec, objective=rec.objective + ns * math.log2(1.0 + rec.mu))
                 for rec in sol.iterations]
-    return sdp.restate(problem, problem.pack(values), replace(sol, iterations=log_full))
+    x = problem.pack(values)
+    return replace(sol, objective=sdp.objective_bits(problem, x), x=x,
+                   variables=problem.values(x), iterations=log_full)
 
 
 def _identity_g_params(K: int, n_y: int) -> np.ndarray:
@@ -399,29 +402,25 @@ def analytic_start(problem: sdp.SdpProblem) -> dict:
     at any eps_Y above the noise-floor threshold: pass Y through (G = I)
     with noise eps I, delta < eps < eps_Y / tr(W_Y^T W_Y), so the output
     distortion eps tr(W_Y^T W_Y) stays below eps_Y (eps is the trace scale
-    at eps_Y = inf). Raises SolverFailure if some slack at that point is not
-    strictly positive."""
+    at eps_Y = inf). The solver itself rejects a start outside its domain."""
     ctx: _Context = problem.meta["context"]
     eps_z = ctx.trace_scale
     if math.isfinite(ctx.eps_y):
         tr = float(np.trace(ctx.MYq))
         eps_z = max(min(eps_z, ctx.eps_y / (2.0 * tr + 1.0)), 0.5 * (ctx.delta + ctx.eps_y / tr))
-    values = {
+    return {
         "Sigma_Z": ctx.mom.Sigma_Y + eps_z * np.eye(ctx.NY),
         "G": _identity_g_params(ctx.K, ctx.n_y),
     }
-    worst = min(sdp.check_solution(problem, values, tol_psd=0.0).checks,
-                key=lambda c: c.min_slack)
-    if not worst.min_slack > 0.0:
-        raise SolverFailure(f"the pass-through start is not strictly feasible "
-                            f"({worst.name} slack {worst.min_slack:.3e})")
-    return values
 
 
 def synthesize(model: SystemModel, req: SynthesisRequest,
-               solver_opts: sdp.SolverOptions | None = None,
                lift: LiftedSystem | None = None) -> SynthesisReport:
-    """Validate, assemble, solve and extract the disclosure mechanism.
+    """Validate, assemble, solve, certify and extract the disclosure mechanism.
+
+    Each answer is certified once, by ``sdp.check_solution`` on the full
+    program: the packed point of the reduced solve, or the closed form at
+    eps_Y = inf.
 
     Raises ValidationError, InfeasibleProgram, SolverFailure or
     ExtractionFailure; returns a SynthesisReport on success.
@@ -440,19 +439,20 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
         # optimal then; Sigma_V = Sigma_Y gives Z the covariance of Y.
         x = problem.pack({"Pi": ctx.mom.Sigma_S, "Sigma_Z": ctx.mom.Sigma_Y,
                           "G": np.zeros(problem.affine_vars["G"].num_params)})
-        sol = sdp.exact_solution(problem, x, "closed form at eps_Y = inf: G = 0")
+        sol = sdp.SdpSolution(
+            status=sdp.SolverStatus.OPTIMAL, objective=sdp.objective_bits(problem, x), x=x,
+            variables=problem.values(x), duality_measure=0.0, iterations=[],
+            message="closed form at eps_Y = inf: G = 0", mu_final=0.0, newton_steps=0)
     else:
         reduced = reduced_view(problem)
-        # The reduced view's point is certified once, on the full program,
-        # after Pi is packed in.
-        sol = sdp.solve(reduced, solver_opts, init=analytic_start(reduced), _certify=False)
+        sol = sdp.solve(reduced, init=analytic_start(reduced))
         if sol.status is not sdp.SolverStatus.OPTIMAL:
             raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
         sol = _pack_leakage_bound(problem, sol)
-    res = sol.residuals
-    if res.max_psd_violation > sdp.CERT_TOL:
+    cert = sdp.check_solution(problem, sol.x)
+    if not cert.ok:
         message = (f"the full program rejects the packed leakage bound (max PSD violation "
-                   f"{res.max_psd_violation:.3e})")
+                   f"{cert.max_psd_violation:.3e})")
         raise SolverFailure(message, replace(sol, status=sdp.SolverStatus.NUMERICAL_FAILURE,
                                              message=message))
 
@@ -510,8 +510,8 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
             "objective": sol.objective,
             "newton_steps": sol.newton_steps,
             "mu_final": sol.mu_final,
-            "duality_measure": sol.residuals.duality_measure,
-            "max_psd_violation": sol.residuals.max_psd_violation,
+            "duality_measure": sol.duality_measure,
+            "max_psd_violation": cert.max_psd_violation,
             "cost_reconciliation_bits": reconciliation,
         },
         flags={

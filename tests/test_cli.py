@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -159,6 +160,25 @@ def test_exit_code_map(monkeypatch, capsys, tmp_path, exc, code, prefix):
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["synthesize", "{scalar}", "{out}", "--eps-y", "abc"],
+     ["argument --eps-y:", "'abc'"]),
+    (["synthesize", "{scalar}"], ["required: out_mechanism"]),
+    (["frobnicate", "{scalar}"], ["argument command: invalid choice:", "'frobnicate'"]),
+], ids=["bad-flag-value", "missing-positional", "unknown-command"])
+def test_usage_error_is_exit_1_with_one_line(capsys, tmp_path, argv, words):
+    """A usage error exits 1 with one line that names what is wrong, not
+    with argparse's exit 2 (the infeasible-budgets code) and usage block."""
+    argv = [a.format(scalar=FIXTURES / "scalar.json", out=tmp_path / "m.json") for a in argv]
+    assert cli_module.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for word in words:
+        assert word in lines[0], lines
+    assert "_parse_eps" not in lines[0]
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
     """One solve per eps_Y row, and two output-moment computations (the
     solve's and the one every cell of the row is evaluated with); every
@@ -212,6 +232,23 @@ def test_evaluate_out_file(scalar_artifacts, tmp_path):
     doc = json.loads(dest.read_text())
     assert "cost_bits" in doc and "manifest_hash" in doc
     assert (tmp_path / "metrics.manifest.json").exists()
+
+
+def test_evaluate_manifest_times_the_whole_command(monkeypatch, scalar_artifacts, tmp_path):
+    """The evaluate manifest's elapsed time covers the evaluation, not only
+    the file write."""
+    real = cli_module.evaluate_mechanism
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "evaluate_mechanism", slow)
+    dest = tmp_path / "metrics.json"
+    assert cli_module.main(["evaluate", str(FIXTURES / "scalar.json"), str(scalar_artifacts),
+                            "--out", str(dest)]) == 0
+    manifest = json.loads((tmp_path / "metrics.manifest.json").read_text())
+    assert manifest["wall_clock"]["elapsed_s"] >= 0.05
 
 
 def test_evaluate_dimension_mismatch(scalar_artifacts):

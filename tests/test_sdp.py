@@ -103,18 +103,6 @@ def test_lmi_cap_optimum():
     assert sol.objective == pytest.approx(0.0, abs=1e-6)
 
 
-def test_affine_objective_box():
-    """minimize t over 0 <= t <= 5 drives t to the lower edge."""
-    prob = SdpProblem()
-    prob.add_affine_var("t", 1)
-    prob.add_lmi("lower", 1).add_term("t", [0], np.array([[0.5]]))
-    prob.add_lmi("upper", 1, constant=np.array([[5.0]])).add_term("t", [0], np.array([[-0.5]]))
-    prob.set_affine_objective("t", np.array([1.0]))
-    sol = solve(prob, init={"t": np.array([2.5])})
-    assert sol.status is SolverStatus.OPTIMAL
-    assert sol.objective == pytest.approx(0.0, abs=1e-5)
-
-
 def test_iteration_log_deterministic(tmp_path):
     """Identical problems and options give bit-identical logs and CSV files."""
     sols = [solve(trace_cap_problem(), init={"X": 0.5 * np.eye(2)}) for _ in range(2)]
@@ -188,22 +176,6 @@ def test_start_outside_the_domain_is_a_failure(X):
     assert "start point outside domain" in sol.message
     assert sol.newton_steps == 0 and sol.iterations == []
     np.testing.assert_array_equal(sol.variables["X"], X)
-
-
-def test_problem_dump(tmp_path):
-    import json
-    prob = trace_cap_problem()
-    path = tmp_path / "prob.json"
-    prob.dump(str(path))
-    doc = json.loads(path.read_text())
-    assert isinstance(doc, dict) and doc
-    assert "X" in json.dumps(doc)
-    # LMI terms are written in factor form: hub rows plus (p, dim) vectors.
-    lmi_cap_problem().dump(str(path))
-    lmi = json.loads(path.read_text())["lmis"][0]
-    assert lmi["weight"] == 0.0
-    assert lmi["terms"]["X"]["rows"] == [0, 1, 1]
-    assert lmi["terms"]["X"]["vectors"] == [[-0.5, 0.0], [-1.0, 0.0], [0.0, -0.5]]
 
 
 def test_weighted_lmi_objective():

@@ -148,21 +148,10 @@ def test_mc_totals_match_theory(scalar_case, scalar_report):
     assert summ.mse_zr_theory > summ.mse_yu_theory
 
 
-def test_r_entries_setting_is_recorded_not_material(scalar_case, scalar_report):
-    model, req = scalar_case
-    a = run_experiment(model, req, scalar_report.mechanism, 500, seed=2, r_entries="K")
-    b = run_experiment(model, req, scalar_report.mechanism, 500, seed=2, r_entries="K-1")
-    np.testing.assert_array_equal(a.mse_zr, b.mse_zr)
-    np.testing.assert_array_equal(a.shat_zr_mean, b.shat_zr_mean)
-    assert a.r_entries == "K" and b.r_entries == "K-1"
-
-
 def test_run_experiment_argument_errors(scalar_case, scalar_report):
     model, req = scalar_case
     with pytest.raises(ValueError, match="n_runs"):
         run_experiment(model, req, scalar_report.mechanism, 0, seed=1)
-    with pytest.raises(ValueError, match="r_entries"):
-        run_experiment(model, req, scalar_report.mechanism, 10, seed=1, r_entries="all")
     from privsynth.model import with_overrides
     _, req3 = with_overrides(model, req, K=3)
     with pytest.raises(ValueError, match="horizon"):

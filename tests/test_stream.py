@@ -107,7 +107,7 @@ def streamed_summary(model, req, mech, n, seed, piece=4096):
             e = _normals(model, mech.K, min(piece, m - done), gens)
             first[slot] += e.sum(axis=0)
             gram[slot] += e.T @ e
-    return exp.summary(n, first, gram, seed, "K").to_dict()
+    return exp.summary(n, first, gram, seed).to_dict()
 
 
 @pytest.mark.parametrize("shift", [1.0, SHIFT])
@@ -273,7 +273,7 @@ def test_prefetch_matches_serial_draws(twostate_case, twostate_report, n_runs):
     gen = sim.stream(5, sim._TAG_MOMENTS)
     drawn = [sim._slot_moments(gen, m, exp.W) for m in sim._slot_sizes(n_runs)]
     first, gram = (np.stack(parts) for parts in zip(*drawn))
-    serial = exp.summary(n_runs, first, gram, 5, "K").to_dict()
+    serial = exp.summary(n_runs, first, gram, 5).to_dict()
     calls = [run_experiment(model, req, mech, n_runs, seed=5).to_dict() for _ in range(2)]
     # repr round-trips every float, nan included, so equal text is equal bits
     texts = {json.dumps(d, sort_keys=True) for d in [serial, *calls]}

@@ -41,7 +41,7 @@ def assembled(name, **overrides):
     return model, req, lift, assemble_program(lift, model, req)
 
 
-def test_constraint_set_with_finite_budgets(tmp_path):
+def test_constraint_set_with_finite_budgets():
     """The input noise is no variable: it enters only as the objective offset."""
     _, req, _, prob = assembled("scalar")
     lmi_names = [c.name for c in prob.lmis]
@@ -58,9 +58,6 @@ def test_constraint_set_with_finite_budgets(tmp_path):
     Sigma_H = input_noise(req)
     np.testing.assert_array_equal(prob.meta["Sigma_H"], Sigma_H)
     assert prob.objective_offset == pytest.approx(-math.log2(np.linalg.det(Sigma_H)), abs=1e-12)
-    prob.dump(str(tmp_path / "prob.json"))
-    doc = json.loads((tmp_path / "prob.json").read_text())
-    assert doc["objective_offset"] == prob.objective_offset
 
 
 def test_constraint_set_with_infinite_budgets():
@@ -290,7 +287,27 @@ def test_rejected_packed_point_is_a_solver_failure(monkeypatch, scalar_case):
     with pytest.raises(SolverFailure, match="rejects the packed leakage bound") as exc:
         synthesize(model, req)
     assert exc.value.solution.status is sdp.SolverStatus.NUMERICAL_FAILURE
-    assert exc.value.solution.residuals.max_psd_violation > sdp.CERT_TOL
+    prob = assemble_program(build_lift(model, req.K), model, req)
+    assert sdp.check_solution(prob, exc.value.solution.x).max_psd_violation > sdp.CERT_TOL
+
+
+@pytest.mark.parametrize("eps_y", [None, math.inf], ids=["own-budget", "inf"])
+def test_one_certificate_per_answer(monkeypatch, eps_y):
+    """synthesize certifies its answer once, on the full program with Pi:
+    neither the start nor the reduced solve is certified apart."""
+    calls = []
+    real = sdp.check_solution
+
+    def counting(problem, x, *args, **kwargs):
+        calls.append(set(problem.sym_vars))
+        return real(problem, x, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "check_solution", counting)
+    model, req = load_model(str(FIXTURES / "reactor4.json"))
+    if eps_y is not None:
+        req = dataclasses.replace(req, eps_y=eps_y)
+    assert synthesize(model, req).solver["status"] == "Optimal"
+    assert calls == [{"Pi", "Sigma_Z"}]
 
 
 def test_output_moments_once_per_call(monkeypatch, scalar_case):
