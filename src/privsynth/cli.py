@@ -66,6 +66,15 @@ def _parse_eps(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}") from None
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         vals = [_parse_eps(tok) for tok in text.split(",") if tok.strip()]
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mechanism")
     p.add_argument("out_csv")
     p.add_argument("--n-runs", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_parse_seed, default=42)
     _add_override_flags(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -92,17 +92,6 @@ def sym_param_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def sym_to_matrix(params: np.ndarray, n: int) -> np.ndarray:
-    return _place_sym(params, n, *sym_param_indices(n))
-
-
-def _place_sym(params: np.ndarray, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    M = np.zeros((n, n))
-    M[rows, cols] = params
-    M[cols, rows] = params
-    return M
-
-
 def matrix_to_sym_params(M: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     rows, cols = sym_param_indices(n)
@@ -125,8 +114,11 @@ class SymVariable:
         self.alpha = np.where(self.rows == self.cols, 0.5, 1.0)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        return _place_sym(x[self.offset:self.offset + self.num_params], self.n,
-                          self.rows, self.cols)
+        params = x[self.offset:self.offset + self.num_params]
+        M = np.zeros((self.n, self.n))
+        M[self.rows, self.cols] = params
+        M[self.cols, self.rows] = params
+        return M
 
     def basis_factors(self, dim: int, offset: int = 0,
                       sign: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -25,10 +25,13 @@ Those statistics have a known joint law, so each batch's are drawn directly
 from one further stream: the mean e_bar ~ N(0, I/m) is independent of the
 centred scatter S ~ Wishart(m - 1, I), drawn by the Bartlett decomposition
 (Odell & Feiveson, JASA 61, 1966), and Gram = S + m e_bar e_bar^T. A batch
-of m <= W runs draws its m x W normals instead. The cost is O(W^3) per batch
-and the memory O(W^2), whatever the number of runs; no run is drawn. The law
-of every reported number is that of drawing all the runs, but not the
-realization: the per-run streams are left to ``simulate``,
+of m <= W runs draws its m x W normals instead. Each batch's Gram matrix is
+folded to the quadratic forms of the summed numbers as soon as it is drawn,
+so one W x W matrix is held at a time besides the map M and every batch's
+sums and quadratic forms. The cost is O(W^3) per batch and the memory
+O(W^2) plus O(W) per batch, whatever the number of runs; no run is drawn.
+The law of every reported number is that of drawing all the runs, but not
+the realization: the per-run streams are left to ``simulate``,
 ``apply_mechanism`` and ``_simulate_batch``.
 """
 
@@ -443,11 +446,17 @@ class _Experiment:
     def W(self) -> int:
         return self.M.shape[0]
 
-    def summary(self, n_runs: int, first: np.ndarray, gram: np.ndarray,
+    def quadratic(self, gram: np.ndarray) -> np.ndarray:
+        """(M^T Gram M)_kk for every column k of q: one slot's sum of
+        (M^T e)_k^2 over its runs, from its Gram matrix (W, W)."""
+        return np.einsum("wq,wq->q", gram @ self.M, self.M)
+
+    def summary(self, n_runs: int, first: np.ndarray, quad: np.ndarray,
                 seed: int) -> ExperimentSummary:
         """The summary of n_runs runs from the moments of their normals per
-        slot of ``_slot_sizes(n_runs)``: sums first (slots, W) and Gram
-        matrices gram (slots, W, W)."""
+        slot of ``_slot_sizes(n_runs)``: sums first (slots, W) and quadratic
+        forms quad (slots, Q), each row ``quadratic`` of the slot's Gram
+        matrix, so no Gram matrix reaches the summary."""
         K, n_s, c, M = self.K, self.n_s, self.c, self.M
         b = len(first) - 1
         # Per slot, the sum of each q_k is n c_k + (M^T sum e)_k, and the sum
@@ -468,7 +477,7 @@ class _Experiment:
                               sq_du.sum(axis=1, keepdims=True)])
 
         lin = first @ M
-        spread = fold(2 * c * lin + np.einsum("swq,wq->sq", gram @ M, M), lin)
+        spread = fold(2 * c * lin + quad, lin)
         mean = (spread.sum(axis=0) + fold(n_runs * c[None] ** 2, n_runs * c[None])[0]) / n_runs
         ZR, YU, S0, SH0 = (slice(i * K, (i + 1) * K) for i in range(4))
         DY, DU = 4 * K, 4 * K + 1
@@ -498,9 +507,11 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
 
     Each slot of runs (the batches of the standard error, then the
     remainder) gets the sum and the Gram matrix of its normals from
-    ``_slot_moments``, in slot order from one stream of the seed, so time
-    and memory do not grow with n_runs. The call runs on the calling thread
-    only.
+    ``_slot_moments``, in slot order from one stream of the seed. Each Gram
+    matrix is folded to its quadratic forms as soon as it is drawn, so one
+    slot's W x W matrix is held at a time, plus every slot's sums (W,) and
+    quadratic forms (Q,): time and memory do not grow with n_runs, nor
+    memory with the slot count. The call runs on the calling thread only.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
@@ -508,8 +519,9 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
         raise ValueError(f"request horizon {req.K} does not match mechanism horizon {mech.K}")
     exp = _Experiment.of(model, req, mech)
     sizes = _slot_sizes(n_runs)
-    first, gram = np.empty((len(sizes), exp.W)), np.empty((len(sizes), exp.W, exp.W))
+    first, quad = np.empty((len(sizes), exp.W)), np.empty((len(sizes), exp.M.shape[1]))
     gen = stream(seed, _TAG_MOMENTS)
     for slot, m in enumerate(sizes):
-        first[slot], gram[slot] = _slot_moments(gen, m, exp.W)
-    return exp.summary(n_runs, first, gram, seed)
+        first[slot], gram = _slot_moments(gen, m, exp.W)
+        quad[slot] = exp.quadratic(gram)
+    return exp.summary(n_runs, first, quad, seed)

@@ -179,6 +179,20 @@ def test_usage_error_is_exit_1_with_one_line(capsys, tmp_path, argv, words):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_simulate_rejects_a_bad_seed_by_flag(capsys, tmp_path, seed):
+    """A negative or non-integer simulate seed exits 1 with one line that
+    names --seed and the value, before any file is read or written."""
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", str(FIXTURES / "scalar.json"), str(tmp_path / "m.json"), str(out),
+            "--seed", seed]
+    assert cli_module.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: argument --seed: "), lines
+    assert repr(seed) in lines[0], lines
+    assert not out.exists()
+
+
 def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
     """One solve per eps_Y row, and two output-moment computations (the
     solve's and the one every cell of the row is evaluated with); every

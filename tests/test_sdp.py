@@ -21,7 +21,6 @@ from privsynth.sdp import (
     solve,
     sym_param_count,
     sym_param_indices,
-    sym_to_matrix,
     write_iteration_csv,
 )
 from privsynth.synth import analytic_start, assemble_program, reduced_view, synthesize
@@ -74,11 +73,12 @@ def lmi_cap_problem(n=2):
 
 def test_sym_param_round_trip():
     rng = np.random.default_rng(3)
+    X = sdp.SymVariable("X", 5, logdet_weight=1.0, offset=0)
     M = rng.standard_normal((5, 5))
     M = 0.5 * (M + M.T)
-    np.testing.assert_allclose(sym_to_matrix(matrix_to_sym_params(M), 5), M, atol=1e-14)
+    np.testing.assert_allclose(X.matrix(matrix_to_sym_params(M)), M, atol=1e-14)
     params = rng.standard_normal(sym_param_count(5))
-    np.testing.assert_allclose(matrix_to_sym_params(sym_to_matrix(params, 5)), params,
+    np.testing.assert_allclose(matrix_to_sym_params(X.matrix(params)), params,
                                atol=1e-14)
 
 

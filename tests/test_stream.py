@@ -27,6 +27,10 @@ SHIFT = 1e7     # initial mean and input scale of the mean-shifted model
 # stack itself, its product with M (Q = 120 of W = 140 columns at K=20) and
 # one slot's draw; 1.89 measured.
 PEAK = 2.5
+# Traced peak of run_experiment in single W x W matrices, whatever the slot
+# count: one slot's draw and its fold; 5.35 at 20 slots and 6.18 at 80
+# measured.
+SLOT_PEAK = 8
 
 
 def _batch_se(values, n_batches=20):
@@ -97,17 +101,20 @@ def _normals(model, K, n, gens):
 def streamed_summary(model, req, mech, n, seed, piece=4096):
     """run_experiment's summary of runs 0..n-1 of the seed's per-run
     streams: their sums and Gram matrices per slot, accumulated piece by
-    piece, folded by the experiment's own moments-to-summary step."""
+    piece, folded by the experiment's own Gram-to-quadratic-form and
+    moments-to-summary steps."""
     exp = sim._Experiment.of(model, req, mech)
     sizes = sim._slot_sizes(n)
-    first, gram = np.zeros((len(sizes), exp.W)), np.zeros((len(sizes), exp.W, exp.W))
+    first, quad = np.zeros((len(sizes), exp.W)), np.zeros((len(sizes), exp.M.shape[1]))
     gens = _streams(seed)
     for slot, m in enumerate(sizes):
+        gram = np.zeros((exp.W, exp.W))
         for done in range(0, m, piece):
             e = _normals(model, mech.K, min(piece, m - done), gens)
             first[slot] += e.sum(axis=0)
-            gram[slot] += e.T @ e
-    return exp.summary(n, first, gram, seed).to_dict()
+            gram += e.T @ e
+        quad[slot] = exp.quadratic(gram)
+    return exp.summary(n, first, quad, seed).to_dict()
 
 
 @pytest.mark.parametrize("shift", [1.0, SHIFT])
@@ -262,6 +269,21 @@ def test_run_experiment_peak_is_a_few_gram_stacks(reactor_case):
     assert max(peaks) <= PEAK * stack + M.nbytes, [(p - M.nbytes) / stack for p in peaks]
 
 
+def test_run_experiment_peak_does_not_grow_with_slots(monkeypatch, reactor_case):
+    """On the four-state model at K=20 (W = 140 normals per run), the traced
+    peak at 4e5 runs stays within SLOT_PEAK W x W matrices plus the affine
+    map M with 20 and with 80 batches: each slot's Gram matrix is folded as
+    soon as it is drawn, so no stack of them is held."""
+    model, req = with_overrides(*reactor_case, K=20)
+    mech = synthesize(model, req).mechanism
+    M = sim._Experiment.of(model, req, mech).M
+    gram = M.shape[0] ** 2 * 8
+    for n_batches in (20, 80):
+        monkeypatch.setattr(sim, "N_BATCHES", n_batches)
+        peak, = _traced_peaks(model, req, mech, (400_000,))
+        assert peak <= SLOT_PEAK * gram + M.nbytes, (n_batches, (peak - M.nbytes) / gram)
+
+
 @pytest.mark.parametrize("n_runs", [1, 81937])
 def test_prefetch_matches_serial_draws(twostate_case, twostate_report, n_runs):
     """No slot is drawn ahead: the summary equals, to the bit, the one from
@@ -272,8 +294,9 @@ def test_prefetch_matches_serial_draws(twostate_case, twostate_report, n_runs):
     exp = sim._Experiment.of(model, req, mech)
     gen = sim.stream(5, sim._TAG_MOMENTS)
     drawn = [sim._slot_moments(gen, m, exp.W) for m in sim._slot_sizes(n_runs)]
-    first, gram = (np.stack(parts) for parts in zip(*drawn))
-    serial = exp.summary(n_runs, first, gram, 5).to_dict()
+    first = np.stack([sums for sums, _ in drawn])
+    quad = np.stack([exp.quadratic(gram) for _, gram in drawn])
+    serial = exp.summary(n_runs, first, quad, 5).to_dict()
     calls = [run_experiment(model, req, mech, n_runs, seed=5).to_dict() for _ in range(2)]
     # repr round-trips every float, nan included, so equal text is equal bits
     texts = {json.dumps(d, sort_keys=True) for d in [serial, *calls]}
