@@ -38,7 +38,7 @@ from .gauss import (
     mutual_information,
     mmse_estimate,
 )
-from .sdp import SdpProblem, SdpSolution, SolverOptions, SolverStatus, solve, check_solution
+from .sdp import SdpProblem, SdpSolution, SolverStatus, solve, check_solution
 from .synth import (
     Mechanism,
     MechanismMetrics,
@@ -83,7 +83,6 @@ __all__ = [
     "mmse_estimate",
     "SdpProblem",
     "SdpSolution",
-    "SolverOptions",
     "SolverStatus",
     "solve",
     "check_solution",

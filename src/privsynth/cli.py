@@ -66,13 +66,16 @@ def _parse_eps(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}") from None
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _int_at_least(low: int):
+    """Parser of an integer flag value no less than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -225,8 +228,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
-    if args.n_runs <= 0:
-        raise ValueError("n_runs must be positive")
     core, mh = _manifest_core(
         "simulate",
         inputs={"model": args.model, "mechanism": args.mechanism},
@@ -407,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("mechanism")
     p.add_argument("out_csv")
-    p.add_argument("--n-runs", type=int, default=10000)
-    p.add_argument("--seed", type=_parse_seed, default=42)
+    p.add_argument("--n-runs", type=_int_at_least(1), default=10000)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
     _add_override_flags(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -419,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated output budgets (numbers or 'inf')")
     p.add_argument("--eps-u-grid", required=True,
                    help="comma-separated input budgets (numbers or 'inf')")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
     p.add_argument("--seed", type=int, default=42,
                    help="recorded in the manifest; the solves are deterministic and seed nothing")
     p.add_argument("--k", type=int, default=None, help="override horizon length")

@@ -10,22 +10,13 @@ the joint Gaussian of the disclosed and private stacks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import GaussianJoint, NotPositiveDefinite, _sym, cholesky
 
-DEFAULT_MAX_DIM = 5000
-
-
-def _max_dim_default() -> int:
-    raw = os.environ.get("PRIVSYNTH_MAX_DIM", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_DIM
-    except ValueError:
-        return DEFAULT_MAX_DIM
+MAX_DIM = 5000      # rows of the state stack, K * n_x
 
 
 @dataclass(frozen=True)
@@ -59,18 +50,16 @@ class LiftedMoments:
     cov_YS: np.ndarray    # cross covariance of (Y stack, S stack)
 
 
-def build_lift(model, K: int, max_dim: int | None = None) -> LiftedSystem:
+def build_lift(model, K: int) -> LiftedSystem:
     """Assemble the stacked operators for horizon K.
 
-    Raises ValueError if K < 2 or if K * n_x exceeds the dimension guard
-    (argument, else PRIVSYNTH_MAX_DIM, else 5000 rows).
+    Raises ValueError if K < 2 or if K * n_x exceeds MAX_DIM rows.
     """
     if K < 2:
         raise ValueError(f"horizon K must be >= 2, got {K}")
-    limit = _max_dim_default() if max_dim is None else int(max_dim)
     n_x = model.n_x
-    if K * n_x > limit:
-        raise ValueError(f"stacked dimension K*n_x = {K * n_x} exceeds limit {limit}")
+    if K * n_x > MAX_DIM:
+        raise ValueError(f"stacked dimension K*n_x = {K * n_x} exceeds limit {MAX_DIM}")
 
     # powers[i] = A^i
     powers = [np.eye(n_x)]

@@ -26,8 +26,8 @@ Newton steps and a backtracking line search that keeps every slack positive
 definite; an LMI with weight ``w_j`` so enters psi with coefficient
 ``w_j + mu``. The run starts from a strictly feasible point the caller
 supplies and needs a program whose objective is bounded below on the
-feasible set. All runs are deterministic: the same problem, options and
-start reproduce the iteration log bit for bit.
+feasible set. All runs are deterministic: the same problem and start
+reproduce the iteration log bit for bit.
 
 ``solve`` only solves: it reports the barrier's status and duality measure
 and certifies nothing. The certificate is ``check_solution``, which
@@ -57,7 +57,9 @@ LN2 = math.log(2.0)
 
 CERT_TOL = 1e-8     # default PSD tolerance of check_solution
 
-# Centering and line-search constants of the barrier method.
+# Constants of the barrier method.
+TOL_GAP = 1e-7          # duality measure mu*nu / max(1, |f|) that ends the run
+MAX_OUTER = 60          # centerings
 MAX_INNER = 50          # Newton steps per centering
 MU_FACTOR = 10.0        # mu <- mu / MU_FACTOR after each centering
 INNER_TOL = 1e-2        # decrement^2/2 <= INNER_TOL * mu ends centering
@@ -65,21 +67,13 @@ ARMIJO = 0.01
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 REGULARIZATION = 1e-12  # Hessian ridge, relative to its diagonal scale
+REG_RETRIES = 3         # ridged refactorizations of one Newton system
 
 
 class SolverStatus(enum.Enum):
     OPTIMAL = "Optimal"
     MAX_ITERATIONS = "MaxIterations"
     NUMERICAL_FAILURE = "NumericalFailure"
-
-
-@dataclass
-class SolverOptions:
-    """Tolerances and iteration budgets; defaults are the pinned contract values."""
-
-    tol_gap: float = 1e-7          # duality measure mu*nu / max(1, |f|)
-    max_outer: int = 60
-    reg_retries: int = 3
 
 
 def sym_param_count(n: int) -> int:
@@ -260,7 +254,6 @@ class IterationRecord:
     iteration: int
     mu: float
     objective: float      # reported units (bits-equivalent)
-    max_residual: float   # max constraint violation at the iterate (0 while interior)
     decrement: float      # Newton decrement, diagnostic only
 
 
@@ -505,12 +498,12 @@ def _build(plan: _Plan, x: np.ndarray, order: int,
     return parts
 
 
-def _solve_newton(hess: np.ndarray, grad: np.ndarray, opts: SolverOptions):
+def _solve_newton(hess: np.ndarray, grad: np.ndarray):
     """Newton direction with ridge retries; returns (d, decrement_sq) or None."""
     diag_scale = max(1.0, float(np.max(np.diag(hess))))
     ridge = REGULARIZATION * diag_scale
     H = hess
-    for attempt in range(opts.reg_retries + 1):
+    for attempt in range(REG_RETRIES + 1):
         try:
             L = cholesky(H)
         except np.linalg.LinAlgError:
@@ -535,7 +528,7 @@ def _ridged(hess: np.ndarray, ridge: float) -> np.ndarray:
     return H
 
 
-def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
+def _barrier_loop(problem: SdpProblem, x0: np.ndarray):
     """Path-following engine; returns (status, x, log, mu, message, nsteps, plan).
 
     Each iterate is built once: ``at_x`` holds f and phi with their
@@ -561,12 +554,12 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
     status = SolverStatus.MAX_ITERATIONS
     message = "outer iteration limit reached"
 
-    for outer in range(opts.max_outer):
+    for outer in range(MAX_OUTER):
         for inner in range(MAX_INNER):
             if at_x.hess_f is None:
                 at_x = _build(plan, x, 2, at_x.factors)
             psi, f, grad, hess = at_x.combine(mu)
-            nd = _solve_newton(hess, grad, opts)
+            nd = _solve_newton(hess, grad)
             if nd is None:
                 return (SolverStatus.NUMERICAL_FAILURE, x, log, mu,
                         "Newton system factorization failed", it, plan)
@@ -597,10 +590,10 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
             x, f = trial, at_x.f
             it += 1
             log.append(IterationRecord(iteration=it, mu=mu, objective=f / LN2,
-                                       max_residual=0.0, decrement=math.sqrt(dec_sq)))
+                                       decrement=math.sqrt(dec_sq)))
 
         gap = mu * plan.nu / max(1.0, abs(f))
-        if gap <= opts.tol_gap:
+        if gap <= TOL_GAP:
             status = SolverStatus.OPTIMAL
             message = "duality measure below tolerance"
             break
@@ -613,21 +606,19 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray, opts: SolverOptions):
 # public entry points
 
 
-def solve(problem: SdpProblem, opts: SolverOptions | None = None, *,
-          init: np.ndarray | dict) -> SdpSolution:
+def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
     """Minimize the determinant-maximization objective over the feasible set.
 
     ``init``, a global parameter vector or a dict of named values, must be
     strictly feasible; a start outside the barrier's domain ends the run at
     once with status NumericalFailure. The iteration log is deterministic
-    for identical problem, options and init.
+    for the same problem and start.
 
     The returned point is not certified: ``check_solution`` is the
     certificate, run by the caller on the program whose answer it reports.
     """
-    opts = opts or SolverOptions()
     x0 = problem.pack(init) if isinstance(init, dict) else np.asarray(init, dtype=float)
-    status, x, log, mu, message, nsteps, plan = _barrier_loop(problem, x0, opts)
+    status, x, log, mu, message, nsteps, plan = _barrier_loop(problem, x0)
     f_bits = objective_bits(problem, x)
     # The duality measure the barrier tested, which excludes the offset.
     f_nats = (f_bits - problem.objective_offset) * LN2
@@ -716,11 +707,10 @@ def objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = False
 
 def write_iteration_csv(solution: SdpSolution, path: str,
                         header_comment: str | None = None) -> None:
-    """Iteration log as CSV: iter, mu, objective, max_residual."""
+    """Iteration log as CSV: iter, mu, objective."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        fh.write("iter,mu,objective,max_residual\n")
+        fh.write("iter,mu,objective\n")
         for rec in solution.iterations:
-            fh.write(f"{rec.iteration},{rec.mu:.16e},{rec.objective:.16e},"
-                     f"{rec.max_residual:.16e}\n")
+            fh.write(f"{rec.iteration},{rec.mu:.16e},{rec.objective:.16e}\n")

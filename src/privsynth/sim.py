@@ -38,7 +38,7 @@ the realization: the per-run streams are left to ``simulate``,
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class ExperimentSummary:
     se_distortion_Y: float
     distortion_U_hat: float
     se_distortion_U: float
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -129,7 +128,6 @@ class ExperimentSummary:
             "se_distortion_Y": self.se_distortion_Y,
             "distortion_U_hat": self.distortion_U_hat,
             "se_distortion_U": self.se_distortion_U,
-            "extra": self.extra,
         }
 
 
@@ -313,11 +311,7 @@ class _PlugInEstimator:
 class _BaselineEstimator:
     """Exact conditional mean of the private stack given clean (Y, U)."""
 
-    def __init__(self, model: SystemModel, K: int, lift: LiftedSystem | None = None,
-                 moments: LiftedMoments | None = None):
-        if lift is None:
-            lift = build_lift(model, K)
-        mom = moments if moments is not None else output_moments(lift, model)
+    def __init__(self, mom: LiftedMoments):
         self.B_y = cho_solve(cholesky(mom.Sigma_Y), mom.cov_YS).T
         self.err_cov = mom.Sigma_S - self.B_y @ mom.cov_YS
         self.c = mom.mu_S - self.B_y @ mom.mu_Y
@@ -423,7 +417,7 @@ class _Experiment:
         lift = build_lift(model, K)
         mom = output_moments(lift, model)
         plug = _PlugInEstimator(model, mech, lift=lift, moments=mom)
-        base = _BaselineEstimator(model, K, lift=lift, moments=mom)
+        base = _BaselineEstimator(mom)
         u_seq = model.input_sequence(K)
         u_flat = u_seq.reshape(-1)
         plant = _Plant.of(model, u_seq)

@@ -376,7 +376,8 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     """
     ctx: _Context = problem.meta["context"]
     values = dict(sol.variables)
-    cov_ZS = _g_matrix_from_params(values["G"], ctx.K, ctx.n_y) @ ctx.mom.cov_YS
+    Gt = g_blocks_to_matrix(values["G"].reshape(ctx.K, ctx.n_y, ctx.n_y))
+    cov_ZS = Gt @ ctx.mom.cov_YS
     # Schur is the conditional covariance of S given Z; the means do not enter.
     joint = GaussianJoint.from_blocks(ctx.mom.mu_S, ctx.mom.mu_Y, ctx.mom.Sigma_S, cov_ZS.T,
                                       values["Sigma_Z"])
@@ -387,14 +388,6 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     x = problem.pack(values)
     return replace(sol, objective=sdp.objective_bits(problem, x), x=x,
                    variables=problem.values(x), iterations=log_full)
-
-
-def _identity_g_params(K: int, n_y: int) -> np.ndarray:
-    g = np.zeros(K * n_y * n_y)
-    for k in range(K):
-        for r in range(n_y):
-            g[(k * n_y + r) * n_y + r] = 1.0
-    return g
 
 
 def analytic_start(problem: sdp.SdpProblem) -> dict:
@@ -410,7 +403,7 @@ def analytic_start(problem: sdp.SdpProblem) -> dict:
         eps_z = max(min(eps_z, ctx.eps_y / (2.0 * tr + 1.0)), 0.5 * (ctx.delta + ctx.eps_y / tr))
     return {
         "Sigma_Z": ctx.mom.Sigma_Y + eps_z * np.eye(ctx.NY),
-        "G": _identity_g_params(ctx.K, ctx.n_y),
+        "G": np.tile(np.eye(ctx.n_y).ravel(), ctx.K),
     }
 
 
@@ -456,7 +449,8 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
         raise SolverFailure(message, replace(sol, status=sdp.SolverStatus.NUMERICAL_FAILURE,
                                              message=message))
 
-    Gt = _g_matrix_from_params(sol.variables["G"], ctx.K, ctx.n_y)
+    g_blocks = sol.variables["G"].reshape(ctx.K, ctx.n_y, ctx.n_y)
+    Gt = g_blocks_to_matrix(g_blocks)
     Sigma_Z = sol.variables["Sigma_Z"]
     Sigma_V = _sym(Sigma_Z - Gt @ ctx.mom.Sigma_Y @ Gt.T)
     lam_min = float(np.linalg.eigvalsh(Sigma_V)[0])
@@ -471,10 +465,8 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
     if rel > RECONSTRUCTION_RTOL:
         raise ExtractionFailure(f"disclosed covariance reconstruction error {rel:.3e}")
 
-    blocks = [Gt[k * ctx.n_y:(k + 1) * ctx.n_y, k * ctx.n_y:(k + 1) * ctx.n_y].copy()
-              for k in range(ctx.K)]
     mech = Mechanism(
-        G_blocks=blocks, Sigma_V=Sigma_V, Sigma_H=problem.meta["Sigma_H"],
+        G_blocks=list(g_blocks.copy()), Sigma_V=Sigma_V, Sigma_H=problem.meta["Sigma_H"],
         provenance={
             "model_hash": content_hash(model, req),
             "K": req.K,
@@ -522,14 +514,6 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
         },
         solution=sol,
     )
-
-
-def _g_matrix_from_params(g: np.ndarray, K: int, n_y: int) -> np.ndarray:
-    G = np.zeros((K * n_y, K * n_y))
-    for k in range(K):
-        blk = g[k * n_y * n_y:(k + 1) * n_y * n_y].reshape(n_y, n_y)
-        G[k * n_y:(k + 1) * n_y, k * n_y:(k + 1) * n_y] = blk
-    return G
 
 
 def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanism,

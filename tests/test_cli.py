@@ -193,6 +193,20 @@ def test_simulate_rejects_a_bad_seed_by_flag(capsys, tmp_path, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_sweep_rejects_a_bad_job_count(capsys, tmp_path, jobs):
+    """A job count below 1 or not an integer exits 1 with one line that
+    names --jobs and the value, and writes no CSV."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", str(FIXTURES / "twostate.json"), str(out),
+            "--eps-y-grid", "1", "--eps-u-grid", "1", "--jobs", jobs]
+    assert cli_module.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: argument --jobs: "), lines
+    assert repr(jobs) in lines[0], lines
+    assert not out.exists()
+
+
 def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
     """One solve per eps_Y row, and two output-moment computations (the
     solve's and the one every cell of the row is evaluated with); every
@@ -333,7 +347,7 @@ def test_simulate_rejects_nonpositive_runs(scalar_artifacts, tmp_path):
     proc = cli("simulate", FIXTURES / "scalar.json", scalar_artifacts,
                tmp_path / "x.csv", "--n-runs", 0)
     assert proc.returncode == 1
-    assert "n_runs must be positive" in proc.stderr
+    assert "argument --n-runs:" in proc.stderr
 
 
 def test_sweep_grid_order_and_monotonicity(tmp_path):

@@ -14,7 +14,6 @@ from privsynth.lift import build_lift
 from privsynth.model import load_model, with_overrides
 from privsynth.sdp import (
     SdpProblem,
-    SolverOptions,
     SolverStatus,
     check_solution,
     matrix_to_sym_params,
@@ -112,7 +111,6 @@ def test_iteration_log_deterministic(tmp_path):
     for ra, rb in zip(a.iterations, b.iterations):
         assert ra.mu == rb.mu
         assert ra.objective == rb.objective
-        assert ra.max_residual == rb.max_residual
         assert ra.decrement == rb.decrement
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     write_iteration_csv(a, str(pa))
@@ -126,7 +124,7 @@ def test_iteration_csv_header_comment(tmp_path):
     write_iteration_csv(sol, str(path), header_comment="manifest_hash=deadbeef")
     lines = path.read_text().splitlines()
     assert lines[0] == "# manifest_hash=deadbeef"
-    assert lines[1] == "iter,mu,objective,max_residual"
+    assert lines[1] == "iter,mu,objective"
     assert len(lines) >= 3
 
 
@@ -149,9 +147,10 @@ def test_check_solution_flags_psd_violation():
     assert bad.max_psd_violation == pytest.approx(1.0, abs=1e-9)
 
 
-def test_outer_budget_exhaustion():
-    opts = SolverOptions(max_outer=2, tol_gap=1e-30)
-    sol = solve(trace_cap_problem(), opts, init={"X": 0.5 * np.eye(2)})
+def test_outer_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_OUTER", 2)
+    monkeypatch.setattr(sdp, "TOL_GAP", 1e-30)
+    sol = solve(trace_cap_problem(), init={"X": 0.5 * np.eye(2)})
     assert sol.status is SolverStatus.MAX_ITERATIONS
     assert math.isfinite(sol.objective)
 
@@ -321,7 +320,7 @@ def test_newton_ridge_retry_gives_descent(hess):
     """A Hessian the factorization rejects is retried with a ridge scaled to
     its diagonal, and the direction solves the ridged system."""
     grad = np.array([1.0, 0.0])
-    d, dec_sq = sdp._solve_newton(hess, grad, SolverOptions())
+    d, dec_sq = sdp._solve_newton(hess, grad)
     ridged = hess + sdp.REGULARIZATION * np.eye(2)
     np.testing.assert_allclose(d, -np.linalg.solve(ridged, grad), rtol=1e-9)
     assert dec_sq > 0.0
@@ -329,10 +328,10 @@ def test_newton_ridge_retry_gives_descent(hess):
 
 
 @pytest.mark.parametrize("retries", [0, 3])
-def test_newton_gives_up_when_ridges_run_out(retries):
+def test_newton_gives_up_when_ridges_run_out(monkeypatch, retries):
     """diag(1, -1) stays indefinite under ridges up to 1e-6: None."""
-    opts = SolverOptions(reg_retries=retries)
-    assert sdp._solve_newton(np.diag([1.0, -1.0]), np.ones(2), opts) is None
+    monkeypatch.setattr(sdp, "REG_RETRIES", retries)
+    assert sdp._solve_newton(np.diag([1.0, -1.0]), np.ones(2)) is None
 
 
 @pytest.mark.parametrize("hess, grad", [
@@ -343,7 +342,7 @@ def test_newton_gives_up_when_ridges_run_out(retries):
 def test_newton_rejects_non_finite_system(hess, grad):
     """A non-finite Newton system is an error, not a ridge retry."""
     with pytest.raises(ValueError, match="infs or NaNs"):
-        sdp._solve_newton(hess, grad, SolverOptions())
+        sdp._solve_newton(hess, grad)
 
 
 def test_non_finite_slack_is_outside_the_domain():
