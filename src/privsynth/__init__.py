@@ -6,9 +6,19 @@ mechanisms (an output map with correlated additive noise and an additive
 input randomizer) that minimize the information leaked about a private
 output over a finite horizon, subject to distortion budgets, via a
 determinant-maximization program solved by a built-in interior-point method.
+
+Each command loads only the modules it runs. ``model`` loads with the
+package; ``gauss``, ``lift``, ``sdp``, ``synth`` and ``sim`` are placed in
+``sys.modules`` at once but run their code on first attribute access
+(``importlib.util.LazyLoader``), and every name in ``__all__`` is looked up
+in its module when it is asked for. Before Python 3.12 the first load of a
+lazy module is not thread-safe. No privsynth code starts a thread, and
+``sweep --jobs`` loads the modules its rows run before its pool forks.
 """
 
+import importlib.util
 import os
+import sys
 
 # The program's matrices are at most a few hundred wide, where BLAS worker
 # threads cost more in synchronization than they save, and ``sweep --jobs``
@@ -19,88 +29,51 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .model import (
-    SystemModel,
-    SynthesisRequest,
-    ValidationReport,
-    ModelFormatError,
-    ValidationError,
-    load_model,
-    save_model,
-    validate,
-)
-from .lift import LiftedSystem, LiftedMoments, build_lift, output_moments, joint_ZS_moments
-from .gauss import (
-    GaussianJoint,
-    NotPositiveDefinite,
-    SchurSingular,
-    entropy,
-    mutual_information,
-    mmse_estimate,
-)
-from .sdp import SdpProblem, SdpSolution, SolverStatus, solve, check_solution
-from .synth import (
-    Mechanism,
-    MechanismMetrics,
-    SynthesisReport,
-    ExtractionFailure,
-    InfeasibleProgram,
-    SolverFailure,
-    assemble_program,
-    synthesize,
-    evaluate_mechanism,
-    sample_mechanism,
-)
-from .sim import (
-    Trajectory,
-    AdversaryResult,
-    ExperimentSummary,
-    simulate,
-    apply_mechanism,
-    adversary_estimate,
-    run_experiment,
-)
+from . import model
 
-__all__ = [
-    "SystemModel",
-    "SynthesisRequest",
-    "ValidationReport",
-    "ModelFormatError",
-    "ValidationError",
-    "load_model",
-    "save_model",
-    "validate",
-    "LiftedSystem",
-    "LiftedMoments",
-    "build_lift",
-    "output_moments",
-    "joint_ZS_moments",
-    "GaussianJoint",
-    "NotPositiveDefinite",
-    "SchurSingular",
-    "entropy",
-    "mutual_information",
-    "mmse_estimate",
-    "SdpProblem",
-    "SdpSolution",
-    "SolverStatus",
-    "solve",
-    "check_solution",
-    "Mechanism",
-    "MechanismMetrics",
-    "SynthesisReport",
-    "ExtractionFailure",
-    "InfeasibleProgram",
-    "SolverFailure",
-    "assemble_program",
-    "synthesize",
-    "evaluate_mechanism",
-    "sample_mechanism",
-    "Trajectory",
-    "AdversaryResult",
-    "ExperimentSummary",
-    "simulate",
-    "apply_mechanism",
-    "adversary_estimate",
-    "run_experiment",
-]
+
+def _lazy(name: str):
+    """Register submodule ``name`` in ``sys.modules``; its code runs on first
+    attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+gauss = _lazy("gauss")
+lift = _lazy("lift")
+sdp = _lazy("sdp")
+synth = _lazy("synth")
+sim = _lazy("sim")
+
+# Public name -> the module that defines it.
+_OWNERS = {
+    "model": ("SystemModel", "SynthesisRequest", "ValidationReport", "ModelFormatError",
+              "ValidationError", "load_model", "save_model", "validate"),
+    "lift": ("LiftedSystem", "LiftedMoments", "build_lift", "output_moments",
+             "joint_ZS_moments"),
+    "gauss": ("GaussianJoint", "NotPositiveDefinite", "SchurSingular", "entropy",
+              "mutual_information", "mmse_estimate"),
+    "sdp": ("SdpProblem", "SdpSolution", "SolverStatus", "solve", "check_solution"),
+    "synth": ("Mechanism", "MechanismMetrics", "SynthesisReport", "ExtractionFailure",
+              "InfeasibleProgram", "SolverFailure", "assemble_program", "synthesize",
+              "evaluate_mechanism", "sample_mechanism"),
+    "sim": ("Trajectory", "AdversaryResult", "ExperimentSummary", "simulate",
+            "apply_mechanism", "adversary_estimate", "run_experiment"),
+}
+_OWNER = {name: mod for mod, names in _OWNERS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

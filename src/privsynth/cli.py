@@ -13,7 +13,6 @@ budgets, 3 solver or extraction failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import hashlib
 import json
@@ -22,27 +21,11 @@ import os
 import sys
 import time
 
-from . import __version__
-from .lift import build_lift, output_moments
-from .model import (
-    ValidationError,
-    load_model,
-    validate,
-    with_overrides,
-)
-from .sdp import write_iteration_csv
-from .synth import (
-    ExtractionFailure,
-    InfeasibleProgram,
-    Mechanism,
-    SolverFailure,
-    evaluate_mechanism,
-    input_noise,
-    load_mechanism,
-    save_mechanism,
-    synthesize,
-)
-from .sim import run_experiment
+# The package loads lift, sdp, synth and sim lazily: a command runs the code
+# of only the modules it calls through, so they are called as attributes of
+# their module rather than imported by name.
+from . import __version__, lift, sdp, sim, synth
+from .model import ValidationError, load_model, validate, with_overrides
 
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _FLOAT_FMT = "{:.16e}"     # 17 significant digits, lossless for doubles
@@ -130,11 +113,10 @@ def _strip(path: str, ext: str) -> str:
 
 def _load_with_overrides(args) -> tuple:
     model, req = load_model(args.model)
-    k = getattr(args, "k", None)
-    eps_y = getattr(args, "eps_y", None)
+    eps_y = getattr(args, "eps_y", None)     # synthesize alone takes the budgets
     eps_u = getattr(args, "eps_u", None)
-    if k is not None or eps_y is not None or eps_u is not None:
-        model, req = with_overrides(model, req, K=k, eps_y=eps_y, eps_u=eps_u)
+    if args.k is not None or eps_y is not None or eps_u is not None:
+        model, req = with_overrides(model, req, K=args.k, eps_y=eps_y, eps_u=eps_u)
     return model, req
 
 
@@ -174,16 +156,16 @@ def cmd_synthesize(args) -> int:
         seeds={"seed": args.seed},
     )
     model, req = _load_with_overrides(args)
-    rep = synthesize(model, req)
+    rep = synth.synthesize(model, req)
 
     rep.mechanism.provenance["manifest_hash"] = mh
-    save_mechanism(rep.mechanism, args.out_mechanism)
+    synth.save_mechanism(rep.mechanism, args.out_mechanism)
     doc = rep.to_dict()
     doc["manifest_hash"] = mh
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_iteration_csv(rep.solution, iters_path, header_comment=f"manifest_hash={mh}")
+    sdp.write_iteration_csv(rep.solution, iters_path, header_comment=f"manifest_hash={mh}")
     _write_manifest(manifest_path, core, mh,
                     [args.out_mechanism, report_path, iters_path], t0)
 
@@ -198,15 +180,14 @@ def cmd_evaluate(args) -> int:
     core, mh = _manifest_core(
         "evaluate",
         inputs={"model": args.model, "mechanism": args.mechanism},
-        options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
-                 "out": args.out},
+        options={"k": args.k, "out": args.out},
         seeds={},
     )
     model, req = _load_with_overrides(args)
-    mech = load_mechanism(args.mechanism)
+    mech = synth.load_mechanism(args.mechanism)
     _check_dims(model, req, mech)
 
-    metrics = evaluate_mechanism(model, req, mech)
+    metrics = synth.evaluate_mechanism(model, req, mech)
     doc = {
         "mi_bits": metrics.mi_bits,
         "entropy_H_bits": metrics.entropy_H_bits,
@@ -231,15 +212,14 @@ def cmd_simulate(args) -> int:
     core, mh = _manifest_core(
         "simulate",
         inputs={"model": args.model, "mechanism": args.mechanism},
-        options={"k": args.k, "eps_y": args.eps_y, "eps_u": args.eps_u,
-                 "n_runs": args.n_runs, "out_csv": args.out_csv},
+        options={"k": args.k, "n_runs": args.n_runs, "out_csv": args.out_csv},
         seeds={"seed": args.seed},
     )
     model, req = _load_with_overrides(args)
-    mech = load_mechanism(args.mechanism)
+    mech = synth.load_mechanism(args.mechanism)
     _check_dims(model, req, mech)
 
-    summ = run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed)
+    summ = sim.run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed)
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# manifest_hash={mh}\n")
         fh.write("k,mse_yu,mse_zr,se_mse_zr,s_mean,shat_zr_mean\n")
@@ -272,7 +252,7 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float,
     """
     nan = math.nan
     model, req = load_model(model_path)
-    lift = mom = None  # the row's horizon lift and output moments, built for its first valid cell
+    lifted = mom = None  # the row's horizon lift and output moments, built for its first valid cell
     design = None      # the row's solved mechanism, or the status its solve failed with
     cells = []
     for eu in grid_u:
@@ -282,23 +262,23 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float,
             report = validate(m, r)
             if not report.ok:
                 raise ValidationError(report)
-            sigma_h = input_noise(r)
-            if lift is None:
-                lift = build_lift(m, r.K)
-                mom = output_moments(lift, m)
+            sigma_h = synth.input_noise(r)
+            if lifted is None:
+                lifted = lift.build_lift(m, r.K)
+                mom = lift.output_moments(lifted, m)
             if design is None:
                 solving = True
-                design = synthesize(m, r, lift=lift).mechanism
+                design = synth.synthesize(m, r, lift=lifted).mechanism
             if isinstance(design, str):
                 status = design
             else:
-                met = evaluate_mechanism(m, r, Mechanism(design.G_blocks, design.Sigma_V, sigma_h),
-                                         moments=mom)
-        except InfeasibleProgram:
+                met = synth.evaluate_mechanism(
+                    m, r, synth.Mechanism(design.G_blocks, design.Sigma_V, sigma_h), moments=mom)
+        except synth.InfeasibleProgram:
             status = "Infeasible"
-        except SolverFailure as exc:
+        except synth.SolverFailure as exc:
             status = "SolverFailure" if exc.solution is None else exc.solution.status.value
-        except ExtractionFailure:
+        except synth.ExtractionFailure:
             status = "ExtractionFailure"
         except ValueError:          # ValidationError is a ValueError
             status = "ValidationError"
@@ -327,12 +307,17 @@ def cmd_sweep(args) -> int:
         options={"k": args.k, "eps_y_grid": [_fmt(v) for v in grid_y],
                  "eps_u_grid": [_fmt(v) for v in grid_u],
                  "out_csv": args.out_csv},
-        seeds={"seed": args.seed},
+        seeds={},
     )
     load_model(args.model)      # surface validation problems before sweeping
 
     rows = [(args.model, args.k, ey, grid_u) for ey in grid_y]
     if args.jobs > 1:
+        import concurrent.futures
+
+        # Run the code of the modules a row calls (synth loads gauss and
+        # lift) before the pool forks, so that no worker compiles it again.
+        synth.synthesize, sdp.solve
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_row_star, rows))
     else:
@@ -360,12 +345,8 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
+def _add_k_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="override horizon length")
-    p.add_argument("--eps-y", type=_parse_eps, default=None,
-                   help="override output distortion budget (number or 'inf')")
-    p.add_argument("--eps-u", type=_parse_eps, default=None,
-                   help="override input distortion budget (number or 'inf')")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,7 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="solve the design program and write the mechanism")
     p.add_argument("model")
     p.add_argument("out_mechanism")
-    _add_override_flags(p)
+    _add_k_flag(p)
+    p.add_argument("--eps-y", type=_parse_eps, default=None,
+                   help="override output distortion budget (number or 'inf')")
+    p.add_argument("--eps-u", type=_parse_eps, default=None,
+                   help="override input distortion budget (number or 'inf')")
     p.add_argument("--seed", type=int, default=42,
                    help="recorded in the manifest; the solve is deterministic and seeds nothing")
     p.set_defaults(func=cmd_synthesize)
@@ -401,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("mechanism")
     p.add_argument("--out", default=None, help="write metrics JSON here instead of stdout")
-    _add_override_flags(p)
+    _add_k_flag(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("simulate", help="Monte Carlo adversary comparison for a mechanism")
@@ -410,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_csv")
     p.add_argument("--n-runs", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=_int_at_least(0), default=42)
-    _add_override_flags(p)
+    _add_k_flag(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="solve over a budget grid and tabulate the cost surface")
@@ -421,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-u-grid", required=True,
                    help="comma-separated input budgets (numbers or 'inf')")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
-    p.add_argument("--seed", type=int, default=42,
-                   help="recorded in the manifest; the solves are deterministic and seed nothing")
-    p.add_argument("--k", type=int, default=None, help="override horizon length")
+    _add_k_flag(p)
     p.set_defaults(func=cmd_sweep)
 
     return ap
@@ -439,9 +422,11 @@ def main(argv: list[str] | None = None) -> int:
         lines, code = [f"violation: {v}" for v in exc.report.violations], 1
     except (OSError, ValueError, KeyError) as exc:   # ModelFormatError is a ValueError
         lines, code = [f"error: {exc}"], 1
-    except InfeasibleProgram as exc:
+    # Reached only by an exception none of the clauses above matches, so a
+    # command that never loaded synth does not load it here either.
+    except synth.InfeasibleProgram as exc:
         lines, code = [f"error: {exc}"], 2
-    except (SolverFailure, ExtractionFailure) as exc:
+    except (synth.SolverFailure, synth.ExtractionFailure) as exc:
         lines, code = [f"error: {exc}"], 3
     for line in lines:
         print(line, file=sys.stderr)

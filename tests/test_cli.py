@@ -2,6 +2,7 @@
 formats, manifests and determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ import time
 import pytest
 
 from privsynth import cli as cli_module
+from privsynth import lift as lift_module
 from privsynth import sdp
 from privsynth import synth as synth_module
 from privsynth.model import (ModelFormatError, ValidationError, ValidationReport, load_model,
@@ -153,7 +155,7 @@ def test_infinite_input_budget_is_a_one_line_error(scalar_artifacts, tmp_path):
 def test_exit_code_map(monkeypatch, capsys, tmp_path, exc, code, prefix):
     def fail(*args, **kwargs):
         raise exc
-    monkeypatch.setattr(cli_module, "synthesize", fail)
+    monkeypatch.setattr(synth_module, "synthesize", fail)
     rc = cli_module.main(["synthesize", str(FIXTURES / "scalar.json"), str(tmp_path / "m.json")])
     assert rc == code
     lines = capsys.readouterr().err.splitlines()
@@ -177,6 +179,25 @@ def test_usage_error_is_exit_1_with_one_line(capsys, tmp_path, argv, words):
         assert word in lines[0], lines
     assert "_parse_eps" not in lines[0]
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "{scalar}", "{mech}", "--eps-y", "-5", "--out", "{out}"],
+    ["evaluate", "{scalar}", "{mech}", "--eps-u", "1", "--out", "{out}"],
+    ["simulate", "{scalar}", "{mech}", "{out}", "--eps-u", "nan"],
+    ["simulate", "{scalar}", "{mech}", "{out}", "--eps-y", "1"],
+    ["sweep", "{scalar}", "{out}", "--eps-y-grid", "1", "--eps-u-grid", "1", "--seed", "42"],
+], ids=["evaluate-eps-y", "evaluate-eps-u", "simulate-eps-u", "simulate-eps-y", "sweep-seed"])
+def test_flags_that_set_nothing_are_usage_errors(capsys, scalar_artifacts, tmp_path, argv):
+    """Only synthesize takes the budgets, and sweep takes no seed: any other
+    use is a usage error with one line, and writes nothing."""
+    out = tmp_path / "out.csv"
+    argv = [a.format(scalar=FIXTURES / "scalar.json", mech=scalar_artifacts, out=out)
+            for a in argv]
+    assert cli_module.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unrecognized arguments: "), lines
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", "x"])
@@ -215,14 +236,14 @@ def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
     real_solve = sdp.solve
     monkeypatch.setattr(sdp, "solve", lambda *a, **kw: calls.append(1) or real_solve(*a, **kw))
     moment_calls = []
-    real_moments = cli_module.output_moments
-    for module in (cli_module, synth_module):
+    real_moments = lift_module.output_moments
+    for module in (lift_module, synth_module):
         monkeypatch.setattr(module, "output_moments",
                             lambda *a, **kw: moment_calls.append(1) or real_moments(*a, **kw))
     csv_path = tmp_path / "sweep.csv"
     assert cli_module.main(["sweep", str(FIXTURES / "twostate.json"), str(csv_path),
                             "--eps-y-grid", "1,2", "--eps-u-grid", "0,0.5,2",
-                            "--jobs", "1", "--seed", "42"]) == 0
+                            "--jobs", "1"]) == 0
     assert len(calls) == 2
     assert len(moment_calls) == 4
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
@@ -265,13 +286,13 @@ def test_evaluate_out_file(scalar_artifacts, tmp_path):
 def test_evaluate_manifest_times_the_whole_command(monkeypatch, scalar_artifacts, tmp_path):
     """The evaluate manifest's elapsed time covers the evaluation, not only
     the file write."""
-    real = cli_module.evaluate_mechanism
+    real = synth_module.evaluate_mechanism
 
     def slow(*args, **kwargs):
         time.sleep(0.05)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "evaluate_mechanism", slow)
+    monkeypatch.setattr(synth_module, "evaluate_mechanism", slow)
     dest = tmp_path / "metrics.json"
     assert cli_module.main(["evaluate", str(FIXTURES / "scalar.json"), str(scalar_artifacts),
                             "--out", str(dest)]) == 0
@@ -454,6 +475,70 @@ def test_import_leaves_scipy_linalg_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_RUN_AS_MAIN_SCRIPT = """
+import json, runpy, sys, types
+sys.argv = ["privsynth", *sys.argv[1:]]
+try:
+    runpy.run_module("privsynth.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+# A lazily loaded module is of a ModuleType subclass until its code runs.
+ran = sorted(name.split(".")[1] for name, mod in sys.modules.items()
+             if name.startswith("privsynth.") and name != "privsynth.cli"
+             and type(mod) is types.ModuleType)
+print(json.dumps({"code": code, "ran": ran}))
+"""
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["validate", "{scalar}"], ["model"]),
+    (["synthesize", "{scalar}", "{tmp}/m.json"], ["gauss", "lift", "model", "sdp", "synth"]),
+    (["evaluate", "{scalar}", "{mech}"], ["gauss", "lift", "model", "synth"]),
+    (["simulate", "{scalar}", "{mech}", "{tmp}/s.csv", "--n-runs", "10"],
+     ["gauss", "lift", "model", "sim", "synth"]),
+    # The rows run in workers; the parent loads their modules before forking.
+    (["sweep", "{scalar}", "{tmp}/s.csv", "--eps-y-grid", "1,2", "--eps-u-grid", "1",
+      "--jobs", "2"], ["gauss", "lift", "model", "sdp", "synth"]),
+], ids=["validate", "synthesize", "evaluate", "simulate", "sweep"])
+def test_each_command_runs_only_the_modules_it_calls(scalar_artifacts, tmp_path, argv, ran):
+    """validate runs only the model module's code, simulate never the
+    solver's and no design command the simulator's."""
+    argv = [a.format(scalar=FIXTURES / "scalar.json", mech=scalar_artifacts, tmp=tmp_path)
+            for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN_SCRIPT, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "ran": ran}
+
+
+_LAYERS_SCRIPT = """
+import json, sys
+import privsynth, privsynth.cli
+layers = json.loads(sys.argv[1])
+registered = [name for name in layers if name in sys.modules]
+unresolved = [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns
+              if not callable(getattr(sys.modules.get(mod), fn, None))]
+unresolved += [name for name in privsynth.__all__ if not hasattr(privsynth, name)]
+print(json.dumps({"registered": registered, "unresolved": unresolved}))
+"""
+
+
+def test_traced_layers_are_registered_by_the_cli_import():
+    """perfbench's tracer wraps only modules in sys.modules after
+    `import privsynth.cli`: each is there, loaded or not, and each wrapped
+    function and each public name resolves. Phase 1's find_feasible was
+    deleted with phase 1; the tracer reports it absent."""
+    path = FIXTURES.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    proc = subprocess.run([sys.executable, "-c", _LAYERS_SCRIPT, json.dumps(spans.LAYERS)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"registered": list(spans.LAYERS),
+                                       "unresolved": ["privsynth.sdp.find_feasible"]}
 
 
 _NO_SCIPY_SCRIPT = """

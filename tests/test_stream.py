@@ -374,7 +374,7 @@ def test_sweep_row_builds_one_lift(monkeypatch):
     calls = []
     real = build_lift
     counting = lambda *a, **kw: calls.append(1) or real(*a, **kw)     # noqa: E731
-    monkeypatch.setattr(cli, "build_lift", counting)
+    monkeypatch.setattr(lift_module, "build_lift", counting)
     monkeypatch.setattr(synth, "build_lift", counting)
     cells = cli._sweep_row(str(FIXTURES / "twostate.json"), None, 1.0, [0.0, 0.5, 1.0, 2.0])
     assert [c[0] for c in cells] == ["Infeasible", "Optimal", "Optimal", "Optimal"]
