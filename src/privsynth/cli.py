@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -28,21 +29,14 @@ from . import __version__, lift, sdp, sim, synth
 from .model import ValidationError, load_model, validate, with_overrides
 
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-_FLOAT_FMT = "{:.16e}"     # 17 significant digits, lossless for doubles
 
-
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return _FLOAT_FMT.format(v)
+# 17 significant digits, lossless for doubles; nan and +-inf print as
+# "nan", "inf" and "-inf".
+_fmt = "{:.16e}".format
 
 
 def _parse_eps(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infinity", "+inf"):
-        return math.inf
+    """A budget: any number ``float`` reads, "inf" included."""
     try:
         return float(text)
     except ValueError:
@@ -79,6 +73,26 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _write_json(doc: dict, path: str | None = None) -> None:
+    """doc as indented, key-sorted JSON ending in a newline, written to path
+    or, without one, to stdout."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_csv(path: str, manifest_hash: str, header: str, rows) -> None:
+    """A CSV artifact: the manifest-hash comment line, the header, then one
+    line per row, its floats by ``_fmt`` and every other cell by ``str``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# manifest_hash={manifest_hash}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def _manifest_core(command: str, inputs: dict, options: dict, seeds: dict) -> tuple[dict, str]:
     core = {
         "command": command,
@@ -102,9 +116,7 @@ def _write_manifest(path: str, core: dict, manifest_hash: str,
     }
     # Execution setting, kept out of the hashed core like the timing.
     doc["thread_env"] = {name: os.environ.get(name) for name in _THREAD_ENV}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def _strip(path: str, ext: str) -> str:
@@ -113,11 +125,9 @@ def _strip(path: str, ext: str) -> str:
 
 def _load_with_overrides(args) -> tuple:
     model, req = load_model(args.model)
-    eps_y = getattr(args, "eps_y", None)     # synthesize alone takes the budgets
-    eps_u = getattr(args, "eps_u", None)
-    if args.k is not None or eps_y is not None or eps_u is not None:
-        model, req = with_overrides(model, req, K=args.k, eps_y=eps_y, eps_u=eps_u)
-    return model, req
+    # synthesize alone takes the budgets
+    return with_overrides(model, req, K=args.k, eps_y=getattr(args, "eps_y", None),
+                          eps_u=getattr(args, "eps_u", None))
 
 
 def _check_dims(model, req, mech) -> None:
@@ -160,12 +170,9 @@ def cmd_synthesize(args) -> int:
 
     rep.mechanism.provenance["manifest_hash"] = mh
     synth.save_mechanism(rep.mechanism, args.out_mechanism)
-    doc = rep.to_dict()
-    doc["manifest_hash"] = mh
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    sdp.write_iteration_csv(rep.solution, iters_path, header_comment=f"manifest_hash={mh}")
+    _write_json({**rep.to_dict(), "manifest_hash": mh}, report_path)
+    _write_csv(iters_path, mh, "iter,mu,objective",
+               ((r.iteration, r.mu, r.objective) for r in rep.solution.iterations))
     _write_manifest(manifest_path, core, mh,
                     [args.out_mechanism, report_path, iters_path], t0)
 
@@ -196,14 +203,10 @@ def cmd_evaluate(args) -> int:
         "distortion_U": metrics.distortion_U,
         "manifest_hash": mh,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write_json(doc, args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         _write_manifest(_strip(args.out, ".json") + ".manifest.json", core, mh,
                         [args.out], t0)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -220,18 +223,9 @@ def cmd_simulate(args) -> int:
     _check_dims(model, req, mech)
 
     summ = sim.run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed)
-    with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest_hash={mh}\n")
-        fh.write("k,mse_yu,mse_zr,se_mse_zr,s_mean,shat_zr_mean\n")
-        for k in range(summ.K):
-            fh.write(",".join([
-                str(k + 1),
-                _fmt(summ.mse_yu[k]),
-                _fmt(summ.mse_zr[k]),
-                _fmt(summ.se_mse_zr[k]),
-                _fmt(summ.s_mean[k]),
-                _fmt(summ.shat_zr_mean[k]),
-            ]) + "\n")
+    _write_csv(args.out_csv, mh, "k,mse_yu,mse_zr,se_mse_zr,s_mean,shat_zr_mean",
+               ((k + 1, summ.mse_yu[k], summ.mse_zr[k], summ.se_mse_zr[k], summ.s_mean[k],
+                 summ.shat_zr_mean[k]) for k in range(summ.K)))
     _write_manifest(_strip(args.out_csv, ".csv") + ".manifest.json", core, mh,
                     [args.out_csv], t0)
     print(f"n_runs={summ.n_runs} mse_yu_total={summ.mse_yu_total:.9g} "
@@ -290,10 +284,6 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float,
     return cells
 
 
-def _sweep_row_star(t: tuple) -> list[tuple]:
-    return _sweep_row(*t)
-
-
 def cmd_sweep(args) -> int:
     t0 = time.time()
     grid_y = _parse_grid(args.eps_y_grid)
@@ -311,7 +301,7 @@ def cmd_sweep(args) -> int:
     )
     load_model(args.model)      # surface validation problems before sweeping
 
-    rows = [(args.model, args.k, ey, grid_u) for ey in grid_y]
+    row = functools.partial(_sweep_row, args.model, args.k, grid_u=grid_u)
     if args.jobs > 1:
         import concurrent.futures
 
@@ -319,20 +309,15 @@ def cmd_sweep(args) -> int:
         # lift) before the pool forks, so that no worker compiles it again.
         synth.synthesize, sdp.solve
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_row_star, rows))
+            results = list(pool.map(row, grid_y))
     else:
-        results = [_sweep_row_star(r) for r in rows]
+        results = list(map(row, grid_y))
 
-    with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest_hash={mh}\n")
-        fh.write("eps_Y,eps_U,cost_bits,mi_bits,entropy_H_bits,"
-                 "distortion_Y,distortion_U,solver_status\n")
-        for ey, cells in zip(grid_y, results):
-            for eu, (status, cost, mi, ent, dy, du) in zip(grid_u, cells):
-                fh.write(",".join([
-                    _fmt(ey), _fmt(eu), _fmt(cost), _fmt(mi), _fmt(ent),
-                    _fmt(dy), _fmt(du), status,
-                ]) + "\n")
+    _write_csv(args.out_csv, mh, "eps_Y,eps_U,cost_bits,mi_bits,entropy_H_bits,"
+               "distortion_Y,distortion_U,solver_status",
+               ((ey, eu, cost, mi, ent, dy, du, status)
+                for ey, cells in zip(grid_y, results)
+                for eu, (status, cost, mi, ent, dy, du) in zip(grid_u, cells)))
     _write_manifest(_strip(args.out_csv, ".csv") + ".manifest.json", core, mh,
                     [args.out_csv], t0)
 

@@ -29,10 +29,11 @@ supplies and needs a program whose objective is bounded below on the
 feasible set. All runs are deterministic: the same problem and start
 reproduce the iteration log bit for bit.
 
-``solve`` only solves: it reports the barrier's status and duality measure
-and certifies nothing. The certificate is ``check_solution``, which
-recomputes every slack and the objective by another route; a caller runs it
-once, on the program whose answer it reports.
+``solve`` only solves: it reports the status, objective and duality
+measure its loop measured and certifies nothing. The certificate is
+``check_solution``, which recomputes every slack and the objective by
+another route; a caller runs it once, on the program whose answer it
+reports.
 
 Each iterate is built once. The build evaluates f and phi apart, with their
 gradients and Hessians, and the Newton system at any mu is the
@@ -251,9 +252,14 @@ class SdpProblem:
 
 @dataclass
 class IterationRecord:
+    """One Newton step. ``objective`` is f / ln 2 at the step's new iterate:
+    the objective in reported units without the constant
+    ``objective_offset``, so the solution's objective equals the last
+    record's plus that offset."""
+
     iteration: int
     mu: float
-    objective: float      # reported units (bits-equivalent)
+    objective: float
     decrement: float      # Newton decrement, diagnostic only
 
 
@@ -528,8 +534,23 @@ def _ridged(hess: np.ndarray, ridge: float) -> np.ndarray:
     return H
 
 
-def _barrier_loop(problem: SdpProblem, x0: np.ndarray):
-    """Path-following engine; returns (status, x, log, mu, message, nsteps, plan).
+# ---------------------------------------------------------------------------
+# public entry points
+
+
+def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
+    """Minimize the determinant-maximization objective over the feasible set.
+
+    ``init``, a global parameter vector or a dict of named values, must be
+    strictly feasible; a start outside the barrier's domain ends the run at
+    once with status NumericalFailure. The iteration log is deterministic
+    for the same problem and start.
+
+    The solution reports what the loop measured at its last iterate x: the
+    objective ``f / ln 2 + objective_offset`` and the duality measure
+    ``mu * nu / max(1, |f|)``, at status Optimal the value that passed the
+    stopping test. The point is not certified: ``check_solution`` is the
+    certificate, run by the caller on the program whose answer it reports.
 
     Each iterate is built once: ``at_x`` holds f and phi with their
     derivatives at x, and the Newton system at any mu is recombined from
@@ -539,20 +560,24 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray):
     trial, so no slack is factored twice at one iterate.
     """
     plan = _Plan(problem)
-    x = x0.copy()
+    x = problem.pack(init) if isinstance(init, dict) else np.array(init, dtype=float)
+    f = mu = math.nan
+    log: list[IterationRecord] = []
+    it = 0
+
+    def result(status: SolverStatus, message: str) -> SdpSolution:
+        return SdpSolution(
+            status=status, objective=f / LN2 + problem.objective_offset, x=x,
+            variables=problem.values(x), duality_measure=mu * plan.nu / max(1.0, abs(f)),
+            iterations=log, message=message, mu_final=mu, newton_steps=it)
 
     try:
         at_x = _build(plan, x, 0)
     except _Infeasible as exc:
-        return (SolverStatus.NUMERICAL_FAILURE, x, [], math.nan,
-                f"start point outside domain ({exc})", 0, plan)
+        return result(SolverStatus.NUMERICAL_FAILURE, f"start point outside domain ({exc})")
 
     f = at_x.f
     mu = max(1.0, abs(f) / max(plan.nu, 1))
-    log: list[IterationRecord] = []
-    it = 0
-    status = SolverStatus.MAX_ITERATIONS
-    message = "outer iteration limit reached"
 
     for outer in range(MAX_OUTER):
         for inner in range(MAX_INNER):
@@ -561,8 +586,8 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray):
             psi, f, grad, hess = at_x.combine(mu)
             nd = _solve_newton(hess, grad)
             if nd is None:
-                return (SolverStatus.NUMERICAL_FAILURE, x, log, mu,
-                        "Newton system factorization failed", it, plan)
+                return result(SolverStatus.NUMERICAL_FAILURE,
+                              "Newton system factorization failed")
             d, dec_sq = nd
 
             if 0.5 * dec_sq <= INNER_TOL * mu:
@@ -584,48 +609,19 @@ def _barrier_loop(problem: SdpProblem, x0: np.ndarray):
                     break
                 alpha *= BACKTRACK
             if at_x is None:
-                return (SolverStatus.NUMERICAL_FAILURE, x, log, mu,
-                        "line search failed to make progress", it, plan)
+                return result(SolverStatus.NUMERICAL_FAILURE,
+                              "line search failed to make progress")
 
             x, f = trial, at_x.f
             it += 1
             log.append(IterationRecord(iteration=it, mu=mu, objective=f / LN2,
                                        decrement=math.sqrt(dec_sq)))
 
-        gap = mu * plan.nu / max(1.0, abs(f))
-        if gap <= TOL_GAP:
-            status = SolverStatus.OPTIMAL
-            message = "duality measure below tolerance"
-            break
+        if mu * plan.nu / max(1.0, abs(f)) <= TOL_GAP:
+            return result(SolverStatus.OPTIMAL, "duality measure below tolerance")
         mu /= MU_FACTOR
 
-    return status, x, log, mu, message, it, plan
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-
-
-def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
-    """Minimize the determinant-maximization objective over the feasible set.
-
-    ``init``, a global parameter vector or a dict of named values, must be
-    strictly feasible; a start outside the barrier's domain ends the run at
-    once with status NumericalFailure. The iteration log is deterministic
-    for the same problem and start.
-
-    The returned point is not certified: ``check_solution`` is the
-    certificate, run by the caller on the program whose answer it reports.
-    """
-    x0 = problem.pack(init) if isinstance(init, dict) else np.asarray(init, dtype=float)
-    status, x, log, mu, message, nsteps, plan = _barrier_loop(problem, x0)
-    f_bits = objective_bits(problem, x)
-    # The duality measure the barrier tested, which excludes the offset.
-    f_nats = (f_bits - problem.objective_offset) * LN2
-    return SdpSolution(
-        status=status, objective=f_bits, x=x, variables=problem.values(x),
-        duality_measure=mu * plan.nu / max(1.0, abs(f_nats)), iterations=log,
-        message=message, mu_final=mu, newton_steps=nsteps)
+    return result(SolverStatus.MAX_ITERATIONS, "outer iteration limit reached")
 
 
 # ---------------------------------------------------------------------------
@@ -648,24 +644,37 @@ class CertificateReport:
 
 def check_solution(problem: SdpProblem, x: np.ndarray | dict,
                    tol_psd: float = CERT_TOL, tol_scalar: float = CERT_TOL) -> CertificateReport:
-    """Recompute every residual from scratch (eigenvalue route, slogdet objective).
+    """Recompute every residual from scratch (eigenvalue route) and the
+    objective in reported units (slogdet route; inf outside the logdet
+    domain).
 
     Deliberately avoids the solver's Cholesky/assembly code paths so it can
-    serve as an independent certificate of the returned point. Every
-    constraint is an LMI held to ``tol_psd``; ``tol_scalar`` is accepted and
-    unused, since a scalar constraint is a 1x1 LMI.
+    serve as an independent certificate of the returned point; it is the
+    only place the objective is recomputed. Every constraint is an LMI held
+    to ``tol_psd``; ``tol_scalar`` is accepted and unused, since a scalar
+    constraint is a 1x1 LMI.
     """
     xv = problem.pack(x) if isinstance(x, dict) else np.asarray(x, dtype=float)
     checks: list[ConstraintCheck] = []
     max_psd = 0.0
+    weighted = [(v.logdet_weight, v.matrix(xv)) for v in problem.sym_vars.values()
+                if v.logdet_weight != 0.0]
 
     for con in problem.lmis:
-        w = np.linalg.eigvalsh(_lmi_matrix(problem, con, xv))
-        mins = float(w[0])
+        slack = _lmi_matrix(problem, con, xv)
+        mins = float(np.linalg.eigvalsh(slack)[0])
         checks.append(ConstraintCheck(con.name, mins))
         max_psd = max(max_psd, -mins)
+        if con.weight != 0.0:
+            weighted.append((con.weight, slack))
 
-    objective = objective_bits(problem, xv, use_slogdet=True)
+    objective = problem.objective_offset
+    for weight, M in weighted:
+        sign, ld = np.linalg.slogdet(M)
+        if sign <= 0:
+            objective = math.inf
+            break
+        objective += weight * (-float(ld) / LN2)
     return CertificateReport(ok=max_psd <= tol_psd, objective=objective, checks=checks,
                              max_psd_violation=max_psd)
 
@@ -680,37 +689,3 @@ def _lmi_matrix(problem: SdpProblem, con: LmiConstraint, x: np.ndarray) -> np.nd
     for var_name, vectors in con.terms.items():
         np.add.at(M, con.rows[var_name], x[problem.var_slice(var_name), None] * vectors)
     return con.constant + M + M.T
-
-
-def objective_bits(problem: SdpProblem, x: np.ndarray, use_slogdet: bool = False) -> float:
-    """The objective at x in reported units: inf outside the logdet domain.
-    Slack determinants come from Cholesky factors, as in the solver, or
-    with ``use_slogdet`` from an LU route, as in the certificate."""
-    f = problem.objective_offset
-    weighted = [(v.logdet_weight, v.matrix(x)) for v in problem.sym_vars.values()
-                if v.logdet_weight != 0.0]
-    weighted += [(con.weight, _lmi_matrix(problem, con, x)) for con in problem.lmis
-                 if con.weight != 0.0]
-    for weight, M in weighted:
-        if use_slogdet:
-            sign, ld = np.linalg.slogdet(M)
-            if sign <= 0:
-                return math.inf
-        else:
-            L = _chol_or_none(M)
-            if L is None:
-                return math.inf
-            ld = _logdet_from_chol(L)
-        f += weight * (-ld / LN2)
-    return f
-
-
-def write_iteration_csv(solution: SdpSolution, path: str,
-                        header_comment: str | None = None) -> None:
-    """Iteration log as CSV: iter, mu, objective."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("iter,mu,objective\n")
-        for rec in solution.iterations:
-            fh.write(f"{rec.iteration},{rec.mu:.16e},{rec.objective:.16e}\n")

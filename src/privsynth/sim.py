@@ -208,21 +208,12 @@ def _states(plant: _Plant, e_init: np.ndarray, e_proc: np.ndarray,
     return x, y, s
 
 
-def _disclose(mech: Mechanism, y_stack: np.ndarray, u_flat: np.ndarray,
-              e_out: np.ndarray, e_in: np.ndarray):
-    """Disclosed stacks z (m, K n_y) and r (m, K n_u) from clean stacks and
-    the mechanism's normals."""
-    z = y_stack @ mech.Gtilde.T + e_out @ mech.chol_V.T
-    r = u_flat + e_in @ mech.chol_H.T
-    return z, r
-
-
 def _simulate_runs(plant: _Plant, mech: Mechanism, u_flat: np.ndarray,
                    e: list[np.ndarray]):
     """The runs of the normals e (from ``_draw``): x time-major (K, m, n_x);
     y, s, z and r as stacked rows (m, .)."""
     x, y, s = _states(plant, *e[:3])
-    z, r = _disclose(mech, y, u_flat, *e[3:])
+    z, r = mech.disclose(y, u_flat, *e[3:])
     return x, y, s, z, r
 
 
@@ -259,7 +250,7 @@ def apply_mechanism(traj: Trajectory, mech: Mechanism,
     if traj.y_seq.shape[0] != K:
         raise ValueError(f"trajectory horizon {traj.y_seq.shape[0]} does not match mechanism {K}")
     e = _draw(_streams(seed), 1, K, traj.x_seq.shape[1], n_y, traj.u_seq.shape[1])
-    z, r = _disclose(mech, traj.y_seq.reshape(1, -1), traj.u_seq.reshape(-1), *e[3:])
+    z, r = mech.disclose(traj.y_seq.reshape(1, -1), traj.u_seq.reshape(-1), *e[3:])
     return replace(traj, z_seq=z.reshape(K, n_y), r_seq=r.reshape(K, -1))
 
 

@@ -116,6 +116,15 @@ class Mechanism:
     def Gtilde(self) -> np.ndarray:
         return g_blocks_to_matrix(self.G_blocks)
 
+    def disclose(self, y: np.ndarray, u: np.ndarray, e_out: np.ndarray,
+                 e_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Disclosed stacks z = G~ y + L_V e_out and r = u + L_H e_in from
+        clean stacks and standard normals, each a row (K n_y or K n_u wide)
+        or a matrix of such rows."""
+        z = y @ self.Gtilde.T + e_out @ self.chol_V.T
+        r = u + e_in @ self.chol_H.T
+        return z, r
+
     def singular_block_flags(self, tol: float = DET_FLAG_TOL) -> list[int]:
         """Steps whose output matrix is numerically singular (information
         at that step is fully suppressed rather than rescaled)."""
@@ -368,11 +377,13 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     """A solution of ``reduced_view(problem)`` at barrier parameter mu, with
     its closed-form leakage bound Pi = Schur / (1 + mu) packed in, as an
     uncertified solution of the full ``problem``; the status, mu, step count
-    and duality measure stay ``sol``'s.
+    and duality measure stay ``sol``'s, and the objective is left to the
+    certificate.
 
     The iteration log keeps the full program's meaning too: the objective
     of an iterate at barrier parameter mu is that of the full program with
-    its packed Pi, the reduced objective -log2 det Schur plus NS log2(1 + mu).
+    its packed Pi, less the offset: the reduced -log2 det Schur plus
+    NS log2(1 + mu).
     """
     ctx: _Context = problem.meta["context"]
     values = dict(sol.variables)
@@ -386,8 +397,8 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     log_full = [replace(rec, objective=rec.objective + ns * math.log2(1.0 + rec.mu))
                 for rec in sol.iterations]
     x = problem.pack(values)
-    return replace(sol, objective=sdp.objective_bits(problem, x), x=x,
-                   variables=problem.values(x), iterations=log_full)
+    return replace(sol, objective=math.nan, x=x, variables=problem.values(x),
+                   iterations=log_full)
 
 
 def analytic_start(problem: sdp.SdpProblem) -> dict:
@@ -413,7 +424,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
 
     Each answer is certified once, by ``sdp.check_solution`` on the full
     program: the packed point of the reduced solve, or the closed form at
-    eps_Y = inf.
+    eps_Y = inf. The reported objective is the certificate's.
 
     Raises ValidationError, InfeasibleProgram, SolverFailure or
     ExtractionFailure; returns a SynthesisReport on success.
@@ -433,7 +444,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
         x = problem.pack({"Pi": ctx.mom.Sigma_S, "Sigma_Z": ctx.mom.Sigma_Y,
                           "G": np.zeros(problem.affine_vars["G"].num_params)})
         sol = sdp.SdpSolution(
-            status=sdp.SolverStatus.OPTIMAL, objective=sdp.objective_bits(problem, x), x=x,
+            status=sdp.SolverStatus.OPTIMAL, objective=math.nan, x=x,
             variables=problem.values(x), duality_measure=0.0, iterations=[],
             message="closed form at eps_Y = inf: G = 0", mu_final=0.0, newton_steps=0)
     else:
@@ -443,6 +454,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
             raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
         sol = _pack_leakage_bound(problem, sol)
     cert = sdp.check_solution(problem, sol.x)
+    sol = replace(sol, objective=cert.objective)
     if not cert.ok:
         message = (f"the full program rejects the packed leakage bound (max PSD violation "
                    f"{cert.max_psd_violation:.3e})")
@@ -566,6 +578,6 @@ def sample_mechanism(mech: Mechanism, y_seq: np.ndarray, u_seq: np.ndarray,
     n_u = NU // K
     u = np.asarray(u_seq, dtype=float).reshape(K * n_u)
 
-    z = mech.Gtilde @ y + mech.chol_V @ rng.standard_normal(K * n_y)
-    r = u + mech.chol_H @ rng.standard_normal(NU)
+    # The output noise is drawn before the input noise.
+    z, r = mech.disclose(y, u, rng.standard_normal(K * n_y), rng.standard_normal(NU))
     return z.reshape(K, n_y), r.reshape(K, n_u)

@@ -88,6 +88,20 @@ def test_synthesize_writes_linked_artifacts(scalar_artifacts):
         assert mdoc["thread_env"][name] == os.environ.get(name, "1")
 
 
+def test_iteration_csv_header_and_rows(scalar_artifacts):
+    """The synthesize iterations CSV: the manifest-hash line, the header
+    ``iter,mu,objective``, then the solution's iteration log, one row per
+    Newton step with its floats at %.16e."""
+    base = str(scalar_artifacts)[:-len(".json")]
+    mh = json.loads(pathlib.Path(base + ".manifest.json").read_text())["manifest_hash"]
+    lines = pathlib.Path(base + ".iterations.csv").read_text().splitlines()
+    assert lines[0] == f"# manifest_hash={mh}"
+    assert lines[1] == "iter,mu,objective"
+    log = synthesize(*load_model(str(FIXTURES / "scalar.json"))).solution.iterations
+    assert log
+    assert lines[2:] == [f"{r.iteration},{r.mu:.16e},{r.objective:.16e}" for r in log]
+
+
 def test_synthesize_status_line(tmp_path):
     out = tmp_path / "m.json"
     proc = cli("synthesize", FIXTURES / "scalar.json", out)

@@ -310,6 +310,37 @@ def test_one_certificate_per_answer(monkeypatch, eps_y):
     assert calls == [{"Pi", "Sigma_Z"}]
 
 
+@pytest.mark.parametrize("name, eps_y", [
+    ("scalar", None), ("twostate", None), ("reactor4", None), ("reactor4", math.inf),
+], ids=["scalar", "twostate", "reactor4", "reactor4-inf"])
+def test_reported_objective_is_the_certificates(name, eps_y):
+    """The reported objective is the one the certificate computes on the
+    full program at the reported point, bit for bit, for the packed point of
+    a solve and for the closed form at eps_Y = inf."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    if eps_y is not None:
+        req = dataclasses.replace(req, eps_y=eps_y)
+    lift = build_lift(model, req.K)
+    rep = synthesize(model, req, lift=lift)
+    cert = sdp.check_solution(assemble_program(lift, model, req), rep.solution.x)
+    assert rep.solution.objective == cert.objective
+    assert rep.solver["objective"] == cert.objective
+
+
+def test_solve_reports_its_last_iterate():
+    """sdp.solve reports the objective its loop measured: the last logged
+    iterate's plus the constant offset, bit for bit, with no second route."""
+    _, _, _, prob = assembled("reactor4")
+    red = reduced_view(prob)
+    sol = sdp.solve(red, init=analytic_start(red))
+    assert sol.status is sdp.SolverStatus.OPTIMAL and sol.iterations
+    assert sol.objective == sol.iterations[-1].objective + red.objective_offset
+    f = sol.iterations[-1].objective * math.log(2.0)
+    assert sol.duality_measure == pytest.approx(
+        sol.mu_final * sum(c.dim for c in red.lmis) / max(1.0, abs(f)), rel=1e-12)
+    assert sol.duality_measure <= sdp.TOL_GAP
+
+
 def test_output_moments_once_per_call(monkeypatch, scalar_case):
     """synthesize and evaluate_mechanism each compute the output moments once."""
     calls = []
