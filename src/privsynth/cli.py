@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import hashlib
 import json
 import math
 import os
@@ -26,7 +25,7 @@ import time
 # of only the modules it calls through, so they are called as attributes of
 # their module rather than imported by name.
 from . import __version__, lift, sdp, sim, synth
-from .model import ValidationError, load_model, validate, with_overrides
+from .model import ValidationError, load_model, sha256, validate, with_overrides
 
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -66,7 +65,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
@@ -102,7 +101,7 @@ def _manifest_core(command: str, inputs: dict, options: dict, seeds: dict) -> tu
         "tool_version": __version__,
     }
     blob = json.dumps(core, sort_keys=True, separators=(",", ":"), default=str)
-    return core, hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return core, sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _write_manifest(path: str, core: dict, manifest_hash: str,
@@ -112,7 +111,7 @@ def _write_manifest(path: str, core: dict, manifest_hash: str,
     doc["artifacts"] = {p: _sha256_file(p) for p in artifacts}
     doc["wall_clock"] = {
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "elapsed_s": time.time() - t0,
+        "elapsed_s": time.perf_counter() - t0,
     }
     # Execution setting, kept out of the hashed core like the timing.
     doc["thread_env"] = {name: os.environ.get(name) for name in _THREAD_ENV}
@@ -152,7 +151,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     base = _strip(args.out_mechanism, ".json")
     report_path = base + ".report.json"
     iters_path = base + ".iterations.csv"
@@ -183,7 +182,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     core, mh = _manifest_core(
         "evaluate",
         inputs={"model": args.model, "mechanism": args.mechanism},
@@ -211,7 +210,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     core, mh = _manifest_core(
         "simulate",
         inputs={"model": args.model, "mechanism": args.mechanism},
@@ -285,7 +284,7 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float,
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid_y = _parse_grid(args.eps_y_grid)
     grid_u = _parse_grid(args.eps_u_grid)
 
@@ -302,13 +301,16 @@ def cmd_sweep(args) -> int:
     load_model(args.model)      # surface validation problems before sweeping
 
     row = functools.partial(_sweep_row, args.model, args.k, grid_u=grid_u)
-    if args.jobs > 1:
+    # A forking pool starts all its workers at once, so a worker beyond the
+    # row count would be a process that runs nothing.
+    jobs = min(args.jobs, len(grid_y))
+    if jobs > 1:
         import concurrent.futures
 
         # Run the code of the modules a row calls (synth loads gauss and
         # lift) before the pool forks, so that no worker compiles it again.
         synth.synthesize, sdp.solve
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(row, grid_y))
     else:
         results = list(map(row, grid_y))

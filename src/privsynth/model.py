@@ -9,12 +9,23 @@ the horizon; the budgets accept the string ``"inf"``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# The package's one SHA-256. CPython's built-in module gives the same digest
+# as hashlib without loading OpenSSL's libcrypto, which costs every command
+# several megabytes and milliseconds; hashlib is the fallback for builds that
+# route every hash through OpenSSL.
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Relative tolerances for the validation checks.
 TOL_PD = 1e-10
@@ -356,7 +367,7 @@ def save_model(model: SystemModel, req: SynthesisRequest, path: str) -> None:
 def content_hash(model: SystemModel, req: SynthesisRequest) -> str:
     """SHA-256 over the canonical expanded serialization (provenance key)."""
     blob = json.dumps(to_dict(model, req), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def with_overrides(model: SystemModel, req: SynthesisRequest, *, K: int | None = None,

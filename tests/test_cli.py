@@ -17,8 +17,8 @@ from privsynth import cli as cli_module
 from privsynth import lift as lift_module
 from privsynth import sdp
 from privsynth import synth as synth_module
-from privsynth.model import (ModelFormatError, ValidationError, ValidationReport, load_model,
-                             with_overrides)
+from privsynth.model import (ModelFormatError, ValidationError, ValidationReport, content_hash,
+                             load_model, with_overrides)
 from privsynth.synth import (ExtractionFailure, InfeasibleProgram, SolverFailure,
                              synthesize)
 
@@ -108,6 +108,15 @@ def test_synthesize_status_line(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("status=Optimal ")
     assert "cost_bits=" in proc.stdout and "distortion_U=" in proc.stdout
+
+
+def test_near_singular_output_noise_is_one_stderr_line(tmp_path):
+    """twostate's optimal output noise sits near its floor: synthesize still
+    exits 0 and says so in one stderr line."""
+    proc = cli("synthesize", FIXTURES / "twostate.json", tmp_path / "m.json")
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"extracted output noise covariance is near singular "
+                        r"\(min eig \d\.\d{3}e-\d\d\)\n", proc.stderr), proc.stderr
 
 
 def test_synthesize_rerun_is_byte_identical(tmp_path):
@@ -314,6 +323,23 @@ def test_evaluate_manifest_times_the_whole_command(monkeypatch, scalar_artifacts
     assert manifest["wall_clock"]["elapsed_s"] >= 0.05
 
 
+def test_manifest_elapsed_time_ignores_a_clock_step(monkeypatch, scalar_artifacts, tmp_path):
+    """The system clock stepping back an hour during the command moves
+    neither the elapsed time below zero nor past the command's length."""
+    real_evaluate, real_time = synth_module.evaluate_mechanism, time.time
+
+    def step_clock_back(*args, **kwargs):
+        monkeypatch.setattr(time, "time", lambda: real_time() - 3600.0)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(synth_module, "evaluate_mechanism", step_clock_back)
+    dest = tmp_path / "metrics.json"
+    assert cli_module.main(["evaluate", str(FIXTURES / "scalar.json"), str(scalar_artifacts),
+                            "--out", str(dest)]) == 0
+    manifest = json.loads((tmp_path / "metrics.manifest.json").read_text())
+    assert 0.0 <= manifest["wall_clock"]["elapsed_s"] < 60.0
+
+
 def test_evaluate_dimension_mismatch(scalar_artifacts):
     proc = cli("evaluate", FIXTURES / "twostate.json", scalar_artifacts)
     assert proc.returncode == 1
@@ -423,6 +449,33 @@ def test_sweep_parallel_equals_serial(tmp_path):
     assert csv_path.read_bytes() == serial
 
 
+@pytest.mark.parametrize("grid_y, jobs, pools", [("1", "4", []), ("1,2", "8", [2])],
+                         ids=["one-row", "two-rows"])
+def test_sweep_pool_has_no_more_workers_than_rows(monkeypatch, tmp_path, grid_y, jobs, pools):
+    """A forking pool starts all its workers at once, so sweep caps it at one
+    worker per eps_Y row and builds none for a single row. The rows equal
+    those of --jobs 1."""
+    import concurrent.futures
+
+    built = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    rows = {}
+    for n in ("1", jobs):
+        out = tmp_path / f"jobs{n}.csv"
+        assert cli_module.main(["sweep", str(FIXTURES / "scalar.json"), str(out),
+                                "--eps-y-grid", grid_y, "--eps-u-grid", "1",
+                                "--jobs", n]) == 0
+        rows[n] = out.read_text().splitlines()[1:]
+    assert built == pools
+    assert rows[jobs] == rows["1"]
+
+
 def test_sweep_isolates_infeasible_cells(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     proc = cli("sweep", FIXTURES / "scalar.json", csv_path,
@@ -459,6 +512,46 @@ def test_input_files_never_modified(tmp_path):
     cli("sweep", model_path, tmp_path / "s.csv", "--eps-y-grid", "1",
         "--eps-u-grid", "1")
     assert sha(model_path) == before
+
+
+@pytest.mark.parametrize("name", [*sorted(p.name for p in FIXTURES.glob("*.json")), "large"])
+def test_file_digest_is_sha256(tmp_path, name):
+    """Input and artifact digests are hashlib's SHA-256, also for a file of
+    several 64 KiB read chunks and a partial last one."""
+    path = FIXTURES / name
+    if name == "large":
+        path = tmp_path / name
+        path.write_bytes(bytes(range(256)) * 1024 + b"tail")
+    assert cli_module._sha256_file(str(path)) == sha(path)
+
+
+_DIGEST_SCRIPT = """
+import hashlib, json, sys
+if sys.argv[1] == "hide":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None  # no built-in SHA-256 module
+from privsynth import cli, model
+path = sys.argv[2]
+core, manifest_hash = cli._manifest_core("synthesize", {"model": path}, {}, {})
+print(json.dumps({"hashlib": model.sha256 is hashlib.sha256,
+                  "file": cli._sha256_file(path),
+                  "content": model.content_hash(*model.load_model(path)),
+                  "manifest": manifest_hash}))
+"""
+
+
+def test_digests_are_the_same_through_the_hashlib_fallback():
+    """Where CPython has no built-in SHA-256 module the package takes
+    hashlib's, and every digest it writes stays the same."""
+    path = str(FIXTURES / "reactor4.json")
+    core, manifest_hash = cli_module._manifest_core("synthesize", {"model": path}, {}, {})
+    blob = json.dumps(core, sort_keys=True, separators=(",", ":"), default=str)
+    assert manifest_hash == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, "hide", path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "hashlib": True, "file": sha(path), "manifest": manifest_hash,
+        "content": content_hash(*load_model(path))}
 
 
 def test_version_flag():
@@ -502,29 +595,39 @@ except SystemExit as exc:
 ran = sorted(name.split(".")[1] for name, mod in sys.modules.items()
              if name.startswith("privsynth.") and name != "privsynth.cli"
              and type(mod) is types.ModuleType)
-print(json.dumps({"code": code, "ran": ran}))
+# _hashlib is the OpenSSL binding.
+heavy = [name for name in ("_hashlib", "logging") if name in sys.modules]
+print(json.dumps({"code": code, "ran": ran, "heavy": heavy}))
 """
 
 
-@pytest.mark.parametrize("argv, ran", [
-    (["validate", "{scalar}"], ["model"]),
-    (["synthesize", "{scalar}", "{tmp}/m.json"], ["gauss", "lift", "model", "sdp", "synth"]),
-    (["evaluate", "{scalar}", "{mech}"], ["gauss", "lift", "model", "synth"]),
+@pytest.mark.parametrize("argv, ran, unloaded", [
+    (["validate", "{scalar}"], ["model"], ["_hashlib", "logging"]),
+    (["synthesize", "{scalar}", "{tmp}/m.json"], ["gauss", "lift", "model", "sdp", "synth"],
+     ["_hashlib", "logging"]),
+    (["evaluate", "{scalar}", "{mech}"], ["gauss", "lift", "model", "synth"],
+     ["_hashlib", "logging"]),
+    # numpy.random loads OpenSSL through secrets and hmac.
     (["simulate", "{scalar}", "{mech}", "{tmp}/s.csv", "--n-runs", "10"],
-     ["gauss", "lift", "model", "sim", "synth"]),
+     ["gauss", "lift", "model", "sim", "synth"], ["logging"]),
     # The rows run in workers; the parent loads their modules before forking.
+    # concurrent.futures loads logging.
     (["sweep", "{scalar}", "{tmp}/s.csv", "--eps-y-grid", "1,2", "--eps-u-grid", "1",
-      "--jobs", "2"], ["gauss", "lift", "model", "sdp", "synth"]),
+      "--jobs", "2"], ["gauss", "lift", "model", "sdp", "synth"], ["_hashlib"]),
 ], ids=["validate", "synthesize", "evaluate", "simulate", "sweep"])
-def test_each_command_runs_only_the_modules_it_calls(scalar_artifacts, tmp_path, argv, ran):
+def test_each_command_runs_only_the_modules_it_calls(scalar_artifacts, tmp_path, argv, ran,
+                                                     unloaded):
     """validate runs only the model module's code, simulate never the
-    solver's and no design command the simulator's."""
+    solver's and no design command the simulator's. No command loads
+    OpenSSL for its digests or logging for its diagnostics."""
     argv = [a.format(scalar=FIXTURES / "scalar.json", mech=scalar_artifacts, tmp=tmp_path)
             for a in argv]
     proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN_SCRIPT, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "ran": ran}
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert set(result.pop("heavy")).isdisjoint(unloaded), proc.stdout
+    assert result == {"code": 0, "ran": ran}
 
 
 _LAYERS_SCRIPT = """

@@ -1,5 +1,6 @@
 """Model file parsing, invariant validation and override handling."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -101,6 +102,14 @@ def test_content_hash_sensitivity():
     _, req2 = with_overrides(model, req, eps_u=2.0)
     assert content_hash(model, req2) != base
     assert len(base) == 64 and all(c in "0123456789abcdef" for c in base)
+
+
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "eps_u_zero"])
+def test_content_hash_is_the_sha256_of_the_canonical_dict(name):
+    """The package's SHA-256 binding gives hashlib's digest."""
+    model, req = parse_model(load_raw(name))
+    blob = json.dumps(to_dict(model, req), sort_keys=True, separators=(",", ":"))
+    assert content_hash(model, req) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def test_validate_accepts_fixtures():
