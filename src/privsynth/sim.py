@@ -9,9 +9,18 @@ adversaries against each trajectory:
 * a baseline observer with the clean measurements Y and the true input U,
   whose estimate is the exact conditional mean.
 
-Random draws use counter-based Philox streams keyed by (salt, seed, tag),
-one per draw category. Runs are rows of those streams, drawn in order, so
-run i of a batch is identical regardless of the batch size.
+Random draws come from two kinds of counter-based stream, each keyed by
+(salt, seed, tag):
+
+* the per-run streams, tags 0-4, one per draw category, are numpy Philox
+  generators. Runs are rows of those streams, drawn in order, so run i of
+  a batch is identical regardless of the batch size. ``simulate``,
+  ``apply_mechanism`` and ``_simulate_batch`` draw from them.
+* the moment stream, tag 5, is ``run_experiment``'s own: SplitMix64 on a
+  counter (``SplitMix64``), keyed by the first 8 bytes of SHA-256, with
+  normals by Box-Muller and chi-square variates by Marsaglia-Tsang. Its
+  draws depend on no numpy.random algorithm, and the Monte Carlo command
+  never imports numpy.random.
 
 ``run_experiment`` simulates probe runs only. Every per-run number it sums
 (each adversary's error, the first private component and its estimate, the
@@ -22,7 +31,7 @@ number then follow exactly from three statistics of the normals of each
 batch of m runs: m, the sum and the Gram matrix e^T e.
 
 Those statistics have a known joint law, so each batch's are drawn directly
-from one further stream: the mean e_bar ~ N(0, I/m) is independent of the
+from the moment stream: the mean e_bar ~ N(0, I/m) is independent of the
 centred scatter S ~ Wishart(m - 1, I), drawn by the Bartlett decomposition
 (Odell & Feiveson, JASA 61, 1966), and Gram = S + m e_bar e_bar^T. A batch
 of m <= W runs draws its m x W normals instead. Each batch's Gram matrix is
@@ -44,7 +53,7 @@ import numpy as np
 
 from .gauss import cho_solve, cholesky
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments
-from .model import SystemModel, SynthesisRequest
+from .model import SystemModel, SynthesisRequest, sha256
 from .synth import Mechanism
 
 _SALT = 0x70726976
@@ -60,9 +69,99 @@ _TAG_MOMENTS = 5   # run_experiment's per-batch sums and Gram matrices
 N_BATCHES = 20     # batches of the batch-means standard error
 
 
+def _seed(seed) -> int:
+    """seed as a Python int: a non-negative int or numpy integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def stream(seed: int, tag: int) -> np.random.Generator:
-    """Independent counter-based generator for one draw category."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((_SALT, int(seed), int(tag)))))
+    """Independent counter-based generator for one per-run draw category."""
+    key = np.random.SeedSequence((_SALT, _seed(seed), int(tag)))
+    return np.random.Generator(np.random.Philox(key))
+
+
+class SplitMix64:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) on a counter: output i
+    = 1, 2, ... is the mix of key + i * 0x9E3779B97F4A7C15, so each draw is
+    a function of its counter alone, and n1 draws then n2 equal n1 + n2."""
+
+    _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+    _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+    def __init__(self, key: int):
+        self.key = np.uint64(key)
+        self.count = 0      # outputs drawn so far
+
+    def integers(self, n: int) -> np.ndarray:
+        """The next n outputs, uint64. Array arithmetic wraps modulo 2^64."""
+        z = np.arange(self.count + 1, self.count + n + 1, dtype=np.uint64)
+        self.count += n
+        z *= self._GAMMA
+        z += self.key
+        for shift, mult in zip((30, 27), self._MIX):
+            z ^= z >> shift
+            z *= mult
+        return z ^ (z >> 31)
+
+    def random(self, n: int) -> np.ndarray:
+        """n uniforms on (0, 1]: ((z >> 11) + 1) 2^-53 of the next n outputs."""
+        z = self.integers(n)
+        z >>= 11
+        z += 1
+        u = z.astype(float)
+        u *= 2.0 ** -53
+        return u
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        """n standard normals by Box-Muller from ceil(n / 2) pairs (u1, u2) of
+        uniforms, u1 the first half of the draw and u2 the second: radius
+        sqrt(-2 ln u1) and angle 2 pi u2 - pi, whose cosine and sine come
+        from t = tan(pi (u2 - 1/2)) as (1 - t^2) / (1 + t^2) and
+        2 t / (1 + t^2), one tangent costing less than a cosine and a sine.
+        The cosines come first, then the sines; an odd n drops the last sine.
+        """
+        h = (n + 1) // 2
+        u = self.random(2 * h)
+        r = np.sqrt(-2 * np.log(u[:h]))
+        t = np.tan(np.pi * (u[h:] - 0.5))
+        r /= 1 + t * t
+        return np.concatenate([r * (1 - t * t), 2 * r * t])[:n]
+
+    def chisquare(self, df: np.ndarray) -> np.ndarray:
+        """One chi-square variate per entry of df >= 1: 2 Gamma(df / 2) by
+        Marsaglia & Tsang (ACM TOMS 26(3), 2000), each round drawing one
+        normal and one uniform per variate still rejected. Shapes a < 1 are
+        Gamma(a + 1) U^(1/a), the U drawn after all the gamma variates."""
+        a = np.asarray(df, dtype=float) / 2
+        boost = a < 1
+        d = np.where(boost, a + 1, a) - 1 / 3
+        c = 1 / np.sqrt(9 * d)
+        g = np.empty_like(d)
+        todo = np.arange(d.size)
+        while todo.size:
+            x, u = self.standard_normal(todo.size), self.random(todo.size)
+            dt, v = d[todo], (1 + c[todo] * x) ** 3
+            ok = v > 0
+            v = np.where(ok, v, 1.0)        # keeps the log finite where rejected
+            ok &= np.log(u) < x * x / 2 + dt - dt * v + dt * np.log(v)
+            g[todo[ok]] = (dt * v)[ok]
+            todo = todo[~ok]
+        g[boost] *= self.random(int(boost.sum())) ** (1 / a[boost])
+        return 2 * g
+
+
+def _key(seed: int, tag: int) -> int:
+    """SplitMix64 key of one (seed, tag): the first 8 bytes, little-endian,
+    of the SHA-256 of "salt,seed,tag" in decimal ASCII."""
+    text = f"{_SALT},{_seed(seed)},{int(tag)}"
+    return int.from_bytes(sha256(text.encode("ascii")).digest()[:8], "little")
+
+
+def moment_stream(seed: int) -> SplitMix64:
+    """run_experiment's generator of the seed's batch moments."""
+    return SplitMix64(_key(seed, _TAG_MOMENTS))
 
 
 @dataclass(frozen=True)
@@ -363,22 +462,24 @@ def _slot_sizes(n_runs: int) -> list[int]:
     return [n_runs // b] * b + [n_runs % b]
 
 
-def _slot_moments(gen: np.random.Generator, m: int, W: int) -> tuple[np.ndarray, np.ndarray]:
+def _slot_moments(gen: SplitMix64, m: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum (W,) and Gram matrix (W, W) of m runs of W standard normals,
     drawn from their joint law with the next draws of gen.
 
-    For m - 1 >= W: the mean e_bar = N(0, I)/sqrt(m), then S = L L^T with L
-    lower triangular, L_ii = sqrt(chi2(m - 1 - i)) for i = 0..W-1 and
-    N(0, 1) entries below the diagonal, drawn row by row (Bartlett); the sum
-    is m e_bar and the Gram matrix S + m e_bar e_bar^T. For fewer runs S is
-    singular and the m x W normals themselves are drawn.
+    For m - 1 >= W: W + W (W - 1) / 2 normals in one draw, the first W for
+    the mean e_bar = N(0, I)/sqrt(m) and the rest for the entries below the
+    diagonal of a lower triangular L, row by row; then L_ii =
+    sqrt(chi2(m - 1 - i)) for i = 0..W-1 (Bartlett). S = L L^T, the sum is
+    m e_bar and the Gram matrix S + m e_bar e_bar^T. For fewer runs S is
+    singular and the m x W normals themselves are drawn, row by row.
     """
     if m - 1 < W:
-        e = gen.standard_normal((m, W))
+        e = gen.standard_normal(m * W).reshape(m, W)
         return e.sum(axis=0), e.T @ e
-    e_bar = gen.standard_normal(W) / np.sqrt(m)
+    z = gen.standard_normal(W + W * (W - 1) // 2)
+    e_bar = z[:W] / np.sqrt(m)
     L = np.diag(np.sqrt(gen.chisquare(m - 1 - np.arange(W))))
-    L[np.tril_indices(W, -1)] = gen.standard_normal(W * (W - 1) // 2)
+    L[np.tril_indices(W, -1)] = z[W:]
     return m * e_bar, L @ L.T + m * np.outer(e_bar, e_bar)
 
 
@@ -492,20 +593,21 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
 
     Each slot of runs (the batches of the standard error, then the
     remainder) gets the sum and the Gram matrix of its normals from
-    ``_slot_moments``, in slot order from one stream of the seed. Each Gram
-    matrix is folded to its quadratic forms as soon as it is drawn, so one
-    slot's W x W matrix is held at a time, plus every slot's sums (W,) and
-    quadratic forms (Q,): time and memory do not grow with n_runs, nor
+    ``_slot_moments``, in slot order from the seed's ``moment_stream``. Each
+    Gram matrix is folded to its quadratic forms as soon as it is drawn, so
+    one slot's W x W matrix is held at a time, plus every slot's sums (W,)
+    and quadratic forms (Q,): time and memory do not grow with n_runs, nor
     memory with the slot count. The call runs on the calling thread only.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
     if req.K != mech.K:
         raise ValueError(f"request horizon {req.K} does not match mechanism horizon {mech.K}")
+    seed = _seed(seed)      # the summary records the seed as a Python int
     exp = _Experiment.of(model, req, mech)
     sizes = _slot_sizes(n_runs)
     first, quad = np.empty((len(sizes), exp.W)), np.empty((len(sizes), exp.M.shape[1]))
-    gen = stream(seed, _TAG_MOMENTS)
+    gen = moment_stream(seed)
     for slot, m in enumerate(sizes):
         first[slot], gram = _slot_moments(gen, m, exp.W)
         quad[slot] = exp.quadratic(gram)

@@ -596,30 +596,30 @@ ran = sorted(name.split(".")[1] for name, mod in sys.modules.items()
              if name.startswith("privsynth.") and name != "privsynth.cli"
              and type(mod) is types.ModuleType)
 # _hashlib is the OpenSSL binding.
-heavy = [name for name in ("_hashlib", "logging") if name in sys.modules]
+heavy = [name for name in ("_hashlib", "logging", "numpy.random") if name in sys.modules]
 print(json.dumps({"code": code, "ran": ran, "heavy": heavy}))
 """
 
 
 @pytest.mark.parametrize("argv, ran, unloaded", [
-    (["validate", "{scalar}"], ["model"], ["_hashlib", "logging"]),
+    (["validate", "{scalar}"], ["model"], ["_hashlib", "logging", "numpy.random"]),
     (["synthesize", "{scalar}", "{tmp}/m.json"], ["gauss", "lift", "model", "sdp", "synth"],
-     ["_hashlib", "logging"]),
+     ["_hashlib", "logging", "numpy.random"]),
     (["evaluate", "{scalar}", "{mech}"], ["gauss", "lift", "model", "synth"],
-     ["_hashlib", "logging"]),
-    # numpy.random loads OpenSSL through secrets and hmac.
+     ["_hashlib", "logging", "numpy.random"]),
     (["simulate", "{scalar}", "{mech}", "{tmp}/s.csv", "--n-runs", "10"],
-     ["gauss", "lift", "model", "sim", "synth"], ["logging"]),
+     ["gauss", "lift", "model", "sim", "synth"], ["_hashlib", "logging", "numpy.random"]),
     # The rows run in workers; the parent loads their modules before forking.
     # concurrent.futures loads logging.
     (["sweep", "{scalar}", "{tmp}/s.csv", "--eps-y-grid", "1,2", "--eps-u-grid", "1",
-      "--jobs", "2"], ["gauss", "lift", "model", "sdp", "synth"], ["_hashlib"]),
+      "--jobs", "2"], ["gauss", "lift", "model", "sdp", "synth"], ["_hashlib", "numpy.random"]),
 ], ids=["validate", "synthesize", "evaluate", "simulate", "sweep"])
 def test_each_command_runs_only_the_modules_it_calls(scalar_artifacts, tmp_path, argv, ran,
                                                      unloaded):
     """validate runs only the model module's code, simulate never the
     solver's and no design command the simulator's. No command loads
-    OpenSSL for its digests or logging for its diagnostics."""
+    OpenSSL for its digests, logging for its diagnostics or numpy.random
+    for its draws."""
     argv = [a.format(scalar=FIXTURES / "scalar.json", mech=scalar_artifacts, tmp=tmp_path)
             for a in argv]
     proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN_SCRIPT, *argv],

@@ -192,7 +192,7 @@ def test_slot_moments_have_the_law_of_m_runs(m):
     sum of m products of independent standard normals). A direct draw is
     the moments of the stream's next m x W normals."""
     W, N = 3, 4000
-    gen = sim.stream(2, sim._TAG_MOMENTS)
+    gen = sim.moment_stream(2)
     draws = [sim._slot_moments(gen, m, W) for _ in range(N)]
     sums = np.array([d[0] for d in draws])
     grams = np.array([d[1] for d in draws])
@@ -207,8 +207,8 @@ def test_slot_moments_have_the_law_of_m_runs(m):
     assert np.all(np.abs(grams.var(axis=0, ddof=1) - m * (1 + eye)) <= 4.5 * np.sqrt(var / N))
 
     if m - 1 < W:
-        first, gram = sim._slot_moments(sim.stream(3, sim._TAG_MOMENTS), m, W)
-        e = sim.stream(3, sim._TAG_MOMENTS).standard_normal((m, W))
+        first, gram = sim._slot_moments(sim.moment_stream(3), m, W)
+        e = sim.moment_stream(3).standard_normal(m * W).reshape(m, W)
         np.testing.assert_array_equal(first, e.sum(axis=0))
         np.testing.assert_array_equal(gram, e.T @ e)
 
@@ -292,7 +292,7 @@ def test_prefetch_matches_serial_draws(twostate_case, twostate_report, n_runs):
     model, req = twostate_case
     mech = twostate_report.mechanism
     exp = sim._Experiment.of(model, req, mech)
-    gen = sim.stream(5, sim._TAG_MOMENTS)
+    gen = sim.moment_stream(5)
     drawn = [sim._slot_moments(gen, m, exp.W) for m in sim._slot_sizes(n_runs)]
     first = np.stack([sums for sums, _ in drawn])
     quad = np.stack([exp.quadratic(gram) for _, gram in drawn])
