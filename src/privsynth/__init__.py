@@ -23,9 +23,12 @@ import sys
 # The program's matrices are at most a few hundred wide, where BLAS worker
 # threads cost more in synchronization than they save, and ``sweep --jobs``
 # already runs one solve per core. Default BLAS to one thread before numpy
-# loads it; a value set in the environment still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+# loads it; a value set in the environment still wins. Each manifest records
+# these variables.
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in _THREAD_ENV:
+    os.environ.setdefault(_name, "1")
+del _name
 
 __version__ = "0.1.0"
 

@@ -13,6 +13,7 @@ budgets, 3 solver or extraction failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -24,10 +25,8 @@ import time
 # The package loads lift, sdp, synth and sim lazily: a command runs the code
 # of only the modules it calls through, so they are called as attributes of
 # their module rather than imported by name.
-from . import __version__, lift, sdp, sim, synth
-from .model import ValidationError, load_model, sha256, validate, with_overrides
-
-_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+from . import _THREAD_ENV, __version__, lift, sdp, sim, synth
+from .model import ValidationError, load_model, sha256, validate, with_overrides, write_json
 
 # 17 significant digits, lossless for doubles; nan and +-inf print as
 # "nan", "inf" and "-inf".
@@ -72,17 +71,6 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_json(doc: dict, path: str | None = None) -> None:
-    """doc as indented, key-sorted JSON ending in a newline, written to path
-    or, without one, to stdout."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if not path:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_csv(path: str, manifest_hash: str, header: str, rows) -> None:
     """A CSV artifact: the manifest-hash comment line, the header, then one
     line per row, its floats by ``_fmt`` and every other cell by ``str``."""
@@ -115,7 +103,7 @@ def _write_manifest(path: str, core: dict, manifest_hash: str,
     }
     # Execution setting, kept out of the hashed core like the timing.
     doc["thread_env"] = {name: os.environ.get(name) for name in _THREAD_ENV}
-    _write_json(doc, path)
+    write_json(doc, path)
 
 
 def _strip(path: str, ext: str) -> str:
@@ -169,15 +157,13 @@ def cmd_synthesize(args) -> int:
 
     rep.mechanism.provenance["manifest_hash"] = mh
     synth.save_mechanism(rep.mechanism, args.out_mechanism)
-    _write_json({**rep.to_dict(), "manifest_hash": mh}, report_path)
+    write_json({**rep.to_dict(), "manifest_hash": mh}, report_path)
     _write_csv(iters_path, mh, "iter,mu,objective",
                ((r.iteration, r.mu, r.objective) for r in rep.solution.iterations))
     _write_manifest(manifest_path, core, mh,
                     [args.out_mechanism, report_path, iters_path], t0)
 
-    print(f"status=Optimal cost_bits={rep.cost_bits:.9g} mi_bits={rep.mi_bits:.9g} "
-          f"entropy_H_bits={rep.entropy_H_bits:.9g} distortion_Y={rep.distortion_Y:.9g} "
-          f"distortion_U={rep.distortion_U:.9g}")
+    print("status=Optimal", *(f"{name}={value:.9g}" for name, value in rep.figures().items()))
     return 0
 
 
@@ -194,15 +180,7 @@ def cmd_evaluate(args) -> int:
     _check_dims(model, req, mech)
 
     metrics = synth.evaluate_mechanism(model, req, mech)
-    doc = {
-        "mi_bits": metrics.mi_bits,
-        "entropy_H_bits": metrics.entropy_H_bits,
-        "cost_bits": metrics.cost_bits,
-        "distortion_Y": metrics.distortion_Y,
-        "distortion_U": metrics.distortion_U,
-        "manifest_hash": mh,
-    }
-    _write_json(doc, args.out)
+    write_json({**metrics.figures(), "manifest_hash": mh}, args.out)
     if args.out:
         _write_manifest(_strip(args.out, ".json") + ".manifest.json", core, mh,
                         [args.out], t0)
@@ -222,9 +200,10 @@ def cmd_simulate(args) -> int:
     _check_dims(model, req, mech)
 
     summ = sim.run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed)
-    _write_csv(args.out_csv, mh, "k,mse_yu,mse_zr,se_mse_zr,s_mean,shat_zr_mean",
-               ((k + 1, summ.mse_yu[k], summ.mse_zr[k], summ.se_mse_zr[k], summ.s_mean[k],
-                 summ.shat_zr_mean[k]) for k in range(summ.K)))
+    doc = summ.to_dict()
+    curves = [name for name, value in doc.items() if isinstance(value, list)]
+    _write_csv(args.out_csv, mh, ",".join(["k", *curves]),
+               ((k, *row) for k, row in enumerate(zip(*(doc[name] for name in curves)), 1)))
     _write_manifest(_strip(args.out_csv, ".csv") + ".manifest.json", core, mh,
                     [args.out_csv], t0)
     print(f"n_runs={summ.n_runs} mse_yu_total={summ.mse_yu_total:.9g} "
@@ -240,10 +219,9 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float,
     The output design (G, Sigma_V) does not depend on eps_U. The first cell
     that passes validation and the input-noise closed form is synthesized;
     every later such cell pairs that design with its own input noise, or
-    gets the status the solve failed with. Returns one (status, cost, mi,
-    entropy, distortion_Y, distortion_U) tuple per eps_U.
+    gets the status the solve failed with. Returns one (status, metrics)
+    pair per eps_U, its metrics None unless the status is Optimal.
     """
-    nan = math.nan
     model, req = load_model(model_path)
     lifted = mom = None  # the row's horizon lift and output moments, built for its first valid cell
     design = None      # the row's solved mechanism, or the status its solve failed with
@@ -277,9 +255,7 @@ def _sweep_row(model_path: str, k: int | None, eps_y: float,
             status = "ValidationError"
         if solving and status != "Optimal":
             design = status
-        cells.append((status, met.cost_bits, met.mi_bits, met.entropy_H_bits,
-                      met.distortion_Y, met.distortion_U) if status == "Optimal"
-                     else (status, nan, nan, nan, nan, nan))
+        cells.append((status, met if status == "Optimal" else None))
     return cells
 
 
@@ -315,11 +291,12 @@ def cmd_sweep(args) -> int:
     else:
         results = list(map(row, grid_y))
 
-    _write_csv(args.out_csv, mh, "eps_Y,eps_U,cost_bits,mi_bits,entropy_H_bits,"
-               "distortion_Y,distortion_U,solver_status",
-               ((ey, eu, cost, mi, ent, dy, du, status)
+    # A cell without metrics has NaN figures.
+    names = [f.name for f in dataclasses.fields(synth.MechanismMetrics)]
+    _write_csv(args.out_csv, mh, ",".join(["eps_Y", "eps_U", *names, "solver_status"]),
+               ((ey, eu, *(getattr(met, name, math.nan) for name in names), status)
                 for ey, cells in zip(grid_y, results)
-                for eu, (status, cost, mi, ent, dy, du) in zip(grid_u, cells)))
+                for eu, (status, met) in zip(grid_u, cells)))
     _write_manifest(_strip(args.out_csv, ".csv") + ".manifest.json", core, mh,
                     [args.out_csv], t0)
 

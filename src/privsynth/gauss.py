@@ -187,12 +187,14 @@ def entropy(Sigma: np.ndarray) -> float:
     return 0.5 * _logdet2(Sigma, "entropy covariance") + n * HALF_LOG2_2PIE
 
 
-def _conditional_cov(joint: GaussianJoint) -> np.ndarray:
-    """Sigma_xx - Sigma_xy Sigma_yy^{-1} Sigma_yx via a triangular solve."""
-    Ly = _chol(joint.Sigma_yy, "Sigma_yy")
+def _conditional_cov(Sigma_xx: np.ndarray, Sigma_xy: np.ndarray,
+                     Sigma_yy: np.ndarray) -> np.ndarray:
+    """Sigma_xx - Sigma_xy Sigma_yy^{-1} Sigma_yx via a triangular solve, from
+    the blocks of a joint covariance."""
+    Ly = _chol(Sigma_yy, "Sigma_yy")
     # T = Ly^{-1} Sigma_yx, so the correction is T^T T.
-    T = solve_lower(Ly, joint.Sigma_xy.T)
-    return _sym(joint.Sigma_xx - T.T @ T)
+    T = solve_lower(Ly, Sigma_xy.T)
+    return _sym(Sigma_xx - T.T @ T)
 
 
 def mutual_information(joint: GaussianJoint) -> float:
@@ -206,7 +208,7 @@ def mutual_information(joint: GaussianJoint) -> float:
     warning and returns +inf.
     """
     logdet_xx = _logdet2(joint.Sigma_xx, "Sigma_xx")
-    cond = _conditional_cov(joint)
+    cond = _conditional_cov(joint.Sigma_xx, joint.Sigma_xy, joint.Sigma_yy)
     try:
         logdet_cond = _logdet2(cond, "conditional covariance")
     except NotPositiveDefinite:
@@ -237,4 +239,4 @@ def mmse_estimate(joint: GaussianJoint, y: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError(f"y must have length {joint.n}, got {y.shape[0]}")
     Ly = _chol(joint.Sigma_yy, "Sigma_yy")
     xhat = joint.mu_x + joint.Sigma_xy @ cho_solve(Ly, y - joint.mu_y)
-    return xhat, _conditional_cov(joint)
+    return xhat, _conditional_cov(joint.Sigma_xx, joint.Sigma_xy, joint.Sigma_yy)

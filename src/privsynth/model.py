@@ -9,8 +9,10 @@ the horizon; the budgets accept the string ``"inf"``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,11 +359,26 @@ def to_dict(model: SystemModel, req: SynthesisRequest) -> dict:
     }
 
 
+def write_json(doc: dict, path: str | None = None) -> None:
+    """The package's one JSON artifact format: doc as indented, key-sorted
+    JSON ending in a newline, written to path or, without one, to stdout.
+    It is streamed: the whole text of a large document is never held."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_model(model: SystemModel, req: SynthesisRequest, path: str) -> None:
     """Write the expanded model; load_model(save_model(...)) is bit-exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(model, req), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(to_dict(model, req), path)
+
+
+def check_seed(seed) -> int:
+    """seed as a Python int: a non-negative int or numpy integer, not a bool
+    or a float; anything else is a ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def content_hash(model: SystemModel, req: SynthesisRequest) -> str:

@@ -47,13 +47,13 @@ the realization: the per-run streams are left to ``simulate``,
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .gauss import cho_solve, cholesky
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments
-from .model import SystemModel, SynthesisRequest, sha256
+from .model import SystemModel, SynthesisRequest, check_seed, sha256
 from .synth import Mechanism
 
 _SALT = 0x70726976
@@ -69,16 +69,9 @@ _TAG_MOMENTS = 5   # run_experiment's per-batch sums and Gram matrices
 N_BATCHES = 20     # batches of the batch-means standard error
 
 
-def _seed(seed) -> int:
-    """seed as a Python int: a non-negative int or numpy integer, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
 def stream(seed: int, tag: int) -> np.random.Generator:
     """Independent counter-based generator for one per-run draw category."""
-    key = np.random.SeedSequence((_SALT, _seed(seed), int(tag)))
+    key = np.random.SeedSequence((_SALT, check_seed(seed), int(tag)))
     return np.random.Generator(np.random.Philox(key))
 
 
@@ -155,7 +148,7 @@ class SplitMix64:
 def _key(seed: int, tag: int) -> int:
     """SplitMix64 key of one (seed, tag): the first 8 bytes, little-endian,
     of the SHA-256 of "salt,seed,tag" in decimal ASCII."""
-    text = f"{_SALT},{_seed(seed)},{int(tag)}"
+    text = f"{_SALT},{check_seed(seed)},{int(tag)}"
     return int.from_bytes(sha256(text.encode("ascii")).digest()[:8], "little")
 
 
@@ -190,7 +183,10 @@ class AdversaryResult:
 
 @dataclass
 class ExperimentSummary:
-    """Per-step Monte Carlo error curves and empirical distortion figures."""
+    """Per-step Monte Carlo error curves and empirical distortion figures.
+
+    The (K,) arrays are the per-step curves; ``simulate`` writes one CSV
+    column for each, in field order."""
 
     K: int
     n_runs: int
@@ -210,24 +206,9 @@ class ExperimentSummary:
     se_distortion_U: float
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "n_runs": self.n_runs,
-            "seed": self.seed,
-            "mse_yu": self.mse_yu.tolist(),
-            "mse_zr": self.mse_zr.tolist(),
-            "se_mse_zr": self.se_mse_zr.tolist(),
-            "s_mean": self.s_mean.tolist(),
-            "shat_zr_mean": self.shat_zr_mean.tolist(),
-            "mse_yu_total": self.mse_yu_total,
-            "mse_zr_total": self.mse_zr_total,
-            "mse_yu_theory": self.mse_yu_theory,
-            "mse_zr_theory": self.mse_zr_theory,
-            "distortion_Y_hat": self.distortion_Y_hat,
-            "se_distortion_Y": self.se_distortion_Y,
-            "distortion_U_hat": self.distortion_U_hat,
-            "se_distortion_U": self.se_distortion_U,
-        }
+        """Every field by name, in field order, the arrays as lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in doc.items()}
 
 
 def _streams(seed: int) -> list[np.random.Generator]:
@@ -603,7 +584,7 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
         raise ValueError("n_runs must be positive")
     if req.K != mech.K:
         raise ValueError(f"request horizon {req.K} does not match mechanism horizon {mech.K}")
-    seed = _seed(seed)      # the summary records the seed as a Python int
+    seed = check_seed(seed)  # the summary records the seed as a Python int
     exp = _Experiment.of(model, req, mech)
     sizes = _slot_sizes(n_runs)
     first, quad = np.empty((len(sizes), exp.W)), np.empty((len(sizes), exp.M.shape[1]))

@@ -28,17 +28,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__ as _version
 from . import sdp
-from .gauss import (GaussianJoint, _conditional_cov, _sym, cho_solve, cholesky, entropy,
-                    mutual_information)
+from .gauss import _conditional_cov, _sym, cho_solve, cholesky, entropy, mutual_information
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments, joint_ZS_moments
 from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationReport,
-                    content_hash, validate)
+                    check_seed, content_hash, validate, write_json)
 
 DET_FLAG_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-8
@@ -145,9 +144,7 @@ class Mechanism:
 
 
 def save_mechanism(mech: Mechanism, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mech.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(mech.to_dict(), path)
 
 
 def load_mechanism(path: str) -> Mechanism:
@@ -162,37 +159,34 @@ def load_mechanism(path: str) -> Mechanism:
 
 @dataclass(frozen=True)
 class MechanismMetrics:
-    """Closed-form information and distortion figures for one mechanism."""
+    """Closed-form information and distortion figures for one mechanism.
 
+    The fields name the figures and fix their order wherever they are
+    reported: the synthesize report and status line, ``evaluate`` and the
+    sweep columns."""
+
+    cost_bits: float
     mi_bits: float
     entropy_H_bits: float
-    cost_bits: float
     distortion_Y: float
     distortion_U: float
 
+    def figures(self) -> dict:
+        """The figures by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(MechanismMetrics)}
 
-@dataclass
-class SynthesisReport:
+
+@dataclass(frozen=True)
+class SynthesisReport(MechanismMetrics):
+    """The synthesized mechanism, its figures and the solve's record."""
+
     mechanism: Mechanism
-    mi_bits: float
-    entropy_H_bits: float
-    cost_bits: float
-    distortion_Y: float
-    distortion_U: float
     solver: dict
     flags: dict
     solution: "sdp.SdpSolution | None" = None   # full solver record, not serialized
 
     def to_dict(self) -> dict:
-        return {
-            "mi_bits": self.mi_bits,
-            "entropy_H_bits": self.entropy_H_bits,
-            "cost_bits": self.cost_bits,
-            "distortion_Y": self.distortion_Y,
-            "distortion_U": self.distortion_U,
-            "solver": self.solver,
-            "flags": self.flags,
-        }
+        return {**self.figures(), "solver": self.solver, "flags": self.flags}
 
 
 @dataclass(frozen=True)
@@ -387,10 +381,9 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     values = dict(sol.variables)
     Gt = g_blocks_to_matrix(values["G"].reshape(ctx.K, ctx.n_y, ctx.n_y))
     cov_ZS = Gt @ ctx.mom.cov_YS
-    # Schur is the conditional covariance of S given Z; the means do not enter.
-    joint = GaussianJoint.from_blocks(ctx.mom.mu_S, ctx.mom.mu_Y, ctx.mom.Sigma_S, cov_ZS.T,
-                                      values["Sigma_Z"])
-    values["Pi"] = _conditional_cov(joint) / (1.0 + sol.mu_final)
+    # Schur is the conditional covariance of S given Z.
+    schur = _conditional_cov(ctx.mom.Sigma_S, cov_ZS.T, values["Sigma_Z"])
+    values["Pi"] = schur / (1.0 + sol.mu_final)
     ns = problem.sym_vars["Pi"].n
     log_full = [replace(rec, objective=rec.objective + ns * math.log2(1.0 + rec.mu))
                 for rec in sol.iterations]
@@ -504,12 +497,8 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
     dist_u_active = abs(metrics.distortion_U - req.eps_u) <= BUDGET_ACTIVE_RTOL * req.eps_u
 
     return SynthesisReport(
+        **metrics.figures(),
         mechanism=mech,
-        mi_bits=metrics.mi_bits,
-        entropy_H_bits=metrics.entropy_H_bits,
-        cost_bits=metrics.cost_bits,
-        distortion_Y=metrics.distortion_Y,
-        distortion_U=metrics.distortion_U,
         solver={
             "status": sol.status.value,
             "objective": sol.objective,
@@ -556,9 +545,9 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
     dist_u = float(np.sum(mech.Sigma_H * MUq.T))
 
     return MechanismMetrics(
+        cost_bits=mi - ent_h,
         mi_bits=mi,
         entropy_H_bits=ent_h,
-        cost_bits=mi - ent_h,
         distortion_Y=dist_y,
         distortion_U=dist_u,
     )
@@ -569,10 +558,11 @@ def sample_mechanism(mech: Mechanism, y_seq: np.ndarray, u_seq: np.ndarray,
     """One draw of the disclosed sequences for given clean (y, u) sequences.
 
     y_seq is (K, n_y), u_seq is (K, n_u); returns (z_seq, r_seq) of the same
-    shapes. An integer rng seeds a counter-based generator.
+    shapes. Any rng but a Generator is a seed under ``model.check_seed``'s
+    rule and seeds a counter-based generator.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(rng))))
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(rng))))
     K, n_y = mech.K, mech.n_y
     y = np.asarray(y_seq, dtype=float).reshape(K * n_y)
     NU = mech.Sigma_H.shape[0]

@@ -1,6 +1,7 @@
 """End-to-end command line behavior via subprocesses: exit codes, artifact
 formats, manifests and determinism."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -103,11 +104,16 @@ def test_iteration_csv_header_and_rows(scalar_artifacts):
 
 
 def test_synthesize_status_line(tmp_path):
+    """The whole line: the status, then each figure of the report in the
+    order of ``MechanismMetrics``'s fields, at 9 significant digits."""
+    names = ["cost_bits", "mi_bits", "entropy_H_bits", "distortion_Y", "distortion_U"]
+    assert [f.name for f in dataclasses.fields(synth_module.MechanismMetrics)] == names
     out = tmp_path / "m.json"
     proc = cli("synthesize", FIXTURES / "scalar.json", out)
     assert proc.returncode == 0
-    assert proc.stdout.startswith("status=Optimal ")
-    assert "cost_bits=" in proc.stdout and "distortion_U=" in proc.stdout
+    report = json.loads((tmp_path / "m.report.json").read_text())
+    assert proc.stdout == " ".join(
+        ["status=Optimal", *(f"{name}={report[name]:.9g}" for name in names)]) + "\n"
 
 
 def test_near_singular_output_noise_is_one_stderr_line(tmp_path):

@@ -1,0 +1,54 @@
+"""Invariances the mathematics guarantees: the input budget moves only the
+closed-form entropy term, and a change of state coordinates changes nothing
+the program sees."""
+
+import dataclasses
+import pathlib
+
+import numpy as np
+import pytest
+
+from privsynth.model import load_model, with_overrides
+from privsynth.synth import synthesize
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("name", ["twostate", "reactor4"])
+def test_output_design_does_not_depend_on_the_input_budget(name):
+    """G, Sigma_V and the iteration log are bitwise the same at every eps_U;
+    only the input noise and its entropy move."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    reps = [synthesize(*with_overrides(model, req, eps_u=eu)) for eu in (0.5, 1.0, 7.0)]
+    first = reps[0]
+    for rep in reps[1:]:
+        for g, g0 in zip(rep.mechanism.G_blocks, first.mechanism.G_blocks, strict=True):
+            np.testing.assert_array_equal(g, g0)
+        np.testing.assert_array_equal(rep.mechanism.Sigma_V, first.mechanism.Sigma_V)
+        assert rep.solution.iterations == first.solution.iterations
+        assert rep.entropy_H_bits != first.entropy_H_bits
+
+
+@pytest.mark.parametrize("name", ["twostate", "reactor4"])
+def test_state_coordinates_do_not_matter(name):
+    """Under x' = T x (A' = T A T^-1, B' = T B, C' = C T^-1, D' = D T^-1,
+    Sigma' = T Sigma T^T, mu' = T mu) the leakage, the cost and the Newton
+    step count are unchanged; T = I + 0.3 N(0, 1), three draws."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    base = synthesize(model, req)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        T = np.eye(model.n_x) + 0.3 * rng.standard_normal((model.n_x, model.n_x))
+        Ti = np.linalg.inv(T)
+        moved = dataclasses.replace(
+            model, A=T @ model.A @ Ti, B=T @ model.B, C=model.C @ Ti, D=model.D @ Ti,
+            mu_x1=T @ model.mu_x1, Sigma_x1=_sym(T @ model.Sigma_x1 @ T.T),
+            Sigma_T=_sym(T @ model.Sigma_T @ T.T))
+        rep = synthesize(moved, req)
+        assert abs(rep.mi_bits - base.mi_bits) <= 1e-12, np.linalg.cond(T)
+        assert abs(rep.cost_bits - base.cost_bits) <= 1e-12, np.linalg.cond(T)
+        assert rep.solver["newton_steps"] == base.solver["newton_steps"]

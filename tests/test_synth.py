@@ -282,7 +282,7 @@ def test_rejected_packed_point_is_a_solver_failure(monkeypatch, scalar_case):
     with Pi twice its closed form the leakage LMI fails, and ``synthesize``
     raises SolverFailure with a NumericalFailure solution."""
     real = synth_module._conditional_cov
-    monkeypatch.setattr(synth_module, "_conditional_cov", lambda joint: 2.0 * real(joint))
+    monkeypatch.setattr(synth_module, "_conditional_cov", lambda *blocks: 2.0 * real(*blocks))
     model, req = scalar_case
     with pytest.raises(SolverFailure, match="rejects the packed leakage bound") as exc:
         synthesize(model, req)
@@ -456,6 +456,21 @@ def test_sample_mechanism_deterministic(scalar_report):
     z3, _ = sample_mechanism(mech, y, u, rng=78)
     assert np.any(z3 != z1)
     assert z1.shape == (2, 1) and r1.shape == (2, 1)
+
+
+@pytest.mark.parametrize("seed", [True, 1.9, -1], ids=["bool", "float", "negative"])
+def test_sample_mechanism_rejects_a_bad_seed(scalar_report, seed):
+    """The seed rule of the Monte Carlo streams: a bool or a float is no
+    seed (True would read as seed 1), nor is a negative integer."""
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        sample_mechanism(scalar_report.mechanism, np.zeros((2, 1)), np.zeros((2, 1)), rng=seed)
+
+
+def test_sample_mechanism_takes_a_numpy_integer_seed(scalar_report):
+    mech, y, u = scalar_report.mechanism, np.array([[0.3], [-0.1]]), np.zeros((2, 1))
+    for got, want in zip(sample_mechanism(mech, y, u, rng=np.int64(7)),
+                         sample_mechanism(mech, y, u, rng=7), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_infeasible_budget_is_blamed():
