@@ -63,9 +63,8 @@ _OWNERS = {
     "sdp": ("SdpProblem", "SdpSolution", "SolverStatus", "solve", "check_solution"),
     "synth": ("Mechanism", "MechanismMetrics", "SynthesisReport", "ExtractionFailure",
               "InfeasibleProgram", "SolverFailure", "assemble_program", "synthesize",
-              "evaluate_mechanism", "sample_mechanism"),
-    "sim": ("Trajectory", "AdversaryResult", "ExperimentSummary", "simulate",
-            "apply_mechanism", "adversary_estimate", "run_experiment"),
+              "evaluate_mechanism"),
+    "sim": ("AdversaryResult", "ExperimentSummary", "adversary_estimate", "run_experiment"),
 }
 _OWNER = {name: mod for mod, names in _OWNERS.items() for name in names}
 

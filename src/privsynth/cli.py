@@ -274,7 +274,7 @@ def cmd_sweep(args) -> int:
                  "out_csv": args.out_csv},
         seeds={},
     )
-    load_model(args.model)      # surface validation problems before sweeping
+    _load_with_overrides(args)  # surface validation and horizon problems before sweeping
 
     row = functools.partial(_sweep_row, args.model, args.k, grid_u=grid_u)
     # A forking pool starts all its workers at once, so a worker beyond the
@@ -310,7 +310,7 @@ def cmd_sweep(args) -> int:
 
 
 def _add_k_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=None, help="override horizon length")
+    p.add_argument("--k", type=_int_at_least(2), default=None, help="override horizon length")
 
 
 class _Parser(argparse.ArgumentParser):

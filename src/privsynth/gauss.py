@@ -158,9 +158,8 @@ def _chol(Sigma: np.ndarray, what: str) -> np.ndarray:
         raise NotPositiveDefinite(f"{what} is not positive definite") from None
 
 
-def _logdet2(Sigma: np.ndarray, what: str) -> float:
-    """log2 det of a PD matrix via Cholesky."""
-    L = _chol(Sigma, what)
+def _logdet2(L: np.ndarray) -> float:
+    """log2 det of a PD matrix from its Cholesky factor L."""
     return 2.0 * float(np.sum(np.log2(np.diag(L))))
 
 
@@ -184,14 +183,13 @@ def entropy(Sigma: np.ndarray) -> float:
     """
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
     n = Sigma.shape[0]
-    return 0.5 * _logdet2(Sigma, "entropy covariance") + n * HALF_LOG2_2PIE
+    return 0.5 * _logdet2(_chol(Sigma, "entropy covariance")) + n * HALF_LOG2_2PIE
 
 
 def _conditional_cov(Sigma_xx: np.ndarray, Sigma_xy: np.ndarray,
-                     Sigma_yy: np.ndarray) -> np.ndarray:
+                     Ly: np.ndarray) -> np.ndarray:
     """Sigma_xx - Sigma_xy Sigma_yy^{-1} Sigma_yx via a triangular solve, from
-    the blocks of a joint covariance."""
-    Ly = _chol(Sigma_yy, "Sigma_yy")
+    two blocks of a joint covariance and the Cholesky factor Ly of Sigma_yy."""
     # T = Ly^{-1} Sigma_yx, so the correction is T^T T.
     T = solve_lower(Ly, Sigma_xy.T)
     return _sym(Sigma_xx - T.T @ T)
@@ -207,18 +205,19 @@ def mutual_information(joint: GaussianJoint) -> float:
     numerically singular the information is unbounded: emits a SchurSingular
     warning and returns +inf.
     """
-    logdet_xx = _logdet2(joint.Sigma_xx, "Sigma_xx")
-    cond = _conditional_cov(joint.Sigma_xx, joint.Sigma_xy, joint.Sigma_yy)
+    logdet_xx = _logdet2(_chol(joint.Sigma_xx, "Sigma_xx"))
+    Ly = _chol(joint.Sigma_yy, "Sigma_yy")
+    cond = _conditional_cov(joint.Sigma_xx, joint.Sigma_xy, Ly)
     try:
-        logdet_cond = _logdet2(cond, "conditional covariance")
+        logdet_cond = _logdet2(_chol(cond, "conditional covariance"))
     except NotPositiveDefinite:
         warnings.warn("conditional covariance singular; mutual information -> +inf",
                       SchurSingular)
         return math.inf
     mi_schur = 0.5 * (logdet_xx - logdet_cond)
 
-    logdet_yy = _logdet2(joint.Sigma_yy, "Sigma_yy")
-    logdet_joint = _logdet2(joint.Sigma, "joint covariance")
+    logdet_yy = _logdet2(Ly)
+    logdet_joint = _logdet2(_chol(joint.Sigma, "joint covariance"))
     mi_entropy = 0.5 * (logdet_xx + logdet_yy - logdet_joint)
 
     if abs(mi_schur - mi_entropy) > 1e-8:
@@ -239,4 +238,4 @@ def mmse_estimate(joint: GaussianJoint, y: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError(f"y must have length {joint.n}, got {y.shape[0]}")
     Ly = _chol(joint.Sigma_yy, "Sigma_yy")
     xhat = joint.mu_x + joint.Sigma_xy @ cho_solve(Ly, y - joint.mu_y)
-    return xhat, _conditional_cov(joint.Sigma_xx, joint.Sigma_xy, joint.Sigma_yy)
+    return xhat, _conditional_cov(joint.Sigma_xx, joint.Sigma_xy, Ly)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import GaussianJoint, NotPositiveDefinite, _sym, cholesky
-
-MAX_DIM = 5000      # rows of the state stack, K * n_x
+from .model import MAX_DIM
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ except ImportError:
 TOL_PD = 1e-10
 TOL_RANK = 1e-8
 
+MAX_DIM = 5000      # rows of any horizon stack: K * n_x, K * n_y and K * n_u
+
 _MODEL_FIELDS = ("A", "B", "C", "D", "mu_x1", "Sigma_x1", "Sigma_T", "Sigma_W", "U")
 _REQUEST_FIELDS = ("K", "eps_Y", "eps_U", "W_Y", "W_U")
 
@@ -248,6 +250,17 @@ def _as_weight(name: str, value, per_step: int, K: int) -> np.ndarray:
     )
 
 
+def _check_horizon(K: int, n_x: int, n_y: int, n_u: int, error=ValueError) -> None:
+    """Raise error unless K >= 2 and every horizon stack has at most MAX_DIM
+    rows; called before any K-sized array is built."""
+    if K < 2:
+        raise error(f"horizon K must be >= 2, got {K}")
+    for name, n in (("n_x", n_x), ("n_y", n_y), ("n_u", n_u)):
+        if K * n > MAX_DIM:
+            raise error(f"horizon K = {K}: stacked dimension K*{name} = {K * n} "
+                        f"exceeds limit {MAX_DIM}")
+
+
 def _as_eps(name: str, value) -> float:
     if isinstance(value, str):
         if value.strip().lower() in ("inf", "infinity", "+inf"):
@@ -303,6 +316,7 @@ def parse_model(data: dict) -> tuple[SystemModel, SynthesisRequest]:
     if not isinstance(K_raw, int) or isinstance(K_raw, bool):
         raise ModelFormatError(f"field K: expected integer, got {K_raw!r}")
     K = K_raw
+    _check_horizon(K, n_x, C.shape[0], B.shape[1], error=ModelFormatError)
 
     eps_y = _as_eps("eps_Y", data["eps_Y"])
     eps_u = _as_eps("eps_U", data["eps_U"])
@@ -394,13 +408,14 @@ def with_overrides(model: SystemModel, req: SynthesisRequest, *, K: int | None =
 
     Changing K requires the stored weights to be expandable: they must equal
     a Kronecker replication of their first per-step block, otherwise the
-    override is rejected.
+    override is rejected, as is a K below 2 or beyond MAX_DIM's stacks.
     """
     if K is None and eps_y is None and eps_u is None:
         return model, req
     K_new = req.K if K is None else K
     W_Y, W_U = req.W_Y, req.W_U
     if K_new != req.K:
+        _check_horizon(K_new, model.n_x, model.n_y, model.n_u)
         W_Y = _resize_weight("W_Y", req.W_Y, model.n_y, req.K, K_new)
         W_U = _resize_weight("W_U", req.W_U, model.n_u, req.K, K_new)
     new_req = SynthesisRequest(

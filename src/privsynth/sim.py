@@ -9,18 +9,20 @@ adversaries against each trajectory:
 * a baseline observer with the clean measurements Y and the true input U,
   whose estimate is the exact conditional mean.
 
-Random draws come from two kinds of counter-based stream, each keyed by
-(salt, seed, tag):
+Random draws come from two noise sources, each a counter-based stream
+keyed by (salt, seed, tag) under one seed rule, ``model.check_seed``:
 
 * the per-run streams, tags 0-4, one per draw category, are numpy Philox
   generators. Runs are rows of those streams, drawn in order, so run i of
-  a batch is identical regardless of the batch size. ``simulate``,
-  ``apply_mechanism`` and ``_simulate_batch`` draw from them.
-* the moment stream, tag 5, is ``run_experiment``'s own: SplitMix64 on a
-  counter (``SplitMix64``), keyed by the first 8 bytes of SHA-256, with
-  normals by Box-Muller and chi-square variates by Marsaglia-Tsang. Its
-  draws depend on no numpy.random algorithm, and the Monte Carlo command
-  never imports numpy.random.
+  a batch is identical regardless of the batch size. ``_simulate_batch``,
+  the package's one per-run simulator, draws from them: acceptance
+  criterion 2 and the tests' reference runs.
+* the moment stream, tag 5, is ``run_experiment``'s own, which the
+  ``simulate`` command runs: SplitMix64 on a counter (``SplitMix64``),
+  keyed by the first 8 bytes of SHA-256, with normals by Box-Muller and
+  chi-square variates by Marsaglia-Tsang. Its draws depend on no
+  numpy.random algorithm, and the Monte Carlo command never imports
+  numpy.random.
 
 ``run_experiment`` simulates probe runs only. Every per-run number it sums
 (each adversary's error, the first private component and its estimate, the
@@ -40,8 +42,7 @@ so one W x W matrix is held at a time besides the map M and every batch's
 sums and quadratic forms. The cost is O(W^3) per batch and the memory
 O(W^2) plus O(W) per batch, whatever the number of runs; no run is drawn.
 The law of every reported number is that of drawing all the runs, but not
-the realization: the per-run streams are left to ``simulate``,
-``apply_mechanism`` and ``_simulate_batch``.
+the realization: the per-run streams are left to ``_simulate_batch``.
 """
 
 from __future__ import annotations
@@ -158,20 +159,6 @@ def moment_stream(seed: int) -> SplitMix64:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One realization of the system, plus disclosed sequences once a
-    mechanism has been applied (None before that)."""
-
-    x_seq: np.ndarray           # (K, n_x)
-    u_seq: np.ndarray           # (K, n_u), deterministic design input
-    y_seq: np.ndarray           # (K, n_y)
-    s_seq: np.ndarray           # (K, n_s)
-    seed: int
-    z_seq: np.ndarray | None = None   # (K, n_y)
-    r_seq: np.ndarray | None = None   # (K, n_u)
-
-
-@dataclass(frozen=True)
 class AdversaryResult:
     """Estimate plus its exact error statistics (not the realized error)."""
 
@@ -265,11 +252,11 @@ class _Plant:
                    chol_W=cholesky(model.Sigma_W))
 
 
-def _states(plant: _Plant, e_init: np.ndarray, e_proc: np.ndarray,
-            e_meas: np.ndarray):
-    """Pre-mechanism system from its normals: the states time-major,
-    x (K, m, n_x), and the outputs as stacked rows, y (m, K n_y) and
-    s (m, K n_s)."""
+def _simulate_runs(plant: _Plant, mech: Mechanism, u_flat: np.ndarray,
+                   e: list[np.ndarray]):
+    """The runs of the normals e (from ``_draw``): x time-major (K, m, n_x);
+    y, s, z and r as stacked rows (m, .)."""
+    e_init, e_proc, e_meas, e_out, e_in = e
     model = plant.model
     K, m, n_x = plant.drive.shape[0] + 1, e_init.shape[0], model.n_x
     tnoise = _color(e_proc, n_x, plant.chol_T).reshape(m, K - 1, n_x)
@@ -285,15 +272,7 @@ def _states(plant: _Plant, e_init: np.ndarray, e_proc: np.ndarray,
     w = _color(e_meas, model.n_y, plant.chol_W)
     y = _run_major((flat @ model.C.T).reshape(K, m, -1)) + w
     s = _run_major((flat @ model.D.T).reshape(K, m, -1))
-    return x, y, s
-
-
-def _simulate_runs(plant: _Plant, mech: Mechanism, u_flat: np.ndarray,
-                   e: list[np.ndarray]):
-    """The runs of the normals e (from ``_draw``): x time-major (K, m, n_x);
-    y, s, z and r as stacked rows (m, .)."""
-    x, y, s = _states(plant, *e[:3])
-    z, r = mech.disclose(y, u_flat, *e[3:])
+    z, r = mech.disclose(y, u_flat, e_out, e_in)
     return x, y, s, z, r
 
 
@@ -305,33 +284,6 @@ def _simulate_batch(model: SystemModel, mech: Mechanism, n_runs: int, seed: int)
     x, y, s, z, r = _simulate_runs(_Plant.of(model, u_seq), mech, u_seq.reshape(-1), e)
     return (x.transpose(1, 0, 2), u_seq,
             *(a.reshape(n_runs, K, -1) for a in (y, s, z, r)))
-
-
-def simulate(model: SystemModel, K: int, seed: int) -> Trajectory:
-    """One pre-mechanism trajectory; equals row 0 of any batch of the
-    same seed regardless of batch size."""
-    u_seq = model.input_sequence(K)
-    e = _draw(_streams(seed), 1, K, model.n_x, model.n_y, model.n_u)
-    x, y, s = _states(_Plant.of(model, u_seq), *e[:3])
-    return Trajectory(x_seq=x[:, 0], u_seq=u_seq, y_seq=y.reshape(K, -1),
-                      s_seq=s.reshape(K, -1), seed=seed)
-
-
-def apply_mechanism(traj: Trajectory, mech: Mechanism,
-                    seed: int | None = None) -> Trajectory:
-    """Trajectory with the disclosed sequences filled in.
-
-    Defaults to the trajectory's own seed so that simulate + apply_mechanism
-    reproduces row 0 of the batched experiment exactly.
-    """
-    if seed is None:
-        seed = traj.seed
-    K, n_y = mech.K, mech.n_y
-    if traj.y_seq.shape[0] != K:
-        raise ValueError(f"trajectory horizon {traj.y_seq.shape[0]} does not match mechanism {K}")
-    e = _draw(_streams(seed), 1, K, traj.x_seq.shape[1], n_y, traj.u_seq.shape[1])
-    z, r = mech.disclose(traj.y_seq.reshape(1, -1), traj.u_seq.reshape(-1), *e[3:])
-    return replace(traj, z_seq=z.reshape(K, n_y), r_seq=r.reshape(K, -1))
 
 
 class _PlugInEstimator:

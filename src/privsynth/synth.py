@@ -34,10 +34,10 @@ import numpy as np
 
 from . import __version__ as _version
 from . import sdp
-from .gauss import _conditional_cov, _sym, cho_solve, cholesky, entropy, mutual_information
+from .gauss import _chol, _conditional_cov, _sym, cho_solve, cholesky, entropy, mutual_information
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments, joint_ZS_moments
 from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationReport,
-                    check_seed, content_hash, validate, write_json)
+                    content_hash, validate, write_json)
 
 DET_FLAG_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-8
@@ -382,7 +382,7 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     Gt = g_blocks_to_matrix(values["G"].reshape(ctx.K, ctx.n_y, ctx.n_y))
     cov_ZS = Gt @ ctx.mom.cov_YS
     # Schur is the conditional covariance of S given Z.
-    schur = _conditional_cov(ctx.mom.Sigma_S, cov_ZS.T, values["Sigma_Z"])
+    schur = _conditional_cov(ctx.mom.Sigma_S, cov_ZS.T, _chol(values["Sigma_Z"], "Sigma_Z"))
     values["Pi"] = schur / (1.0 + sol.mu_final)
     ns = problem.sym_vars["Pi"].n
     log_full = [replace(rec, objective=rec.objective + ns * math.log2(1.0 + rec.mu))
@@ -551,24 +551,3 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
         distortion_Y=dist_y,
         distortion_U=dist_u,
     )
-
-
-def sample_mechanism(mech: Mechanism, y_seq: np.ndarray, u_seq: np.ndarray,
-                     rng: np.random.Generator | int) -> tuple[np.ndarray, np.ndarray]:
-    """One draw of the disclosed sequences for given clean (y, u) sequences.
-
-    y_seq is (K, n_y), u_seq is (K, n_u); returns (z_seq, r_seq) of the same
-    shapes. Any rng but a Generator is a seed under ``model.check_seed``'s
-    rule and seeds a counter-based generator.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(rng))))
-    K, n_y = mech.K, mech.n_y
-    y = np.asarray(y_seq, dtype=float).reshape(K * n_y)
-    NU = mech.Sigma_H.shape[0]
-    n_u = NU // K
-    u = np.asarray(u_seq, dtype=float).reshape(K * n_u)
-
-    # The output noise is drawn before the input noise.
-    z, r = mech.disclose(y, u, rng.standard_normal(K * n_y), rng.standard_normal(NU))
-    return z.reshape(K, n_y), r.reshape(K, n_u)

@@ -257,6 +257,51 @@ def test_sweep_rejects_a_bad_job_count(capsys, tmp_path, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "{scalar}", "{out}"],
+    ["evaluate", "{scalar}", "{mech}", "--out", "{out}"],
+    ["simulate", "{scalar}", "{mech}", "{out}"],
+    ["sweep", "{scalar}", "{out}", "--eps-y-grid", "1", "--eps-u-grid", "1"],
+], ids=["synthesize", "evaluate", "simulate", "sweep"])
+def test_horizon_flag_below_2_is_a_usage_error(capsys, scalar_artifacts, tmp_path, argv, k):
+    """Every command rejects a --k below 2 with one line that names --k and
+    the value, and writes nothing."""
+    out = tmp_path / "out.csv"
+    argv = [a.format(scalar=FIXTURES / "scalar.json", mech=scalar_artifacts, out=out)
+            for a in argv]
+    assert cli_module.main([*argv, "--k", k]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: argument --k: "), lines
+    assert repr(k) in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "sweep"])
+def test_horizon_beyond_the_limit_is_a_one_line_error(capsys, scalar_artifacts, tmp_path,
+                                                      command):
+    """A horizon whose weights alone would need 8e16 bytes, from the model
+    file or from --k, exits 1 with one line naming K before any is built;
+    sweep says so once rather than in every cell."""
+    huge = 10**8
+    twostate, out = str(FIXTURES / "twostate.json"), tmp_path / "out.csv"
+    if command == "validate":
+        data = json.loads((FIXTURES / "twostate.json").read_text())
+        data["K"] = huge
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps(data))
+        argv = ["validate", str(model)]
+    elif command == "evaluate":
+        argv = ["evaluate", twostate, str(scalar_artifacts), "--k", str(huge)]
+    else:
+        argv = ["sweep", twostate, str(out), "--eps-y-grid", "1", "--eps-u-grid", "1",
+                "--k", str(huge)]
+    assert cli_module.main(argv) == 1
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: horizon K = {huge}: "), lines
+
+
 def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
     """One solve per eps_Y row, and two output-moment computations (the
     solve's and the one every cell of the row is evaluated with); every

@@ -1,5 +1,6 @@
 """Model file parsing, invariant validation and override handling."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from privsynth import model as model_module
 from privsynth.model import (
     ModelFormatError,
     SynthesisRequest,
@@ -144,11 +146,36 @@ def test_validate_rejects_rank_deficient_weight():
 
 
 def test_validate_rejects_short_horizon():
-    data = load_raw("scalar")
-    data["K"] = 1
-    model, req = parse_model(data)
-    rep = validate(model, req)
+    """validate reports a short horizon in a request built in code; in a
+    model file parse_model rejects it first."""
+    model, req = parse_model(load_raw("scalar"))
+    rep = validate(model, dataclasses.replace(req, K=1))
     assert any("K" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("K", [1, 0, -3, 10**8])
+def test_parse_model_rejects_a_horizon_out_of_bounds(K):
+    """A horizon below 2, or one whose stacks exceed MAX_DIM rows, is a
+    format error naming K, raised before any K-sized weight is built: at
+    K = 10**8 one weight would need 8e16 bytes."""
+    data = load_raw("twostate")
+    data["K"] = K
+    with pytest.raises(ModelFormatError, match=f"horizon K.*{K}"):
+        parse_model(data)
+
+
+def test_every_horizon_stack_is_bounded(monkeypatch):
+    """The output and the input stacks are bounded as well as the state's."""
+    monkeypatch.setattr(model_module, "MAX_DIM", 12)
+    data = load_raw("scalar")                   # n_x = n_y = n_u = 1
+    data.update(C=[[1.0], [0.5]], Sigma_W=1.0, K=7)
+    with pytest.raises(ModelFormatError, match=r"K\*n_y = 14 exceeds limit 12"):
+        parse_model(data)
+    data.update(C=[[1.0]], B=[[1.0, 0.5]], U=[[0.0, 0.0]])
+    with pytest.raises(ModelFormatError, match=r"K\*n_u = 14 exceeds limit 12"):
+        parse_model(data)
+    data["K"] = 6
+    assert parse_model(data)[1].W_U.shape == (12, 12)
 
 
 def test_validate_rejects_short_input_sequence():
@@ -193,6 +220,13 @@ def test_with_overrides_rejects_unstructured_weight():
     req = SynthesisRequest(K=req.K, eps_y=req.eps_y, eps_u=req.eps_u, W_Y=W, W_U=req.W_U)
     with pytest.raises(ValueError, match="W_Y"):
         with_overrides(model, req, K=3)
+
+
+@pytest.mark.parametrize("K", [1, -3, 10**8])
+def test_with_overrides_rejects_a_horizon_out_of_bounds(K):
+    model, req = parse_model(load_raw("twostate"))
+    with pytest.raises(ValueError, match=f"horizon K.*{K}"):
+        with_overrides(model, req, K=K)
 
 
 def test_with_overrides_eps_only_keeps_weights():

@@ -6,13 +6,7 @@ import pytest
 from privsynth.lift import build_lift, joint_ZS_moments, output_moments
 from privsynth.gauss import mmse_estimate
 from privsynth.model import SystemModel
-from privsynth.sim import (
-    _simulate_batch,
-    adversary_estimate,
-    apply_mechanism,
-    run_experiment,
-    simulate,
-)
+from privsynth.sim import _simulate_batch, adversary_estimate, run_experiment
 from privsynth.synth import Mechanism
 
 
@@ -37,42 +31,26 @@ def identity_mechanism(K, n_y, n_u, noise=1e-12):
 
 
 def test_noise_free_system_is_deterministic():
-    """With vanishing covariances the trajectory follows the mean recursion."""
+    """With vanishing covariances every run follows the mean recursion."""
     model = make_model([[1.0]], [[0.0]], [[1.0]], [[1.0]], [1.0],
                        1e-18, 1e-18, 1e-18, np.zeros((4, 1)))
-    traj = simulate(model, 4, seed=0)
-    np.testing.assert_allclose(traj.x_seq, np.ones((4, 1)), atol=1e-8)
-    np.testing.assert_allclose(traj.y_seq, np.ones((4, 1)), atol=1e-8)
-    np.testing.assert_allclose(traj.s_seq, np.ones((4, 1)), atol=1e-8)
-    np.testing.assert_array_equal(traj.u_seq, np.zeros((4, 1)))
+    x, u, y, s, _, _ = _simulate_batch(model, identity_mechanism(4, 1, 1), 3, seed=0)
+    for a in (x, y, s):
+        np.testing.assert_allclose(a, np.ones((3, 4, 1)), atol=1e-8)
+    np.testing.assert_array_equal(u, np.zeros((4, 1)))
 
 
 def test_simulate_reproducible():
+    """A seed gives the same runs every time; another seed gives other runs."""
     model = make_model([[0.5]], [[1.0]], [[1.0]], [[1.0]], [0.0],
                        1.0, 1.0, 1.0, [[0.0]])
-    a = simulate(model, 2, seed=9)
-    b = simulate(model, 2, seed=9)
-    np.testing.assert_array_equal(a.x_seq, b.x_seq)
-    np.testing.assert_array_equal(a.y_seq, b.y_seq)
-    c = simulate(model, 2, seed=10)
-    assert np.any(c.x_seq != a.x_seq)
-
-
-def test_single_run_matches_batch_row_zero():
-    """simulate() is row 0 of the batched engine for any batch size."""
-    model = make_model([[0.9, 0.2], [0.0, 0.7]], [[0.3], [1.0]], np.eye(2),
-                       [[1.0, 0.0]], [0.5, -0.3], 0.5 * np.eye(2),
-                       0.3 * np.eye(2), np.diag([0.5, 1.0]),
-                       [[0.4], [-0.2]])
-    mech = identity_mechanism(3, 2, 1, noise=0.5)
-    traj = apply_mechanism(simulate(model, 3, seed=21), mech)
-    for n_runs in (1, 7):
-        x, _, y, s, z, r = _simulate_batch(model, mech, n_runs, seed=21)
-        np.testing.assert_allclose(x[0], traj.x_seq, atol=1e-12)
-        np.testing.assert_allclose(y[0], traj.y_seq, atol=1e-12)
-        np.testing.assert_allclose(s[0], traj.s_seq, atol=1e-12)
-        np.testing.assert_allclose(z[0], traj.z_seq, atol=1e-12)
-        np.testing.assert_allclose(r[0], traj.r_seq, atol=1e-12)
+    mech = identity_mechanism(2, 1, 1, noise=0.3)
+    a = _simulate_batch(model, mech, 5, seed=9)
+    for got, want in zip(_simulate_batch(model, mech, 5, seed=9), a, strict=True):
+        np.testing.assert_array_equal(got, want)
+    c = _simulate_batch(model, mech, 5, seed=10)
+    for i in (0, 2, 3, 4, 5):       # every array but the deterministic input
+        assert np.any(c[i] != a[i])
 
 
 def test_batch_prefix_invariance():
@@ -128,10 +106,10 @@ def test_adversary_error_matches_conditional_covariance(twostate_case):
     K = req.K
     mech = identity_mechanism(K, model.n_y, model.n_u)
     lift = build_lift(model, K)
-    traj = apply_mechanism(simulate(model, K, seed=4), mech)
-    res = adversary_estimate(model, lift, mech, traj.z_seq, traj.r_seq)
+    *_, z, r = _simulate_batch(model, mech, 1, seed=4)
+    res = adversary_estimate(model, lift, mech, z[0], r[0])
     joint = joint_ZS_moments(lift, model, mech.Gtilde, mech.Sigma_V)
-    shat, cond = mmse_estimate(joint.reversed(), traj.z_seq.reshape(-1))
+    shat, cond = mmse_estimate(joint.reversed(), z[0].reshape(-1))
     np.testing.assert_allclose(res.err_cov, cond, atol=1e-6)
     np.testing.assert_allclose(res.shat_seq.reshape(-1), shat, atol=1e-4)
     assert res.expected_sq_err_total == pytest.approx(
@@ -156,13 +134,6 @@ def test_run_experiment_argument_errors(scalar_case, scalar_report):
     _, req3 = with_overrides(model, req, K=3)
     with pytest.raises(ValueError, match="horizon"):
         run_experiment(model, req3, scalar_report.mechanism, 10, seed=1)
-
-
-def test_apply_mechanism_horizon_mismatch(twostate_case, scalar_report):
-    model, _ = twostate_case
-    traj = simulate(model, 3, seed=5)
-    with pytest.raises(ValueError, match="horizon"):
-        apply_mechanism(traj, scalar_report.mechanism)
 
 
 def test_summary_serialization(scalar_case, scalar_report):

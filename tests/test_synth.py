@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from privsynth import cli as cli_module
+from privsynth import gauss as gauss_module
 from privsynth import lift as lift_module
 from privsynth import sdp
 from privsynth import synth as synth_module
@@ -25,7 +26,6 @@ from privsynth.synth import (
     input_noise,
     load_mechanism,
     reduced_view,
-    sample_mechanism,
     save_mechanism,
     synthesize,
 )
@@ -359,6 +359,22 @@ def test_output_moments_once_per_call(monkeypatch, scalar_case):
     assert len(calls) == 1
 
 
+def test_evaluate_factors_each_covariance_once(monkeypatch, reactor_case):
+    """evaluate_mechanism on reactor4 makes 6 Cholesky factorizations: the
+    joint (Z, S) covariance's check in lift, Sigma_H's entropy, and the four
+    of mutual_information, which factors Sigma_yy once for both its routes."""
+    model, req = reactor_case
+    rep = synthesize(model, req)
+    calls = []
+    for module in (gauss_module, lift_module):
+        def counting(M, real=module.cholesky):
+            calls.append(1)
+            return real(M)
+        monkeypatch.setattr(module, "cholesky", counting)
+    evaluate_mechanism(model, req, rep.mechanism)
+    assert len(calls) == 6
+
+
 def test_separable_case_closed_form():
     """With eps_Y = inf the input noise decouples: Sigma_H = (eps_U/NU) I."""
     model, req = load_model(str(FIXTURES / "reactor4.json"))
@@ -443,34 +459,6 @@ def test_mechanism_rejects_indefinite_noise():
     with pytest.raises(ExtractionFailure):
         Mechanism(G_blocks=[np.eye(1), np.eye(1)],
                   Sigma_V=np.diag([1.0, -1.0]), Sigma_H=np.eye(2))
-
-
-def test_sample_mechanism_deterministic(scalar_report):
-    mech = scalar_report.mechanism
-    y = np.array([[0.3], [-0.1]])
-    u = np.zeros((2, 1))
-    z1, r1 = sample_mechanism(mech, y, u, rng=77)
-    z2, r2 = sample_mechanism(mech, y, u, rng=77)
-    np.testing.assert_array_equal(z1, z2)
-    np.testing.assert_array_equal(r1, r2)
-    z3, _ = sample_mechanism(mech, y, u, rng=78)
-    assert np.any(z3 != z1)
-    assert z1.shape == (2, 1) and r1.shape == (2, 1)
-
-
-@pytest.mark.parametrize("seed", [True, 1.9, -1], ids=["bool", "float", "negative"])
-def test_sample_mechanism_rejects_a_bad_seed(scalar_report, seed):
-    """The seed rule of the Monte Carlo streams: a bool or a float is no
-    seed (True would read as seed 1), nor is a negative integer."""
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        sample_mechanism(scalar_report.mechanism, np.zeros((2, 1)), np.zeros((2, 1)), rng=seed)
-
-
-def test_sample_mechanism_takes_a_numpy_integer_seed(scalar_report):
-    mech, y, u = scalar_report.mechanism, np.array([[0.3], [-0.1]]), np.zeros((2, 1))
-    for got, want in zip(sample_mechanism(mech, y, u, rng=np.int64(7)),
-                         sample_mechanism(mech, y, u, rng=7), strict=True):
-        np.testing.assert_array_equal(got, want)
 
 
 def test_infeasible_budget_is_blamed():
