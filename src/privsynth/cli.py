@@ -7,7 +7,7 @@ files reference that hash, and a sibling manifest JSON records it together
 with artifact hashes and wall-clock data.
 
 Exit codes: 0 success, 1 usage, validation or I/O error, 2 infeasible
-budgets, 3 solver or extraction failure.
+budgets, 3 solver, extraction or numerical failure.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import os
 import sys
 import time
 
-# The package loads lift, sdp, synth and sim lazily: a command runs the code
-# of only the modules it calls through, so they are called as attributes of
+# The package loads sdp, synth and sim lazily: a command runs the code of
+# only the modules it calls through, so they are called as attributes of
 # their module rather than imported by name.
-from . import _THREAD_ENV, __version__, lift, sdp, sim, synth
+from . import _THREAD_ENV, __version__, sdp, sim, synth
 from .model import ValidationError, load_model, sha256, validate, with_overrides, write_json
 
 # 17 significant digits, lossless for doubles; nan and +-inf print as
@@ -118,14 +118,17 @@ def _load_with_overrides(args) -> tuple:
 
 
 def _check_dims(model, req, mech) -> None:
+    """Raise ValueError unless every array of mech fits the model at the
+    request's horizon; checked before any product of them is formed."""
     if mech.K != req.K:
         raise ValueError(f"mechanism horizon {mech.K} does not match request horizon {req.K}")
-    if mech.n_y != model.n_y:
-        raise ValueError(f"mechanism output size {mech.n_y} does not match model n_y {model.n_y}")
-    if mech.Sigma_H.shape[0] != req.K * model.n_u:
-        raise ValueError(
-            f"mechanism input noise size {mech.Sigma_H.shape[0]} does not match "
-            f"K*n_u = {req.K * model.n_u}")
+    NY, NU = req.K * model.n_y, req.K * model.n_u
+    for name, got, n, size in (
+            *((f"G_blocks[{k}]", b.shape, model.n_y, "n_y") for k, b in enumerate(mech.G_blocks)),
+            ("Sigma_V", mech.Sigma_V.shape, NY, "K*n_y"),
+            ("Sigma_H", mech.Sigma_H.shape, NU, "K*n_u")):
+        if got != (n, n):
+            raise ValueError(f"mechanism {name} has shape {got}; the model needs {n}x{n} ({size})")
 
 
 # ---------------------------------------------------------------------------
@@ -211,46 +214,42 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_row(model_path: str, k: int | None, eps_y: float,
-               grid_u: list[float]) -> list[tuple]:
+def _sweep_row(model, req, eps_y: float, grid_u: list[float]) -> list[tuple]:
     """Every eps_U cell of one eps_Y row, with at most one solve; safe to run
     in a worker process.
 
-    The output design (G, Sigma_V) does not depend on eps_U. The first cell
-    that passes validation and the input-noise closed form is synthesized;
-    every later such cell pairs that design with its own input noise, or
-    gets the status the solve failed with. Returns one (status, metrics)
-    pair per eps_U, its metrics None unless the status is Optimal.
+    The output design (G, Sigma_V) and its figures mi_bits and distortion_Y
+    do not depend on eps_U. The first cell that passes validation and the
+    input-noise closed form is synthesized; every later such cell pairs that
+    report's output figures with its own input noise, or gets the status the
+    solve failed with. Returns one (status, metrics) pair per eps_U, its
+    metrics None unless the status is Optimal.
     """
-    model, req = load_model(model_path)
-    lifted = mom = None  # the row's horizon lift and output moments, built for its first valid cell
-    design = None      # the row's solved mechanism, or the status its solve failed with
+    design = None      # the row's synthesize report, or the status its solve failed with
     cells = []
     for eu in grid_u:
         status, solving = "Optimal", False
         try:
-            m, r = with_overrides(model, req, K=k, eps_y=eps_y, eps_u=eu)
-            report = validate(m, r)
-            if not report.ok:
-                raise ValidationError(report)
+            _, r = with_overrides(model, req, eps_y=eps_y, eps_u=eu)
+            check = validate(model, r)
+            if not check.ok:
+                raise ValidationError(check)
             sigma_h = synth.input_noise(r)
-            if lifted is None:
-                lifted = lift.build_lift(m, r.K)
-                mom = lift.output_moments(lifted, m)
             if design is None:
                 solving = True
-                design = synth.synthesize(m, r, lift=lifted).mechanism
+                design = synth.synthesize(model, r)
             if isinstance(design, str):
                 status = design
             else:
-                met = synth.evaluate_mechanism(
-                    m, r, synth.Mechanism(design.G_blocks, design.Sigma_V, sigma_h), moments=mom)
+                met = synth.MechanismMetrics.of(design.mi_bits, design.distortion_Y, sigma_h, r)
         except synth.InfeasibleProgram:
             status = "Infeasible"
         except synth.SolverFailure as exc:
             status = "SolverFailure" if exc.solution is None else exc.solution.status.value
         except synth.ExtractionFailure:
             status = "ExtractionFailure"
+        except FloatingPointError:  # the two mutual-information routes disagree
+            status = "NumericalFailure"
         except ValueError:          # ValidationError is a ValueError
             status = "ValidationError"
         if solving and status != "Optimal":
@@ -274,9 +273,8 @@ def cmd_sweep(args) -> int:
                  "out_csv": args.out_csv},
         seeds={},
     )
-    _load_with_overrides(args)  # surface validation and horizon problems before sweeping
-
-    row = functools.partial(_sweep_row, args.model, args.k, grid_u=grid_u)
+    # The model is read, validated and set to --k once; every row runs on it.
+    row = functools.partial(_sweep_row, *_load_with_overrides(args), grid_u=grid_u)
     # A forking pool starts all its workers at once, so a worker beyond the
     # row count would be a process that runs nothing.
     jobs = min(args.jobs, len(grid_y))
@@ -390,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     # command that never loaded synth does not load it here either.
     except synth.InfeasibleProgram as exc:
         lines, code = [f"error: {exc}"], 2
-    except (synth.SolverFailure, synth.ExtractionFailure) as exc:
+    # FloatingPointError: the two mutual-information routes disagree.
+    except (synth.SolverFailure, synth.ExtractionFailure, FloatingPointError) as exc:
         lines, code = [f"error: {exc}"], 3
     for line in lines:
         print(line, file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import GaussianJoint, NotPositiveDefinite, _sym, cholesky
-from .model import MAX_DIM
+from .model import _check_horizon
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class LiftedSystem:
 class LiftedMoments:
     """First two moments of the stacked measured and private outputs."""
 
-    mu_base: np.ndarray   # mean of the state stack
     mu_Y: np.ndarray
     Sigma_Y: np.ndarray
     mu_S: np.ndarray
@@ -52,13 +51,10 @@ class LiftedMoments:
 def build_lift(model, K: int) -> LiftedSystem:
     """Assemble the stacked operators for horizon K.
 
-    Raises ValueError if K < 2 or if K * n_x exceeds MAX_DIM rows.
+    Raises ValueError if K < 2 or if a horizon stack would exceed MAX_DIM rows.
     """
-    if K < 2:
-        raise ValueError(f"horizon K must be >= 2, got {K}")
+    _check_horizon(K, model.n_x, model.n_y, model.n_u)
     n_x = model.n_x
-    if K * n_x > MAX_DIM:
-        raise ValueError(f"stacked dimension K*n_x = {K * n_x} exceeds limit {MAX_DIM}")
 
     # powers[i] = A^i
     powers = [np.eye(n_x)]
@@ -93,7 +89,6 @@ def output_moments(lift: LiftedSystem, model) -> LiftedMoments:
     cov_YS = CQ @ lift.Dt.T
 
     return LiftedMoments(
-        mu_base=mu_base,
         mu_Y=lift.Ct @ mu_base,
         Sigma_Y=Sigma_Y,
         mu_S=lift.Dt @ mu_base,

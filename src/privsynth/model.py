@@ -159,6 +159,12 @@ def _check_full_column_rank(report: ValidationReport, name: str, M: np.ndarray) 
 def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:
     """Check all structural invariants; pure, returns a report, never raises."""
     rep = ValidationReport()
+    for name, M in (*((f, getattr(model, f)) for f in _MODEL_FIELDS),
+                    ("W_Y", req.W_Y), ("W_U", req.W_U)):
+        if not np.isfinite(M).all():
+            rep.add(f"{name} must have finite entries")
+    if not rep.ok:
+        return rep      # the checks below factor these matrices
     n_x = model.A.shape[0]
 
     if model.A.ndim != 2 or model.A.shape[0] != model.A.shape[1]:
@@ -214,11 +220,15 @@ def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:
     return rep
 
 
-def _as_matrix(name: str, value, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def _as_array(name: str, value) -> np.ndarray:
     try:
-        M = np.array(value, dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"field {name}: not a numeric array ({exc})") from None
+
+
+def _as_matrix(name: str, value, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    M = _as_array(name, value)
     if M.ndim != 2:
         raise ModelFormatError(f"field {name}: expected a matrix, got ndim {M.ndim}")
     if rows is not None and M.shape[0] != rows:
@@ -229,8 +239,11 @@ def _as_matrix(name: str, value, rows: int | None = None, cols: int | None = Non
 
 
 def _as_cov(name: str, value, n: int) -> np.ndarray:
+    """An n x n matrix, or a number s for s I; an infinite s keeps the zero
+    off-diagonal (not inf * 0 = NaN), and ``validate`` rejects its diagonal."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value) * np.eye(n)
+        s = float(value)
+        return s * np.eye(n) if math.isfinite(s) else np.diag(np.full(n, s))
     return _as_matrix(name, value, n, n)
 
 
@@ -238,7 +251,7 @@ def _as_weight(name: str, value, per_step: int, K: int) -> np.ndarray:
     """Full-horizon weight from a scalar, per-step block, or full matrix."""
     full = K * per_step
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value) * np.eye(full)
+        return _as_cov(name, value, full)
     M = _as_matrix(name, value)
     if M.shape == (per_step, per_step) and per_step != full:
         return np.kron(np.eye(K), M)
@@ -291,7 +304,7 @@ def parse_model(data: dict) -> tuple[SystemModel, SynthesisRequest]:
     C = _as_matrix("C", data["C"], cols=n_x)
     D = _as_matrix("D", data["D"], cols=n_x)
 
-    mu = np.array(data["mu_x1"], dtype=float)
+    mu = _as_array("mu_x1", data["mu_x1"])
     if mu.ndim != 1 or mu.shape[0] != n_x:
         raise ModelFormatError(f"field mu_x1: expected {n_x}-vector, got shape {mu.shape}")
 
@@ -306,7 +319,7 @@ def parse_model(data: dict) -> tuple[SystemModel, SynthesisRequest]:
     for i, row in enumerate(U_raw):
         if isinstance(row, (int, float)) and not isinstance(row, bool):
             row = [row]
-        r = np.array(row, dtype=float)
+        r = _as_array("U", row)
         if r.ndim != 1 or r.shape[0] != B.shape[1]:
             raise ModelFormatError(f"field U: entry {i} must be a {B.shape[1]}-vector")
         rows.append(r)

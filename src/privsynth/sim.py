@@ -229,50 +229,27 @@ def _run_major(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
-@dataclass(frozen=True)
-class _Plant:
-    """The constants of the pre-mechanism simulation at one horizon, so
-    that simulating runs only multiplies."""
-
-    model: SystemModel
-    AT: np.ndarray          # A^T, contiguous
-    drive: np.ndarray       # (K - 1, n_x), row k is B u_k
-    chol_x1: np.ndarray     # Cholesky factors of Sigma_x1, Sigma_T, Sigma_W
-    chol_T: np.ndarray
-    chol_W: np.ndarray
-
-    @classmethod
-    def of(cls, model: SystemModel, u_seq: np.ndarray) -> "_Plant":
-        K = u_seq.shape[0]
-        drive = np.empty((K - 1, model.n_x))
-        for k in range(K - 1):
-            drive[k] = model.B @ u_seq[k]
-        return cls(model=model, AT=np.ascontiguousarray(model.A.T), drive=drive,
-                   chol_x1=cholesky(model.Sigma_x1), chol_T=cholesky(model.Sigma_T),
-                   chol_W=cholesky(model.Sigma_W))
-
-
-def _simulate_runs(plant: _Plant, mech: Mechanism, u_flat: np.ndarray,
+def _simulate_runs(model: SystemModel, mech: Mechanism, u_seq: np.ndarray,
                    e: list[np.ndarray]):
-    """The runs of the normals e (from ``_draw``): x time-major (K, m, n_x);
-    y, s, z and r as stacked rows (m, .)."""
+    """The runs of the normals e (from ``_draw``) under the inputs u_seq
+    (K, n_u): x time-major (K, m, n_x); y, s, z and r as stacked rows (m, .)."""
     e_init, e_proc, e_meas, e_out, e_in = e
-    model = plant.model
-    K, m, n_x = plant.drive.shape[0] + 1, e_init.shape[0], model.n_x
-    tnoise = _color(e_proc, n_x, plant.chol_T).reshape(m, K - 1, n_x)
+    K, m, n_x = u_seq.shape[0], e_init.shape[0], model.n_x
+    AT = np.ascontiguousarray(model.A.T)
+    tnoise = _color(e_proc, n_x, cholesky(model.Sigma_T)).reshape(m, K - 1, n_x)
 
     x = np.empty((K, m, n_x))
-    x[0] = model.mu_x1 + _color(e_init, n_x, plant.chol_x1)
+    x[0] = model.mu_x1 + _color(e_init, n_x, cholesky(model.Sigma_x1))
     for k in range(K - 1):
-        np.matmul(x[k], plant.AT, out=x[k + 1])
-        x[k + 1] += plant.drive[k]
+        np.matmul(x[k], AT, out=x[k + 1])
+        x[k + 1] += model.B @ u_seq[k]
         x[k + 1] += tnoise[:, k]
 
     flat = x.reshape(K * m, n_x)
-    w = _color(e_meas, model.n_y, plant.chol_W)
+    w = _color(e_meas, model.n_y, cholesky(model.Sigma_W))
     y = _run_major((flat @ model.C.T).reshape(K, m, -1)) + w
     s = _run_major((flat @ model.D.T).reshape(K, m, -1))
-    z, r = mech.disclose(y, u_flat, e_out, e_in)
+    z, r = mech.disclose(y, u_seq.reshape(-1), e_out, e_in)
     return x, y, s, z, r
 
 
@@ -281,7 +258,7 @@ def _simulate_batch(model: SystemModel, mech: Mechanism, n_runs: int, seed: int)
     K = mech.K
     u_seq = model.input_sequence(K)
     e = _draw(_streams(seed), n_runs, K, model.n_x, model.n_y, model.n_u)
-    x, y, s, z, r = _simulate_runs(_Plant.of(model, u_seq), mech, u_seq.reshape(-1), e)
+    x, y, s, z, r = _simulate_runs(model, mech, u_seq, e)
     return (x.transpose(1, 0, 2), u_seq,
             *(a.reshape(n_runs, K, -1) for a in (y, s, z, r)))
 
@@ -350,18 +327,18 @@ def _offset_free(est):
     return free
 
 
-def _per_run(plant: _Plant, mech: Mechanism, req: SynthesisRequest, plug: _PlugInEstimator,
-             base: _BaselineEstimator, u_flat: np.ndarray, e: list[np.ndarray]) -> np.ndarray:
+def _per_run(model: SystemModel, mech: Mechanism, req: SynthesisRequest, plug: _PlugInEstimator,
+             base: _BaselineEstimator, u_seq: np.ndarray, e: list[np.ndarray]) -> np.ndarray:
     """Every number run_experiment sums, one row per run of the normals e
-    (from ``_draw``), in columns: the (Z, R) and the (Y, U) estimation errors
-    (K n_s each), the first private component and its (Z, R) estimate per
-    step (K each), then W_Y (Z - Y) and W_U (R - U)."""
-    K, n_s, m = mech.K, plant.model.n_s, e[0].shape[0]
-    _, y, s, z, r = _simulate_runs(plant, mech, u_flat, e)
+    (from ``_draw``) under the inputs u_seq, in columns: the (Z, R) and the
+    (Y, U) estimation errors (K n_s each), the first private component and
+    its (Z, R) estimate per step (K each), then W_Y (Z - Y) and W_U (R - U)."""
+    K, n_s, m = mech.K, model.n_s, e[0].shape[0]
+    _, y, s, z, r = _simulate_runs(model, mech, u_seq, e)
     shat = plug.estimate(z, r)
     return np.hstack([shat - s, base.estimate(y) - s,
                       s.reshape(m, K, n_s)[:, :, 0], shat.reshape(m, K, n_s)[:, :, 0],
-                      (z - y) @ req.W_Y.T, (r - u_flat) @ req.W_U.T])
+                      (z - y) @ req.W_Y.T, (r - u_seq.reshape(-1)) @ req.W_U.T])
 
 
 def adversary_estimate(model: SystemModel, lift: LiftedSystem | None,
@@ -444,19 +421,16 @@ class _Experiment:
         plug = _PlugInEstimator(model, mech, lift=lift, moments=mom)
         base = _BaselineEstimator(mom)
         u_seq = model.input_sequence(K)
-        u_flat = u_seq.reshape(-1)
-        plant = _Plant.of(model, u_seq)
         bounds = np.cumsum(_widths(K, model.n_x, model.n_y, model.n_u))
         W = int(bounds[-1])
 
         def split(e):
             return np.split(e, bounds[:-1], axis=1)
 
-        c = _per_run(plant, mech, req, plug, base, u_flat, split(np.zeros((1, W))))[0]
-        free = replace(plant, drive=np.zeros_like(plant.drive),
-                       model=replace(model, mu_x1=np.zeros_like(model.mu_x1)))
-        M = _per_run(free, mech, req, _offset_free(plug), _offset_free(base),
-                     np.zeros_like(u_flat), split(np.eye(W)))
+        c = _per_run(model, mech, req, plug, base, u_seq, split(np.zeros((1, W))))[0]
+        M = _per_run(replace(model, mu_x1=np.zeros_like(model.mu_x1)), mech, req,
+                     _offset_free(plug), _offset_free(base), np.zeros_like(u_seq),
+                     split(np.eye(W)))
         return cls(K=K, n_s=model.n_s, n_dy=req.W_Y.shape[0], c=c, M=M,
                    mse_yu_theory=float(np.trace(base.err_cov)),
                    mse_zr_theory=float(np.trace(plug.err_cov)))

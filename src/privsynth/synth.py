@@ -37,7 +37,7 @@ from . import sdp
 from .gauss import _chol, _conditional_cov, _sym, cho_solve, cholesky, entropy, mutual_information
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments, joint_ZS_moments
 from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationReport,
-                    content_hash, validate, write_json)
+                    _as_array, content_hash, validate, write_json)
 
 DET_FLAG_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-8
@@ -136,11 +136,29 @@ class Mechanism:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Mechanism":
-        return cls(G_blocks=[np.array(b, dtype=float) for b in data["G_blocks"]],
-                   Sigma_V=np.array(data["Sigma_V"], dtype=float),
-                   Sigma_H=np.array(data["Sigma_H"], dtype=float),
-                   provenance=dict(data.get("provenance", {})))
+    def from_dict(cls, data) -> "Mechanism":
+        """The mechanism of a decoded JSON object; a missing field, or a G block
+        or covariance that is not a square matrix, is a ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError("top-level JSON value must be an object")
+        missing = [f for f in ("G_blocks", "Sigma_V", "Sigma_H") if f not in data]
+        if missing:
+            raise ValueError(f"missing fields: {', '.join(missing)}")
+        if not isinstance(data["G_blocks"], list):
+            raise ValueError("field G_blocks: expected a list of matrices")
+        provenance = data.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ValueError("field provenance: expected an object")
+
+        def square(name, value):
+            M = np.atleast_2d(_as_array(name, value))
+            if M.ndim != 2 or M.shape[0] != M.shape[1]:
+                raise ValueError(f"field {name}: expected a square matrix, got shape {M.shape}")
+            return M
+
+        return cls(G_blocks=[square(f"G_blocks[{k}]", b) for k, b in enumerate(data["G_blocks"])],
+                   Sigma_V=square("Sigma_V", data["Sigma_V"]),
+                   Sigma_H=square("Sigma_H", data["Sigma_H"]), provenance=dict(provenance))
 
 
 def save_mechanism(mech: Mechanism, path: str) -> None:
@@ -148,13 +166,13 @@ def save_mechanism(mech: Mechanism, path: str) -> None:
 
 
 def load_mechanism(path: str) -> Mechanism:
-    """Read a mechanism file; a non-PD covariance in it is a ValueError."""
+    """Read a mechanism file; invalid JSON, a malformed field or a non-PD
+    covariance in it is one ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return Mechanism.from_dict(data)
-    except ExtractionFailure as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return Mechanism.from_dict(json.load(fh))
+        except (ValueError, ExtractionFailure) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -170,6 +188,16 @@ class MechanismMetrics:
     entropy_H_bits: float
     distortion_Y: float
     distortion_U: float
+
+    @staticmethod
+    def of(mi_bits: float, distortion_Y: float, Sigma_H: np.ndarray,
+           req: SynthesisRequest) -> "MechanismMetrics":
+        """These output figures, with input noise Sigma_H under req."""
+        ent_h = entropy(Sigma_H)
+        MUq = req.W_U.T @ req.W_U
+        return MechanismMetrics(cost_bits=mi_bits - ent_h, mi_bits=mi_bits,
+                                entropy_H_bits=ent_h, distortion_Y=distortion_Y,
+                                distortion_U=float(np.sum(Sigma_H * MUq.T)))
 
     def figures(self) -> dict:
         """The figures by name, in field order."""
@@ -409,8 +437,7 @@ def analytic_start(problem: sdp.SdpProblem) -> dict:
     }
 
 
-def synthesize(model: SystemModel, req: SynthesisRequest,
-               lift: LiftedSystem | None = None) -> SynthesisReport:
+def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     """Validate, assemble, solve, certify and extract the disclosure mechanism.
 
     Each answer is certified once, by ``sdp.check_solution`` on the full
@@ -426,9 +453,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest,
     rep = validate(model, req)
     if not rep.ok:
         raise ValidationError(rep)
-    if lift is None:
-        lift = build_lift(model, req.K)
-    problem = assemble_program(lift, model, req)
+    problem = assemble_program(build_lift(model, req.K), model, req)
     ctx: _Context = problem.meta["context"]
 
     if math.isinf(ctx.eps_y):
@@ -533,21 +558,9 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
 
     joint = joint_ZS_moments(None, model, Gt, mech.Sigma_V, moments=mom)
     mi = mutual_information(joint)
-    ent_h = entropy(mech.Sigma_H)
 
     MYq = req.W_Y.T @ req.W_Y
     Sigma_Z = joint.Sigma_xx
     trace_term = float(np.sum((Sigma_Z + mom.Sigma_Y - 2.0 * mom.Sigma_Y @ Gt) * MYq.T))
     mean_vec = req.W_Y @ ((Gt - np.eye(Gt.shape[0])) @ mom.mu_Y)
-    dist_y = trace_term + float(mean_vec @ mean_vec)
-
-    MUq = req.W_U.T @ req.W_U
-    dist_u = float(np.sum(mech.Sigma_H * MUq.T))
-
-    return MechanismMetrics(
-        cost_bits=mi - ent_h,
-        mi_bits=mi,
-        entropy_H_bits=ent_h,
-        distortion_Y=dist_y,
-        distortion_U=dist_u,
-    )
+    return MechanismMetrics.of(mi, trace_term + float(mean_vec @ mean_vec), mech.Sigma_H, req)

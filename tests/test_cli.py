@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import re
@@ -303,9 +304,9 @@ def test_horizon_beyond_the_limit_is_a_one_line_error(capsys, scalar_artifacts, 
 
 
 def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
-    """One solve per eps_Y row, and two output-moment computations (the
-    solve's and the one every cell of the row is evaluated with); every
-    cell equals synthesize's own report."""
+    """One solve per eps_Y row and one output-moment computation, the
+    solve's: every cell of the row takes its output figures from that
+    report. Every cell equals synthesize's own report."""
     calls = []
     real_solve = sdp.solve
     monkeypatch.setattr(sdp, "solve", lambda *a, **kw: calls.append(1) or real_solve(*a, **kw))
@@ -319,7 +320,7 @@ def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
                             "--eps-y-grid", "1,2", "--eps-u-grid", "0,0.5,2",
                             "--jobs", "1"]) == 0
     assert len(calls) == 2
-    assert len(moment_calls) == 4
+    assert len(moment_calls) == 2
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
     assert len(rows) == 6
 
@@ -336,6 +337,43 @@ def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
             want = [fmt(rep.cost_bits), fmt(rep.mi_bits), fmt(rep.entropy_H_bits),
                     fmt(rep.distortion_Y), fmt(rep.distortion_U), "Optimal"]
         assert row[2:] == want, row
+
+
+def test_sweep_reads_the_model_once_and_evaluates_each_row_once(monkeypatch, tmp_path):
+    """The command reads the model file once, and each eps_Y row evaluates
+    the leakage of its design once, in its solve: 1 + 2 model reads and
+    2 + 4 evaluations before rows reused their report."""
+    loads, evaluations = [], []
+    real_load, real_mi = cli_module.load_model, synth_module.mutual_information
+    monkeypatch.setattr(cli_module, "load_model",
+                        lambda *a: loads.append(1) or real_load(*a))
+    monkeypatch.setattr(synth_module, "mutual_information",
+                        lambda *a: evaluations.append(1) or real_mi(*a))
+    assert cli_module.main(["sweep", str(FIXTURES / "twostate.json"), str(tmp_path / "s.csv"),
+                            "--eps-y-grid", "1,2", "--eps-u-grid", "0.5,1", "--jobs", "1"]) == 0
+    assert (len(loads), len(evaluations)) == (1, 2)
+
+
+def _disagreeing_routes(joint):
+    raise FloatingPointError("mutual information routes disagree: Schur 1.0 vs entropy-sum 1.1")
+
+
+def test_a_route_disagreement_is_exit_3(monkeypatch, capsys, scalar_artifacts):
+    """The cross-check of the two mutual-information routes failing ends in
+    one error line and exit 3, like the other numerical failures."""
+    monkeypatch.setattr(synth_module, "mutual_information", _disagreeing_routes)
+    assert cli_module.main(["evaluate", str(FIXTURES / "scalar.json"),
+                            str(scalar_artifacts)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: mutual information routes disagree: Schur 1.0 vs entropy-sum 1.1"]
+
+
+def test_a_route_disagreement_is_a_numerical_failure_cell(monkeypatch, twostate_case):
+    """In a sweep the disagreement fails the row's solve, not the command."""
+    monkeypatch.setattr(synth_module, "mutual_information", _disagreeing_routes)
+    cells = cli_module._sweep_row(*twostate_case, 1.0, [0.0, 0.5, 1.0])
+    assert cells == [("Infeasible", None), ("NumericalFailure", None),
+                     ("NumericalFailure", None)]
 
 
 def test_evaluate_stdout_matches_report(scalar_artifacts):
@@ -416,6 +454,72 @@ def test_corrupt_mechanism_is_a_one_line_error(scalar_artifacts, tmp_path, comma
     proc = cli(command, FIXTURES / "scalar.json", bad, *extra)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+_BAD_MODELS = {
+    "mu_x1-object": lambda d: {**d, "mu_x1": {"x": 1}},
+    "U-entry-object": lambda d: {**d, "U": [{"u": 1}, *d["U"][1:]]},
+}
+_BAD_MECHANISMS = {
+    "top-level-list": lambda d: [d],
+    "G_blocks-number": lambda d: {**d, "G_blocks": 1.0},
+    "no-Sigma_H": lambda d: {k: v for k, v in d.items() if k != "Sigma_H"},
+    "Sigma_V-7x7": lambda d: {**d, "Sigma_V": _identity(7)},
+    "G-blocks-2x3": lambda d: {**d, "G_blocks": [_identity(3)[:2]] * 3},
+    "G-blocks-3x3": lambda d: {**d, "G_blocks": [_identity(3)] * 3},
+}
+
+
+def _identity(n):
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("command, bad", [
+    *((command, bad) for bad in _BAD_MODELS for command in ("validate", "evaluate", "simulate")),
+    *((command, bad) for bad in _BAD_MECHANISMS for command in ("evaluate", "simulate"))])
+def test_malformed_input_is_a_one_line_error(capsys, tmp_path, twostate_report, command, bad):
+    """A model or mechanism file with a field of the wrong kind or size ends
+    in exit 1 and one error line naming the field, never a traceback."""
+    model = json.loads((FIXTURES / "twostate.json").read_text())
+    mech = twostate_report.mechanism.to_dict()
+    if bad in _BAD_MODELS:
+        model = _BAD_MODELS[bad](model)
+    else:
+        mech = _BAD_MECHANISMS[bad](mech)
+    paths = {"model": tmp_path / "model.json", "mech": tmp_path / "mech.json"}
+    paths["model"].write_text(json.dumps(model))
+    paths["mech"].write_text(json.dumps(mech))
+    argv = {"validate": ["validate", paths["model"]],
+            "evaluate": ["evaluate", paths["model"], paths["mech"]],
+            "simulate": ["simulate", paths["model"], paths["mech"], tmp_path / "s.csv",
+                         "--n-runs", "10"]}[command]
+    assert cli_module.main([str(a) for a in argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    field = {"top-level-list": "top-level", "no-Sigma_H": "Sigma_H", "G-blocks-2x3": "G_blocks[0]",
+             "G-blocks-3x3": "G_blocks[0]"}.get(bad, bad.split("-")[0])
+    assert field in lines[0], lines
+
+
+def _first_entry(value, x):
+    """value with its first number replaced by x."""
+    return [_first_entry(value[0], x), *value[1:]] if isinstance(value, list) else x
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["A", "B", "C", "D", "mu_x1", "Sigma_x1", "Sigma_T",
+                                   "Sigma_W", "U", "W_Y", "W_U"])
+def test_validate_rejects_non_finite_entries(capsys, tmp_path, field, value):
+    """Python's json reads NaN and Infinity; validate names the field that
+    holds one, and synthesize stops there with the same line."""
+    data = json.loads((FIXTURES / "twostate.json").read_text())
+    data[field] = _first_entry(data[field], value)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", str(path)], ["synthesize", str(path), str(tmp_path / "m.json")]):
+        assert cli_module.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"violation: {field} must have finite entries"]
 
 
 def test_simulate_csv_format(scalar_artifacts, tmp_path):

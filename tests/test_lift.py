@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from privsynth import lift as lift_module
+from privsynth import model as model_module
 from privsynth.gauss import GaussianJoint
 from privsynth.lift import build_lift, joint_ZS_moments, output_moments
 from privsynth.model import SystemModel
@@ -121,9 +121,10 @@ def test_joint_moments_rejects_bad_gain_shape(twostate):
 
 
 def test_horizon_guard(twostate, monkeypatch):
+    """build_lift applies the model's one horizon rule."""
     with pytest.raises(ValueError, match="K must be >= 2"):
         build_lift(twostate, 1)
-    monkeypatch.setattr(lift_module, "MAX_DIM", 12)
+    monkeypatch.setattr(model_module, "MAX_DIM", 12)
     with pytest.raises(ValueError, match="exceeds limit"):
         build_lift(twostate, 7)
     assert build_lift(twostate, 6).K == 6

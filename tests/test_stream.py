@@ -369,14 +369,15 @@ def test_folded_plugin_estimate_matches_unfolded(twostate_case, twostate_report)
                                rtol=0, atol=1e-12)
 
 
-def test_sweep_row_builds_one_lift(monkeypatch):
-    """One horizon lift per eps_Y row, shared by its solve and every cell."""
+def test_sweep_row_builds_one_lift(monkeypatch, twostate_case):
+    """One horizon lift per eps_Y row, its solve's; every cell takes its
+    output figures from that solve's report."""
     calls = []
     real = build_lift
     counting = lambda *a, **kw: calls.append(1) or real(*a, **kw)     # noqa: E731
     monkeypatch.setattr(lift_module, "build_lift", counting)
     monkeypatch.setattr(synth, "build_lift", counting)
-    cells = cli._sweep_row(str(FIXTURES / "twostate.json"), None, 1.0, [0.0, 0.5, 1.0, 2.0])
+    cells = cli._sweep_row(*twostate_case, 1.0, [0.0, 0.5, 1.0, 2.0])
     assert [c[0] for c in cells] == ["Infeasible", "Optimal", "Optimal", "Optimal"]
     assert len(calls) == 1
 

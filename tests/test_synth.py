@@ -151,7 +151,7 @@ def test_packed_leakage_bound_is_the_barrier_center():
     model, req = load_model(str(FIXTURES / "reactor4.json"))
     assert req.K == 10
     lift = build_lift(model, req.K)
-    rep = synthesize(model, req, lift=lift)
+    rep = synthesize(model, req)
     sol = rep.solution
     assert sol.newton_steps <= 30
     prob = assemble_program(lift, model, req)
@@ -214,7 +214,7 @@ def test_packed_point_certified_at_scale(scale):
     lift = build_lift(model, req.K)
     for eps_y in (math.inf, 2.0 * scale):
         r = dataclasses.replace(req, eps_y=eps_y)
-        rep = synthesize(model, r, lift=lift)
+        rep = synthesize(model, r)
         cert = sdp.check_solution(assemble_program(lift, model, r), rep.solution.x)
         assert cert.ok, eps_y
         assert rep.solver["max_psd_violation"] == cert.max_psd_violation <= sdp.CERT_TOL
@@ -233,7 +233,7 @@ def test_information_does_not_depend_on_units(name):
     for s in (1.0, 1e2, 1e4):
         m, r = scaled(model, req, s)
         lift = build_lift(m, r.K)
-        rep = synthesize(m, r, lift=lift)
+        rep = synthesize(m, r)
         assert sdp.check_solution(assemble_program(lift, m, r), rep.solution.x).ok, s
         mi.append(rep.mi_bits)
     assert max(mi) - min(mi) <= 1e-5, mi
@@ -271,7 +271,7 @@ def test_output_budget_threshold(name, tmp_path, capsys):
 
     above = dataclasses.replace(req, eps_y=1.001 * thr)
     lift = build_lift(model, req.K)
-    rep = synthesize(model, above, lift=lift)
+    rep = synthesize(model, above)
     assert rep.solver["status"] == "Optimal"
     assert sdp.check_solution(assemble_program(lift, model, above), rep.solution.x).ok
     assert rep.distortion_Y <= above.eps_y * (1 + 1e-6)
@@ -321,7 +321,7 @@ def test_reported_objective_is_the_certificates(name, eps_y):
     if eps_y is not None:
         req = dataclasses.replace(req, eps_y=eps_y)
     lift = build_lift(model, req.K)
-    rep = synthesize(model, req, lift=lift)
+    rep = synthesize(model, req)
     cert = sdp.check_solution(assemble_program(lift, model, req), rep.solution.x)
     assert rep.solution.objective == cert.objective
     assert rep.solver["objective"] == cert.objective
