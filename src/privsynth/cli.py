@@ -6,6 +6,10 @@ file contents, resolved options and seeds (but not timing); all output
 files reference that hash, and a sibling manifest JSON records it together
 with artifact hashes and wall-clock data.
 
+The commands check no input themselves: ``validate`` checks the model,
+``with_overrides`` the flags that override it and ``synth.Mechanism`` a
+mechanism's fit; ``main`` maps each error to its exit code.
+
 Exit codes: 0 success, 1 usage, validation or I/O error, 2 infeasible
 budgets, 3 solver, extraction or numerical failure.
 """
@@ -26,7 +30,7 @@ import time
 # only the modules it calls through, so they are called as attributes of
 # their module rather than imported by name.
 from . import _THREAD_ENV, __version__, sdp, sim, synth
-from .model import ValidationError, load_model, sha256, validate, with_overrides, write_json
+from .model import ValidationError, load_model, sha256, with_overrides, write_json
 
 # 17 significant digits, lossless for doubles; nan and +-inf print as
 # "nan", "inf" and "-inf".
@@ -117,20 +121,6 @@ def _load_with_overrides(args) -> tuple:
                           eps_u=getattr(args, "eps_u", None))
 
 
-def _check_dims(model, req, mech) -> None:
-    """Raise ValueError unless every array of mech fits the model at the
-    request's horizon; checked before any product of them is formed."""
-    if mech.K != req.K:
-        raise ValueError(f"mechanism horizon {mech.K} does not match request horizon {req.K}")
-    NY, NU = req.K * model.n_y, req.K * model.n_u
-    for name, got, n, size in (
-            *((f"G_blocks[{k}]", b.shape, model.n_y, "n_y") for k, b in enumerate(mech.G_blocks)),
-            ("Sigma_V", mech.Sigma_V.shape, NY, "K*n_y"),
-            ("Sigma_H", mech.Sigma_H.shape, NU, "K*n_u")):
-        if got != (n, n):
-            raise ValueError(f"mechanism {name} has shape {got}; the model needs {n}x{n} ({size})")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -180,7 +170,6 @@ def cmd_evaluate(args) -> int:
     )
     model, req = _load_with_overrides(args)
     mech = synth.load_mechanism(args.mechanism)
-    _check_dims(model, req, mech)
 
     metrics = synth.evaluate_mechanism(model, req, mech)
     write_json({**metrics.figures(), "manifest_hash": mh}, args.out)
@@ -200,7 +189,6 @@ def cmd_simulate(args) -> int:
     )
     model, req = _load_with_overrides(args)
     mech = synth.load_mechanism(args.mechanism)
-    _check_dims(model, req, mech)
 
     summ = sim.run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed)
     doc = summ.to_dict()
@@ -219,11 +207,11 @@ def _sweep_row(model, req, eps_y: float, grid_u: list[float]) -> list[tuple]:
     in a worker process.
 
     The output design (G, Sigma_V) and its figures mi_bits and distortion_Y
-    do not depend on eps_U. The first cell that passes validation and the
-    input-noise closed form is synthesized; every later such cell pairs that
-    report's output figures with its own input noise, or gets the status the
-    solve failed with. Returns one (status, metrics) pair per eps_U, its
-    metrics None unless the status is Optimal.
+    do not depend on eps_U. The first cell whose budgets pass
+    ``with_overrides`` and the input-noise closed form is synthesized; every
+    later such cell pairs that report's output figures with its own input
+    noise, or gets the status the solve failed with. Returns one (status,
+    metrics) pair per eps_U, its metrics None unless the status is Optimal.
     """
     design = None      # the row's synthesize report, or the status its solve failed with
     cells = []
@@ -231,9 +219,6 @@ def _sweep_row(model, req, eps_y: float, grid_u: list[float]) -> list[tuple]:
         status, solving = "Optimal", False
         try:
             _, r = with_overrides(model, req, eps_y=eps_y, eps_u=eu)
-            check = validate(model, r)
-            if not check.ok:
-                raise ValidationError(check)
             sigma_h = synth.input_noise(r)
             if design is None:
                 solving = True

@@ -137,9 +137,9 @@ def _min_max_eig(M: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def _check_pd(report: ValidationReport, name: str, M: np.ndarray) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        report.add(f"{name} must be square, got shape {M.shape}")
+def _check_pd(report: ValidationReport, name: str, M: np.ndarray, n: int) -> None:
+    if M.shape != (n, n):
+        report.add(f"{name} must be {n}x{n}, got shape {M.shape}")
         return
     if not _is_symmetric(M):
         report.add(f"{name} must be symmetric")
@@ -156,8 +156,20 @@ def _check_full_column_rank(report: ValidationReport, name: str, M: np.ndarray) 
         report.add(f"{name} must have full column rank (min singular value {smin:.3e})")
 
 
+def _check_request(report: ValidationReport, U: np.ndarray, K: int, eps_y: float,
+                   eps_u: float) -> None:
+    """``validate``'s input-length and budget rules, which ``with_overrides``
+    also applies to the request it returns."""
+    if U.shape[0] < K - 1:
+        report.add(f"U must have at least K-1 = {K - 1} entries, got {U.shape[0]}")
+    for name, eps in (("eps_Y", eps_y), ("eps_U", eps_u)):
+        if math.isnan(eps) or eps < 0.0:
+            report.add(f"{name} must be a nonnegative real or inf, got {eps!r}")
+
+
 def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:
-    """Check all structural invariants; pure, returns a report, never raises."""
+    """Check all structural invariants, the owner of every shape rule of the
+    model and the request; pure, returns a report, never raises."""
     rep = ValidationReport()
     for name, M in (*((f, getattr(model, f)) for f in _MODEL_FIELDS),
                     ("W_Y", req.W_Y), ("W_U", req.W_U)):
@@ -165,15 +177,15 @@ def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:
             rep.add(f"{name} must have finite entries")
     if not rep.ok:
         return rep      # the checks below factor these matrices
-    n_x = model.A.shape[0]
 
     if model.A.ndim != 2 or model.A.shape[0] != model.A.shape[1]:
         rep.add(f"A must be square, got shape {model.A.shape}")
         return rep
-    for name, M, rows in (("B", model.B, n_x), ("C", model.C, None), ("D", model.D, None)):
-        if M.ndim != 2:
-            rep.add(f"{name} must be a matrix, got ndim {M.ndim}")
+    for name in "BCD":
+        if getattr(model, name).ndim != 2:
+            rep.add(f"{name} must be a matrix, got ndim {getattr(model, name).ndim}")
             return rep
+    n_x = model.n_x
     if model.B.shape[0] != n_x:
         rep.add(f"B must have {n_x} rows, got {model.B.shape[0]}")
     if model.C.shape[1] != n_x:
@@ -183,15 +195,9 @@ def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:
     if model.mu_x1.shape != (n_x,):
         rep.add(f"mu_x1 must have shape ({n_x},), got {model.mu_x1.shape}")
 
-    _check_pd(rep, "Sigma_x1", model.Sigma_x1)
-    _check_pd(rep, "Sigma_T", model.Sigma_T)
-    _check_pd(rep, "Sigma_W", model.Sigma_W)
-    if model.Sigma_x1.shape != (n_x, n_x):
-        rep.add(f"Sigma_x1 must be {n_x}x{n_x}")
-    if model.Sigma_T.shape != (n_x, n_x):
-        rep.add(f"Sigma_T must be {n_x}x{n_x}")
-    if model.Sigma_W.shape != (model.n_y, model.n_y):
-        rep.add(f"Sigma_W must be {model.n_y}x{model.n_y}")
+    _check_pd(rep, "Sigma_x1", model.Sigma_x1, n_x)
+    _check_pd(rep, "Sigma_T", model.Sigma_T, n_x)
+    _check_pd(rep, "Sigma_W", model.Sigma_W, model.n_y)
 
     if not isinstance(req.K, int) or req.K < 2:
         rep.add(f"K must be an integer >= 2, got {req.K!r}")
@@ -199,12 +205,8 @@ def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:
 
     if model.U.ndim != 2 or model.U.shape[1] != model.n_u:
         rep.add(f"U must be a sequence of {model.n_u}-vectors, got shape {model.U.shape}")
-    elif model.U.shape[0] < req.K - 1:
-        rep.add(f"U must have at least K-1 = {req.K - 1} entries, got {model.U.shape[0]}")
-
-    for name, eps in (("eps_Y", req.eps_y), ("eps_U", req.eps_u)):
-        if math.isnan(eps) or eps < 0.0:
-            rep.add(f"{name} must be a nonnegative real or inf, got {eps!r}")
+        return rep
+    _check_request(rep, model.U, req.K, req.eps_y, req.eps_u)
 
     ny_full = req.K * model.n_y
     nu_full = req.K * model.n_u
@@ -227,24 +229,21 @@ def _as_array(name: str, value) -> np.ndarray:
         raise ModelFormatError(f"field {name}: not a numeric array ({exc})") from None
 
 
-def _as_matrix(name: str, value, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def _as_matrix(name: str, value) -> np.ndarray:
     M = _as_array(name, value)
     if M.ndim != 2:
         raise ModelFormatError(f"field {name}: expected a matrix, got ndim {M.ndim}")
-    if rows is not None and M.shape[0] != rows:
-        raise ModelFormatError(f"field {name}: expected {rows} rows, got {M.shape[0]}")
-    if cols is not None and M.shape[1] != cols:
-        raise ModelFormatError(f"field {name}: expected {cols} columns, got {M.shape[1]}")
     return M
 
 
 def _as_cov(name: str, value, n: int) -> np.ndarray:
-    """An n x n matrix, or a number s for s I; an infinite s keeps the zero
-    off-diagonal (not inf * 0 = NaN), and ``validate`` rejects its diagonal."""
+    """A matrix (``validate`` checks its size), or a number s for s I of size
+    n; an infinite s keeps the zero off-diagonal (not inf * 0 = NaN), and
+    ``validate`` rejects its diagonal."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         s = float(value)
         return s * np.eye(n) if math.isfinite(s) else np.diag(np.full(n, s))
-    return _as_matrix(name, value, n, n)
+    return _as_matrix(name, value)
 
 
 def _as_weight(name: str, value, per_step: int, K: int) -> np.ndarray:
@@ -287,8 +286,9 @@ def _as_eps(name: str, value) -> float:
 def parse_model(data: dict) -> tuple[SystemModel, SynthesisRequest]:
     """Build (SystemModel, SynthesisRequest) from a decoded JSON object.
 
-    Applies the scalar/per-step shorthands but performs no invariant
-    validation beyond shape coherence needed to expand them.
+    Converts the fields and expands the scalar/per-step shorthands, checking
+    only what that needs: field kinds, U entries and the horizon bound. The
+    model's shape rules are ``validate``'s.
     """
     if not isinstance(data, dict):
         raise ModelFormatError("top-level JSON value must be an object")
@@ -296,18 +296,9 @@ def parse_model(data: dict) -> tuple[SystemModel, SynthesisRequest]:
     if missing:
         raise ModelFormatError(f"missing fields: {', '.join(missing)}")
 
-    A = _as_matrix("A", data["A"])
+    A, B, C, D = (_as_matrix(name, data[name]) for name in "ABCD")
     n_x = A.shape[0]
-    if A.shape[1] != n_x:
-        raise ModelFormatError(f"field A: must be square, got {A.shape}")
-    B = _as_matrix("B", data["B"], rows=n_x)
-    C = _as_matrix("C", data["C"], cols=n_x)
-    D = _as_matrix("D", data["D"], cols=n_x)
-
     mu = _as_array("mu_x1", data["mu_x1"])
-    if mu.ndim != 1 or mu.shape[0] != n_x:
-        raise ModelFormatError(f"field mu_x1: expected {n_x}-vector, got shape {mu.shape}")
-
     Sigma_x1 = _as_cov("Sigma_x1", data["Sigma_x1"], n_x)
     Sigma_T = _as_cov("Sigma_T", data["Sigma_T"], n_x)
     Sigma_W = _as_cov("Sigma_W", data["Sigma_W"], C.shape[0])
@@ -419,26 +410,28 @@ def with_overrides(model: SystemModel, req: SynthesisRequest, *, K: int | None =
                    ) -> tuple[SystemModel, SynthesisRequest]:
     """Request with overridden fields; per-step-structured weights are resized.
 
-    Changing K requires the stored weights to be expandable: they must equal
-    a Kronecker replication of their first per-step block, otherwise the
-    override is rejected, as is a K below 2 or beyond MAX_DIM's stacks.
+    It owns what it sets, so a validated request needs no second
+    ``validate``: U must cover K-1 steps and the budgets follow the budget
+    rule (else a ValidationError). A K below 2 or beyond MAX_DIM's stacks
+    is rejected, as are weights that are not a Kronecker replication of
+    their first per-step block, the only ones a new K can resize. Every
+    rule is checked before any K-sized weight is built.
     """
     if K is None and eps_y is None and eps_u is None:
         return model, req
     K_new = req.K if K is None else K
+    eps_y = req.eps_y if eps_y is None else float(eps_y)
+    eps_u = req.eps_u if eps_u is None else float(eps_u)
+    _check_horizon(K_new, model.n_x, model.n_y, model.n_u)
+    rep = ValidationReport()
+    _check_request(rep, model.U, K_new, eps_y, eps_u)
+    if not rep.ok:
+        raise ValidationError(rep)
     W_Y, W_U = req.W_Y, req.W_U
     if K_new != req.K:
-        _check_horizon(K_new, model.n_x, model.n_y, model.n_u)
         W_Y = _resize_weight("W_Y", req.W_Y, model.n_y, req.K, K_new)
         W_U = _resize_weight("W_U", req.W_U, model.n_u, req.K, K_new)
-    new_req = SynthesisRequest(
-        K=K_new,
-        eps_y=req.eps_y if eps_y is None else float(eps_y),
-        eps_u=req.eps_u if eps_u is None else float(eps_u),
-        W_Y=W_Y,
-        W_U=W_U,
-    )
-    return model, new_req
+    return model, SynthesisRequest(K=K_new, eps_y=eps_y, eps_u=eps_u, W_Y=W_Y, W_U=W_U)
 
 
 def _resize_weight(name: str, W: np.ndarray, per_step: int, K_old: int, K_new: int) -> np.ndarray:

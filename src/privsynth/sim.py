@@ -273,14 +273,16 @@ class _PlugInEstimator:
     exactly P Sigma_H_used P^T with P mapping input noise through the
     dynamics into the estimate.
 
-    ``moments``, if given, must be ``output_moments`` of ``model`` at the
-    mechanism's horizon; the estimators of one experiment share them.
+    ``Mechanism.check_fits`` rejects a mechanism that does not fit the model
+    at the lift's horizon, else the mechanism's. ``moments``, if given, are
+    ``output_moments`` of ``model`` and ``lift``; one experiment shares them.
     """
 
     def __init__(self, model: SystemModel, mech: Mechanism,
                  lift: LiftedSystem | None = None,
                  moments: LiftedMoments | None = None):
-        K = mech.K
+        K = mech.K if lift is None else lift.K
+        mech.check_fits(model, K)
         self.K, self.n_s = K, model.n_s
         if lift is None:
             lift = build_lift(model, K)
@@ -347,7 +349,8 @@ def adversary_estimate(model: SystemModel, lift: LiftedSystem | None,
     """Private-sequence estimate from one disclosed pair (z_seq, r_seq).
 
     The reported error statistics are the exact second moments of the
-    estimation error, including the input-substitution term.
+    estimation error, including the input-substitution term. The estimator
+    checks that the mechanism fits the model.
     """
     est = _PlugInEstimator(model, mech, lift=lift)
     K, n_s = est.K, est.n_s
@@ -415,7 +418,7 @@ class _Experiment:
 
     @classmethod
     def of(cls, model: SystemModel, req: SynthesisRequest, mech: Mechanism) -> "_Experiment":
-        K = mech.K
+        K = req.K
         lift = build_lift(model, K)
         mom = output_moments(lift, model)
         plug = _PlugInEstimator(model, mech, lift=lift, moments=mom)
@@ -505,11 +508,11 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     one slot's W x W matrix is held at a time, plus every slot's sums (W,)
     and quadratic forms (Q,): time and memory do not grow with n_runs, nor
     memory with the slot count. The call runs on the calling thread only.
+    The receiver's estimator checks that the mechanism fits the model at
+    the request's horizon; the request itself is ``validate``'s to check.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
-    if req.K != mech.K:
-        raise ValueError(f"request horizon {req.K} does not match mechanism horizon {mech.K}")
     seed = check_seed(seed)  # the summary records the seed as a Python int
     exp = _Experiment.of(model, req, mech)
     sizes = _slot_sizes(n_runs)

@@ -109,6 +109,20 @@ class Mechanism:
     def n_y(self) -> int:
         return self.G_blocks[0].shape[0]
 
+    def check_fits(self, model: SystemModel, K: int) -> None:
+        """Raise ValueError unless every array fits model at horizon K; each
+        library entry that takes a mechanism calls it before any product."""
+        if self.K != K:
+            raise ValueError(f"mechanism horizon {self.K} does not match request horizon {K}")
+        n_y, NY, NU = model.n_y, K * model.n_y, K * model.n_u
+        for name, got, n, size in (
+                *((f"G_blocks[{k}]", b.shape, n_y, "n_y") for k, b in enumerate(self.G_blocks)),
+                ("Sigma_V", self.Sigma_V.shape, NY, "K*n_y"),
+                ("Sigma_H", self.Sigma_H.shape, NU, "K*n_u")):
+            if got != (n, n):
+                raise ValueError(
+                    f"mechanism {name} has shape {got}; the model needs {n}x{n} ({size})")
+
     @property
     def Gtilde(self) -> np.ndarray:
         return g_blocks_to_matrix(self.G_blocks)
@@ -551,8 +565,10 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
     disclosed output stack; the disclosed input stack is independent of the
     private stack once its mean is accounted for and contributes nothing.
     ``moments``, if given, must be ``output_moments`` of ``model`` at the
-    request's horizon.
+    request's horizon. ``Mechanism.check_fits`` runs first; the request
+    itself is ``validate``'s to check.
     """
+    mech.check_fits(model, req.K)
     mom = moments if moments is not None else output_moments(build_lift(model, req.K), model)
     Gt = mech.Gtilde
 

@@ -354,6 +354,22 @@ def test_sweep_reads_the_model_once_and_evaluates_each_row_once(monkeypatch, tmp
     assert (len(loads), len(evaluations)) == (1, 2)
 
 
+def test_sweep_validates_the_model_once_per_row(monkeypatch, tmp_path):
+    """load_model validates the model once; with_overrides checks each
+    cell's budgets, so the only other validate call is each row's solve,
+    synthesize's entry check: 5 calls on a 5x5 grid, where per-cell
+    validation made 30."""
+    calls = []
+    real = synth_module.validate
+    counting = lambda *a: calls.append(1) or real(*a)      # noqa: E731
+    monkeypatch.setattr(synth_module, "validate", counting)
+    monkeypatch.setattr(cli_module, "validate", counting, raising=False)
+    grid = "1,2,3,4,5"
+    assert cli_module.main(["sweep", str(FIXTURES / "reactor4.json"), str(tmp_path / "s.csv"),
+                            "--eps-y-grid", grid, "--eps-u-grid", grid, "--jobs", "1"]) == 0
+    assert len(calls) == 5
+
+
 def _disagreeing_routes(joint):
     raise FloatingPointError("mutual information routes disagree: Schur 1.0 vs entropy-sum 1.1")
 
@@ -520,6 +536,47 @@ def test_validate_rejects_non_finite_entries(capsys, tmp_path, field, value):
         assert cli_module.main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"violation: {field} must have finite entries"]
+
+
+def _extra_column(matrix):
+    return [[*row, 0.0] for row in matrix]
+
+
+@pytest.mark.parametrize("field, misshape, line", [
+    ("A", _extra_column, "A must be square, got shape (2, 3)"),
+    ("B", lambda B: [*B, [0.0]], "B must have 2 rows, got 3"),
+    ("C", _extra_column, "C must have 2 columns, got 3"),
+    ("D", _extra_column, "D must have 2 columns, got 3"),
+    ("mu_x1", lambda mu: mu[:1], "mu_x1 must have shape (2,), got (1,)"),
+    ("Sigma_W", lambda _: _identity(3), "Sigma_W must be 2x2, got shape (3, 3)"),
+    ("Sigma_W", _extra_column, "Sigma_W must be 2x2, got shape (2, 3)"),
+], ids=["A-2x3", "B-extra-row", "C-extra-column", "D-extra-column", "mu_x1-short",
+        "Sigma_W-3x3", "Sigma_W-2x3"])
+def test_a_misshapen_model_is_one_violation(capsys, tmp_path, field, misshape, line):
+    """validate states every shape rule of the model, so a field of the wrong
+    size is one violation line naming it, a non-square covariance included."""
+    data = json.loads((FIXTURES / "twostate.json").read_text())
+    data[field] = misshape(data[field])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert cli_module.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"violation: {line}"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate", "sweep"])
+def test_a_horizon_beyond_the_inputs_is_one_violation(capsys, scalar_artifacts, tmp_path,
+                                                      command):
+    """with_overrides checks that U covers a new --k, so every command that
+    takes one stops there with validate's line; sweep tabulates no cell."""
+    scalar = str(FIXTURES / "scalar.json")
+    argv = {"evaluate": ["evaluate", scalar, str(scalar_artifacts)],
+            "simulate": ["simulate", scalar, str(scalar_artifacts), str(tmp_path / "s.csv")],
+            "sweep": ["sweep", scalar, str(tmp_path / "s.csv"), "--eps-y-grid", "1",
+                      "--eps-u-grid", "1"]}[command]
+    assert cli_module.main([*argv, "--k", "3"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "violation: U must have at least K-1 = 2 entries, got 1"]
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_simulate_csv_format(scalar_artifacts, tmp_path):

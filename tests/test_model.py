@@ -207,7 +207,9 @@ def test_input_sequence_padding():
 
 
 def test_with_overrides_resizes_weights():
-    model, req = parse_model(load_raw("twostate"))
+    data = load_raw("twostate")
+    data["U"] += [[0.0], [0.0]]                 # K = 5 needs K-1 = 4 input rows
+    model, req = parse_model(data)
     _, req5 = with_overrides(model, req, K=5)
     assert req5.K == 5
     assert req5.W_Y.shape == (10, 10)
@@ -215,7 +217,9 @@ def test_with_overrides_resizes_weights():
 
 
 def test_with_overrides_rejects_unstructured_weight():
-    model, req = parse_model(load_raw("scalar"))
+    data = load_raw("scalar")
+    data["U"] += [0.0]                          # K = 3 needs K-1 = 2 input rows
+    model, req = parse_model(data)
     W = np.array([[1.0, 0.2], [0.2, 1.5]])
     req = SynthesisRequest(K=req.K, eps_y=req.eps_y, eps_u=req.eps_u, W_Y=W, W_U=req.W_U)
     with pytest.raises(ValueError, match="W_Y"):
@@ -227,6 +231,20 @@ def test_with_overrides_rejects_a_horizon_out_of_bounds(K):
     model, req = parse_model(load_raw("twostate"))
     with pytest.raises(ValueError, match=f"horizon K.*{K}"):
         with_overrides(model, req, K=K)
+
+
+@pytest.mark.parametrize("overrides, violation", [
+    ({"K": 4}, "U must have at least K-1 = 3 entries, got 2"),
+    ({"eps_y": -1.0}, "eps_Y must be a nonnegative real or inf, got -1.0"),
+    ({"eps_u": math.nan}, "eps_U must be a nonnegative real or inf, got nan"),
+])
+def test_with_overrides_checks_what_it_overrides(overrides, violation):
+    """An override breaking validate's input or budget rule is that rule's
+    violation, so a validated request needs no second validate."""
+    model, req = parse_model(load_raw("twostate"))
+    with pytest.raises(ValidationError) as exc:
+        with_overrides(model, req, **overrides)
+    assert exc.value.report.violations == [violation]
 
 
 def test_with_overrides_eps_only_keeps_weights():

@@ -130,10 +130,56 @@ def test_run_experiment_argument_errors(scalar_case, scalar_report):
     model, req = scalar_case
     with pytest.raises(ValueError, match="n_runs"):
         run_experiment(model, req, scalar_report.mechanism, 0, seed=1)
+    from dataclasses import replace
     from privsynth.model import with_overrides
+    model = replace(model, U=np.zeros((2, 1)))  # K = 3 needs K-1 = 2 input rows
     _, req3 = with_overrides(model, req, K=3)
     with pytest.raises(ValueError, match="horizon"):
         run_experiment(model, req3, scalar_report.mechanism, 10, seed=1)
+
+
+def _misfit(model, K, fault):
+    """A mechanism on reactor4 at horizon K with one array that does not
+    fit the model, and the line Mechanism.check_fits raises for it."""
+    NY, NU = K * model.n_y, K * model.n_u
+    arrays = {"G_blocks": [np.eye(model.n_y)] * K, "Sigma_V": np.eye(NY),
+              "Sigma_H": np.eye(NU)}
+    if fault == "Sigma_H-1x1":
+        arrays["Sigma_H"] = np.eye(1)
+        line = f"mechanism Sigma_H has shape (1, 1); the model needs {NU}x{NU} (K*n_u)"
+    elif fault == "Sigma_V-NY+1":
+        arrays["Sigma_V"] = np.eye(NY + 1)
+        line = (f"mechanism Sigma_V has shape ({NY + 1}, {NY + 1}); "
+                f"the model needs {NY}x{NY} (K*n_y)")
+    elif fault == "G-block-2x2":
+        arrays["G_blocks"] = [np.eye(2)] + arrays["G_blocks"][1:]
+        line = "mechanism G_blocks[0] has shape (2, 2); the model needs 1x1 (n_y)"
+    else:
+        arrays = {"G_blocks": [np.eye(model.n_y)] * 5, "Sigma_V": np.eye(5 * model.n_y),
+                  "Sigma_H": np.eye(5 * model.n_u)}
+        line = f"mechanism horizon 5 does not match request horizon {K}"
+    return Mechanism(**arrays), line
+
+
+@pytest.mark.parametrize("fault", ["Sigma_H-1x1", "Sigma_V-NY+1", "G-block-2x2", "horizon"])
+@pytest.mark.parametrize("caller", ["evaluate_mechanism", "run_experiment",
+                                    "adversary_estimate"])
+def test_a_mechanism_that_does_not_fit_is_refused(reactor_case, caller, fault):
+    """Every library entry that takes a mechanism applies the mechanism's
+    own fit check, with its text, before any product of its arrays."""
+    from privsynth.synth import evaluate_mechanism
+    model, req = reactor_case
+    mech, line = _misfit(model, req.K, fault)
+    call = {
+        "evaluate_mechanism": lambda: evaluate_mechanism(model, req, mech),
+        "run_experiment": lambda: run_experiment(model, req, mech, 10, seed=1),
+        "adversary_estimate": lambda: adversary_estimate(
+            model, build_lift(model, req.K), mech, np.zeros(req.K * model.n_y),
+            np.zeros(req.K * model.n_u)),
+    }[caller]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == line
 
 
 def test_summary_serialization(scalar_case, scalar_report):
