@@ -366,18 +366,17 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
-        lines, code = [f"violation: {v}" for v in exc.report.violations], 1
+        line, code = f"violation: {exc}", 1     # every violation, on one line
     except (OSError, ValueError, KeyError) as exc:   # ModelFormatError is a ValueError
-        lines, code = [f"error: {exc}"], 1
+        line, code = f"error: {exc}", 1
     # Reached only by an exception none of the clauses above matches, so a
     # command that never loaded synth does not load it here either.
     except synth.InfeasibleProgram as exc:
-        lines, code = [f"error: {exc}"], 2
+        line, code = f"error: {exc}", 2
     # FloatingPointError: the two mutual-information routes disagree.
     except (synth.SolverFailure, synth.ExtractionFailure, FloatingPointError) as exc:
-        lines, code = [f"error: {exc}"], 3
-    for line in lines:
-        print(line, file=sys.stderr)
+        line, code = f"error: {exc}", 3
+    print(line, file=sys.stderr)
     return code
 
 

@@ -29,6 +29,16 @@ supplies and needs a program whose objective is bounded below on the
 feasible set. All runs are deterministic: the same problem and start
 reproduce the iteration log bit for bit.
 
+After a centering passes its test, the next one starts from a predictor
+step along the central path (Boyd & Vandenberghe, *Convex Optimization*,
+2004, section 11.3): differentiating ``grad f + mu grad phi = 0`` gives
+``H(mu) dx/dmu = -grad phi``, so the first-order move to ``mu' = mu /
+MU_FACTOR`` is ``(mu - mu') H(mu)^-1 grad phi``. ``H(mu)`` is the Newton
+matrix the centering test has just factored, so the move costs one more
+substitution and no factorization. It is tried once, kept only if it lies
+in the domain and lowers ``psi`` at ``mu'``, and never taken after a
+centering that ran out of Newton steps.
+
 ``solve`` only solves: it reports the status, objective and duality
 measure its loop measured and certifies nothing. The certificate is
 ``check_solution``, which recomputes every slack and the objective by
@@ -37,10 +47,13 @@ reports.
 
 Each iterate is built once. The build evaluates f and phi apart, with their
 gradients and Hessians, and the Newton system at any mu is the
-recombination ``H_f + mu * H_phi``. When a centering ends, mu is cut at the
-same x, so the next system costs one recombination and one factorization.
-The slacks are factored once per iterate, by the line-search trial that
-reaches it; the build reuses those factors.
+recombination ``H_f + mu * H_phi``. When a centering ends and the
+predictor is refused, mu is cut at the same x, so the next system costs one
+recombination and one factorization. The slacks are factored once per
+iterate, by the line-search or predictor trial that reaches it; the build
+reuses those factors. The Hessian of an LMI whose terms all share one hub
+row, as the output-distortion epigraph's do, has a closed form that needs
+no gather (``_terms_hess``).
 """
 
 from __future__ import annotations
@@ -252,7 +265,8 @@ class SdpProblem:
 
 @dataclass
 class IterationRecord:
-    """One Newton step. ``objective`` is f / ln 2 at the step's new iterate:
+    """One move of x: a Newton step at ``mu``, or a predictor step to the
+    next centering's ``mu``. ``objective`` is f / ln 2 at the new iterate:
     the objective in reported units without the constant
     ``objective_offset``, so the solution's objective equals the last
     record's plus that offset."""
@@ -260,7 +274,9 @@ class IterationRecord:
     iteration: int
     mu: float
     objective: float
-    decrement: float      # Newton decrement, diagnostic only
+    # Newton decrement of a Newton step; for a predictor step, the move's
+    # length in the local norm of the Newton matrix. Diagnostic only.
+    decrement: float
 
 
 @dataclass
@@ -273,7 +289,7 @@ class SdpSolution:
     iterations: list[IterationRecord]
     message: str = ""
     mu_final: float = math.nan
-    newton_steps: int = 0
+    newton_steps: int = 0       # Newton steps taken; ``iterations`` adds the predictor steps
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +327,8 @@ class _Terms:
         p = self.rows.size
         self.terms_at = np.arange(p)
         self.chunks = _row_chunks(p)
+        # The row every term shares, or None: the closed form of _terms_hess.
+        self.hub_row = int(self.rows[0]) if p and (self.rows == self.rows[0]).all() else None
         cuts = [0, *(np.flatnonzero(np.diff(self.idx) != 1) + 1), p]
         self.runs = [(slice(a, b), slice(self.idx[a], self.idx[a] + b - a))
                      for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
@@ -382,11 +400,20 @@ def _terms_hess(terms: _Terms, P: np.ndarray, PV: np.ndarray) -> np.ndarray:
     """Hessian of -log det S over the terms T_k = e_r v_k^T + v_k e_r^T, with
     P = S^-1 and PV = P V^T:
     tr(P T_k P T_l) = 2 (P[r_k, r_l] (V P V^T)[k, l] + B[k, l] B[l, k]),
-    B = PV[r, :]. The elementwise products are formed a row chunk at a
-    time, so their temporaries stay small."""
+    B = PV[r, :]. When every term has the hub row r0 this is
+    2 P[r0, r0] V P V^T + 2 u u^T with u = PV[r0], and no gather is needed.
+    The elementwise products are formed a row chunk at a time, so their
+    temporaries stay small."""
     r = terms.rows
-    P2, B2 = 2.0 * P, 2.0 * PV
     H = terms.vectors @ PV
+    if terms.hub_row is not None:
+        u = PV[terms.hub_row]
+        H *= 2.0 * P[terms.hub_row, terms.hub_row]
+        u2 = 2.0 * u
+        for a in terms.chunks:
+            H[a] += np.multiply.outer(u[a], u2)
+        return H
+    P2, B2 = 2.0 * P, 2.0 * PV
     for a in terms.chunks:
         H[a] *= P2[r[a]][:, r]
         Bt = PV[:, a][r].T
@@ -505,7 +532,8 @@ def _build(plan: _Plan, x: np.ndarray, order: int,
 
 
 def _solve_newton(hess: np.ndarray, grad: np.ndarray):
-    """Newton direction with ridge retries; returns (d, decrement_sq) or None."""
+    """Newton direction with ridge retries; returns (d, decrement_sq, L) or
+    None, L the Cholesky factor of the (ridged) system."""
     diag_scale = max(1.0, float(np.max(np.diag(hess))))
     ridge = REGULARIZATION * diag_scale
     H = hess
@@ -523,7 +551,7 @@ def _solve_newton(hess: np.ndarray, grad: np.ndarray):
             H = _ridged(hess, ridge)
             ridge *= 1e3
             continue
-        return d, dec_sq
+        return d, dec_sq, L
     return None
 
 
@@ -554,22 +582,24 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
 
     Each iterate is built once: ``at_x`` holds f and phi with their
     derivatives at x, and the Newton system at any mu is recombined from
-    them. When the centering test ends an outer iteration, mu is cut and x
-    stays, so the next system costs one recombination and no build. A step
-    to a new x passes on the slack factors of the accepted line-search
-    trial, so no slack is factored twice at one iterate.
+    them. When the centering test ends an outer iteration, mu is cut and one
+    predictor trial is made from the factor that test used; if it is
+    refused x stays, so the next system costs one recombination and no
+    build. A move to a new x passes on the slack factors of its accepted
+    trial, so no slack is factored twice at one iterate. The log holds every
+    move; ``newton_steps`` counts the Newton steps among them.
     """
     plan = _Plan(problem)
     x = problem.pack(init) if isinstance(init, dict) else np.array(init, dtype=float)
     f = mu = math.nan
     log: list[IterationRecord] = []
-    it = 0
+    newton_steps = 0
 
     def result(status: SolverStatus, message: str) -> SdpSolution:
         return SdpSolution(
             status=status, objective=f / LN2 + problem.objective_offset, x=x,
             variables=problem.values(x), duality_measure=mu * plan.nu / max(1.0, abs(f)),
-            iterations=log, message=message, mu_final=mu, newton_steps=it)
+            iterations=log, message=message, mu_final=mu, newton_steps=newton_steps)
 
     try:
         at_x = _build(plan, x, 0)
@@ -580,6 +610,7 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
     mu = max(1.0, abs(f) / max(plan.nu, 1))
 
     for outer in range(MAX_OUTER):
+        centered = False
         for inner in range(MAX_INNER):
             if at_x.hess_f is None:
                 at_x = _build(plan, x, 2, at_x.factors)
@@ -588,9 +619,11 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
             if nd is None:
                 return result(SolverStatus.NUMERICAL_FAILURE,
                               "Newton system factorization failed")
-            d, dec_sq = nd
-
-            if 0.5 * dec_sq <= INNER_TOL * mu:
+            d, dec_sq, L = nd
+            centered = 0.5 * dec_sq <= INNER_TOL * mu
+            tangent = cho_solve(L, at_x.grad_phi) if centered else None
+            del nd, L       # the factor is not held through the next build
+            if centered:
                 break
 
             # Backtracking: keep every slack PD, then Armijo decrease.
@@ -613,13 +646,33 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
                               "line search failed to make progress")
 
             x, f = trial, at_x.f
-            it += 1
-            log.append(IterationRecord(iteration=it, mu=mu, objective=f / LN2,
+            newton_steps += 1
+            log.append(IterationRecord(iteration=len(log) + 1, mu=mu, objective=f / LN2,
                                        decrement=math.sqrt(dec_sq)))
 
         if mu * plan.nu / max(1.0, abs(f)) <= TOL_GAP:
             return result(SolverStatus.OPTIMAL, "duality measure below tolerance")
-        mu /= MU_FACTOR
+        mu_next = mu / MU_FACTOR
+
+        # Predictor: one trial along the central path's tangent, from a
+        # point that passed the centering test only. dx/dmu = -tangent, so
+        # the move to mu_next is (mu - mu_next) * tangent; it is kept if it
+        # lowers psi at mu_next, with no backtracking.
+        if centered and np.isfinite(tangent).all():
+            step = mu - mu_next
+            trial = x + step * tangent
+            try:
+                at_trial = _build(plan, trial, 0)
+            except _Infeasible:
+                at_trial = None
+            if at_trial is not None and at_trial.psi(mu_next) < at_x.psi(mu_next):
+                # The move's length in the local norm of H(mu), finite:
+                # tangent^T grad_phi = tangent^T H tangent >= 0.
+                length = step * math.sqrt(max(float(tangent @ at_x.grad_phi), 0.0))
+                x, at_x, f = trial, at_trial, at_trial.f
+                log.append(IterationRecord(iteration=len(log) + 1, mu=mu_next,
+                                           objective=f / LN2, decrement=length))
+        mu = mu_next
 
     return result(SolverStatus.MAX_ITERATIONS, "outer iteration limit reached")
 

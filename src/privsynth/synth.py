@@ -19,8 +19,11 @@ The output noise floor Sigma_V > delta I makes the output distortion at
 least delta tr(W_Y^T W_Y), with equality approached by passing Y through
 (G = I) with noise delta I. So the program is strictly feasible exactly when
 eps_Y exceeds that threshold, and every feasible budget has the pass-through
-start of ``analytic_start``. At eps_Y = inf the optimum is closed form:
-G = 0 discloses pure noise and leaks nothing.
+start of ``analytic_start``. G = 0 discloses pure noise and leaks nothing,
+so the optimum is closed form wherever that fits the budget: at eps_Y =
+inf, and at every eps_Y above eps_zero = tr(W_Y^T W_Y Sigma_Y) + |W_Y
+mu_Y|^2 + delta tr(W_Y^T W_Y), the output distortion of G = 0 with the
+noise at its floor.
 """
 
 from __future__ import annotations
@@ -456,7 +459,8 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
 
     Each answer is certified once, by ``sdp.check_solution`` on the full
     program: the packed point of the reduced solve, or the closed form at
-    eps_Y = inf. The reported objective is the certificate's.
+    eps_Y = inf or above eps_zero. The reported objective is the
+    certificate's.
 
     Raises ValidationError, InfeasibleProgram, SolverFailure or
     ExtractionFailure; returns a SynthesisReport on success. A near-singular
@@ -470,16 +474,31 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     problem = assemble_program(build_lift(model, req.K), model, req)
     ctx: _Context = problem.meta["context"]
 
-    if math.isinf(ctx.eps_y):
-        # Without an output budget, disclosing pure noise (G = 0) leaks
-        # nothing, so it is optimal with Pi = Sigma_S. Any PD Sigma_V is
-        # optimal then; Sigma_V = Sigma_Y gives Z the covariance of Y.
-        x = problem.pack({"Pi": ctx.mom.Sigma_S, "Sigma_Z": ctx.mom.Sigma_Y,
+    # Disclosing pure noise (G = 0) leaks nothing, so it is optimal with
+    # Pi = Sigma_S whenever some Sigma_V above the floor fits the budget.
+    # Its output distortion is tr(W_Y^T W_Y Sigma_V) + pure_noise, so every
+    # eps_Y above eps_zero qualifies, eps_Y = inf included.
+    tr_w = float(np.trace(ctx.MYq))
+    pure_noise = float(np.sum(ctx.mom.Sigma_Y * ctx.MYq) + ctx.mom.mu_Y @ ctx.MYq @ ctx.mom.mu_Y)
+    eps_zero = pure_noise + ctx.delta * tr_w
+    if ctx.eps_y > eps_zero:
+        # Any such Sigma_V is optimal. Without an output budget Sigma_V =
+        # Sigma_Y gives Z the covariance of Y. With one, Sigma_V = c I with
+        # c halfway between the floor delta and the c that spends the whole
+        # budget: spent to the last digit, the budget's LMI would be
+        # singular, and its rounding (about eps_Y * 1e-16) would fail the
+        # certificate's absolute tolerance.
+        if math.isinf(ctx.eps_y):
+            sigma_v, message = ctx.mom.Sigma_Y, "closed form at eps_Y = inf: G = 0"
+        else:
+            c = 0.5 * (ctx.delta + (ctx.eps_y - pure_noise) / tr_w)
+            sigma_v, message = c * np.eye(ctx.NY), "closed form above eps_zero: G = 0"
+        x = problem.pack({"Pi": ctx.mom.Sigma_S, "Sigma_Z": sigma_v,
                           "G": np.zeros(problem.affine_vars["G"].num_params)})
         sol = sdp.SdpSolution(
             status=sdp.SolverStatus.OPTIMAL, objective=math.nan, x=x,
             variables=problem.values(x), duality_measure=0.0, iterations=[],
-            message="closed form at eps_Y = inf: G = 0", mu_final=0.0, newton_steps=0)
+            message=message, mu_final=0.0, newton_steps=0)
     else:
         reduced = reduced_view(problem)
         sol = sdp.solve(reduced, init=analytic_start(reduced))

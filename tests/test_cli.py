@@ -538,6 +538,18 @@ def test_validate_rejects_non_finite_entries(capsys, tmp_path, field, value):
             f"violation: {field} must have finite entries"]
 
 
+def test_several_violations_print_one_line(capsys, tmp_path):
+    """A report with several violations is one stderr line, its violations
+    joined by '; '."""
+    argv = ["synthesize", str(FIXTURES / "twostate.json"), str(tmp_path / "m.json"),
+            "--eps-y", "-1", "--eps-u", "nan"]
+    assert cli_module.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "violation: eps_Y must be a nonnegative real or inf, got -1.0; "
+        "eps_U must be a nonnegative real or inf, got nan"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def _extra_column(matrix):
     return [[*row, 0.0] for row in matrix]
 

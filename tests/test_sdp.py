@@ -305,9 +305,10 @@ def test_newton_ridge_retry_gives_descent(hess):
     """A Hessian the factorization rejects is retried with a ridge scaled to
     its diagonal, and the direction solves the ridged system."""
     grad = np.array([1.0, 0.0])
-    d, dec_sq = sdp._solve_newton(hess, grad)
+    d, dec_sq, L = sdp._solve_newton(hess, grad)
     ridged = hess + sdp.REGULARIZATION * np.eye(2)
     np.testing.assert_allclose(d, -np.linalg.solve(ridged, grad), rtol=1e-9)
+    np.testing.assert_allclose(L @ L.T, ridged, rtol=1e-12)
     assert dec_sq > 0.0
     assert grad @ d < 0.0
 
@@ -380,12 +381,14 @@ def test_build_from_reused_factors_is_bitwise(monkeypatch):
         assert all(a is b for a, b in zip(reused.factors, factors))
 
 
-@pytest.mark.parametrize("fixture, steps", [("reactor4", 22), ("twostate", 32)])
-def test_one_newton_system_build_per_iterate(monkeypatch, fixture, steps):
-    """The Hessian is built once at the start and once per Newton step: a
-    cut of mu at the same x recombines the parts, and each build reuses the
-    slack factors of the line-search trial it starts from. The step counts
-    are those of a rebuild at every mu."""
+@pytest.mark.parametrize("fixture, steps, moves", [("reactor4", 9, 12), ("twostate", 11, 19)],
+                         ids=["reactor4", "twostate"])
+def test_one_newton_system_build_per_iterate(monkeypatch, fixture, steps, moves):
+    """The Hessian is built once at the start and once per accepted move of
+    x, a Newton step or a predictor step: a cut of mu at the same x
+    recombines the parts, and each build reuses the slack factors of the
+    trial it starts from. The iteration log holds every move, so its rows
+    beyond ``newton_steps`` are the predictor steps."""
     builds = []
     real = sdp._build
 
@@ -396,10 +399,80 @@ def test_one_newton_system_build_per_iterate(monkeypatch, fixture, steps):
     monkeypatch.setattr(sdp, "_build", counting)
     model, req = load_model(str(FIXTURES / f"{fixture}.json"))
     sol = synthesize(model, req).solution
-    assert sol.newton_steps == steps
+    assert (sol.newton_steps, len(sol.iterations)) == (steps, moves)
     hessians = [reused for order, reused in builds if order == 2]
-    assert len(hessians) == sol.newton_steps + 1
+    assert len(hessians) == len(sol.iterations) + 1
     assert all(hessians)
+
+
+def _central_point(mu, m=1e-8, cap=3.0):
+    """x with X = x I on the central path of trace_cap_problem(2, cap): the
+    root of d/dx [-2 log x - mu log(cap - 2x) - 2 mu log(x - m)], by
+    bisection on the increasing derivative."""
+    lo, hi = m, cap / 2.0
+    for _ in range(200):
+        x = 0.5 * (lo + hi)
+        if -2.0 / x + 2.0 * mu / (cap - 2.0 * x) - 2.0 * mu / (x - m) < 0.0:
+            lo = x
+        else:
+            hi = x
+    return 0.5 * (lo + hi)
+
+
+def test_predictor_follows_the_central_path():
+    """From a central point at mu, the move (mu - mu') H(mu)^-1 grad phi,
+    with the factor of the centering check, lands near the central point at
+    mu' = mu / MU_FACTOR: its error is second order, at most 2 mu times the
+    distance from x (about 1.35 mu here), and it lowers psi at mu'."""
+    prob = trace_cap_problem()
+    plan = sdp._Plan(prob)
+    for mu in (1e-2, 1e-3, 1e-4):
+        mu_next = mu / sdp.MU_FACTOR
+        x = prob.pack({"X": _central_point(mu) * np.eye(2)})
+        parts = sdp._build(plan, x, 2)
+        _, _, grad, hess = parts.combine(mu)
+        _, dec_sq, L = sdp._solve_newton(hess, grad)
+        assert 0.5 * dec_sq <= sdp.INNER_TOL * mu
+        trial = x + (mu - mu_next) * sdp.cho_solve(L, parts.grad_phi)
+        want = prob.pack({"X": _central_point(mu_next) * np.eye(2)})
+        assert np.linalg.norm(trial - want) <= 2.0 * mu * np.linalg.norm(x - want)
+        assert sdp._build(plan, trial, 0).psi(mu_next) < parts.psi(mu_next)
+
+
+@pytest.mark.parametrize("fixture", ["scalar", "twostate", "reactor4"])
+def test_iteration_log_holds_every_move(fixture):
+    """Each row is a move of x, numbered from 1, at a barrier parameter that
+    never grows, and every figure in it is finite; a predictor row's
+    decrement is the move's length in the local norm. The last row is the
+    returned point."""
+    model, req = load_model(str(FIXTURES / f"{fixture}.json"))
+    problem = assemble_program(build_lift(model, req.K), model, req)
+    red = reduced_view(problem)
+    sol = solve(red, init=analytic_start(red))
+    log = sol.iterations
+    assert len(log) > sol.newton_steps > 0
+    assert [r.iteration for r in log] == list(range(1, len(log) + 1))
+    assert all(a.mu >= b.mu for a, b in zip(log, log[1:]))
+    assert all(math.isfinite(v) for r in log for v in (r.mu, r.objective, r.decrement))
+    assert sol.objective == log[-1].objective + red.objective_offset
+
+
+def test_one_hub_hessian_matches_the_gather_loop():
+    """Every term of the output distortion LMI has hub row 0; its closed-form
+    Hessian equals the general gather loop's bit for bit, and the leakage
+    LMI, with many hub rows, takes the loop."""
+    (_, _), (red, x) = _reactor_points()
+    plan = sdp._Plan(red)
+    by_name = {con.name: terms for con, terms in plan.lmis}
+    assert by_name["leakage"].hub_row is None
+    terms = by_name["output_distortion_budget"]
+    assert terms.hub_row == 0
+    con = next(c for c in red.lmis if c.name == "output_distortion_budget")
+    P = sdp._inv_from_chol(np.linalg.cholesky(terms.matrix(con.constant, x)))
+    PV = P @ terms.vectors.T
+    loop = copy.copy(terms)
+    loop.hub_row = None
+    np.testing.assert_array_equal(sdp._terms_hess(terms, P, PV), sdp._terms_hess(loop, P, PV))
 
 
 def test_synthesize_peak_memory():

@@ -277,6 +277,66 @@ def test_output_budget_threshold(name, tmp_path, capsys):
     assert rep.distortion_Y <= above.eps_y * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4"])
+def test_feasibility_threshold_is_sharp(name, tmp_path, capsys):
+    """At eps_Y = threshold * (1 + 1e-6) the program is a sliver, and the
+    solve still ends with a clean certificate within the budget; at the
+    threshold itself the command line exits 2 with one line. On reactor4
+    one centering runs out of Newton steps there, and no predictor step may
+    follow it."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    thr = _output_threshold(model, req)
+    near = dataclasses.replace(req, eps_y=thr * (1 + 1e-6))
+    rep = synthesize(model, near)
+    assert rep.solver["status"] == "Optimal"
+    assert rep.solver["max_psd_violation"] <= sdp.CERT_TOL
+    assert sdp.check_solution(assemble_program(build_lift(model, req.K), model, near),
+                              rep.solution.x).ok
+    assert rep.distortion_Y <= near.eps_y * (1 + 1e-6)
+    assert all(math.isfinite(r.decrement) for r in rep.solution.iterations)
+    capsys.readouterr()
+
+    rc = cli_module.main(["synthesize", str(FIXTURES / f"{name}.json"),
+                          str(tmp_path / "m.json"), "--eps-y", repr(thr)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: output distortion budget"), lines
+
+
+def _pure_noise_budget(model, req):
+    """eps_zero = tr(W_Y^T W_Y Sigma_Y) + |W_Y mu_Y|^2 + delta tr(W_Y^T W_Y):
+    the output distortion of G = 0 with the noise at its floor."""
+    mom = output_moments(build_lift(model, req.K), model)
+    return (float(np.trace(req.W_Y.T @ req.W_Y @ mom.Sigma_Y))
+            + float(np.sum((req.W_Y @ mom.mu_Y) ** 2)) + _output_threshold(model, req))
+
+
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4"])
+def test_budgets_above_eps_zero_take_the_closed_form(name, tmp_path, capsys):
+    """Above eps_zero, disclosing pure noise fits the budget and leaks
+    nothing: synthesize exits 0 with mi_bits exactly 0 and no Newton step,
+    at 1.01 eps_zero and at 1e10, with a clean certificate and the budget
+    met; just below eps_zero the solve leaks a little more than nothing."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    eps_zero = _pure_noise_budget(model, req)
+    lift = build_lift(model, req.K)
+    for i, eps_y in enumerate((1.01 * eps_zero, 1e10)):
+        r = dataclasses.replace(req, eps_y=eps_y)
+        rep = synthesize(model, r)
+        assert rep.mi_bits == 0.0 and rep.solver["newton_steps"] == 0, eps_y
+        assert rep.solution.iterations == []
+        assert sdp.check_solution(assemble_program(lift, model, r), rep.solution.x).ok
+        assert eps_zero < rep.distortion_Y < eps_y
+        np.testing.assert_array_equal(rep.mechanism.Gtilde, 0.0)
+
+        assert cli_module.main(["synthesize", str(FIXTURES / f"{name}.json"),
+                                str(tmp_path / f"m{i}.json"), "--eps-y", repr(eps_y)]) == 0
+        assert json.loads((tmp_path / f"m{i}.report.json").read_text())["mi_bits"] == 0.0
+    capsys.readouterr()
+    below = synthesize(model, dataclasses.replace(req, eps_y=0.99 * eps_zero))
+    assert below.mi_bits > 0.0 and below.solver["newton_steps"] > 0
+
+
 def test_rejected_packed_point_is_a_solver_failure(monkeypatch, scalar_case):
     """A packed leakage bound the full program rejects is no Optimal answer:
     with Pi twice its closed form the leakage LMI fails, and ``synthesize``
