@@ -13,7 +13,7 @@ package; ``gauss``, ``lift``, ``sdp``, ``synth`` and ``sim`` are placed in
 (``importlib.util.LazyLoader``), and every name in ``__all__`` is looked up
 in its module when it is asked for. Before Python 3.12 the first load of a
 lazy module is not thread-safe. No privsynth code starts a thread, and
-``sweep --jobs`` loads the modules its rows run before its pool forks.
+``sweep --jobs`` loads the modules its rows run before it forks.
 """
 
 import importlib.util

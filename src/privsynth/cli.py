@@ -20,9 +20,11 @@ import argparse
 import dataclasses
 import datetime
 import functools
+import gc
 import json
 import math
 import os
+import pickle
 import sys
 import time
 
@@ -204,7 +206,7 @@ def cmd_simulate(args) -> int:
 
 def _sweep_row(model, req, eps_y: float, grid_u: list[float]) -> list[tuple]:
     """Every eps_U cell of one eps_Y row, with at most one solve; safe to run
-    in a worker process.
+    in a forked child.
 
     The output design (G, Sigma_V) and its figures mi_bits and distortion_Y
     do not depend on eps_U. The first cell whose budgets pass
@@ -243,6 +245,80 @@ def _sweep_row(model, req, eps_y: float, grid_u: list[float]) -> list[tuple]:
     return cells
 
 
+def _run_share(row, share: list[float], pipe: int):
+    """In a forked child: send the parent ``share``'s cells, or the exception
+    a row raised, through ``pipe``, then end with ``os._exit``, so that no
+    atexit handler runs and no buffer inherited from the parent is flushed.
+
+    An exception that would not unpickle in the parent is sent as an OSError
+    with its text."""
+    status = 1
+    try:
+        try:
+            sent = pickle.dumps((True, list(map(row, share))))
+        except Exception as exc:
+            try:
+                sent = pickle.dumps((False, exc))
+                pickle.loads(sent)
+            except Exception:
+                sent = pickle.dumps((False, OSError(str(exc))))
+        with open(pipe, "wb") as fh:
+            fh.write(sent)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_rows(row, grid_y: list[float], jobs: int) -> list:
+    """``row`` of each eps_Y, in grid order, run in ``jobs`` processes: row i
+    runs in process i mod jobs, where process 0 is this one and every other
+    is a child forked here that sends its rows back through its own pipe.
+
+    Every child is reaped before this returns or raises. A row's exception
+    is raised here as with --jobs 1: this process's own first, after it
+    kills the children, then each child's in turn. A child that ended
+    without sending its rows is an OSError.
+    """
+    # Run the code of the modules a row calls (synth loads gauss and lift)
+    # before forking, so that no child compiles it again.
+    synth.synthesize, sdp.solve
+    shares = [grid_y[k::jobs] for k in range(jobs)]
+    children = []     # (pid, read end of its pipe) of each child forked
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(row, share, w)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [None] * len(grid_y)
+        results[0::jobs] = list(map(row, shares[0]))
+        sent = [pipe.read() for _, pipe in children]
+    except BaseException:
+        import signal
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+    for k, (data, status) in enumerate(zip(sent, statuses), 1):
+        if not data:
+            rows = ", ".join(f"{ey:g}" for ey in shares[k])
+            how = f"exit status {status}" if status >= 0 else f"signal {-status}"
+            raise OSError(f"the sweep process for eps_Y = {rows} ended by {how} "
+                          "without sending its rows")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results[k::jobs] = value
+    return results
+
+
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     grid_y = _parse_grid(args.eps_y_grid)
@@ -260,17 +336,12 @@ def cmd_sweep(args) -> int:
     )
     # The model is read, validated and set to --k once; every row runs on it.
     row = functools.partial(_sweep_row, *_load_with_overrides(args), grid_u=grid_u)
-    # A forking pool starts all its workers at once, so a worker beyond the
-    # row count would be a process that runs nothing.
+    # A process beyond the row count would run nothing. Fork only where
+    # CPython's multiprocessing forks by default: Windows has no fork, and
+    # macOS's Accelerate BLAS is not fork-safe. Elsewhere every row runs here.
     jobs = min(args.jobs, len(grid_y))
-    if jobs > 1:
-        import concurrent.futures
-
-        # Run the code of the modules a row calls (synth loads gauss and
-        # lift) before the pool forks, so that no worker compiles it again.
-        synth.synthesize, sdp.solve
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(row, grid_y))
+    if jobs > 1 and os.name == "posix" and sys.platform != "darwin":
+        results = _fork_rows(row, grid_y, jobs)
     else:
         results = list(map(row, grid_y))
 
@@ -352,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated output budgets (numbers or 'inf')")
     p.add_argument("--eps-u-grid", required=True,
                    help="comma-separated input budgets (numbers or 'inf')")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="processes that run rows, this one included")
     _add_k_flag(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -380,5 +452,17 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The ``privsynth`` console script: ``main``, then exit with its code.
+
+    ``gc.freeze`` first moves every live object to the permanent generation,
+    so the interpreter's final collections have nothing to traverse. Every
+    artifact is already closed, and the std streams still flush at exit.
+    ``main`` leaves the collector alone for in-process callers."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,6 +2,7 @@
 formats, manifests and determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
@@ -673,22 +674,25 @@ def test_sweep_parallel_equals_serial(tmp_path):
     assert csv_path.read_bytes() == serial
 
 
-@pytest.mark.parametrize("grid_y, jobs, pools", [("1", "4", []), ("1,2", "8", [2])],
+# sweep forks only where CPython's multiprocessing forks by default.
+FORKS = os.name == "posix" and sys.platform != "darwin"
+forking = pytest.mark.skipif(not FORKS, reason="sweep runs every row in this process here")
+
+
+@pytest.mark.parametrize("grid_y, jobs, forks", [("1", "4", 0), ("1,2", "8", 1)],
                          ids=["one-row", "two-rows"])
-def test_sweep_pool_has_no_more_workers_than_rows(monkeypatch, tmp_path, grid_y, jobs, pools):
-    """A forking pool starts all its workers at once, so sweep caps it at one
-    worker per eps_Y row and builds none for a single row. The rows equal
-    those of --jobs 1."""
-    import concurrent.futures
+def test_sweep_forks_no_more_processes_than_rows(monkeypatch, tmp_path, grid_y, jobs, forks):
+    """sweep runs rows in at most one process per eps_Y row, this one
+    included: it forks no child for a single row and one for two rows at
+    --jobs 8. The rows equal those of --jobs 1."""
+    calls = []
+    fork = os.fork
 
-    built = []
+    def counting_fork():
+        calls.append(None)
+        return fork()
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            built.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     rows = {}
     for n in ("1", jobs):
         out = tmp_path / f"jobs{n}.csv"
@@ -696,8 +700,117 @@ def test_sweep_pool_has_no_more_workers_than_rows(monkeypatch, tmp_path, grid_y,
                                 "--eps-y-grid", grid_y, "--eps-u-grid", "1",
                                 "--jobs", n]) == 0
         rows[n] = out.read_text().splitlines()[1:]
-    assert built == pools
+    assert len(calls) == (forks if FORKS else 0)
     assert rows[jobs] == rows["1"]
+
+
+def test_sweep_rows_are_the_same_in_any_number_of_processes(tmp_path):
+    """reactor4's 5x5 grid at K=10 in two processes (3 + 2 rows) and in
+    three (2 + 2 + 1) gives the rows of --jobs 1, byte for byte."""
+    grid = "1,2,3,4,5"
+    rows = {}
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert cli_module.main(["sweep", str(FIXTURES / "reactor4.json"), str(out), "--k", "10",
+                                "--eps-y-grid", grid, "--eps-u-grid", "0,1,2,3,4",
+                                "--jobs", jobs]) == 0
+        rows[jobs] = out.read_bytes().split(b"\n", 1)[1]
+    assert rows["2"] == rows["1"] and rows["3"] == rows["1"]
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    """Only the console entry point freezes the collector before exit; an
+    in-process main, a forking sweep included, leaves no object frozen."""
+    assert cli_module.main(["sweep", str(FIXTURES / "scalar.json"), str(tmp_path / "s.csv"),
+                            "--eps-y-grid", "1,2", "--eps-u-grid", "1", "--jobs", "2"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def _sweep_with_row(monkeypatch, tmp_path, jobs, patch):
+    """main's exit code for sweep on scalar over eps_Y = 1, 2 at --jobs
+    ``jobs``, where the row of each eps_Y in ``patch`` calls its function
+    first. With two processes, row 1 runs here and row 2 in a child."""
+    row = cli_module._sweep_row
+
+    def patched(model, req, eps_y, grid_u):
+        if eps_y in patch:
+            patch[eps_y]()
+        return row(model, req, eps_y, grid_u)
+
+    monkeypatch.setattr(cli_module, "_sweep_row", patched)
+    return cli_module.main(["sweep", str(FIXTURES / "scalar.json"), str(tmp_path / "s.csv"),
+                            "--eps-y-grid", "1,2", "--eps-u-grid", "1", "--jobs", jobs])
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+@forking
+def test_a_sweep_child_that_dies_is_one_line(monkeypatch, capsys, tmp_path):
+    """A child that ends without sending its rows gives exit 1 and one line
+    naming its rows and exit status, and no child is left behind."""
+    assert _sweep_with_row(monkeypatch, tmp_path, "2", {2.0: lambda: os._exit(9)}) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the sweep process for eps_Y = 2 ended by exit status 9 without sending its rows"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+@pytest.mark.parametrize("exc, code", [
+    (OSError("disk full"), 1),
+    (KeyError("G_blocks"), 1),
+    (InfeasibleProgram("output distortion budget infeasible"), 2),
+    (SolverFailure("solver status MaxIterations"), 3),
+    (FloatingPointError("the two mutual-information routes disagree"), 3),
+], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None)
+def test_a_sweep_childs_exception_maps_as_in_one_process(monkeypatch, capsys, tmp_path,
+                                                         exc, code):
+    """An exception raised in a child's row reaches main, which gives the
+    exit code and line of --jobs 1."""
+    lines = {}
+    for jobs in ("1", "2"):
+        assert _sweep_with_row(monkeypatch, tmp_path, jobs, {2.0: _raise(exc)}) == code
+        lines[jobs] = capsys.readouterr().err.splitlines()
+    assert len(lines["1"]) == 1 and lines["2"] == lines["1"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _NoLoads(RuntimeError):
+    """Pickles, but does not unpickle: its __init__ takes no message."""
+
+    def __init__(self):
+        super().__init__("lost")
+
+
+@forking
+@pytest.mark.parametrize("local", [True, False], ids=["no-dumps", "no-loads"])
+def test_a_sweep_childs_unpicklable_exception_is_its_text(monkeypatch, capsys, tmp_path, local):
+    """An exception that will not pickle, or will not unpickle, arrives as
+    an OSError with its text: exit 1 and one line."""
+    class Local(RuntimeError):
+        pass
+
+    exc = Local("lost") if local else _NoLoads()
+    assert _sweep_with_row(monkeypatch, tmp_path, "2", {2.0: _raise(exc)}) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: lost"]
+
+
+@forking
+def test_a_sweep_that_fails_here_kills_its_children(monkeypatch, capsys, tmp_path):
+    """When a row run in this process raises, the children are killed and
+    reaped at once, not waited for."""
+    t0 = time.perf_counter()
+    assert _sweep_with_row(monkeypatch, tmp_path, "2", {1.0: _raise(OSError("disk full")),
+                                                        2.0: lambda: time.sleep(60)}) == 1
+    assert time.perf_counter() - t0 < 30
+    assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_isolates_infeasible_cells(tmp_path):
@@ -820,7 +933,8 @@ ran = sorted(name.split(".")[1] for name, mod in sys.modules.items()
              if name.startswith("privsynth.") and name != "privsynth.cli"
              and type(mod) is types.ModuleType)
 # _hashlib is the OpenSSL binding.
-heavy = [name for name in ("_hashlib", "logging", "numpy.random") if name in sys.modules]
+heavy = [name for name in ("_hashlib", "logging", "numpy.random", "concurrent.futures",
+                            "multiprocessing") if name in sys.modules]
 print(json.dumps({"code": code, "ran": ran, "heavy": heavy}))
 """
 
@@ -833,10 +947,10 @@ print(json.dumps({"code": code, "ran": ran, "heavy": heavy}))
      ["_hashlib", "logging", "numpy.random"]),
     (["simulate", "{scalar}", "{mech}", "{tmp}/s.csv", "--n-runs", "10"],
      ["gauss", "lift", "model", "sim", "synth"], ["_hashlib", "logging", "numpy.random"]),
-    # The rows run in workers; the parent loads their modules before forking.
-    # concurrent.futures loads logging.
+    # Row 2 runs in a forked child; the parent loads the modules rows run before forking.
     (["sweep", "{scalar}", "{tmp}/s.csv", "--eps-y-grid", "1,2", "--eps-u-grid", "1",
-      "--jobs", "2"], ["gauss", "lift", "model", "sdp", "synth"], ["_hashlib", "numpy.random"]),
+      "--jobs", "2"], ["gauss", "lift", "model", "sdp", "synth"],
+     ["_hashlib", "logging", "numpy.random", "concurrent.futures", "multiprocessing"]),
 ], ids=["validate", "synthesize", "evaluate", "simulate", "sweep"])
 def test_each_command_runs_only_the_modules_it_calls(scalar_artifacts, tmp_path, argv, ran,
                                                      unloaded):
