@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -749,12 +750,16 @@ def _raise(exc):
 
 
 @forking
-def test_a_sweep_child_that_dies_is_one_line(monkeypatch, capsys, tmp_path):
+@pytest.mark.parametrize("die, how", [
+    (lambda: os._exit(9), "exit status 9"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {signal.SIGKILL.value}"),
+], ids=["exit", "killed"])
+def test_a_sweep_child_that_dies_is_one_line(monkeypatch, capsys, tmp_path, die, how):
     """A child that ends without sending its rows gives exit 1 and one line
-    naming its rows and exit status, and no child is left behind."""
-    assert _sweep_with_row(monkeypatch, tmp_path, "2", {2.0: lambda: os._exit(9)}) == 1
+    naming its rows and how it ended, and no child is left behind."""
+    assert _sweep_with_row(monkeypatch, tmp_path, "2", {2.0: die}) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: the sweep process for eps_Y = 2 ended by exit status 9 without sending its rows"]
+        f"error: the sweep process for eps_Y = 2 ended by {how} without sending its rows"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
