@@ -37,7 +37,10 @@ MU_FACTOR`` is ``(mu - mu') H(mu)^-1 grad phi``. ``H(mu)`` is the Newton
 matrix the centering test has just factored, so the move costs one more
 substitution and no factorization. It is tried once, kept only if it lies
 in the domain and lowers ``psi`` at ``mu'``, and never taken after a
-centering that ran out of Newton steps.
+centering that ended uncentered: one that ran out of Newton steps, or one
+whose line search accepted a step that does not lower ``psi``. That
+happens near a sliver of a feasible set, where the Armijo test's slack
+rounds away; the centering then ends at the x it had.
 
 ``solve`` only solves: it reports the status, objective and duality
 measure its loop measured and certifies nothing. The certificate is
@@ -585,9 +588,12 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
     them. When the centering test ends an outer iteration, mu is cut and one
     predictor trial is made from the factor that test used; if it is
     refused x stays, so the next system costs one recombination and no
-    build. A move to a new x passes on the slack factors of its accepted
-    trial, so no slack is factored twice at one iterate. The log holds every
-    move; ``newton_steps`` counts the Newton steps among them.
+    build. A centering that runs out of Newton steps, or whose line search
+    accepts a step that does not lower psi, ends uncentered: mu is cut at
+    the x it had, with its build, and no predictor trial is made. A move to
+    a new x passes on the slack factors of its accepted trial, so no slack
+    is factored twice at one iterate. The log holds every move;
+    ``newton_steps`` counts the Newton steps among them.
     """
     plan = _Plan(problem)
     x = problem.pack(init) if isinstance(init, dict) else np.array(init, dtype=float)
@@ -627,7 +633,7 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
                 break
 
             # Backtracking: keep every slack PD, then Armijo decrease.
-            at_x = None
+            accepted = None
             alpha = 1.0
             gd = float(grad @ d)
             for _ in range(MAX_BACKTRACKS):
@@ -638,14 +644,18 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
                     alpha *= BACKTRACK
                     continue
                 if at_trial.psi(mu) <= psi + ARMIJO * alpha * gd:
-                    at_x = at_trial
+                    accepted = at_trial
                     break
                 alpha *= BACKTRACK
-            if at_x is None:
+            if accepted is None:
                 return result(SolverStatus.NUMERICAL_FAILURE,
                               "line search failed to make progress")
+            if accepted.psi(mu) >= psi:
+                # The Armijo slack rounded away: the step cannot lower psi,
+                # so the centering ends at x, uncentered, as after MAX_INNER.
+                break
 
-            x, f = trial, at_x.f
+            x, at_x, f = trial, accepted, accepted.f
             newton_steps += 1
             log.append(IterationRecord(iteration=len(log) + 1, mu=mu, objective=f / LN2,
                                        decrement=math.sqrt(dec_sq)))

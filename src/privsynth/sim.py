@@ -1,13 +1,15 @@
 """Monte Carlo validation of a synthesized mechanism.
 
 Simulates the closed system, applies the disclosure mechanism, and runs two
-adversaries against each trajectory:
+adversaries against each trajectory. Each is one ``_Estimator``: an affine
+estimate c + sum_i x_i B_i^T of the private stack from the stacks x_i it
+sees, with the exact covariance of its error.
 
-* the curious receiver, who sees only the disclosed pair (Z, R) and forms
-  the affine estimate of the private sequence by plugging the noisy input
-  record R in place of the unknown true input;
-* a baseline observer with the clean measurements Y and the true input U,
-  whose estimate is the exact conditional mean.
+* the curious receiver (``_receiver``), who sees only the disclosed pair
+  (Z, R) and forms the affine estimate of the private sequence by plugging
+  the noisy input record R in place of the unknown true input;
+* a baseline observer (``_baseline``) with the clean measurements Y and the
+  true input U, whose estimate is the exact conditional mean.
 
 Random draws come from two noise sources, each a counter-based stream
 keyed by (salt, seed, tag) under one seed rule, ``model.check_seed``:
@@ -47,7 +49,6 @@ the realization: the per-run streams are left to ``_simulate_batch``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -263,82 +264,71 @@ def _simulate_batch(model: SystemModel, mech: Mechanism, n_runs: int, seed: int)
             *(a.reshape(n_runs, K, -1) for a in (y, s, z, r)))
 
 
-class _PlugInEstimator:
-    """Affine estimate of the private stack from (Z, R).
+@dataclass(frozen=True)
+class _Estimator:
+    """An adversary's affine estimate of the private stack, c + sum_i x_i B_i^T
+    over the stacks x_i it sees, with the exact covariance of its error."""
+
+    c: np.ndarray                   # (NS,)
+    gains: tuple[np.ndarray, ...]   # B_i (NS, width_i), one per stack
+    err_cov: np.ndarray             # (NS, NS)
+
+    def estimate(self, *stacks: np.ndarray) -> np.ndarray:
+        """Batched: one (n, .) stack per gain, in gain order -> (n, NS). A
+        stack wider than its gain contributes its first columns only."""
+        shat = self.c
+        for x, B in zip(stacks, self.gains):
+            shat = shat + x[:, :B.shape[1]] @ B.T
+        return shat
+
+
+def _receiver(model: SystemModel, mech: Mechanism, lift: LiftedSystem,
+              mom: LiftedMoments) -> _Estimator:
+    """The receiver's estimate from (R, Z), gains (P, B_z); mom is
+    ``output_moments(lift, model)``.
 
     The receiver knows the model and the mechanism but not the realized
     input; it substitutes the first K-1 disclosed input entries for the true
     input when forming the prior means (later entries cannot influence the
     horizon). The extra estimation error caused by that substitution is
     exactly P Sigma_H_used P^T with P mapping input noise through the
-    dynamics into the estimate.
-
-    ``Mechanism.check_fits`` rejects a mechanism that does not fit the model
-    at the lift's horizon, else the mechanism's. ``moments``, if given, are
-    ``output_moments`` of ``model`` and ``lift``; one experiment shares them.
+    dynamics into the estimate. ``Mechanism.check_fits`` rejects a mechanism
+    that does not fit the model at the lift's horizon.
     """
+    mech.check_fits(model, lift.K)
+    Gt = mech.Gtilde
+    Sigma_Z = Gt @ mom.Sigma_Y @ Gt.T + mech.Sigma_V
+    cov_ZS = Gt @ mom.cov_YS
+    B_z = cho_solve(cholesky(Sigma_Z), cov_ZS).T  # (NS, NY)
+    cond_cov = mom.Sigma_S - B_z @ cov_ZS
 
-    def __init__(self, model: SystemModel, mech: Mechanism,
-                 lift: LiftedSystem | None = None,
-                 moments: LiftedMoments | None = None):
-        K = mech.K if lift is None else lift.K
-        mech.check_fits(model, K)
-        self.K, self.n_s = K, model.n_s
-        if lift is None:
-            lift = build_lift(model, K)
-        mom = moments if moments is not None else output_moments(lift, model)
-        Gt = mech.Gtilde
-
-        Sigma_Z = Gt @ mom.Sigma_Y @ Gt.T + mech.Sigma_V
-        cov_ZS = Gt @ mom.cov_YS
-        self.B_z = cho_solve(cholesky(Sigma_Z), cov_ZS).T  # (NS, NY)
-        self.cond_cov = mom.Sigma_S - self.B_z @ cov_ZS
-
-        # The prior state mean F mu_x1 + L r_used enters the estimate
-        # mu_S + B_z (z - mu_Z) through Dt - B_z Gt Ct, so the estimate is
-        # affine: shat = c + P r_used + B_z z.
-        resid = lift.Dt - self.B_z @ (Gt @ lift.Ct)    # (NS, K n_x)
-        self.c = resid @ (lift.F @ model.mu_x1)
-        self.P = resid @ lift.L                        # (NS, (K-1) n_u)
-        used = self.P.shape[1]
-        self.plugin_cov = self.P @ mech.Sigma_H[:used, :used] @ self.P.T
-        self.err_cov = self.cond_cov + self.plugin_cov
-
-    def estimate(self, z_stack: np.ndarray, r_stack: np.ndarray) -> np.ndarray:
-        """Batched: z_stack (n, NY), r_stack (n, K n_u) -> (n, NS)."""
-        r_used = r_stack[:, :self.P.shape[1]]
-        return self.c + r_used @ self.P.T + z_stack @ self.B_z.T
+    # The prior state mean F mu_x1 + L r_used enters the estimate
+    # mu_S + B_z (z - mu_Z) through Dt - B_z Gt Ct, so the estimate is
+    # affine: shat = c + P r_used + B_z z.
+    resid = lift.Dt - B_z @ (Gt @ lift.Ct)    # (NS, K n_x)
+    P = resid @ lift.L                        # (NS, (K-1) n_u)
+    used = P.shape[1]
+    return _Estimator(c=resid @ (lift.F @ model.mu_x1), gains=(P, B_z),
+                      err_cov=cond_cov + P @ mech.Sigma_H[:used, :used] @ P.T)
 
 
-class _BaselineEstimator:
-    """Exact conditional mean of the private stack given clean (Y, U)."""
-
-    def __init__(self, mom: LiftedMoments):
-        self.B_y = cho_solve(cholesky(mom.Sigma_Y), mom.cov_YS).T
-        self.err_cov = mom.Sigma_S - self.B_y @ mom.cov_YS
-        self.c = mom.mu_S - self.B_y @ mom.mu_Y
-
-    def estimate(self, y_stack: np.ndarray) -> np.ndarray:
-        return self.c + y_stack @ self.B_y.T
+def _baseline(mom: LiftedMoments) -> _Estimator:
+    """Exact conditional mean of the private stack given clean (Y, U), gain B_y."""
+    B_y = cho_solve(cholesky(mom.Sigma_Y), mom.cov_YS).T
+    return _Estimator(c=mom.mu_S - B_y @ mom.mu_Y, gains=(B_y,),
+                      err_cov=mom.Sigma_S - B_y @ mom.cov_YS)
 
 
-def _offset_free(est):
-    """A copy of an estimator with its constant term set to zero."""
-    free = copy.copy(est)
-    free.c = np.zeros_like(est.c)
-    return free
-
-
-def _per_run(model: SystemModel, mech: Mechanism, req: SynthesisRequest, plug: _PlugInEstimator,
-             base: _BaselineEstimator, u_seq: np.ndarray, e: list[np.ndarray]) -> np.ndarray:
+def _per_run(model: SystemModel, mech: Mechanism, req: SynthesisRequest, receiver: _Estimator,
+             baseline: _Estimator, u_seq: np.ndarray, e: list[np.ndarray]) -> np.ndarray:
     """Every number run_experiment sums, one row per run of the normals e
     (from ``_draw``) under the inputs u_seq, in columns: the (Z, R) and the
     (Y, U) estimation errors (K n_s each), the first private component and
     its (Z, R) estimate per step (K each), then W_Y (Z - Y) and W_U (R - U)."""
     K, n_s, m = mech.K, model.n_s, e[0].shape[0]
     _, y, s, z, r = _simulate_runs(model, mech, u_seq, e)
-    shat = plug.estimate(z, r)
-    return np.hstack([shat - s, base.estimate(y) - s,
+    shat = receiver.estimate(r, z)
+    return np.hstack([shat - s, baseline.estimate(y) - s,
                       s.reshape(m, K, n_s)[:, :, 0], shat.reshape(m, K, n_s)[:, :, 0],
                       (z - y) @ req.W_Y.T, (r - u_seq.reshape(-1)) @ req.W_U.T])
 
@@ -348,14 +338,17 @@ def adversary_estimate(model: SystemModel, lift: LiftedSystem | None,
                        r_seq: np.ndarray) -> AdversaryResult:
     """Private-sequence estimate from one disclosed pair (z_seq, r_seq).
 
+    A view of ``_receiver`` at the lift's horizon, else the mechanism's.
     The reported error statistics are the exact second moments of the
     estimation error, including the input-substitution term. The estimator
     checks that the mechanism fits the model.
     """
-    est = _PlugInEstimator(model, mech, lift=lift)
-    K, n_s = est.K, est.n_s
-    shat = est.estimate(np.asarray(z_seq, dtype=float).reshape(1, -1),
-                        np.asarray(r_seq, dtype=float).reshape(1, -1))[0]
+    if lift is None:
+        lift = build_lift(model, mech.K)
+    est = _receiver(model, mech, lift, output_moments(lift, model))
+    K, n_s = lift.K, model.n_s
+    shat = est.estimate(np.asarray(r_seq, dtype=float).reshape(1, -1),
+                        np.asarray(z_seq, dtype=float).reshape(1, -1))[0]
     block_traces = np.array([
         np.trace(est.err_cov[k * n_s:(k + 1) * n_s, k * n_s:(k + 1) * n_s])
         for k in range(K)])
@@ -421,8 +414,7 @@ class _Experiment:
         K = req.K
         lift = build_lift(model, K)
         mom = output_moments(lift, model)
-        plug = _PlugInEstimator(model, mech, lift=lift, moments=mom)
-        base = _BaselineEstimator(mom)
+        receiver, baseline = _receiver(model, mech, lift, mom), _baseline(mom)
         u_seq = model.input_sequence(K)
         bounds = np.cumsum(_widths(K, model.n_x, model.n_y, model.n_u))
         W = int(bounds[-1])
@@ -430,13 +422,13 @@ class _Experiment:
         def split(e):
             return np.split(e, bounds[:-1], axis=1)
 
-        c = _per_run(model, mech, req, plug, base, u_seq, split(np.zeros((1, W))))[0]
+        c = _per_run(model, mech, req, receiver, baseline, u_seq, split(np.zeros((1, W))))[0]
         M = _per_run(replace(model, mu_x1=np.zeros_like(model.mu_x1)), mech, req,
-                     _offset_free(plug), _offset_free(base), np.zeros_like(u_seq),
-                     split(np.eye(W)))
+                     *(replace(est, c=np.zeros_like(est.c)) for est in (receiver, baseline)),
+                     np.zeros_like(u_seq), split(np.eye(W)))
         return cls(K=K, n_s=model.n_s, n_dy=req.W_Y.shape[0], c=c, M=M,
-                   mse_yu_theory=float(np.trace(base.err_cov)),
-                   mse_zr_theory=float(np.trace(plug.err_cov)))
+                   mse_yu_theory=float(np.trace(baseline.err_cov)),
+                   mse_zr_theory=float(np.trace(receiver.err_cov)))
 
     @property
     def W(self) -> int:

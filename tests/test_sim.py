@@ -182,6 +182,33 @@ def test_a_mechanism_that_does_not_fit_is_refused(reactor_case, caller, fault):
     assert str(exc.value) == line
 
 
+@pytest.mark.parametrize("case", ["twostate_case", "reactor_case"])
+def test_adversary_estimate_without_a_lift(case, request):
+    """With lift=None, as perfbench's Monte Carlo gate calls it, the
+    estimate equals the call with the lift at the mechanism's horizon, array
+    by array and bit for bit; a mechanism that does not fit is refused with
+    the fit check's own line."""
+    model, req = request.getfixturevalue(case)
+    K, NY, NU = req.K, req.K * model.n_y, req.K * model.n_u
+    rng = np.random.default_rng(8)
+    V, H = rng.standard_normal((NY, NY)), rng.standard_normal((NU, NU))
+    mech = Mechanism(G_blocks=[np.eye(model.n_y) + 0.3 * rng.standard_normal((model.n_y,) * 2)
+                               for _ in range(K)],
+                     Sigma_V=V @ V.T / NY + 0.1 * np.eye(NY),
+                     Sigma_H=H @ H.T / NU + 0.1 * np.eye(NU))
+    *_, z, r = _simulate_batch(model, mech, 1, seed=4)
+    got = adversary_estimate(model, None, mech, z[0], r[0])
+    want = adversary_estimate(model, build_lift(model, mech.K), mech, z[0], r[0])
+    for name in ("shat_seq", "expected_sq_err_per_step", "err_cov"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.expected_sq_err_total == want.expected_sq_err_total
+
+    misfit, line = _misfit(model, K, "Sigma_H-1x1")
+    with pytest.raises(ValueError) as exc:
+        adversary_estimate(model, None, misfit, np.zeros(NY), np.zeros(NU))
+    assert str(exc.value) == line
+
+
 def test_summary_serialization(scalar_case, scalar_report):
     import json
     model, req = scalar_case

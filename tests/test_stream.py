@@ -19,7 +19,7 @@ from privsynth import cli, sim, synth, synthesize
 from privsynth import lift as lift_module
 from privsynth.lift import build_lift, output_moments
 from privsynth.model import with_overrides
-from privsynth.sim import _PlugInEstimator, _draw, _simulate_batch, _streams, run_experiment
+from privsynth.sim import _draw, _receiver, _simulate_batch, _streams, run_experiment
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SHIFT = 1e7     # initial mean and input scale of the mean-shifted model
@@ -359,13 +359,14 @@ def test_folded_plugin_estimate_matches_unfolded(twostate_case, twostate_report)
     model, req = twostate_case
     mech = twostate_report.mechanism
     lift = build_lift(model, req.K)
-    est = _PlugInEstimator(model, mech, lift=lift)
+    est = _receiver(model, mech, lift, output_moments(lift, model))
     _, _, _, _, z, r = _simulate_batch(model, mech, 50, seed=11)
     z, r = z.reshape(50, -1), r.reshape(50, -1)
     mu_base = lift.F @ model.mu_x1 + r[:, :(req.K - 1) * model.n_u] @ lift.L.T
     mu_S = mu_base @ lift.Dt.T
     mu_Z = mu_base @ (mech.Gtilde @ lift.Ct).T
-    np.testing.assert_allclose(est.estimate(z, r), mu_S + (z - mu_Z) @ est.B_z.T,
+    B_z = est.gains[1]
+    np.testing.assert_allclose(est.estimate(r, z), mu_S + (z - mu_Z) @ B_z.T,
                                rtol=0, atol=1e-12)
 
 

@@ -281,9 +281,9 @@ def test_output_budget_threshold(name, tmp_path, capsys):
 def test_feasibility_threshold_is_sharp(name, tmp_path, capsys):
     """At eps_Y = threshold * (1 + 1e-6) the program is a sliver, and the
     solve still ends with a clean certificate within the budget; at the
-    threshold itself the command line exits 2 with one line. On reactor4
-    one centering runs out of Newton steps there, and no predictor step may
-    follow it."""
+    threshold itself the command line exits 2 with one line. Near the
+    threshold a line search can accept a step that does not lower psi; the
+    centering then ends uncentered, and no predictor step may follow it."""
     model, req = load_model(str(FIXTURES / f"{name}.json"))
     thr = _output_threshold(model, req)
     near = dataclasses.replace(req, eps_y=thr * (1 + 1e-6))
@@ -301,6 +301,21 @@ def test_feasibility_threshold_is_sharp(name, tmp_path, capsys):
     assert rc == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: output distortion budget"), lines
+
+
+def test_step_that_does_not_lower_psi_ends_the_centering(reactor_case):
+    """On reactor4 at eps_Y = threshold * (1 + 1e-6) the Armijo test accepts
+    steps of alpha ~ 3e-11 that leave psi where it was; a centering that
+    repeated them ran to MAX_INNER twice (101 Newton steps). Ending the
+    centering at the first such step leaves a handful, with a clean
+    certificate."""
+    model, req = reactor_case
+    near = dataclasses.replace(req, eps_y=_output_threshold(model, req) * (1 + 1e-6))
+    rep = synthesize(model, near)
+    assert rep.solver["status"] == "Optimal"
+    assert rep.solver["newton_steps"] <= 10, rep.solver["newton_steps"]
+    assert sdp.check_solution(assemble_program(build_lift(model, req.K), model, near),
+                              rep.solution.x).ok
 
 
 def _pure_noise_budget(model, req):
