@@ -16,14 +16,12 @@ form Schur / (1 + mu), so the solver runs on the reduced view without Pi
 answer once, on the full program of ``assemble_program``.
 
 The output noise floor Sigma_V > delta I makes the output distortion at
-least delta tr(W_Y^T W_Y), with equality approached by passing Y through
-(G = I) with noise delta I. So the program is strictly feasible exactly when
-eps_Y exceeds that threshold, and every feasible budget has the pass-through
-start of ``analytic_start``. G = 0 discloses pure noise and leaks nothing,
-so the optimum is closed form wherever that fits the budget: at eps_Y =
-inf, and at every eps_Y above eps_zero = tr(W_Y^T W_Y Sigma_Y) + |W_Y
-mu_Y|^2 + delta tr(W_Y^T W_Y), the output distortion of G = 0 with the
-noise at its floor.
+least the threshold delta tr(W_Y^T W_Y), approached by passing Y through
+(G = I) with noise delta I: the program is strictly feasible exactly above
+it, from the pass-through start of ``analytic_start``. G = 0 discloses pure
+noise and leaks nothing, so the optimum is closed form at eps_Y = inf and
+above eps_zero, the output distortion of G = 0 with the noise at its floor.
+``_Context`` states these closed forms of the output budget once.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationRe
                     _as_array, content_hash, validate, write_json)
 
 DET_FLAG_TOL = 1e-10
-RECONSTRUCTION_RTOL = 1e-8
 BUDGET_ACTIVE_RTOL = 1e-4
 
 
@@ -236,11 +233,11 @@ class SynthesisReport(MechanismMetrics):
 
 @dataclass(frozen=True)
 class _Context:
-    """Constant data shared by assembly, initialization and extraction."""
+    """Constant data shared by assembly, initialization and extraction, and
+    the one statement of the output budget's closed forms (W = W_Y^T W_Y)."""
 
     K: int
     n_y: int
-    n_s: int
     NY: int
     NS: int
     mom: LiftedMoments
@@ -250,21 +247,46 @@ class _Context:
     trace_scale: float
     eps_y: float
 
+    @property
+    def tr_w(self) -> float:
+        """tr(W), the output distortion of unit white noise."""
+        return float(np.trace(self.MYq))
+
+    @property
+    def tr_wy(self) -> float:
+        """tr(W Sigma_Y)."""
+        return float(np.sum(self.mom.Sigma_Y * self.MYq))
+
+    @property
+    def pure_noise(self) -> float:
+        """tr(W Sigma_Y) + |W_Y mu_Y|^2, the output distortion of G = 0 less its noise's."""
+        return float(self.tr_wy + self.mom.mu_Y @ self.MYq @ self.mom.mu_Y)
+
+    @property
+    def threshold(self) -> float:
+        """delta tr(W): the program is strictly feasible exactly above it."""
+        return self.delta * self.tr_w
+
+    @property
+    def eps_zero(self) -> float:
+        """Output distortion of G = 0 with the noise at its floor."""
+        return self.pure_noise + self.threshold
+
+    def halfway(self, base: float) -> float:
+        """White noise level halfway between the floor delta and the level that
+        spends what eps_Y leaves over base, where the budget's LMI is singular
+        and its rounding (about eps_Y * 1e-16) fails the certificate."""
+        return 0.5 * (self.delta + (self.eps_y - base) / self.tr_w)
+
 
 def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> _Context:
     mom = output_moments(lift, model)
     NY = req.K * model.n_y
-    NS = req.K * model.n_s
-    Winv = _sym(cho_solve(cholesky(mom.Sigma_Y), np.eye(NY)))
     trace_scale = max(1.0, float(np.trace(mom.Sigma_Y)) / NY)
-    return _Context(
-        K=req.K, n_y=model.n_y, n_s=model.n_s,
-        NY=NY, NS=NS,
-        mom=mom, Winv=Winv,
-        MYq=_sym(req.W_Y.T @ req.W_Y),
-        delta=1e-8 * trace_scale, trace_scale=trace_scale,
-        eps_y=req.eps_y,
-    )
+    return _Context(K=req.K, n_y=model.n_y, NY=NY, NS=req.K * model.n_s, mom=mom,
+                    Winv=_sym(cho_solve(cholesky(mom.Sigma_Y), np.eye(NY))),
+                    MYq=_sym(req.W_Y.T @ req.W_Y), delta=1e-8 * trace_scale,
+                    trace_scale=trace_scale, eps_y=req.eps_y)
 
 
 def input_noise(req: SynthesisRequest) -> np.ndarray:
@@ -297,18 +319,15 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     output budget drops the output distortion constraint entirely. This is
     the program every solution is certified on; ``synthesize`` solves its
     ``reduced_view``. Raises InfeasibleProgram for eps_Y at or below the
-    noise-floor threshold delta tr(W_Y^T W_Y), where no point is strictly
-    feasible.
+    noise-floor threshold, where no point is strictly feasible.
     """
     Sigma_H = input_noise(req)
     ctx = _build_context(lift, model, req)
-    K, n_y, NY, NS = ctx.K, ctx.n_y, ctx.NY, ctx.NS
-    d = ctx.delta
-    threshold = d * float(np.trace(ctx.MYq))
-    if not ctx.eps_y > threshold:
+    K, n_y, NY, NS, d = ctx.K, ctx.n_y, ctx.NY, ctx.NS, ctx.delta
+    if not ctx.eps_y > ctx.threshold:
         raise InfeasibleProgram(
             f"output distortion budget infeasible: eps_Y = {ctx.eps_y:.6g} must exceed the "
-            f"output noise floor delta*tr(W_Y^T W_Y) = {threshold:.6g}",
+            f"output noise floor delta*tr(W_Y^T W_Y) = {ctx.threshold:.6g}",
             worst_constraint="output_distortion_budget")
 
     prob = sdp.SdpProblem()
@@ -341,7 +360,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         dimd = 1 + m_w
         Wmu = req.W_Y @ ctx.mom.mu_Y
         const = np.zeros((dimd, dimd))
-        const[0, 0] = ctx.eps_y - float(np.sum(ctx.mom.Sigma_Y * ctx.MYq))
+        const[0, 0] = ctx.eps_y - ctx.tr_wy
         const[0, 1:] = -Wmu
         const[1:, 0] = -Wmu
         const[1:, 1:] = np.eye(m_w)
@@ -438,16 +457,11 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
 
 
 def analytic_start(problem: sdp.SdpProblem) -> dict:
-    """Strictly feasible start for ``reduced_view`` of the synthesis program
-    at any eps_Y above the noise-floor threshold: pass Y through (G = I)
-    with noise eps I, delta < eps < eps_Y / tr(W_Y^T W_Y), so the output
-    distortion eps tr(W_Y^T W_Y) stays below eps_Y (eps is the trace scale
-    at eps_Y = inf). The solver itself rejects a start outside its domain."""
+    """Strictly feasible start for ``reduced_view`` above the threshold: Y
+    passed through (G = I) with white noise at ``halfway(0)``, or at the
+    trace scale at eps_Y = inf; the solver rejects a start outside its domain."""
     ctx: _Context = problem.meta["context"]
-    eps_z = ctx.trace_scale
-    if math.isfinite(ctx.eps_y):
-        tr = float(np.trace(ctx.MYq))
-        eps_z = max(min(eps_z, ctx.eps_y / (2.0 * tr + 1.0)), 0.5 * (ctx.delta + ctx.eps_y / tr))
+    eps_z = ctx.halfway(0.0) if math.isfinite(ctx.eps_y) else ctx.trace_scale
     return {
         "Sigma_Z": ctx.mom.Sigma_Y + eps_z * np.eye(ctx.NY),
         "G": np.tile(np.eye(ctx.n_y).ravel(), ctx.K),
@@ -458,9 +472,8 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     """Validate, assemble, solve, certify and extract the disclosure mechanism.
 
     Each answer is certified once, by ``sdp.check_solution`` on the full
-    program: the packed point of the reduced solve, or the closed form at
-    eps_Y = inf or above eps_zero. The reported objective is the
-    certificate's.
+    program: the packed point of the reduced solve, or the closed form above
+    eps_zero. The reported objective is the certificate's.
 
     Raises ValidationError, InfeasibleProgram, SolverFailure or
     ExtractionFailure; returns a SynthesisReport on success. A near-singular
@@ -475,24 +488,16 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     ctx: _Context = problem.meta["context"]
 
     # Disclosing pure noise (G = 0) leaks nothing, so it is optimal with
-    # Pi = Sigma_S whenever some Sigma_V above the floor fits the budget.
-    # Its output distortion is tr(W_Y^T W_Y Sigma_V) + pure_noise, so every
-    # eps_Y above eps_zero qualifies, eps_Y = inf included.
-    tr_w = float(np.trace(ctx.MYq))
-    pure_noise = float(np.sum(ctx.mom.Sigma_Y * ctx.MYq) + ctx.mom.mu_Y @ ctx.MYq @ ctx.mom.mu_Y)
-    eps_zero = pure_noise + ctx.delta * tr_w
-    if ctx.eps_y > eps_zero:
-        # Any such Sigma_V is optimal. Without an output budget Sigma_V =
-        # Sigma_Y gives Z the covariance of Y. With one, Sigma_V = c I with
-        # c halfway between the floor delta and the c that spends the whole
-        # budget: spent to the last digit, the budget's LMI would be
-        # singular, and its rounding (about eps_Y * 1e-16) would fail the
-        # certificate's absolute tolerance.
+    # Pi = Sigma_S wherever some Sigma_V above the floor fits the budget:
+    # at every eps_Y above eps_zero, eps_Y = inf included.
+    if ctx.eps_y > ctx.eps_zero:
+        # Any such Sigma_V is optimal: without an output budget Sigma_Y, so Z
+        # has the covariance of Y; with one, white noise at ``halfway``.
         if math.isinf(ctx.eps_y):
             sigma_v, message = ctx.mom.Sigma_Y, "closed form at eps_Y = inf: G = 0"
         else:
-            c = 0.5 * (ctx.delta + (ctx.eps_y - pure_noise) / tr_w)
-            sigma_v, message = c * np.eye(ctx.NY), "closed form above eps_zero: G = 0"
+            sigma_v = ctx.halfway(ctx.pure_noise) * np.eye(ctx.NY)
+            message = "closed form above eps_zero: G = 0"
         x = problem.pack({"Pi": ctx.mom.Sigma_S, "Sigma_Z": sigma_v,
                           "G": np.zeros(problem.affine_vars["G"].num_params)})
         sol = sdp.SdpSolution(
@@ -515,8 +520,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
 
     g_blocks = sol.variables["G"].reshape(ctx.K, ctx.n_y, ctx.n_y)
     Gt = g_blocks_to_matrix(g_blocks)
-    Sigma_Z = sol.variables["Sigma_Z"]
-    Sigma_V = _sym(Sigma_Z - Gt @ ctx.mom.Sigma_Y @ Gt.T)
+    Sigma_V = _sym(sol.variables["Sigma_Z"] - Gt @ ctx.mom.Sigma_Y @ Gt.T)
     lam_min = float(np.linalg.eigvalsh(Sigma_V)[0])
     if lam_min <= 0.0:
         raise ExtractionFailure(
@@ -524,10 +528,6 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     if lam_min < 10.0 * ctx.delta:
         print(f"extracted output noise covariance is near singular (min eig {lam_min:.3e})",
               file=sys.stderr)
-    recon = Gt @ ctx.mom.Sigma_Y @ Gt.T + Sigma_V
-    rel = float(np.linalg.norm(recon - Sigma_Z) / max(np.linalg.norm(Sigma_Z), 1e-300))
-    if rel > RECONSTRUCTION_RTOL:
-        raise ExtractionFailure(f"disclosed covariance reconstruction error {rel:.3e}")
 
     mech = Mechanism(
         G_blocks=list(g_blocks.copy()), Sigma_V=Sigma_V, Sigma_H=problem.meta["Sigma_H"],
@@ -595,7 +595,6 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
     mi = mutual_information(joint)
 
     MYq = req.W_Y.T @ req.W_Y
-    Sigma_Z = joint.Sigma_xx
-    trace_term = float(np.sum((Sigma_Z + mom.Sigma_Y - 2.0 * mom.Sigma_Y @ Gt) * MYq.T))
+    trace_term = float(np.sum((joint.Sigma_xx + mom.Sigma_Y - 2.0 * mom.Sigma_Y @ Gt) * MYq.T))
     mean_vec = req.W_Y @ ((Gt - np.eye(Gt.shape[0])) @ mom.mu_Y)
     return MechanismMetrics.of(mi, trace_term + float(mean_vec @ mean_vec), mech.Sigma_H, req)
