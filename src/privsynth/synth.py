@@ -354,7 +354,8 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     mi.add_term("G", NS + rg, vg)
 
     # Output distortion budget as an epigraph LMI (finite budget only); every
-    # term has hub row 0.
+    # term has hub row 0. G enters through -2 tr(W_Y^T W_Y G Sigma_Y), whose
+    # coefficient of G[rg, cg] is (Sigma_Y W_Y^T W_Y)[cg, rg].
     if math.isfinite(ctx.eps_y):
         m_w = req.W_Y.shape[0]
         dimd = 1 + m_w
@@ -368,7 +369,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         vz = np.zeros((sz.num_params, dimd))
         vz[:, 0] = -sz.alpha * ctx.MYq[sz.rows, sz.cols]
         dist.add_term("Sigma_Z", np.zeros(sz.num_params, dtype=int), vz)
-        MS = ctx.MYq @ ctx.mom.Sigma_Y
+        MS = ctx.mom.Sigma_Y @ ctx.MYq
         vg = np.zeros((pg, dimd))
         vg[:, 0] = MS[cg, rg]
         vg[:, 1:] = req.W_Y[:, rg].T * ctx.mom.mu_Y[cg, None]
@@ -595,6 +596,6 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
     mi = mutual_information(joint)
 
     MYq = req.W_Y.T @ req.W_Y
-    trace_term = float(np.sum((joint.Sigma_xx + mom.Sigma_Y - 2.0 * mom.Sigma_Y @ Gt) * MYq.T))
+    trace_term = float(np.sum((joint.Sigma_xx + mom.Sigma_Y - 2.0 * Gt @ mom.Sigma_Y) * MYq.T))
     mean_vec = req.W_Y @ ((Gt - np.eye(Gt.shape[0])) @ mom.mu_Y)
     return MechanismMetrics.of(mi, trace_term + float(mean_vec @ mean_vec), mech.Sigma_H, req)

@@ -247,7 +247,7 @@ def _output_threshold(model, req):
     return delta * float(np.trace(req.W_Y.T @ req.W_Y))
 
 
-@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4"])
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
 def test_output_budget_threshold(name, tmp_path, capsys):
     """The program is strictly feasible exactly above eps_Y = delta *
     tr(W_Y^T W_Y): just below, synthesize blames the output budget and
@@ -277,7 +277,7 @@ def test_output_budget_threshold(name, tmp_path, capsys):
     assert rep.distortion_Y <= above.eps_y * (1 + 1e-6)
 
 
-@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4"])
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
 def test_feasibility_threshold_is_sharp(name, tmp_path, capsys):
     """At eps_Y = threshold * (1 + 1e-6) the program is a sliver, and the
     solve still ends with a clean certificate within the budget; at the
@@ -326,7 +326,7 @@ def _pure_noise_budget(model, req):
             + float(np.sum((req.W_Y @ mom.mu_Y) ** 2)) + _output_threshold(model, req))
 
 
-@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4"])
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
 def test_budgets_above_eps_zero_take_the_closed_form(name, tmp_path, capsys):
     """Above eps_zero, disclosing pure noise fits the budget and leaks
     nothing: synthesize exits 0 with mi_bits exactly 0 and no Newton step,
@@ -350,6 +350,51 @@ def test_budgets_above_eps_zero_take_the_closed_form(name, tmp_path, capsys):
     capsys.readouterr()
     below = synthesize(model, dataclasses.replace(req, eps_y=0.99 * eps_zero))
     assert below.mi_bits > 0.0 and below.solver["newton_steps"] > 0
+
+
+def _direct_distortion_Y(req, mom, mech):
+    """tr(W_Y^T W_Y [(G - I) Sigma_Y (G - I)^T + Sigma_V]) + |W_Y (G - I) mu_Y|^2:
+    E|W_Y (Z - Y)|^2 from Z - Y = (G - I) Y + V, with no Sigma_Z in it."""
+    D = mech.Gtilde - np.eye(mech.Gtilde.shape[0])
+    mean = req.W_Y @ (D @ mom.mu_Y)
+    cov = D @ mom.Sigma_Y @ D.T + mech.Sigma_V
+    return float(np.trace(req.W_Y @ cov @ req.W_Y.T) + mean @ mean)
+
+
+def test_weighted_output_budget_is_the_true_distortion():
+    """With a per-step W_Y that is neither symmetric nor the identity, the
+    budget bounds E|W_Y (Z - Y)|^2 itself. The report's distortion_Y equals
+    the (G - I) route and stays within eps_Y at 1, 2 and 4; evaluate equals
+    the route for a random mechanism; and at that mechanism the budget LMI's
+    Schur complement is eps_Y less the route. With G's cross term
+    transposed, the mechanism certified at eps_Y = 2 distorted by 2.06."""
+    model, req = load_model(str(FIXTURES / "twostate_weighted.json"))
+    assert not np.allclose(req.W_Y, req.W_Y.T)
+    lift = build_lift(model, req.K)
+    mom = output_moments(lift, model)
+    for eps_y in (1.0, 2.0, 4.0):
+        rep = synthesize(model, dataclasses.replace(req, eps_y=eps_y))
+        assert rep.distortion_Y == pytest.approx(
+            _direct_distortion_Y(req, mom, rep.mechanism), rel=1e-9), eps_y
+        assert rep.distortion_Y <= eps_y * (1 + 1e-6)
+
+    rng = np.random.default_rng(3)
+    NY, n_y = req.K * model.n_y, model.n_y
+    A = rng.standard_normal((NY, NY))
+    mech = Mechanism(G_blocks=list(rng.standard_normal((req.K, n_y, n_y))),
+                     Sigma_V=A @ A.T + np.eye(NY), Sigma_H=input_noise(req))
+    direct = _direct_distortion_Y(req, mom, mech)
+    assert evaluate_mechanism(model, req, mech).distortion_Y == pytest.approx(direct, rel=1e-12)
+
+    prob = assemble_program(lift, model, req)
+    budget = next(c for c in prob.lmis if c.name == "output_distortion_budget")
+    Gt = mech.Gtilde
+    x = prob.pack({"Pi": np.eye(prob.sym_vars["Pi"].n),
+                   "Sigma_Z": Gt @ mom.Sigma_Y @ Gt.T + mech.Sigma_V,
+                   "G": np.ravel(mech.G_blocks)})
+    S = sdp._lmi_matrix(prob, budget, x)
+    np.testing.assert_array_equal(S[1:, 1:], np.eye(S.shape[0] - 1))
+    assert req.eps_y - (S[0, 0] - S[1:, 0] @ S[1:, 0]) == pytest.approx(direct, rel=1e-12)
 
 
 def test_rejected_packed_point_is_a_solver_failure(monkeypatch, scalar_case):
