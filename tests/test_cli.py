@@ -394,6 +394,24 @@ def test_a_route_disagreement_is_a_numerical_failure_cell(monkeypatch, twostate_
                      ("NumericalFailure", None)]
 
 
+def test_max_iterations_is_a_cell_status(monkeypatch, twostate_case):
+    """A solve that runs out of centerings gives its row's cells the
+    solution's status, MaxIterations."""
+    monkeypatch.setattr(sdp, "MAX_OUTER", 1)
+    cells = cli_module._sweep_row(*twostate_case, 1.0, [0.0, 0.5, 1.0])
+    assert cells == [("Infeasible", None), ("MaxIterations", None), ("MaxIterations", None)]
+
+
+def test_extraction_failure_is_a_cell_status(monkeypatch, twostate_case):
+    """An extraction failure fails the row's solve, not the command."""
+    def fail(model, req):
+        raise ExtractionFailure("extracted output noise covariance has min eigenvalue -1.000e-09")
+    monkeypatch.setattr(synth_module, "synthesize", fail)
+    cells = cli_module._sweep_row(*twostate_case, 1.0, [0.0, 0.5, 1.0])
+    assert cells == [("Infeasible", None), ("ExtractionFailure", None),
+                     ("ExtractionFailure", None)]
+
+
 def test_evaluate_stdout_matches_report(scalar_artifacts):
     out = scalar_artifacts
     report = json.loads(pathlib.Path(str(out)[:-len(".json")] + ".report.json").read_text())

@@ -162,6 +162,30 @@ def test_start_outside_the_domain_is_a_failure(X):
     np.testing.assert_array_equal(sol.variables["X"], X)
 
 
+def test_newton_system_that_does_not_factor_is_a_failure(monkeypatch):
+    """A Newton system that will not factor ends the run at once: status
+    NumericalFailure, no Newton step, and the start is returned."""
+    monkeypatch.setattr(sdp, "_solve_newton", lambda hess, grad: None)
+    X = np.diag([0.2, 2.7])
+    sol = solve(trace_cap_problem(), init={"X": X})
+    assert sol.status is SolverStatus.NUMERICAL_FAILURE
+    assert sol.message == "Newton system factorization failed"
+    assert sol.newton_steps == 0
+    np.testing.assert_array_equal(sol.variables["X"], X)
+
+
+def test_line_search_without_a_trial_is_a_failure(monkeypatch):
+    """With no backtracking trial allowed the first Newton step cannot be
+    taken: status NumericalFailure, and the start is returned."""
+    monkeypatch.setattr(sdp, "MAX_BACKTRACKS", 0)
+    X = np.diag([0.2, 2.7])
+    sol = solve(trace_cap_problem(), init={"X": X})
+    assert sol.status is SolverStatus.NUMERICAL_FAILURE
+    assert sol.message == "line search failed to make progress"
+    assert sol.newton_steps == 0
+    np.testing.assert_array_equal(sol.variables["X"], X)
+
+
 def test_weighted_lmi_objective():
     """maximize log2 det(I - X) + log2 det X: the LMI weight puts the cap's
     slack into the objective, and the optimum is X = I/2."""

@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from privsynth import cli, sim, synth, synthesize
 from privsynth import lift as lift_module
 from privsynth.lift import build_lift, output_moments
-from privsynth.model import with_overrides
+from privsynth.model import load_model, with_overrides
 from privsynth.sim import _draw, _receiver, _simulate_batch, _streams, run_experiment
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -137,6 +137,26 @@ def test_affine_map_matches_simulated_runs(twostate_case, twostate_report, shift
     want = reference_runs(shifted, req, mech, n, seed=7)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14 * np.abs(want).max())
     np.testing.assert_array_equal(exp.M, sim._Experiment.of(model, req, mech).M)
+
+
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
+def test_affine_map_expectations_match_the_closed_forms(name):
+    """Each column q_k = c_k + (M^T e)_k of a run has E[q_k^2] = c_k^2 +
+    |M[:, k]|^2 exactly. Summed over each figure's columns this equals its
+    closed form at 1e-12: the squared errors of both adversaries, and the
+    output and input distortions that ``evaluate_mechanism`` takes from the
+    lifted operators while the map comes from time-stepping the dynamics."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    mech = synthesize(model, req).mechanism
+    exp = sim._Experiment.of(model, req, mech)
+    K, n_s = req.K, model.n_s
+    second = exp.c ** 2 + np.sum(exp.M ** 2, axis=0)
+    zr, yu, _, _, dy, du = np.split(second, np.cumsum([K * n_s, K * n_s, K, K,
+                                                       req.W_Y.shape[0]]))
+    met = synth.evaluate_mechanism(model, req, mech)
+    for got, want in ((zr, exp.mse_zr_theory), (yu, exp.mse_yu_theory),
+                      (dy, met.distortion_Y), (du, met.distortion_U)):
+        assert float(np.sum(got)) == pytest.approx(want, rel=1e-12)
 
 
 # Run counts 1, 19 and 20 give one-run batches and no remainder, a single

@@ -352,6 +352,24 @@ def test_budgets_above_eps_zero_take_the_closed_form(name, tmp_path, capsys):
     assert below.mi_bits > 0.0 and below.solver["newton_steps"] > 0
 
 
+def test_invalid_request_is_a_validation_error(scalar_case):
+    """synthesize validates its request in process: a negative budget
+    raises ValidationError with the budget rule's line, before any solve."""
+    model, req = scalar_case
+    with pytest.raises(ValidationError) as exc:
+        synthesize(model, dataclasses.replace(req, eps_y=-1.0))
+    assert exc.value.report.violations == ["eps_Y must be a nonnegative real or inf, got -1.0"]
+
+
+def test_outer_iteration_limit_is_a_solver_failure(monkeypatch, twostate_case):
+    """A solve that runs out of centerings is no answer: synthesize raises
+    SolverFailure carrying the MaxIterations solution."""
+    monkeypatch.setattr(sdp, "MAX_OUTER", 1)
+    with pytest.raises(SolverFailure, match="^solver status MaxIterations: ") as exc:
+        synthesize(*twostate_case)
+    assert exc.value.solution.status is sdp.SolverStatus.MAX_ITERATIONS
+
+
 def _direct_distortion_Y(req, mom, mech):
     """tr(W_Y^T W_Y [(G - I) Sigma_Y (G - I)^T + Sigma_V]) + |W_Y (G - I) mu_Y|^2:
     E|W_Y (Z - Y)|^2 from Z - Y = (G - I) Y + V, with no Sigma_Z in it."""
