@@ -274,8 +274,8 @@ class _Context:
 
     def halfway(self, base: float) -> float:
         """White noise level halfway between the floor delta and the level that
-        spends what eps_Y leaves over base, where the budget's LMI is singular
-        and its rounding (about eps_Y * 1e-16) fails the certificate."""
+        spends all eps_Y leaves over base. At the latter the budget's LMI is
+        singular, and its rounding (about eps_Y * 1e-16) fails the certificate."""
         return 0.5 * (self.delta + (self.eps_y - base) / self.tr_w)
 
 
