@@ -13,7 +13,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,9 +167,31 @@ def _check_request(report: ValidationReport, U: np.ndarray, K: int, eps_y: float
             report.add(f"{name} must be a nonnegative real or inf, got {eps!r}")
 
 
+def _check_lifted(report: ValidationReport, model: SystemModel, req: SynthesisRequest) -> None:
+    """One violation naming the first lifted moment or weight Gram matrix
+    that is not finite at horizon K: finite entries of extreme magnitude
+    can overflow there, in every command that builds them."""
+    from .lift import build_lift, output_moments      # lift imports this module
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mom = output_moments(build_lift(model, req.K), model)
+            grams = (("W_Y^T W_Y", req.W_Y.T @ req.W_Y), ("W_U^T W_U", req.W_U.T @ req.W_U))
+    except ValueError as exc:      # a horizon beyond MAX_DIM
+        report.add(str(exc))
+        return
+    for name, M in (("Sigma_Y", mom.Sigma_Y), ("Sigma_S", mom.Sigma_S), ("cov_YS", mom.cov_YS),
+                    ("mu_Y", mom.mu_Y), ("mu_S", mom.mu_S), *grams):
+        if not np.isfinite(M).all():
+            report.add(f"{name} at K = {req.K} must have finite entries "
+                       "(the model's magnitudes overflow)")
+            return
+
+
 def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:
     """Check all structural invariants, the owner of every shape rule of the
-    model and the request; pure, returns a report, never raises."""
+    model and the request; pure, returns a report, never raises. Once every
+    shape rule holds, the lifted moments and weight Gram matrices at K must
+    be finite."""
     rep = ValidationReport()
     for name, M in (*((f, getattr(model, f)) for f in _MODEL_FIELDS),
                     ("W_Y", req.W_Y), ("W_U", req.W_U)):
@@ -219,6 +241,8 @@ def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:
     else:
         _check_full_column_rank(rep, "W_U", req.W_U)
 
+    if rep.ok:
+        _check_lifted(rep, model, req)
     return rep
 
 
@@ -415,7 +439,8 @@ def with_overrides(model: SystemModel, req: SynthesisRequest, *, K: int | None =
     rule (else a ValidationError). A K below 2 or beyond MAX_DIM's stacks
     is rejected, as are weights that are not a Kronecker replication of
     their first per-step block, the only ones a new K can resize. Every
-    rule is checked before any K-sized weight is built.
+    rule is checked before any K-sized weight is built, and a new K gets
+    ``validate``'s check of the lifted moments.
     """
     if K is None and eps_y is None and eps_u is None:
         return model, req
@@ -427,11 +452,14 @@ def with_overrides(model: SystemModel, req: SynthesisRequest, *, K: int | None =
     _check_request(rep, model.U, K_new, eps_y, eps_u)
     if not rep.ok:
         raise ValidationError(rep)
-    W_Y, W_U = req.W_Y, req.W_U
+    new = replace(req, K=K_new, eps_y=eps_y, eps_u=eps_u)
     if K_new != req.K:
-        W_Y = _resize_weight("W_Y", req.W_Y, model.n_y, req.K, K_new)
-        W_U = _resize_weight("W_U", req.W_U, model.n_u, req.K, K_new)
-    return model, SynthesisRequest(K=K_new, eps_y=eps_y, eps_u=eps_u, W_Y=W_Y, W_U=W_U)
+        new = replace(new, W_Y=_resize_weight("W_Y", req.W_Y, model.n_y, req.K, K_new),
+                      W_U=_resize_weight("W_U", req.W_U, model.n_u, req.K, K_new))
+        _check_lifted(rep, model, new)
+        if not rep.ok:
+            raise ValidationError(rep)
+    return model, new
 
 
 def _resize_weight(name: str, W: np.ndarray, per_step: int, K_old: int, K_new: int) -> np.ndarray:

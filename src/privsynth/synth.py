@@ -65,16 +65,18 @@ class ExtractionFailure(RuntimeError):
     is not positive definite."""
 
 
-def g_blocks_to_matrix(blocks: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Block-diagonal output matrix from the per-step list."""
-    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
-    n = sum(b.shape[0] for b in blocks)
-    G = np.zeros((n, n))
-    at = 0
-    for b in blocks:
-        G[at:at + b.shape[0], at:at + b.shape[1]] = b
-        at += b.shape[0]
-    return G
+def g_entries(K: int, n_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """G~'s parameter layout: G parameter p = (k*n_y + r)*n_y + c, entry (r, c)
+    of the step-k block G_k, is entry (rg[p], cg[p]) of the block-diagonal G~."""
+    k, r, c = np.unravel_index(np.arange(K * n_y * n_y), (K, n_y, n_y))
+    return k * n_y + r, k * n_y + c
+
+
+def _gtilde(g: np.ndarray, K: int, n_y: int) -> np.ndarray:
+    """G~ of the G parameter vector g."""
+    Gt = np.zeros((K * n_y, K * n_y))
+    Gt[g_entries(K, n_y)] = g
+    return Gt
 
 
 @dataclass
@@ -125,7 +127,7 @@ class Mechanism:
 
     @property
     def Gtilde(self) -> np.ndarray:
-        return g_blocks_to_matrix(self.G_blocks)
+        return _gtilde(np.ravel(self.G_blocks), self.K, self.n_y)
 
     def disclose(self, y: np.ndarray, u: np.ndarray, e_out: np.ndarray,
                  e_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +246,6 @@ class _Context:
     Winv: np.ndarray
     MYq: np.ndarray
     delta: float
-    trace_scale: float
     eps_y: float
 
     @property
@@ -285,8 +286,7 @@ def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest
     trace_scale = max(1.0, float(np.trace(mom.Sigma_Y)) / NY)
     return _Context(K=req.K, n_y=model.n_y, NY=NY, NS=req.K * model.n_s, mom=mom,
                     Winv=_sym(cho_solve(cholesky(mom.Sigma_Y), np.eye(NY))),
-                    MYq=_sym(req.W_Y.T @ req.W_Y), delta=1e-8 * trace_scale,
-                    trace_scale=trace_scale, eps_y=req.eps_y)
+                    MYq=_sym(req.W_Y.T @ req.W_Y), delta=1e-8 * trace_scale, eps_y=req.eps_y)
 
 
 def input_noise(req: SynthesisRequest) -> np.ndarray:
@@ -334,13 +334,10 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     prob.objective_offset = -float(np.linalg.slogdet(Sigma_H)[1]) / math.log(2.0)
     pi = prob.add_sym_var("Pi", NS, logdet_weight=1.0)
     sz = prob.add_sym_var("Sigma_Z", NY)
-    prob.add_affine_var("G", K * n_y * n_y)
+    rg, cg = g_entries(K, n_y)
+    prob.add_affine_var("G", rg.size)
 
     M_zs = ctx.mom.cov_YS               # rows: Y/Z stack, cols: S stack, pre-G
-    pg = K * n_y * n_y
-    # G parameter p = (k*n_y + r)*n_y + c is entry (rg, cg) of the stacked G.
-    k, r, c = np.unravel_index(np.arange(pg), (K, n_y, n_y))
-    rg, cg = k * n_y + r, k * n_y + c
 
     # Leakage LMI: [[Sigma_S - Pi, cov(S,Z)], [cov(Z,S), Sigma_Z]] >= 0.
     dim = NS + NY
@@ -349,7 +346,7 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     mi = prob.add_lmi("leakage", dim, constant=const)
     mi.add_term("Pi", *pi.basis_factors(dim, sign=-1.0))
     mi.add_term("Sigma_Z", *sz.basis_factors(dim, NS))
-    vg = np.zeros((pg, dim))
+    vg = np.zeros((rg.size, dim))
     vg[:, :NS] = M_zs[cg, :]
     mi.add_term("G", NS + rg, vg)
 
@@ -370,10 +367,10 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         vz[:, 0] = -sz.alpha * ctx.MYq[sz.rows, sz.cols]
         dist.add_term("Sigma_Z", np.zeros(sz.num_params, dtype=int), vz)
         MS = ctx.mom.Sigma_Y @ ctx.MYq
-        vg = np.zeros((pg, dimd))
+        vg = np.zeros((rg.size, dimd))
         vg[:, 0] = MS[cg, rg]
         vg[:, 1:] = req.W_Y[:, rg].T * ctx.mom.mu_Y[cg, None]
-        dist.add_term("G", np.zeros(pg, dtype=int), vg)
+        dist.add_term("G", np.zeros(rg.size, dtype=int), vg)
 
     # Noise-floor LMI: [[Sigma_Z - delta I, G], [G^T, Winv]] >= 0; its Schur
     # complement is Sigma_V - delta I, Sigma_V the extracted output noise
@@ -384,8 +381,8 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     const[NY:, NY:] = ctx.Winv
     floor = prob.add_lmi("noise_floor", dimn, constant=const)
     floor.add_term("Sigma_Z", *sz.basis_factors(dimn))
-    vg = np.zeros((pg, dimn))
-    vg[np.arange(pg), NY + cg] = 1.0
+    vg = np.zeros((rg.size, dimn))
+    vg[np.arange(rg.size), NY + cg] = 1.0
     floor.add_term("G", rg, vg)
 
     # Leakage-bound floor Pi - delta I >= 0, last so the LMIs above keep
@@ -444,7 +441,7 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     """
     ctx: _Context = problem.meta["context"]
     values = dict(sol.variables)
-    Gt = g_blocks_to_matrix(values["G"].reshape(ctx.K, ctx.n_y, ctx.n_y))
+    Gt = _gtilde(values["G"], ctx.K, ctx.n_y)
     cov_ZS = Gt @ ctx.mom.cov_YS
     # Schur is the conditional covariance of S given Z.
     schur = _conditional_cov(ctx.mom.Sigma_S, cov_ZS.T, _chol(values["Sigma_Z"], "Sigma_Z"))
@@ -457,15 +454,21 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
                    iterations=log_full)
 
 
+def _numerical_failure(sol: sdp.SdpSolution, message: str) -> SolverFailure:
+    """SolverFailure for an answer a check refuses, with its solution marked
+    NumericalFailure."""
+    return SolverFailure(message, replace(sol, status=sdp.SolverStatus.NUMERICAL_FAILURE,
+                                          message=message))
+
+
 def analytic_start(problem: sdp.SdpProblem) -> dict:
-    """Strictly feasible start for ``reduced_view`` above the threshold: Y
-    passed through (G = I) with white noise at ``halfway(0)``, or at the
-    trace scale at eps_Y = inf; the solver rejects a start outside its domain."""
+    """Strictly feasible start for ``reduced_view`` between the threshold and
+    eps_zero, where ``synthesize`` solves: Y passed through (G = I) with white
+    noise at ``halfway(0)``; the solver rejects a start outside its domain."""
     ctx: _Context = problem.meta["context"]
-    eps_z = ctx.halfway(0.0) if math.isfinite(ctx.eps_y) else ctx.trace_scale
     return {
-        "Sigma_Z": ctx.mom.Sigma_Y + eps_z * np.eye(ctx.NY),
-        "G": np.tile(np.eye(ctx.n_y).ravel(), ctx.K),
+        "Sigma_Z": ctx.mom.Sigma_Y + ctx.halfway(0.0) * np.eye(ctx.NY),
+        "G": np.eye(ctx.NY)[g_entries(ctx.K, ctx.n_y)],
     }
 
 
@@ -474,7 +477,8 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
 
     Each answer is certified once, by ``sdp.check_solution`` on the full
     program: the packed point of the reduced solve, or the closed form above
-    eps_zero. The reported objective is the certificate's.
+    eps_zero. The reported objective is the certificate's. The evaluated
+    output distortion must then meet eps_Y within the certificate's tolerance.
 
     Raises ValidationError, InfeasibleProgram, SolverFailure or
     ExtractionFailure; returns a SynthesisReport on success. A near-singular
@@ -514,24 +518,20 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     cert = sdp.check_solution(problem, sol.x)
     sol = replace(sol, objective=cert.objective)
     if not cert.ok:
-        message = (f"the full program rejects the packed leakage bound (max PSD violation "
-                   f"{cert.max_psd_violation:.3e})")
-        raise SolverFailure(message, replace(sol, status=sdp.SolverStatus.NUMERICAL_FAILURE,
-                                             message=message))
+        raise _numerical_failure(sol, f"the full program rejects the packed leakage bound "
+                                      f"(max PSD violation {cert.max_psd_violation:.3e})")
 
-    g_blocks = sol.variables["G"].reshape(ctx.K, ctx.n_y, ctx.n_y)
-    Gt = g_blocks_to_matrix(g_blocks)
+    g = sol.variables["G"]
+    Gt = _gtilde(g, ctx.K, ctx.n_y)
     Sigma_V = _sym(sol.variables["Sigma_Z"] - Gt @ ctx.mom.Sigma_Y @ Gt.T)
     lam_min = float(np.linalg.eigvalsh(Sigma_V)[0])
     if lam_min <= 0.0:
         raise ExtractionFailure(
             f"extracted output noise covariance has min eigenvalue {lam_min:.3e}")
-    if lam_min < 10.0 * ctx.delta:
-        print(f"extracted output noise covariance is near singular (min eig {lam_min:.3e})",
-              file=sys.stderr)
 
     mech = Mechanism(
-        G_blocks=list(g_blocks.copy()), Sigma_V=Sigma_V, Sigma_H=problem.meta["Sigma_H"],
+        G_blocks=list(g.reshape(ctx.K, ctx.n_y, ctx.n_y).copy()), Sigma_V=Sigma_V,
+        Sigma_H=problem.meta["Sigma_H"],
         provenance={
             "model_hash": content_hash(model, req),
             "K": req.K,
@@ -542,6 +542,19 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
         })
 
     metrics = evaluate_mechanism(model, req, mech, moments=ctx.mom)
+    # The certificate holds the budget LMI [[a, b^T], [b, I]] to CERT_TOL in
+    # its least eigenvalue, where a - |b|^2 is eps_Y less the distortion and
+    # |b|^2 = |W_Y (G - I) mu_Y|^2 is at most the distortion: the distortion
+    # may pass eps_Y by CERT_TOL (1 + distortion). Within budget, the terms of
+    # the LMI and of the definition are of the scale eps_Y + pure_noise, and
+    # the two round apart by about 1e-16 of it: 1e-12 of it is allowed.
+    if metrics.distortion_Y - ctx.eps_y > (sdp.CERT_TOL * (1.0 + metrics.distortion_Y)
+                                           + 1e-12 * (ctx.eps_y + ctx.pure_noise)):
+        raise _numerical_failure(sol, f"the output distortion {metrics.distortion_Y:.9g} "
+                                      f"exceeds its budget eps_Y = {ctx.eps_y:.9g}")
+    if lam_min < 10.0 * ctx.delta:
+        print(f"extracted output noise covariance is near singular (min eig {lam_min:.3e})",
+              file=sys.stderr)
 
     # The Pi part of the solver objective (-log2 det Pi) and the reported
     # leakage differ by a fixed constant: mi = (-log2 det Pi)/2 + 0.5*log2 det Sigma_S.
@@ -595,7 +608,8 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
     joint = joint_ZS_moments(None, model, Gt, mech.Sigma_V, moments=mom)
     mi = mutual_information(joint)
 
-    MYq = req.W_Y.T @ req.W_Y
-    trace_term = float(np.sum((joint.Sigma_xx + mom.Sigma_Y - 2.0 * Gt @ mom.Sigma_Y) * MYq.T))
-    mean_vec = req.W_Y @ ((Gt - np.eye(Gt.shape[0])) @ mom.mu_Y)
+    # E|W_Y (Z - Y)|^2 by its definition, with Z - Y = (G~ - I) Y + V.
+    D = Gt - np.eye(Gt.shape[0])
+    trace_term = float(np.sum((D @ mom.Sigma_Y @ D.T + mech.Sigma_V) * (req.W_Y.T @ req.W_Y).T))
+    mean_vec = req.W_Y @ (D @ mom.mu_Y)
     return MechanismMetrics.of(mi, trace_term + float(mean_vec @ mean_vec), mech.Sigma_H, req)

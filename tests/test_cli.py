@@ -306,9 +306,10 @@ def test_horizon_beyond_the_limit_is_a_one_line_error(capsys, scalar_artifacts, 
 
 
 def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
-    """One solve per eps_Y row and one output-moment computation, the
-    solve's: every cell of the row takes its output figures from that
-    report. Every cell equals synthesize's own report."""
+    """One solve per eps_Y row and one output-moment computation for it,
+    besides validate's check in load_model and in each solve: every cell
+    of the row takes its output figures from that report. Every cell
+    equals synthesize's own report."""
     calls = []
     real_solve = sdp.solve
     monkeypatch.setattr(sdp, "solve", lambda *a, **kw: calls.append(1) or real_solve(*a, **kw))
@@ -322,7 +323,7 @@ def test_sweep_solves_once_per_output_budget(monkeypatch, tmp_path):
                             "--eps-y-grid", "1,2", "--eps-u-grid", "0,0.5,2",
                             "--jobs", "1"]) == 0
     assert len(calls) == 2
-    assert len(moment_calls) == 2
+    assert len(moment_calls) == 1 + 2 * 2
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
     assert len(rows) == 6
 
@@ -384,6 +385,40 @@ def test_a_route_disagreement_is_exit_3(monkeypatch, capsys, scalar_artifacts):
                             str(scalar_artifacts)]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: mutual information routes disagree: Schur 1.0 vs entropy-sum 1.1"]
+
+
+def _budget_with_transposed_g(assemble):
+    """assemble_program with the G coefficient of the output budget LMI, and
+    only there, taken from W_Y^T W_Y Sigma_Y: the transposed cross term that
+    an earlier release certified mechanisms against."""
+    def wrapped(lift, model, req):
+        prob = assemble(lift, model, req)
+        ctx = prob.meta["context"]
+        rg, cg = synth_module.g_entries(ctx.K, ctx.n_y)
+        budget = next(c for c in prob.lmis if c.name == "output_distortion_budget")
+        budget.terms["G"] = budget.terms["G"].copy()
+        budget.terms["G"][:, 0] = (ctx.MYq @ ctx.mom.Sigma_Y)[cg, rg]
+        return prob
+    return wrapped
+
+
+def test_a_mechanism_over_its_output_budget_is_exit_3(monkeypatch, capsys, tmp_path):
+    """With the budget LMI alone transposed, the solve and its certificate
+    agree on a mechanism whose output distortion, by its definition, is
+    2.0608 against eps_Y = 2 on twostate_weighted. synthesize compares the
+    two and ends in exit 3 with one line, writing nothing; a sweep cell gets
+    NumericalFailure."""
+    monkeypatch.setattr(synth_module, "assemble_program",
+                        _budget_with_transposed_g(synth_module.assemble_program))
+    weighted = str(FIXTURES / "twostate_weighted.json")
+    out = tmp_path / "m.json"
+    assert cli_module.main(["synthesize", weighted, str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: the output distortion 2.0608"), lines
+    assert lines[0].endswith(" exceeds its budget eps_Y = 2"), lines
+    assert not out.exists()
+    cells = cli_module._sweep_row(*load_model(weighted), 2.0, [1.0])
+    assert cells == [("NumericalFailure", None)]
 
 
 def test_a_route_disagreement_is_a_numerical_failure_cell(monkeypatch, twostate_case):
@@ -593,6 +628,60 @@ def test_a_misshapen_model_is_one_violation(capsys, tmp_path, field, misshape, l
     path.write_text(json.dumps(data))
     assert cli_module.main(["validate", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"violation: {line}"]
+
+
+def _scaled(matrix, s):
+    return [[s * x for x in row] for row in matrix]
+
+
+# Finite entries of extreme magnitude that overflow in the horizon lift or a
+# weight's Gram matrix: (fixture, field, new value, the violation line).
+_OVERFLOWS = {
+    "twostate-A-1e109": ("twostate", "A", lambda A: _scaled(A, 1e109),
+                         "Sigma_Y at K = 3 must have finite entries"),
+    "twostate-D-1e300": ("twostate", "D", lambda D: [[1e300, 0.0]],
+                         "Sigma_S at K = 3 must have finite entries"),
+    "twostate-W_U-1e300": ("twostate", "W_U", lambda W: 1e300,
+                           "W_U^T W_U at K = 3 must have finite entries"),
+    "reactor4-C-1e300": ("reactor4", "C", lambda C: [[0.0, 1.0, 1e300, 0.0]],
+                         "Sigma_Y at K = 10 must have finite entries"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["validate", "synthesize", "evaluate", "simulate"])
+@pytest.mark.parametrize("case", list(_OVERFLOWS))
+def test_an_overflowing_model_is_one_violation(capsys, scalar_artifacts, tmp_path, case,
+                                               command):
+    """validate builds the lifted moments and weight Gram matrices and names
+    the first that is not finite, so no command reaches an overflow: each
+    exits 1 with that one line, and no RuntimeWarning is raised."""
+    name, field, change, line = _OVERFLOWS[case]
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    data[field] = change(data[field])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    out = str(tmp_path / "out")
+    argv = {"validate": [], "synthesize": [out], "evaluate": [str(scalar_artifacts)],
+            "simulate": [str(scalar_artifacts), out]}[command]
+    assert cli_module.main([command, str(path), *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"violation: {line} (the model's magnitudes overflow)"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_horizon_flag_that_overflows_is_one_violation(capsys, scalar_artifacts, tmp_path):
+    """with_overrides checks the lift at a new --k: reactor4 with A times
+    1e30 is finite at K = 3 and overflows at K = 10."""
+    data = json.loads((FIXTURES / "reactor4.json").read_text())
+    data.update(A=_scaled(data["A"], 1e30), K=3)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert cli_module.main(["validate", str(path)]) == 0
+    assert cli_module.main(["evaluate", str(path), str(scalar_artifacts), "--k", "10"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "violation: Sigma_Y at K = 10 must have finite entries (the model's magnitudes overflow)"]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate", "sweep"])
@@ -963,7 +1052,8 @@ print(json.dumps({"code": code, "ran": ran, "heavy": heavy}))
 
 
 @pytest.mark.parametrize("argv, ran, unloaded", [
-    (["validate", "{scalar}"], ["model"], ["_hashlib", "logging", "numpy.random"]),
+    (["validate", "{scalar}"], ["gauss", "lift", "model"],
+     ["_hashlib", "logging", "numpy.random"]),
     (["synthesize", "{scalar}", "{tmp}/m.json"], ["gauss", "lift", "model", "sdp", "synth"],
      ["_hashlib", "logging", "numpy.random"]),
     (["evaluate", "{scalar}", "{mech}"], ["gauss", "lift", "model", "synth"],
@@ -977,10 +1067,10 @@ print(json.dumps({"code": code, "ran": ran, "heavy": heavy}))
 ], ids=["validate", "synthesize", "evaluate", "simulate", "sweep"])
 def test_each_command_runs_only_the_modules_it_calls(scalar_artifacts, tmp_path, argv, ran,
                                                      unloaded):
-    """validate runs only the model module's code, simulate never the
-    solver's and no design command the simulator's. No command loads
-    OpenSSL for its digests, logging for its diagnostics or numpy.random
-    for its draws."""
+    """validate runs only the code of the model module and of the lift it
+    checks (lift imports gauss), simulate never the solver's and no design
+    command the simulator's. No command loads OpenSSL for its digests,
+    logging for its diagnostics or numpy.random for its draws."""
     argv = [a.format(scalar=FIXTURES / "scalar.json", mech=scalar_artifacts, tmp=tmp_path)
             for a in argv]
     proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN_SCRIPT, *argv],

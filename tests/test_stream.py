@@ -2,8 +2,9 @@
 normals and the fold of their moments both equal a one-shot computation,
 also with means far above the noise; each batch's sum and Gram matrix are
 drawn with the moments of m runs, and the seed-to-seed spread matches the
-reported standard errors; flat and bounded memory; no thread; one horizon
-lift per sweep row; no process-wide float settings."""
+reported standard errors; the probed disclosure has the closed-form joint
+moments; flat and bounded memory; no thread; one horizon lift per sweep
+row for its solve; no process-wide float settings."""
 
 import json
 import pathlib
@@ -17,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from privsynth import cli, sim, synth, synthesize
 from privsynth import lift as lift_module
-from privsynth.lift import build_lift, output_moments
+from privsynth.lift import build_lift, joint_ZS_moments, output_moments
 from privsynth.model import load_model, with_overrides
 from privsynth.sim import _draw, _receiver, _simulate_batch, _streams, run_experiment
 
@@ -157,6 +158,31 @@ def test_affine_map_expectations_match_the_closed_forms(name):
     for got, want in ((zr, exp.mse_zr_theory), (yu, exp.mse_yu_theory),
                       (dy, met.distortion_Y), (du, met.distortion_U)):
         assert float(np.sum(got)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
+def test_probed_disclosure_has_the_joint_moments(name):
+    """The exact counterpart of criterion 2: probed on unit normals as
+    ``_Experiment.of`` probes, the simulator gives a run's (Z, S) as
+    c + M^T e, and c and M^T M equal the mean and covariance that
+    ``joint_ZS_moments`` forms from the lifted operators and G~, at 1e-12 of
+    each entry. The simulator discloses through ``Mechanism.disclose``."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    mech = synthesize(model, req).mechanism
+    K = req.K
+    bounds = np.cumsum(sim._widths(K, model.n_x, model.n_y, model.n_u))
+    u_seq = model.input_sequence(K)
+
+    def disclosed(m, u, e):
+        _, _, s, z, _ = sim._simulate_runs(m, mech, u, np.split(e, bounds[:-1], axis=1))
+        return np.hstack([z, s])
+
+    c = disclosed(model, u_seq, np.zeros((1, bounds[-1])))[0]
+    M = disclosed(replace(model, mu_x1=np.zeros_like(model.mu_x1)), np.zeros_like(u_seq),
+                  np.eye(bounds[-1]))
+    joint = joint_ZS_moments(build_lift(model, K), model, mech.Gtilde, mech.Sigma_V)
+    np.testing.assert_allclose(c, joint.mu, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(M.T @ M, joint.Sigma, rtol=1e-12, atol=0)
 
 
 # Run counts 1, 19 and 20 give one-run batches and no remainder, a single
@@ -391,8 +417,9 @@ def test_folded_plugin_estimate_matches_unfolded(twostate_case, twostate_report)
 
 
 def test_sweep_row_builds_one_lift(monkeypatch, twostate_case):
-    """One horizon lift per eps_Y row, its solve's; every cell takes its
-    output figures from that solve's report."""
+    """One horizon lift per eps_Y row for its solve, besides the one that
+    synthesize's validate checks; every cell takes its output figures from
+    that solve's report."""
     calls = []
     real = build_lift
     counting = lambda *a, **kw: calls.append(1) or real(*a, **kw)     # noqa: E731
@@ -400,7 +427,7 @@ def test_sweep_row_builds_one_lift(monkeypatch, twostate_case):
     monkeypatch.setattr(synth, "build_lift", counting)
     cells = cli._sweep_row(*twostate_case, 1.0, [0.0, 0.5, 1.0, 2.0])
     assert [c[0] for c in cells] == ["Infeasible", "Optimal", "Optimal", "Optimal"]
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_main_leaves_floating_point_settings_alone():

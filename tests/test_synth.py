@@ -480,7 +480,8 @@ def test_solve_reports_its_last_iterate():
 
 
 def test_output_moments_once_per_call(monkeypatch, scalar_case):
-    """synthesize and evaluate_mechanism each compute the output moments once."""
+    """synthesize computes the output moments once for its program, besides
+    the check of validate that it runs first; evaluate_mechanism once."""
     calls = []
     real = lift_module.output_moments
 
@@ -491,7 +492,7 @@ def test_output_moments_once_per_call(monkeypatch, scalar_case):
     monkeypatch.setattr(synth_module, "output_moments", counting)
     model, req = scalar_case
     rep = synthesize(model, req)
-    assert len(calls) == 1
+    assert len(calls) == 2
     calls.clear()
     evaluate_mechanism(model, req, rep.mechanism)
     assert len(calls) == 1
