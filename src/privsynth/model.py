@@ -169,9 +169,14 @@ def _check_request(report: ValidationReport, U: np.ndarray, K: int, eps_y: float
 
 def _check_lifted(report: ValidationReport, model: SystemModel, req: SynthesisRequest) -> None:
     """One violation naming the first lifted moment or weight Gram matrix
-    that is not finite at horizon K: finite entries of extreme magnitude
-    can overflow there, in every command that builds them."""
-    from .lift import build_lift, output_moments      # lift imports this module
+    that is not finite at horizon K, or Sigma_Y if it cannot be factored:
+    finite entries of extreme magnitude can overflow there, or swamp the
+    measurement noise that makes Sigma_Y positive definite, in every
+    command that builds them."""
+    # Imported here: lift imports this module, and a gauss import at the top
+    # would load it before the package registers its lazy module.
+    from .gauss import cholesky
+    from .lift import build_lift, output_moments
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             mom = output_moments(build_lift(model, req.K), model)
@@ -185,6 +190,11 @@ def _check_lifted(report: ValidationReport, model: SystemModel, req: SynthesisRe
             report.add(f"{name} at K = {req.K} must have finite entries "
                        "(the model's magnitudes overflow)")
             return
+    try:
+        cholesky(mom.Sigma_Y)
+    except np.linalg.LinAlgError:
+        report.add(f"Sigma_Y at K = {req.K} must be positive definite in floating point "
+                   "(the model's magnitudes swamp its measurement noise)")
 
 
 def validate(model: SystemModel, req: SynthesisRequest) -> ValidationReport:

@@ -40,12 +40,24 @@ def sha(path):
 
 
 @pytest.fixture(scope="module")
-def scalar_artifacts(tmp_path_factory):
-    """One synthesized mechanism on disk, shared by the read-only CLI tests."""
-    out = tmp_path_factory.mktemp("cli") / "mech.json"
-    proc = cli("synthesize", FIXTURES / "scalar.json", out)
-    assert proc.returncode == 0, proc.stderr
-    return out
+def mechanism_file(tmp_path_factory):
+    """mechanism_file(name): the mechanism synthesized from fixture ``name``,
+    on disk, made once and shared by the read-only CLI tests."""
+    made = {}
+
+    def get(name):
+        if name not in made:
+            out = tmp_path_factory.mktemp("cli") / "mech.json"
+            proc = cli("synthesize", FIXTURES / f"{name}.json", out)
+            assert proc.returncode == 0, proc.stderr
+            made[name] = out
+        return made[name]
+    return get
+
+
+@pytest.fixture(scope="module")
+def scalar_artifacts(mechanism_file):
+    return mechanism_file("scalar")
 
 
 def test_validate_ok():
@@ -128,9 +140,13 @@ def test_near_singular_output_noise_is_one_stderr_line(tmp_path):
                         r"\(min eig \d\.\d{3}e-\d\d\)\n", proc.stderr), proc.stderr
 
 
-def test_synthesize_rerun_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("name", ["twostate", "reactor4", "twostate_weighted"])
+def test_synthesize_rerun_is_byte_identical(tmp_path, name):
+    """Two processes write the same mechanism, report and iterations CSV,
+    byte for byte, under the same manifest hash; twostate_weighted has a
+    non-identity, non-symmetric W_Y."""
     out = tmp_path / "m.json"
-    args = ("synthesize", FIXTURES / "twostate.json", out, "--seed", "11")
+    args = ("synthesize", FIXTURES / f"{name}.json", out, "--seed", "11")
     assert cli(*args).returncode == 0
     base = str(out)[:-len(".json")]
     paths = [out, base + ".report.json", base + ".iterations.csv"]
@@ -421,6 +437,23 @@ def test_a_mechanism_over_its_output_budget_is_exit_3(monkeypatch, capsys, tmp_p
     assert cells == [("NumericalFailure", None)]
 
 
+def test_a_leakage_off_the_certified_objective_is_exit_3(monkeypatch, capsys, tmp_path):
+    """The evaluated leakage equals the certified objective less its barrier
+    offset to rounding (2.7e-14 relative at most measured); 1e-6 bits more
+    ends synthesize in exit 3 with one line, writing nothing, and fails a
+    sweep cell as NumericalFailure."""
+    real = synth_module.mutual_information
+    monkeypatch.setattr(synth_module, "mutual_information", lambda joint: real(joint) + 1e-6)
+    reactor = str(FIXTURES / "reactor4.json")
+    out = tmp_path / "m.json"
+    assert cli_module.main(["synthesize", reactor, str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: the evaluated leakage "), lines
+    assert lines[0].endswith(" from the certified objective's by 1.000e-06 bits"), lines
+    assert not out.exists()
+    assert cli_module._sweep_row(*load_model(reactor), 1.0, [1.0]) == [("NumericalFailure", None)]
+
+
 def test_a_route_disagreement_is_a_numerical_failure_cell(monkeypatch, twostate_case):
     """In a sweep the disagreement fails the row's solve, not the command."""
     monkeypatch.setattr(synth_module, "mutual_information", _disagreeing_routes)
@@ -536,6 +569,7 @@ _BAD_MECHANISMS = {
     "G_blocks-number": lambda d: {**d, "G_blocks": 1.0},
     "no-Sigma_H": lambda d: {k: v for k, v in d.items() if k != "Sigma_H"},
     "Sigma_V-7x7": lambda d: {**d, "Sigma_V": _identity(7)},
+    "Sigma_H-1x1": lambda d: {**d, "Sigma_H": _identity(1)},
     "G-blocks-2x3": lambda d: {**d, "G_blocks": [_identity(3)[:2]] * 3},
     "G-blocks-3x3": lambda d: {**d, "G_blocks": [_identity(3)] * 3},
 }
@@ -634,17 +668,25 @@ def _scaled(matrix, s):
     return [[s * x for x in row] for row in matrix]
 
 
+_OVERFLOW = " must have finite entries (the model's magnitudes overflow)"
+_SWAMPED = (" must be positive definite in floating point "
+            "(the model's magnitudes swamp its measurement noise)")
 # Finite entries of extreme magnitude that overflow in the horizon lift or a
-# weight's Gram matrix: (fixture, field, new value, the violation line).
+# weight's Gram matrix, or leave a finite Sigma_Y that cannot be factored:
+# (fixture, field, new value, the violation line).
 _OVERFLOWS = {
     "twostate-A-1e109": ("twostate", "A", lambda A: _scaled(A, 1e109),
-                         "Sigma_Y at K = 3 must have finite entries"),
+                         "Sigma_Y at K = 3" + _OVERFLOW),
     "twostate-D-1e300": ("twostate", "D", lambda D: [[1e300, 0.0]],
-                         "Sigma_S at K = 3 must have finite entries"),
+                         "Sigma_S at K = 3" + _OVERFLOW),
     "twostate-W_U-1e300": ("twostate", "W_U", lambda W: 1e300,
-                           "W_U^T W_U at K = 3 must have finite entries"),
+                           "W_U^T W_U at K = 3" + _OVERFLOW),
     "reactor4-C-1e300": ("reactor4", "C", lambda C: [[0.0, 1.0, 1e300, 0.0]],
-                         "Sigma_Y at K = 10 must have finite entries"),
+                         "Sigma_Y at K = 10" + _OVERFLOW),
+    "twostate-A-1e50": ("twostate", "A", lambda A: _scaled(A, 1e50),
+                        "Sigma_Y at K = 3" + _SWAMPED),
+    "twostate-A-1e70": ("twostate", "A", lambda A: _scaled(A, 1e70),
+                        "Sigma_Y at K = 3" + _SWAMPED),
 }
 
 
@@ -653,9 +695,10 @@ _OVERFLOWS = {
 @pytest.mark.parametrize("case", list(_OVERFLOWS))
 def test_an_overflowing_model_is_one_violation(capsys, scalar_artifacts, tmp_path, case,
                                                command):
-    """validate builds the lifted moments and weight Gram matrices and names
-    the first that is not finite, so no command reaches an overflow: each
-    exits 1 with that one line, and no RuntimeWarning is raised."""
+    """validate builds the lifted moments and weight Gram matrices, names
+    the first that is not finite and factors Sigma_Y, so no command reaches
+    an overflow or a failed factorization: each exits 1 with that one line,
+    and no RuntimeWarning is raised."""
     name, field, change, line = _OVERFLOWS[case]
     data = json.loads((FIXTURES / f"{name}.json").read_text())
     data[field] = change(data[field])
@@ -665,9 +708,30 @@ def test_an_overflowing_model_is_one_violation(capsys, scalar_artifacts, tmp_pat
     argv = {"validate": [], "synthesize": [out], "evaluate": [str(scalar_artifacts)],
             "simulate": [str(scalar_artifacts), out]}[command]
     assert cli_module.main([command, str(path), *argv]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"violation: {line} (the model's magnitudes overflow)"]
+    assert capsys.readouterr().err.splitlines() == [f"violation: {line}"]
     assert not os.path.exists(out)
+
+
+def test_a_singular_private_covariance_is_a_violation_for_synthesis(capsys, tmp_path,
+                                                                   twostate_report):
+    """A repeated row of D makes Sigma_S singular, which leaves the leakage
+    LMI no interior: synthesize exits 1 with one violation line naming it,
+    writing nothing, while simulate, which needs no such bound, exits 0."""
+    data = json.loads((FIXTURES / "twostate.json").read_text())
+    data["D"] = [[1.0, 0.0], [1.0, 0.0]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert cli_module.main(["validate", str(path)]) == 0
+    out = tmp_path / "m.json"
+    assert cli_module.main(["synthesize", str(path), str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "violation: Sigma_S at K = 3 must be positive definite for synthesis "
+        "(no private output may be a linear combination of the others)"]
+    assert not out.exists()
+    mech = tmp_path / "mech.json"
+    mech.write_text(json.dumps(twostate_report.mechanism.to_dict()))
+    assert cli_module.main(["simulate", str(path), str(mech), str(tmp_path / "s.csv"),
+                            "--n-runs", "100"]) == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -716,10 +780,18 @@ def test_simulate_csv_format(scalar_artifacts, tmp_path):
             assert FLOAT_RE.match(cell), cell
 
 
-def test_simulate_rerun_is_byte_identical(scalar_artifacts, tmp_path):
+@pytest.mark.parametrize("name, n_runs", [("scalar", 300), ("reactor4", 1000),
+                                           ("reactor4", 1420), ("reactor4", 20000)])
+def test_simulate_rerun_is_byte_identical(mechanism_file, tmp_path, name, n_runs):
+    """Two processes write the same CSV on every way a batch's sum and Gram
+    matrix are drawn. reactor4 at K=10 has W = 70 normals per run: 1000
+    runs are batches of 50, drawn directly; 20000 runs are batches of 1000,
+    drawn by the Bartlett decomposition; 1420 runs are batches of 71 = W + 1,
+    whose Bartlett diagonal draws chi-square variates with 70 down to 1
+    degrees of freedom, so the df < 2 branch runs too."""
     csv_path = tmp_path / "sim.csv"
-    args = ("simulate", FIXTURES / "scalar.json", scalar_artifacts, csv_path,
-            "--n-runs", 300, "--seed", 9)
+    args = ("simulate", FIXTURES / f"{name}.json", mechanism_file(name), csv_path,
+            "--n-runs", n_runs, "--seed", 9)
     assert cli(*args).returncode == 0
     first = csv_path.read_bytes()
     assert cli(*args).returncode == 0

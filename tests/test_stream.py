@@ -14,7 +14,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from privsynth import cli, sim, synth, synthesize
 from privsynth import lift as lift_module
@@ -51,6 +50,7 @@ def reference_runs(model, req, mech, n, seed):
     of ``sim._per_run``: the (Z, R) and the (Y, U) estimation errors, the
     first private component and its (Z, R) estimate per step, W_Y (Z - Y)
     and W_U (R - U)."""
+    linalg = pytest.importorskip("scipy.linalg")
     K, n_s = mech.K, model.n_s
     _, u_seq, y, s, z, r = _simulate_batch(model, mech, n, seed)
     y, s, z, r = (a.reshape(n, -1) for a in (y, s, z, r))
@@ -58,10 +58,11 @@ def reference_runs(model, req, mech, n, seed):
     mom = output_moments(lift, model)
     Gt = mech.Gtilde
 
-    B_y = cho_solve(cho_factor(mom.Sigma_Y, lower=True), mom.cov_YS).T
+    B_y = linalg.cho_solve(linalg.cho_factor(mom.Sigma_Y, lower=True), mom.cov_YS).T
     shat_yu = mom.mu_S + (y - mom.mu_Y) @ B_y.T
     cov_ZS = Gt @ mom.cov_YS
-    B_z = cho_solve(cho_factor(Gt @ mom.Sigma_Y @ Gt.T + mech.Sigma_V, lower=True), cov_ZS).T
+    Sigma_Z = Gt @ mom.Sigma_Y @ Gt.T + mech.Sigma_V
+    B_z = linalg.cho_solve(linalg.cho_factor(Sigma_Z, lower=True), cov_ZS).T
     used = (K - 1) * model.n_u
     mu_base = lift.F @ model.mu_x1 + r[:, :used] @ lift.L.T
     shat_zr = mu_base @ lift.Dt.T + (z - mu_base @ (Gt @ lift.Ct).T) @ B_z.T
