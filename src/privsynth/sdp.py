@@ -29,18 +29,31 @@ supplies and needs a program whose objective is bounded below on the
 feasible set. All runs are deterministic: the same problem and start
 reproduce the iteration log bit for bit.
 
+Each Newton system is one Cholesky factorization ``H = L L^T`` plus only
+the substitutions its outcome uses (Boyd & Vandenberghe, *Convex
+Optimization*, 2004, section 9.5.1). The forward substitution ``w = L^-1
+grad`` gives the squared Newton decrement ``w . w``, a squared norm and so
+never negative. If the centering test fails, the Newton step is the back
+substitution ``d = -L^-T w``, and ``grad . d = -w . w``.
+
 After a centering passes its test, the next one starts from a predictor
-step along the central path (Boyd & Vandenberghe, *Convex Optimization*,
-2004, section 11.3): differentiating ``grad f + mu grad phi = 0`` gives
-``H(mu) dx/dmu = -grad phi``, so the first-order move to ``mu' = mu /
-MU_FACTOR`` is ``(mu - mu') H(mu)^-1 grad phi``. ``H(mu)`` is the Newton
-matrix the centering test has just factored, so the move costs one more
-substitution and no factorization. It is tried once, kept only if it lies
-in the domain and lowers ``psi`` at ``mu'``, and never taken after a
-centering that ended uncentered: one that ran out of Newton steps, or one
-whose line search accepted a step that does not lower ``psi``. That
+step along the central path (*ibid.*, section 11.3): differentiating
+``grad f + mu grad phi = 0`` gives ``H(mu) dx/dmu = -grad phi``, so the
+first-order move to ``mu' = mu / MU_FACTOR`` is ``(mu - mu') H(mu)^-1 grad
+phi``. ``H(mu)`` is the Newton matrix the centering test has just factored,
+so the move costs two more substitutions and no factorization: ``w_phi =
+L^-1 grad phi``, the tangent ``L^-T w_phi`` and the move's length in the
+local norm of ``H(mu)``, ``(mu - mu') |w_phi|``. It is tried once, kept only
+if it lies in the domain and lowers ``psi`` at ``mu'``, and never taken
+after a centering that ended uncentered: one that ran out of Newton steps,
+or one whose line search accepted a step that does not lower ``psi``. That
 happens near a sliver of a feasible set, where the Armijo test's slack
 rounds away; the centering then ends at the x it had.
+
+The run stops when the duality measure ``mu * nu / max(1, |f|)`` is at most
+``TOL_GAP`` after a centering. It is Optimal only if that centering passed
+its test: the measure bounds the gap at a central point only, so a run
+whose last centering ended uncentered ends MaxIterations.
 
 ``solve`` only solves: it reports the status, objective and duality
 measure its loop measured and certifies nothing. The certificate is
@@ -68,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauss import cho_solve, cholesky, solve_lower
+from .gauss import cholesky, solve_lower
 
 LN2 = math.log(2.0)
 
@@ -456,17 +469,13 @@ class _Parts:
         return self.f + mu * self.phi
 
     def combine(self, mu: float):
-        """(psi, f, grad, hess) at barrier parameter mu; the derivatives not
-        built are None. The parts stay."""
-        grad = hess = None
-        if self.grad_f is not None:
-            grad = self.grad_f + mu * self.grad_phi
-        if self.hess_f is not None:
-            hess = mu * self.hess_phi
-            hess += self.hess_f
-        return self.psi(mu), self.f, grad, hess
+        """(psi, f, grad, hess) at barrier parameter mu, from a build with
+        derivatives. The parts stay."""
+        hess = mu * self.hess_phi
+        hess += self.hess_f
+        return self.psi(mu), self.f, self.grad_f + mu * self.grad_phi, hess
 
-    def add_logdet(self, terms: _Terms, L: np.ndarray, order: int,
+    def add_logdet(self, terms: _Terms, L: np.ndarray, derivatives: bool,
                    weight: float, barrier: bool) -> None:
         """Adds -log det S, S = L L^T affine in x through ``terms``: weight
         times into f and, for a barrier term, once into phi."""
@@ -475,7 +484,7 @@ class _Parts:
             self.phi += value
         if weight != 0.0:
             self.f += weight * value
-        if order < 1:
+        if not derivatives:
             return
         P = _inv_from_chol(L)
         PV = P @ terms.vectors.T
@@ -484,8 +493,6 @@ class _Parts:
             self.grad_phi[terms.idx] += g
         if weight != 0.0:
             self.grad_f[terms.idx] += weight * g
-        if order < 2:
-            return
         H = _terms_hess(terms, P, PV)
         if barrier:
             _add_hess(self.hess_phi, H, terms)
@@ -495,19 +502,17 @@ class _Parts:
             _add_hess(self.hess_f, H, terms)
 
 
-def _build(plan: _Plan, x: np.ndarray, order: int,
+def _build(plan: _Plan, x: np.ndarray, derivatives: bool,
            factors: list[np.ndarray] | None = None) -> _Parts:
-    """f and phi with their derivatives up to ``order`` (0, 1 or 2) at x;
+    """f and phi at x, with their gradients and Hessians if ``derivatives``;
     raises _Infeasible outside the domain.
 
     ``factors``, the ``factors`` of an earlier build at the same x, are used
     instead of forming and factoring the slacks again."""
     n = plan.n
     parts = _Parts(f=0.0, phi=0.0, factors=[])
-    if order >= 1:
-        parts.grad_f = np.zeros(n)
-        parts.grad_phi = np.zeros(n)
-    if order >= 2:
+    if derivatives:
+        parts.grad_f, parts.grad_phi = np.zeros(n), np.zeros(n)
         parts.hess_f, parts.hess_phi = np.zeros((n, n)), np.zeros((n, n))
     reuse = None if factors is None else iter(factors)
 
@@ -523,46 +528,34 @@ def _build(plan: _Plan, x: np.ndarray, order: int,
     for v in plan.sym_list:
         if v.logdet_weight != 0.0:
             L = factor(lambda: v.matrix(x), f"logdet domain {v.name}")
-            parts.add_logdet(plan.sym_terms[v.name], L, order, v.logdet_weight, barrier=False)
+            parts.add_logdet(plan.sym_terms[v.name], L, derivatives, v.logdet_weight,
+                             barrier=False)
 
     # LMIs: an LMI with objective weight w adds w times its barrier term to
     # f, so psi holds it with coefficient w + mu.
     for con, terms in plan.lmis:
         L = factor(lambda: terms.matrix(con.constant, x), f"lmi {con.name}")
-        parts.add_logdet(terms, L, order, con.weight, barrier=True)
+        parts.add_logdet(terms, L, derivatives, con.weight, barrier=True)
 
     return parts
 
 
 def _solve_newton(hess: np.ndarray, grad: np.ndarray):
-    """Newton direction with ridge retries; returns (d, decrement_sq, L) or
-    None, L the Cholesky factor of the (ridged) system."""
-    diag_scale = max(1.0, float(np.max(np.diag(hess))))
-    ridge = REGULARIZATION * diag_scale
+    """Cholesky factor L of the Newton system, ridged until it factors, and
+    the forward substitution w = L^-1 grad; returns (L, w), or None when the
+    ridges run out. The squared decrement is w . w and the Newton step
+    -L^-T w."""
+    ridge = REGULARIZATION * max(1.0, float(np.max(np.diag(hess))))
     H = hess
     for attempt in range(REG_RETRIES + 1):
         try:
             L = cholesky(H)
         except np.linalg.LinAlgError:
-            H = _ridged(hess, ridge)
+            H = hess + ridge * np.eye(hess.shape[0])
             ridge *= 1e3
             continue
-        d = -cho_solve(L, grad)
-        dec_sq = float(-grad @ d)
-        if dec_sq < 0.0:
-            # Indefiniteness slipped past the factorization: regularize more.
-            H = _ridged(hess, ridge)
-            ridge *= 1e3
-            continue
-        return d, dec_sq, L
+        return L, solve_lower(L, grad)
     return None
-
-
-def _ridged(hess: np.ndarray, ridge: float) -> np.ndarray:
-    """hess + ridge * I as one new array."""
-    H = hess.copy()
-    H[np.diag_indices_from(H)] += ridge
-    return H
 
 
 # ---------------------------------------------------------------------------
@@ -580,20 +573,22 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
     The solution reports what the loop measured at its last iterate x: the
     objective ``f / ln 2 + objective_offset`` and the duality measure
     ``mu * nu / max(1, |f|)``, at status Optimal the value that passed the
-    stopping test. The point is not certified: ``check_solution`` is the
-    certificate, run by the caller on the program whose answer it reports.
+    stopping test after a centering that passed its own. A run whose last
+    centering ended uncentered ends MaxIterations. The point is not
+    certified: ``check_solution`` is the certificate, run by the caller on
+    the program whose answer it reports.
 
     Each iterate is built once: ``at_x`` holds f and phi with their
     derivatives at x, and the Newton system at any mu is recombined from
-    them. When the centering test ends an outer iteration, mu is cut and one
-    predictor trial is made from the factor that test used; if it is
-    refused x stays, so the next system costs one recombination and no
-    build. A centering that runs out of Newton steps, or whose line search
-    accepts a step that does not lower psi, ends uncentered: mu is cut at
-    the x it had, with its build, and no predictor trial is made. A move to
-    a new x passes on the slack factors of its accepted trial, so no slack
-    is factored twice at one iterate. The log holds every move;
-    ``newton_steps`` counts the Newton steps among them.
+    them. When the centering test ends an outer iteration and the run goes
+    on, mu is cut and one predictor trial is made from the factor that test
+    used; if it is refused x stays, so the next system costs one
+    recombination and no build. A centering that runs out of Newton steps,
+    or whose line search accepts a step that does not lower psi, ends
+    uncentered: mu is cut at the x it had, with its build, and no predictor
+    trial is made. A move to a new x passes on the slack factors of its
+    accepted trial, so no slack is factored twice at one iterate. The log
+    holds every move; ``newton_steps`` counts the Newton steps among them.
     """
     plan = _Plan(problem)
     x = problem.pack(init) if isinstance(init, dict) else np.array(init, dtype=float)
@@ -608,7 +603,7 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
             iterations=log, message=message, mu_final=mu, newton_steps=newton_steps)
 
     try:
-        at_x = _build(plan, x, 0)
+        at_x = _build(plan, x, False)
     except _Infeasible as exc:
         return result(SolverStatus.NUMERICAL_FAILURE, f"start point outside domain ({exc})")
 
@@ -619,31 +614,32 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
         centered = False
         for inner in range(MAX_INNER):
             if at_x.hess_f is None:
-                at_x = _build(plan, x, 2, at_x.factors)
+                at_x = _build(plan, x, True, at_x.factors)
             psi, f, grad, hess = at_x.combine(mu)
-            nd = _solve_newton(hess, grad)
-            if nd is None:
+            newton = _solve_newton(hess, grad)
+            if newton is None:
                 return result(SolverStatus.NUMERICAL_FAILURE,
                               "Newton system factorization failed")
-            d, dec_sq, L = nd
+            L, w = newton
+            dec_sq = float(w @ w)
             centered = 0.5 * dec_sq <= INNER_TOL * mu
-            tangent = cho_solve(L, at_x.grad_phi) if centered else None
-            del nd, L       # the factor is not held through the next build
             if centered:
                 break
+            d = -solve_lower(L, w, trans=True)
+            del newton, L   # the factor is not held through the next build
 
-            # Backtracking: keep every slack PD, then Armijo decrease.
+            # Backtracking: keep every slack PD, then Armijo decrease, with
+            # grad . d = -dec_sq.
             accepted = None
             alpha = 1.0
-            gd = float(grad @ d)
             for _ in range(MAX_BACKTRACKS):
                 trial = x + alpha * d
                 try:
-                    at_trial = _build(plan, trial, 0)
+                    at_trial = _build(plan, trial, False)
                 except _Infeasible:
                     alpha *= BACKTRACK
                     continue
-                if at_trial.psi(mu) <= psi + ARMIJO * alpha * gd:
+                if at_trial.psi(mu) <= psi - ARMIJO * alpha * dec_sq:
                     accepted = at_trial
                     break
                 alpha *= BACKTRACK
@@ -661,24 +657,30 @@ def solve(problem: SdpProblem, *, init: np.ndarray | dict) -> SdpSolution:
                                        decrement=math.sqrt(dec_sq)))
 
         if mu * plan.nu / max(1.0, abs(f)) <= TOL_GAP:
+            if not centered:
+                return result(SolverStatus.MAX_ITERATIONS,
+                              "the last centering ended before its test passed")
             return result(SolverStatus.OPTIMAL, "duality measure below tolerance")
         mu_next = mu / MU_FACTOR
 
-        # Predictor: one trial along the central path's tangent, from a
-        # point that passed the centering test only. dx/dmu = -tangent, so
-        # the move to mu_next is (mu - mu_next) * tangent; it is kept if it
-        # lowers psi at mu_next, with no backtracking.
+        # Predictor: one trial along the central path's tangent L^-T w_phi,
+        # from a point that passed the centering test only. dx/dmu =
+        # -tangent, so the move to mu_next is (mu - mu_next) * tangent; it
+        # is kept if it lowers psi at mu_next, with no backtracking.
+        if centered:
+            w_phi = solve_lower(L, at_x.grad_phi)
+            tangent = solve_lower(L, w_phi, trans=True)
+            del newton, L
         if centered and np.isfinite(tangent).all():
             step = mu - mu_next
             trial = x + step * tangent
             try:
-                at_trial = _build(plan, trial, 0)
+                at_trial = _build(plan, trial, False)
             except _Infeasible:
                 at_trial = None
             if at_trial is not None and at_trial.psi(mu_next) < at_x.psi(mu_next):
-                # The move's length in the local norm of H(mu), finite:
-                # tangent^T grad_phi = tangent^T H tangent >= 0.
-                length = step * math.sqrt(max(float(tangent @ at_x.grad_phi), 0.0))
+                # The move's length in the local norm of H(mu).
+                length = step * math.sqrt(float(w_phi @ w_phi))
                 x, at_x, f = trial, at_trial, at_trial.f
                 log.append(IterationRecord(iteration=len(log) + 1, mu=mu_next,
                                            objective=f / LN2, decrement=length))

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__ as _version
 from . import sdp
-from .gauss import _chol, _conditional_cov, _sym, cho_solve, cholesky, entropy, mutual_information
+from .gauss import (NotPositiveDefinite, _chol, _conditional_cov, _sym, cho_solve, cholesky,
+                    entropy, mutual_information)
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments, joint_ZS_moments
 from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationReport,
                     _as_array, content_hash, validate, write_json)
@@ -281,18 +282,25 @@ class _Context:
         return 0.5 * (self.delta + (self.eps_y - base) / self.tr_w)
 
 
-def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> _Context:
-    """The program's constants. The leakage LMI bounds Pi by Sigma_S, so a
-    Sigma_S that cannot be factored leaves no strictly feasible point: a
-    ValidationError here, not in ``validate``, since ``simulate`` needs no
-    such bound."""
-    mom = output_moments(lift, model)
+def _check_private_covariance(Sigma_S: np.ndarray, K: int) -> None:
+    """ValidationError naming Sigma_S at horizon K where it cannot be
+    factored. Synthesis and the closed-form leakage need it positive
+    definite: the leakage LMI bounds Pi by Sigma_S, and the leakage
+    conditions on the private stack. Not ``validate``'s check, since
+    ``simulate`` needs neither."""
     try:
-        cholesky(mom.Sigma_S)
+        cholesky(Sigma_S)
     except np.linalg.LinAlgError:
         raise ValidationError(ValidationReport([
-            f"Sigma_S at K = {req.K} must be positive definite for synthesis "
+            f"Sigma_S at K = {K} must be positive definite "
             "(no private output may be a linear combination of the others)"])) from None
+
+
+def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> _Context:
+    """The program's constants. A Sigma_S that cannot be factored leaves no
+    strictly feasible point: a ValidationError here."""
+    mom = output_moments(lift, model)
+    _check_private_covariance(mom.Sigma_S, req.K)
     NY = req.K * model.n_y
     trace_scale = max(1.0, float(np.trace(mom.Sigma_Y)) / NY)
     return _Context(K=req.K, n_y=model.n_y, NY=NY, NS=req.K * model.n_s, mom=mom,
@@ -618,13 +626,19 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
     private stack once its mean is accounted for and contributes nothing.
     ``moments``, if given, must be ``output_moments`` of ``model`` at the
     request's horizon. ``Mechanism.check_fits`` runs first; the request
-    itself is ``validate``'s to check.
+    itself is ``validate``'s to check. A joint (Z, S) covariance that cannot
+    be factored raises the ValidationError of a singular Sigma_S where that
+    is the cause, NotPositiveDefinite otherwise.
     """
     mech.check_fits(model, req.K)
     mom = moments if moments is not None else output_moments(build_lift(model, req.K), model)
     Gt = mech.Gtilde
 
-    joint = joint_ZS_moments(None, model, Gt, mech.Sigma_V, moments=mom)
+    try:
+        joint = joint_ZS_moments(None, model, Gt, mech.Sigma_V, moments=mom)
+    except NotPositiveDefinite:
+        _check_private_covariance(mom.Sigma_S, req.K)     # names Sigma_S if it is the cause
+        raise
     mi = mutual_information(joint)
 
     # E|W_Y (Z - Y)|^2 by its definition, with Z - Y = (G~ - I) Y + V.

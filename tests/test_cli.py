@@ -462,6 +462,22 @@ def test_a_route_disagreement_is_a_numerical_failure_cell(monkeypatch, twostate_
                      ("NumericalFailure", None)]
 
 
+def test_an_uncentered_stop_is_exit_3(monkeypatch, capsys, tmp_path, twostate_case):
+    """With one Newton step per centering, twostate at eps_Y = 4 reaches the
+    duality tolerance from a point whose last centering did not pass its
+    test, at mi_bits 0.19994 against the optimum's 0.09870. synthesize
+    ends in exit 3 with one line, writing nothing; a sweep cell gets
+    MaxIterations."""
+    monkeypatch.setattr(sdp, "MAX_INNER", 1)
+    out = tmp_path / "m.json"
+    assert cli_module.main(["synthesize", str(FIXTURES / "twostate.json"), str(out),
+                            "--eps-y", "4"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: solver status MaxIterations: the last centering ended before its test passed"]
+    assert not out.exists()
+    assert cli_module._sweep_row(*twostate_case, 4.0, [1.0]) == [("MaxIterations", None)]
+
+
 def test_max_iterations_is_a_cell_status(monkeypatch, twostate_case):
     """A solve that runs out of centerings gives its row's cells the
     solution's status, MaxIterations."""
@@ -712,24 +728,29 @@ def test_an_overflowing_model_is_one_violation(capsys, scalar_artifacts, tmp_pat
     assert not os.path.exists(out)
 
 
-def test_a_singular_private_covariance_is_a_violation_for_synthesis(capsys, tmp_path,
-                                                                   twostate_report):
+def test_a_singular_private_covariance_is_a_violation(capsys, tmp_path, twostate_report):
     """A repeated row of D makes Sigma_S singular, which leaves the leakage
-    LMI no interior: synthesize exits 1 with one violation line naming it,
-    writing nothing, while simulate, which needs no such bound, exits 0."""
+    LMI no interior and the closed-form leakage no factor: synthesize and
+    evaluate each exit 1 with one violation line naming it, writing
+    nothing, while simulate, which needs neither, exits 0."""
     data = json.loads((FIXTURES / "twostate.json").read_text())
     data["D"] = [[1.0, 0.0], [1.0, 0.0]]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))
     assert cli_module.main(["validate", str(path)]) == 0
+    violation = ["violation: Sigma_S at K = 3 must be positive definite "
+                 "(no private output may be a linear combination of the others)"]
+    capsys.readouterr()
     out = tmp_path / "m.json"
     assert cli_module.main(["synthesize", str(path), str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "violation: Sigma_S at K = 3 must be positive definite for synthesis "
-        "(no private output may be a linear combination of the others)"]
+    assert capsys.readouterr().err.splitlines() == violation
     assert not out.exists()
     mech = tmp_path / "mech.json"
     mech.write_text(json.dumps(twostate_report.mechanism.to_dict()))
+    metrics = tmp_path / "metrics.json"
+    assert cli_module.main(["evaluate", str(path), str(mech), "--out", str(metrics)]) == 1
+    assert capsys.readouterr().err.splitlines() == violation
+    assert not metrics.exists()
     assert cli_module.main(["simulate", str(path), str(mech), str(tmp_path / "s.csv"),
                             "--n-runs", "100"]) == 0
 

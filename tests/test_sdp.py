@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,19 @@ def test_check_solution_flags_psd_violation():
     bad = check_solution(prob, {"X": np.array([[2.0, 0.0], [0.0, 0.5]])})
     assert not bad.ok
     assert bad.max_psd_violation == pytest.approx(1.0, abs=1e-9)
+
+
+def test_an_uncentered_stop_is_not_optimal(monkeypatch):
+    """With one Newton step per centering the duality measure falls below
+    TOL_GAP at a point whose last centering did not pass its test: X =
+    diag(0.83, 2.17) at objective -0.848, where the optimum is 1.5 I at
+    -1.170. The run ends MaxIterations, not Optimal."""
+    monkeypatch.setattr(sdp, "MAX_INNER", 1)
+    sol = solve(trace_cap_problem(), init={"X": np.diag([0.2, 2.7])})
+    assert sol.status is SolverStatus.MAX_ITERATIONS
+    assert sol.message == "the last centering ended before its test passed"
+    assert sol.duality_measure <= sdp.TOL_GAP
+    assert sol.objective == pytest.approx(-0.848, abs=1e-3)
 
 
 def test_outer_budget_exhaustion(monkeypatch):
@@ -294,8 +308,8 @@ def test_factor_newton_matches_dense_reference():
         rest.lmis = []
         rest.sym_list = [dataclasses.replace(v, logdet_weight=0.0) for v in plan.sym_list]
         mu = 0.7
-        _, _, g_all, h_all = sdp._build(plan, x, 2).combine(mu)
-        _, _, g_rest, h_rest = sdp._build(rest, x, 2).combine(mu)
+        _, _, g_all, h_all = sdp._build(plan, x, True).combine(mu)
+        _, _, g_rest, h_rest = sdp._build(rest, x, True).combine(mu)
         g_ref, h_ref = _dense_logdet_newton(plan, x, mu)
         assert np.linalg.norm(g_all - g_rest - g_ref) <= 1e-10 * np.linalg.norm(g_ref), label
         assert np.linalg.norm(h_all - h_rest - h_ref) <= 1e-10 * np.linalg.norm(h_ref), label
@@ -310,13 +324,13 @@ def test_reduced_derivatives_match_finite_differences():
     x = prob.pack(analytic_start(prob))
     plan = sdp._Plan(prob)
     mu, h = 1e-9, 1e-5
-    _, _, g, H = sdp._build(plan, x, 2).combine(mu)
+    _, _, g, H = sdp._build(plan, x, True).combine(mu)
     rng = np.random.default_rng(7)
     for _ in range(3):
         d = rng.standard_normal(x.size)
         d /= np.linalg.norm(d)
-        psi_p, _, g_p, _ = sdp._build(plan, x + h * d, 1).combine(mu)
-        psi_m, _, g_m, _ = sdp._build(plan, x - h * d, 1).combine(mu)
+        psi_p, _, g_p, _ = sdp._build(plan, x + h * d, True).combine(mu)
+        psi_m, _, g_m, _ = sdp._build(plan, x - h * d, True).combine(mu)
         assert (psi_p - psi_m) / (2 * h) == pytest.approx(g @ d, rel=1e-6, abs=1e-9)
         fd = (g_p - g_m) / (2 * h)
         assert np.linalg.norm(fd - H @ d) <= 1e-6 * np.linalg.norm(H @ d)
@@ -327,13 +341,16 @@ def test_reduced_derivatives_match_finite_differences():
                          ids=["singular", "indefinite"])
 def test_newton_ridge_retry_gives_descent(hess):
     """A Hessian the factorization rejects is retried with a ridge scaled to
-    its diagonal, and the direction solves the ridged system."""
+    its diagonal; the back substitution of w = L^-1 grad solves the ridged
+    system, and w . w is the squared decrement -grad . d."""
     grad = np.array([1.0, 0.0])
-    d, dec_sq, L = sdp._solve_newton(hess, grad)
+    L, w = sdp._solve_newton(hess, grad)
+    d = -sdp.solve_lower(L, w, trans=True)
     ridged = hess + sdp.REGULARIZATION * np.eye(2)
     np.testing.assert_allclose(d, -np.linalg.solve(ridged, grad), rtol=1e-9)
     np.testing.assert_allclose(L @ L.T, ridged, rtol=1e-12)
-    assert dec_sq > 0.0
+    assert w @ w > 0.0
+    assert w @ w == pytest.approx(-grad @ d, rel=1e-9)
     assert grad @ d < 0.0
 
 
@@ -372,12 +389,12 @@ def test_recombined_parts_match_fresh_evaluate():
     were."""
     for prob, x in _reactor_points():
         plan = sdp._Plan(prob)
-        parts = sdp._build(plan, x, 2)
+        parts = sdp._build(plan, x, True)
         kept = [parts.grad_f.copy(), parts.grad_phi.copy(),
                 parts.hess_f.copy(), parts.hess_phi.copy()]
         parts.combine(0.7)
         got = parts.combine(0.07)
-        want = sdp._build(plan, x, 2).combine(0.07)
+        want = sdp._build(plan, x, True).combine(0.07)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
         for a, b in zip(kept, [parts.grad_f, parts.grad_phi, parts.hess_f, parts.hess_phi]):
@@ -393,11 +410,11 @@ def test_build_from_reused_factors_is_bitwise(monkeypatch):
 
     for prob, x in _reactor_points():
         plan = sdp._Plan(prob)
-        fresh = sdp._build(plan, x, 2)
-        factors = sdp._build(plan, x, 0).factors
+        fresh = sdp._build(plan, x, True)
+        factors = sdp._build(plan, x, False).factors
         with monkeypatch.context() as m:
             m.setattr(sdp, "_chol_or_none", no_factoring)
-            reused = sdp._build(plan, x.copy(), 2, factors)
+            reused = sdp._build(plan, x.copy(), True, factors)
         assert (reused.f, reused.phi) == (fresh.f, fresh.phi)
         for name in ("grad_f", "grad_phi", "hess_f", "hess_phi"):
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
@@ -416,17 +433,54 @@ def test_one_newton_system_build_per_iterate(monkeypatch, fixture, steps, moves)
     builds = []
     real = sdp._build
 
-    def counting(plan, x, order, factors=None):
-        builds.append((order, factors is not None))
-        return real(plan, x, order, factors)
+    def counting(plan, x, derivatives, factors=None):
+        builds.append((derivatives, factors is not None))
+        return real(plan, x, derivatives, factors)
 
     monkeypatch.setattr(sdp, "_build", counting)
     model, req = load_model(str(FIXTURES / f"{fixture}.json"))
     sol = synthesize(model, req).solution
     assert (sol.newton_steps, len(sol.iterations)) == (steps, moves)
-    hessians = [reused for order, reused in builds if order == 2]
+    hessians = [reused for derivatives, reused in builds if derivatives]
     assert len(hessians) == len(sol.iterations) + 1
     assert all(hessians)
+
+
+def test_newton_factor_substitutions(monkeypatch):
+    """On reactor4 each Newton factorization is followed by one forward
+    substitution of the gradient, then by the substitutions of the move it
+    leads to: one back substitution for a Newton step, or, at a centered
+    point that does not end the run, the tangent's forward and back
+    substitutions. The last, centered point that ends the run substitutes
+    nothing more. Events: F a factorization, g the gradient's forward
+    substitution, f another forward, b a back substitution with the factor."""
+    events, newton = [], {}
+    real_newton, real_lower = sdp._solve_newton, sdp.solve_lower
+
+    def factoring(hess, grad):
+        events.append("F")
+        newton["grad"] = grad
+        return real_newton(hess, grad)
+
+    def substituting(L, B, trans=False):
+        if B is newton.get("grad") and not trans:
+            newton["L"] = L
+            events.append("g")
+        elif L is newton.get("L"):
+            events.append("b" if trans else "f")
+        return real_lower(L, B, trans)
+
+    monkeypatch.setattr(sdp, "_solve_newton", factoring)
+    monkeypatch.setattr(sdp, "solve_lower", substituting)
+    model, req = load_model(str(FIXTURES / "reactor4.json"))
+    sol = synthesize(model, req).solution
+    seq = "".join(events)
+    assert re.fullmatch(r"(Fg(?:b|fb))*Fg", seq), seq
+    systems = seq.split("F")[1:]
+    assert (len(systems), systems.count("gb"), systems.count("gfb")) == (18, 9, 8)
+    assert sol.newton_steps == 9
+    # 18 forward substitutions, 9 for the steps, 16 for the tangents.
+    assert len(seq) - len(systems) == 43
 
 
 def _central_point(mu, m=1e-8, cap=3.0):
@@ -445,22 +499,24 @@ def _central_point(mu, m=1e-8, cap=3.0):
 
 def test_predictor_follows_the_central_path():
     """From a central point at mu, the move (mu - mu') H(mu)^-1 grad phi,
-    with the factor of the centering check, lands near the central point at
-    mu' = mu / MU_FACTOR: its error is second order, at most 2 mu times the
-    distance from x (about 1.35 mu here), and it lowers psi at mu'."""
+    the tangent L^-T L^-1 grad phi with the factor L of the centering check,
+    lands near the central point at mu' = mu / MU_FACTOR: its error is
+    second order, at most 2 mu times the distance from x (about 1.35 mu
+    here), and it lowers psi at mu'."""
     prob = trace_cap_problem()
     plan = sdp._Plan(prob)
     for mu in (1e-2, 1e-3, 1e-4):
         mu_next = mu / sdp.MU_FACTOR
         x = prob.pack({"X": _central_point(mu) * np.eye(2)})
-        parts = sdp._build(plan, x, 2)
+        parts = sdp._build(plan, x, True)
         _, _, grad, hess = parts.combine(mu)
-        _, dec_sq, L = sdp._solve_newton(hess, grad)
-        assert 0.5 * dec_sq <= sdp.INNER_TOL * mu
-        trial = x + (mu - mu_next) * sdp.cho_solve(L, parts.grad_phi)
+        L, w = sdp._solve_newton(hess, grad)
+        assert 0.5 * (w @ w) <= sdp.INNER_TOL * mu
+        tangent = sdp.solve_lower(L, sdp.solve_lower(L, parts.grad_phi), trans=True)
+        trial = x + (mu - mu_next) * tangent
         want = prob.pack({"X": _central_point(mu_next) * np.eye(2)})
         assert np.linalg.norm(trial - want) <= 2.0 * mu * np.linalg.norm(x - want)
-        assert sdp._build(plan, trial, 0).psi(mu_next) < parts.psi(mu_next)
+        assert sdp._build(plan, trial, False).psi(mu_next) < parts.psi(mu_next)
 
 
 @pytest.mark.parametrize("fixture", ["scalar", "twostate", "reactor4"])
