@@ -8,12 +8,14 @@ output over a finite horizon, subject to distortion budgets, via a
 determinant-maximization program solved by a built-in interior-point method.
 
 Each command loads only the modules it runs. ``model`` loads with the
-package; ``gauss``, ``lift``, ``sdp``, ``synth`` and ``sim`` are placed in
-``sys.modules`` at once but run their code on first attribute access
-(``importlib.util.LazyLoader``), and every name in ``__all__`` is looked up
-in its module when it is asked for. Before Python 3.12 the first load of a
-lazy module is not thread-safe. No privsynth code starts a thread, and
-``sweep --jobs`` loads the modules its rows run before it forks.
+package; ``gauss``, ``lift``, ``mechanism``, ``sdp``, ``synth`` and ``sim``
+are placed in ``sys.modules`` at once but run their code on first attribute
+access (``importlib.util.LazyLoader``), and every name in ``__all__`` is
+looked up in its module when it is asked for. The mechanism has its own
+module, which ``synth`` and ``sim`` both load, so the Monte Carlo command
+runs no design code. Before Python 3.12 the first load of a lazy module is
+not thread-safe. No privsynth code starts a thread, and ``sweep --jobs``
+loads the modules its rows run before it forks.
 """
 
 import importlib.util
@@ -48,6 +50,7 @@ def _lazy(name: str):
 
 gauss = _lazy("gauss")
 lift = _lazy("lift")
+mechanism = _lazy("mechanism")
 sdp = _lazy("sdp")
 synth = _lazy("synth")
 sim = _lazy("sim")
@@ -61,9 +64,9 @@ _OWNERS = {
     "gauss": ("GaussianJoint", "NotPositiveDefinite", "SchurSingular", "entropy",
               "mutual_information", "mmse_estimate"),
     "sdp": ("SdpProblem", "SdpSolution", "SolverStatus", "solve", "check_solution"),
-    "synth": ("Mechanism", "MechanismMetrics", "SynthesisReport", "ExtractionFailure",
-              "InfeasibleProgram", "SolverFailure", "assemble_program", "synthesize",
-              "evaluate_mechanism"),
+    "mechanism": ("Mechanism", "ExtractionFailure"),
+    "synth": ("MechanismMetrics", "SynthesisReport", "InfeasibleProgram", "SolverFailure",
+              "assemble_program", "synthesize", "evaluate_mechanism"),
     "sim": ("AdversaryResult", "ExperimentSummary", "adversary_estimate", "run_experiment"),
 }
 _OWNER = {name: mod for mod, names in _OWNERS.items() for name in names}

@@ -7,7 +7,7 @@ files reference that hash, and a sibling manifest JSON records it together
 with artifact hashes and wall-clock data.
 
 The commands check no input themselves: ``validate`` checks the model,
-``with_overrides`` the flags that override it and ``synth.Mechanism`` a
+``with_overrides`` the flags that override it and ``mechanism.Mechanism`` a
 mechanism's fit; ``main`` maps each error to its exit code.
 
 Exit codes: 0 success, 1 usage, validation or I/O error, 2 infeasible
@@ -28,10 +28,10 @@ import pickle
 import sys
 import time
 
-# The package loads sdp, synth and sim lazily: a command runs the code of
-# only the modules it calls through, so they are called as attributes of
-# their module rather than imported by name.
-from . import _THREAD_ENV, __version__, sdp, sim, synth
+# The package loads mechanism, sdp, synth and sim lazily: a command runs the
+# code of only the modules it calls through, so they are called as
+# attributes of their module rather than imported by name.
+from . import _THREAD_ENV, __version__, mechanism, sdp, sim, synth
 from .model import ValidationError, load_model, sha256, with_overrides, write_json
 
 # 17 significant digits, lossless for doubles; nan and +-inf print as
@@ -151,7 +151,7 @@ def cmd_synthesize(args) -> int:
     rep = synth.synthesize(model, req)
 
     rep.mechanism.provenance["manifest_hash"] = mh
-    synth.save_mechanism(rep.mechanism, args.out_mechanism)
+    mechanism.save_mechanism(rep.mechanism, args.out_mechanism)
     write_json({**rep.to_dict(), "manifest_hash": mh}, report_path)
     _write_csv(iters_path, mh, "iter,mu,objective",
                ((r.iteration, r.mu, r.objective) for r in rep.solution.iterations))
@@ -171,7 +171,7 @@ def cmd_evaluate(args) -> int:
         seeds={},
     )
     model, req = _load_with_overrides(args)
-    mech = synth.load_mechanism(args.mechanism)
+    mech = mechanism.load_mechanism(args.mechanism)
 
     metrics = synth.evaluate_mechanism(model, req, mech)
     write_json({**metrics.figures(), "manifest_hash": mh}, args.out)
@@ -190,7 +190,7 @@ def cmd_simulate(args) -> int:
         seeds={"seed": args.seed},
     )
     model, req = _load_with_overrides(args)
-    mech = synth.load_mechanism(args.mechanism)
+    mech = mechanism.load_mechanism(args.mechanism)
 
     summ = sim.run_experiment(model, req, mech, n_runs=args.n_runs, seed=args.seed)
     doc = summ.to_dict()

@@ -36,15 +36,19 @@ batch of m runs: m, the sum and the Gram matrix e^T e.
 
 Those statistics have a known joint law, so each batch's are drawn directly
 from the moment stream: the mean e_bar ~ N(0, I/m) is independent of the
-centred scatter S ~ Wishart(m - 1, I), drawn by the Bartlett decomposition
-(Odell & Feiveson, JASA 61, 1966), and Gram = S + m e_bar e_bar^T. A batch
-of m <= W runs draws its m x W normals instead. Each batch's Gram matrix is
-folded to the quadratic forms of the summed numbers as soon as it is drawn,
-so one W x W matrix is held at a time besides the map M and every batch's
-sums and quadratic forms. The cost is O(W^3) per batch and the memory
-O(W^2) plus O(W) per batch, whatever the number of runs; no run is drawn.
-The law of every reported number is that of drawing all the runs, but not
-the realization: the per-run streams are left to ``_simulate_batch``.
+centred scatter S ~ Wishart(m - 1, I), drawn as S = L L^T with L lower
+triangular by the Bartlett decomposition (Odell & Feiveson, JASA 61, 1966),
+and Gram = S + m e_bar e_bar^T. A batch of m <= W runs draws its m x W
+normals instead. Either way the Gram matrix is never formed: it is F F^T
+for the factor F = [L, sqrt(m) e_bar], or the normals transposed, and each
+quadratic form of the summed numbers, (M^T Gram M)_kk, is the squared norm
+of column k of F^T M. Each batch's factor is folded as soon as it is
+drawn, so one W x (W + 1) factor is held at a time besides the map M and
+every batch's sums and quadratic forms. The cost is O(W^2 Q) per batch for
+Q summed numbers, and the memory O(W^2) plus O(W + Q) per batch, whatever
+the number of runs; no run is drawn. The law of every reported number is
+that of drawing all the runs, but not the realization: the per-run streams
+are left to ``_simulate_batch``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import numpy as np
 from .gauss import cho_solve, cholesky
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments
 from .model import SystemModel, SynthesisRequest, check_seed, sha256
-from .synth import Mechanism
+from .mechanism import Mechanism
 
 _SALT = 0x70726976
 
@@ -66,7 +70,7 @@ _TAG_MEASURE = 2
 _TAG_MECH_OUT = 3
 _TAG_MECH_IN = 4
 _TAGS = (_TAG_INITIAL, _TAG_PROCESS, _TAG_MEASURE, _TAG_MECH_OUT, _TAG_MECH_IN)
-_TAG_MOMENTS = 5   # run_experiment's per-batch sums and Gram matrices
+_TAG_MOMENTS = 5   # run_experiment's per-batch sums and Gram factors
 
 N_BATCHES = 20     # batches of the batch-means standard error
 
@@ -369,24 +373,28 @@ def _slot_sizes(n_runs: int) -> list[int]:
 
 
 def _slot_moments(gen: SplitMix64, m: int, W: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum (W,) and Gram matrix (W, W) of m runs of W standard normals,
-    drawn from their joint law with the next draws of gen.
+    """Sum (W,) and a factor F of the Gram matrix, F F^T = e^T e, of m runs
+    of W standard normals e, drawn from their joint law with the next draws
+    of gen.
 
-    For m - 1 >= W: W + W (W - 1) / 2 normals in one draw, the first W for
-    the mean e_bar = N(0, I)/sqrt(m) and the rest for the entries below the
+    For m - 1 >= W: W + W (W - 1) / 2 normals in one draw, the first W, z,
+    for the mean e_bar = z / sqrt(m) and the rest for the entries below the
     diagonal of a lower triangular L, row by row; then L_ii =
-    sqrt(chi2(m - 1 - i)) for i = 0..W-1 (Bartlett). S = L L^T, the sum is
-    m e_bar and the Gram matrix S + m e_bar e_bar^T. For fewer runs S is
-    singular and the m x W normals themselves are drawn, row by row.
+    sqrt(chi2(m - 1 - i)) for i = 0..W-1 (Bartlett). The centred scatter is
+    L L^T, the sum m e_bar, and the Gram matrix L L^T + m e_bar e_bar^T has
+    the factor F = [L, z] (W, W + 1). For fewer runs the scatter is
+    singular and the m x W normals themselves are drawn, row by row; F is
+    their transpose (W, m).
     """
     if m - 1 < W:
         e = gen.standard_normal(m * W).reshape(m, W)
-        return e.sum(axis=0), e.T @ e
+        return e.sum(axis=0), e.T
     z = gen.standard_normal(W + W * (W - 1) // 2)
-    e_bar = z[:W] / np.sqrt(m)
-    L = np.diag(np.sqrt(gen.chisquare(m - 1 - np.arange(W))))
-    L[np.tril_indices(W, -1)] = z[W:]
-    return m * e_bar, L @ L.T + m * np.outer(e_bar, e_bar)
+    F = np.zeros((W, W + 1))
+    F[np.tril_indices(W, -1)] = z[W:]
+    np.fill_diagonal(F, np.sqrt(gen.chisquare(m - 1 - np.arange(W))))
+    F[:, W] = z[:W]
+    return m * (z[:W] / np.sqrt(m)), F
 
 
 @dataclass(frozen=True)
@@ -434,17 +442,19 @@ class _Experiment:
     def W(self) -> int:
         return self.M.shape[0]
 
-    def quadratic(self, gram: np.ndarray) -> np.ndarray:
-        """(M^T Gram M)_kk for every column k of q: one slot's sum of
-        (M^T e)_k^2 over its runs, from its Gram matrix (W, W)."""
-        return np.einsum("wq,wq->q", gram @ self.M, self.M)
+    def quadratic(self, F: np.ndarray) -> np.ndarray:
+        """(M^T F F^T M)_kk for every column k of q: one slot's sum of
+        (M^T e)_k^2 over its runs, from a factor F (W, n) of its Gram
+        matrix, as the squared column norms of F^T M (n, Q)."""
+        P = F.T @ self.M
+        return np.einsum("nq,nq->q", P, P)
 
     def summary(self, n_runs: int, first: np.ndarray, quad: np.ndarray,
                 seed: int) -> ExperimentSummary:
         """The summary of n_runs runs from the moments of their normals per
         slot of ``_slot_sizes(n_runs)``: sums first (slots, W) and quadratic
-        forms quad (slots, Q), each row ``quadratic`` of the slot's Gram
-        matrix, so no Gram matrix reaches the summary."""
+        forms quad (slots, Q), each row ``quadratic`` of the slot's factor,
+        so no Gram matrix reaches the summary."""
         K, n_s, c, M = self.K, self.n_s, self.c, self.M
         b = len(first) - 1
         # Per slot, the sum of each q_k is n c_k + (M^T sum e)_k, and the sum
@@ -494,11 +504,12 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     """Monte Carlo comparison of the two adversaries over n_runs trajectories.
 
     Each slot of runs (the batches of the standard error, then the
-    remainder) gets the sum and the Gram matrix of its normals from
-    ``_slot_moments``, in slot order from the seed's ``moment_stream``. Each
-    Gram matrix is folded to its quadratic forms as soon as it is drawn, so
-    one slot's W x W matrix is held at a time, plus every slot's sums (W,)
-    and quadratic forms (Q,): time and memory do not grow with n_runs, nor
+    remainder) gets the sum of its normals and a factor of their Gram
+    matrix from ``_slot_moments``, in slot order from the seed's
+    ``moment_stream``. Each factor is folded to its quadratic forms as soon
+    as it is drawn, and no W x W Gram matrix is formed, so one slot's W x
+    (W + 1) factor is held at a time, plus every slot's sums (W,) and
+    quadratic forms (Q,): time and memory do not grow with n_runs, nor
     memory with the slot count. The call runs on the calling thread only.
     The receiver's estimator checks that the mechanism fits the model at
     the request's horizon; the request itself is ``validate``'s to check.
@@ -511,6 +522,6 @@ def run_experiment(model: SystemModel, req: SynthesisRequest, mech: Mechanism,
     first, quad = np.empty((len(sizes), exp.W)), np.empty((len(sizes), exp.M.shape[1]))
     gen = moment_stream(seed)
     for slot, m in enumerate(sizes):
-        first[slot], gram = _slot_moments(gen, m, exp.W)
-        quad[slot] = exp.quadratic(gram)
+        first[slot], F = _slot_moments(gen, m, exp.W)
+        quad[slot] = exp.quadratic(F)
     return exp.summary(n_runs, first, quad, seed)

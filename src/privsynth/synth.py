@@ -26,22 +26,24 @@ above eps_zero, the output distortion of G = 0 with the noise at its floor.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__ as _version
 from . import sdp
-from .gauss import (NotPositiveDefinite, _chol, _conditional_cov, _sym, cho_solve, cholesky,
-                    entropy, mutual_information)
+from .gauss import (NotPositiveDefinite, _chol, _conditional_cov, _logdet2, _sym, cho_solve,
+                    cholesky, entropy, mutual_information)
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments, joint_ZS_moments
+# The mechanism and G~'s layout live in their own module, which ``sim`` loads
+# without this one; the file functions are re-exported for callers of this one.
+from .mechanism import (ExtractionFailure, Mechanism, _gtilde, g_entries, load_mechanism,
+                        save_mechanism)
 from .model import (SystemModel, SynthesisRequest, ValidationError, ValidationReport,
-                    _as_array, content_hash, validate, write_json)
+                    content_hash, validate)
 
-DET_FLAG_TOL = 1e-10
 BUDGET_ACTIVE_RTOL = 1e-4
 
 
@@ -59,138 +61,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, message: str, solution=None):
         super().__init__(message)
         self.solution = solution
-
-
-class ExtractionFailure(RuntimeError):
-    """The correlated output noise covariance recovered from the solution
-    is not positive definite."""
-
-
-def g_entries(K: int, n_y: int) -> tuple[np.ndarray, np.ndarray]:
-    """G~'s parameter layout: G parameter p = (k*n_y + r)*n_y + c, entry (r, c)
-    of the step-k block G_k, is entry (rg[p], cg[p]) of the block-diagonal G~."""
-    k, r, c = np.unravel_index(np.arange(K * n_y * n_y), (K, n_y, n_y))
-    return k * n_y + r, k * n_y + c
-
-
-def _gtilde(g: np.ndarray, K: int, n_y: int) -> np.ndarray:
-    """G~ of the G parameter vector g."""
-    Gt = np.zeros((K * n_y, K * n_y))
-    Gt[g_entries(K, n_y)] = g
-    return Gt
-
-
-@dataclass
-class Mechanism:
-    """Synthesized disclosure mechanism with cached Cholesky factors."""
-
-    G_blocks: list[np.ndarray]
-    Sigma_V: np.ndarray
-    Sigma_H: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.G_blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in self.G_blocks]
-        self.Sigma_V = _sym(np.asarray(self.Sigma_V, dtype=float))
-        self.Sigma_H = _sym(np.asarray(self.Sigma_H, dtype=float))
-        if not all(np.all(np.isfinite(a)) for a in (*self.G_blocks, self.Sigma_V, self.Sigma_H)):
-            raise ValueError("mechanism has non-finite entries")
-        try:
-            self.chol_V = cholesky(self.Sigma_V)
-        except np.linalg.LinAlgError:
-            raise ExtractionFailure("output noise covariance is not positive definite") from None
-        try:
-            self.chol_H = cholesky(self.Sigma_H)
-        except np.linalg.LinAlgError:
-            raise ExtractionFailure("input noise covariance is not positive definite") from None
-
-    @property
-    def K(self) -> int:
-        return len(self.G_blocks)
-
-    @property
-    def n_y(self) -> int:
-        return self.G_blocks[0].shape[0]
-
-    def check_fits(self, model: SystemModel, K: int) -> None:
-        """Raise ValueError unless every array fits model at horizon K; each
-        library entry that takes a mechanism calls it before any product."""
-        if self.K != K:
-            raise ValueError(f"mechanism horizon {self.K} does not match request horizon {K}")
-        n_y, NY, NU = model.n_y, K * model.n_y, K * model.n_u
-        for name, got, n, size in (
-                *((f"G_blocks[{k}]", b.shape, n_y, "n_y") for k, b in enumerate(self.G_blocks)),
-                ("Sigma_V", self.Sigma_V.shape, NY, "K*n_y"),
-                ("Sigma_H", self.Sigma_H.shape, NU, "K*n_u")):
-            if got != (n, n):
-                raise ValueError(
-                    f"mechanism {name} has shape {got}; the model needs {n}x{n} ({size})")
-
-    @property
-    def Gtilde(self) -> np.ndarray:
-        return _gtilde(np.ravel(self.G_blocks), self.K, self.n_y)
-
-    def disclose(self, y: np.ndarray, u: np.ndarray, e_out: np.ndarray,
-                 e_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Disclosed stacks z = G~ y + L_V e_out and r = u + L_H e_in from
-        clean stacks and standard normals, each a row (K n_y or K n_u wide)
-        or a matrix of such rows."""
-        z = y @ self.Gtilde.T + e_out @ self.chol_V.T
-        r = u + e_in @ self.chol_H.T
-        return z, r
-
-    def singular_block_flags(self) -> list[int]:
-        """Steps whose output matrix is numerically singular, |det| below
-        DET_FLAG_TOL (information at that step is fully suppressed rather
-        than rescaled)."""
-        return [k for k, b in enumerate(self.G_blocks) if abs(np.linalg.det(b)) < DET_FLAG_TOL]
-
-    def to_dict(self) -> dict:
-        return {
-            "G_blocks": [b.tolist() for b in self.G_blocks],
-            "Sigma_V": self.Sigma_V.tolist(),
-            "Sigma_H": self.Sigma_H.tolist(),
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "Mechanism":
-        """The mechanism of a decoded JSON object; a missing field, or a G block
-        or covariance that is not a square matrix, is a ValueError naming it."""
-        if not isinstance(data, dict):
-            raise ValueError("top-level JSON value must be an object")
-        missing = [f for f in ("G_blocks", "Sigma_V", "Sigma_H") if f not in data]
-        if missing:
-            raise ValueError(f"missing fields: {', '.join(missing)}")
-        if not isinstance(data["G_blocks"], list):
-            raise ValueError("field G_blocks: expected a list of matrices")
-        provenance = data.get("provenance", {})
-        if not isinstance(provenance, dict):
-            raise ValueError("field provenance: expected an object")
-
-        def square(name, value):
-            M = np.atleast_2d(_as_array(name, value))
-            if M.ndim != 2 or M.shape[0] != M.shape[1]:
-                raise ValueError(f"field {name}: expected a square matrix, got shape {M.shape}")
-            return M
-
-        return cls(G_blocks=[square(f"G_blocks[{k}]", b) for k, b in enumerate(data["G_blocks"])],
-                   Sigma_V=square("Sigma_V", data["Sigma_V"]),
-                   Sigma_H=square("Sigma_H", data["Sigma_H"]), provenance=dict(provenance))
-
-
-def save_mechanism(mech: Mechanism, path: str) -> None:
-    write_json(mech.to_dict(), path)
-
-
-def load_mechanism(path: str) -> Mechanism:
-    """Read a mechanism file; invalid JSON, a malformed field or a non-PD
-    covariance in it is one ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return Mechanism.from_dict(json.load(fh))
-        except (ValueError, ExtractionFailure) as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -249,6 +119,7 @@ class _Context:
     MYq: np.ndarray
     delta: float
     eps_y: float
+    logdet2_S: float        # log2 det Sigma_S, from the factor that checks it
 
     @property
     def tr_w(self) -> float:
@@ -282,14 +153,14 @@ class _Context:
         return 0.5 * (self.delta + (self.eps_y - base) / self.tr_w)
 
 
-def _check_private_covariance(Sigma_S: np.ndarray, K: int) -> None:
-    """ValidationError naming Sigma_S at horizon K where it cannot be
-    factored. Synthesis and the closed-form leakage need it positive
-    definite: the leakage LMI bounds Pi by Sigma_S, and the leakage
-    conditions on the private stack. Not ``validate``'s check, since
-    ``simulate`` needs neither."""
+def _check_private_covariance(Sigma_S: np.ndarray, K: int) -> np.ndarray:
+    """The Cholesky factor of Sigma_S, or a ValidationError naming Sigma_S
+    at horizon K where it cannot be factored. Synthesis and the closed-form
+    leakage need it positive definite: the leakage LMI bounds Pi by
+    Sigma_S, and the leakage conditions on the private stack. Not
+    ``validate``'s check, since ``simulate`` needs neither."""
     try:
-        cholesky(Sigma_S)
+        return cholesky(Sigma_S)
     except np.linalg.LinAlgError:
         raise ValidationError(ValidationReport([
             f"Sigma_S at K = {K} must be positive definite "
@@ -300,12 +171,13 @@ def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest
     """The program's constants. A Sigma_S that cannot be factored leaves no
     strictly feasible point: a ValidationError here."""
     mom = output_moments(lift, model)
-    _check_private_covariance(mom.Sigma_S, req.K)
+    chol_S = _check_private_covariance(mom.Sigma_S, req.K)
     NY = req.K * model.n_y
     trace_scale = max(1.0, float(np.trace(mom.Sigma_Y)) / NY)
     return _Context(K=req.K, n_y=model.n_y, NY=NY, NS=req.K * model.n_s, mom=mom,
                     Winv=_sym(cho_solve(cholesky(mom.Sigma_Y), np.eye(NY))),
-                    MYq=_sym(req.W_Y.T @ req.W_Y), delta=1e-8 * trace_scale, eps_y=req.eps_y)
+                    MYq=_sym(req.W_Y.T @ req.W_Y), delta=1e-8 * trace_scale, eps_y=req.eps_y,
+                    logdet2_S=_logdet2(chol_S))
 
 
 def input_noise(req: SynthesisRequest) -> np.ndarray:
@@ -580,8 +452,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     # leakage NS log2(1 + mu_final)/2 above the evaluated one. Beyond that the
     # two round apart, by at most 2.7e-14 of max(1, mi_bits) measured on the
     # fixtures and the benchmark model: 1e-9 of it is allowed.
-    sign, ld = np.linalg.slogdet(ctx.mom.Sigma_S)
-    expected_mi = (sol.objective - problem.objective_offset) / 2.0 + 0.5 * ld / math.log(2.0)
+    expected_mi = (sol.objective - problem.objective_offset) / 2.0 + 0.5 * ctx.logdet2_S
     reconciliation = metrics.mi_bits - expected_mi
     residual = reconciliation + ctx.NS * math.log2(1.0 + sol.mu_final) / 2.0
     if abs(residual) > 1e-9 * max(1.0, abs(metrics.mi_bits)):

@@ -1147,23 +1147,25 @@ print(json.dumps({"code": code, "ran": ran, "heavy": heavy}))
 @pytest.mark.parametrize("argv, ran, unloaded", [
     (["validate", "{scalar}"], ["gauss", "lift", "model"],
      ["_hashlib", "logging", "numpy.random"]),
-    (["synthesize", "{scalar}", "{tmp}/m.json"], ["gauss", "lift", "model", "sdp", "synth"],
+    (["synthesize", "{scalar}", "{tmp}/m.json"],
+     ["gauss", "lift", "mechanism", "model", "sdp", "synth"],
      ["_hashlib", "logging", "numpy.random"]),
-    (["evaluate", "{scalar}", "{mech}"], ["gauss", "lift", "model", "synth"],
+    (["evaluate", "{scalar}", "{mech}"], ["gauss", "lift", "mechanism", "model", "synth"],
      ["_hashlib", "logging", "numpy.random"]),
     (["simulate", "{scalar}", "{mech}", "{tmp}/s.csv", "--n-runs", "10"],
-     ["gauss", "lift", "model", "sim", "synth"], ["_hashlib", "logging", "numpy.random"]),
+     ["gauss", "lift", "mechanism", "model", "sim"], ["_hashlib", "logging", "numpy.random"]),
     # Row 2 runs in a forked child; the parent loads the modules rows run before forking.
     (["sweep", "{scalar}", "{tmp}/s.csv", "--eps-y-grid", "1,2", "--eps-u-grid", "1",
-      "--jobs", "2"], ["gauss", "lift", "model", "sdp", "synth"],
+      "--jobs", "2"], ["gauss", "lift", "mechanism", "model", "sdp", "synth"],
      ["_hashlib", "logging", "numpy.random", "concurrent.futures", "multiprocessing"]),
 ], ids=["validate", "synthesize", "evaluate", "simulate", "sweep"])
 def test_each_command_runs_only_the_modules_it_calls(scalar_artifacts, tmp_path, argv, ran,
                                                      unloaded):
     """validate runs only the code of the model module and of the lift it
-    checks (lift imports gauss), simulate never the solver's and no design
-    command the simulator's. No command loads OpenSSL for its digests,
-    logging for its diagnostics or numpy.random for its draws."""
+    checks (lift imports gauss); simulate adds the mechanism's and the
+    simulator's but never the design's (synth) or the solver's (sdp); no
+    design command runs the simulator's. No command loads OpenSSL for its
+    digests, logging for its diagnostics or numpy.random for its draws."""
     argv = [a.format(scalar=FIXTURES / "scalar.json", mech=scalar_artifacts, tmp=tmp_path)
             for a in argv]
     proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN_SCRIPT, *argv],

@@ -1,10 +1,11 @@
 """Monte Carlo from the normals' moments: the affine map from a run's
 normals and the fold of their moments both equal a one-shot computation,
 also with means far above the noise; each batch's sum and Gram matrix are
-drawn with the moments of m runs, and the seed-to-seed spread matches the
-reported standard errors; the probed disclosure has the closed-form joint
-moments; flat and bounded memory; no thread; one horizon lift per sweep
-row for its solve; no process-wide float settings."""
+drawn with the moments of m runs and folded from a factor of the Gram
+matrix, and the seed-to-seed spread matches the reported standard errors;
+the probed disclosure has the closed-form joint moments; flat and bounded
+memory; no thread; one horizon lift per sweep row for its solve; no
+process-wide float settings."""
 
 import json
 import pathlib
@@ -23,14 +24,14 @@ from privsynth.sim import _draw, _receiver, _simulate_batch, _streams, run_exper
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SHIFT = 1e7     # initial mean and input scale of the mean-shifted model
-# Traced peak of run_experiment in stacks of the slots' Gram matrices: the
-# stack itself, its product with M (Q = 120 of W = 140 columns at K=20) and
-# one slot's draw; 1.89 measured.
-PEAK = 2.5
+# Traced peak of run_experiment in stacks of the slots' W x W Gram matrices,
+# none of which is formed: one slot's draw, its factor F (W x (W + 1)) and
+# F^T M (Q = 120 of W = 140 columns at K=20); 0.19 measured.
+PEAK = 0.25
 # Traced peak of run_experiment in single W x W matrices, whatever the slot
-# count: one slot's draw and its fold; 5.35 at 20 slots and 6.18 at 80
+# count: one slot's draw and its fold; 3.99 at 20 slots and 4.80 at 80
 # measured.
-SLOT_PEAK = 8
+SLOT_PEAK = 6
 
 
 def _batch_se(values, n_batches=20):
@@ -102,20 +103,19 @@ def _normals(model, K, n, gens):
 
 def streamed_summary(model, req, mech, n, seed, piece=4096):
     """run_experiment's summary of runs 0..n-1 of the seed's per-run
-    streams: their sums and Gram matrices per slot, accumulated piece by
-    piece, folded by the experiment's own Gram-to-quadratic-form and
+    streams: their sums and quadratic forms per slot, accumulated piece by
+    piece (a piece's normals, transposed, are a factor of its Gram matrix)
+    and folded by the experiment's own factor-to-quadratic-form and
     moments-to-summary steps."""
     exp = sim._Experiment.of(model, req, mech)
     sizes = sim._slot_sizes(n)
     first, quad = np.zeros((len(sizes), exp.W)), np.zeros((len(sizes), exp.M.shape[1]))
     gens = _streams(seed)
     for slot, m in enumerate(sizes):
-        gram = np.zeros((exp.W, exp.W))
         for done in range(0, m, piece):
             e = _normals(model, mech.K, min(piece, m - done), gens)
             first[slot] += e.sum(axis=0)
-            gram += e.T @ e
-        quad[slot] = exp.quadratic(gram)
+            quad[slot] += exp.quadratic(e.T)
     return exp.summary(n, first, quad, seed).to_dict()
 
 
@@ -236,13 +236,14 @@ def test_slot_moments_have_the_law_of_m_runs(m):
     mean and variance; sqrt(m (1 + delta_ij) / N) for a Gram entry's mean
     and sqrt(V / N) for its variance, with V = 8 m^2 + 48 m on the diagonal
     (a chi-square with m degrees of freedom) and V = 2 m^2 + 6 m off it (a
-    sum of m products of independent standard normals). A direct draw is
-    the moments of the stream's next m x W normals."""
+    sum of m products of independent standard normals). The Gram matrix is
+    F F^T of the drawn factor F. A direct draw is the moments of the
+    stream's next m x W normals."""
     W, N = 3, 4000
     gen = sim.moment_stream(2)
     draws = [sim._slot_moments(gen, m, W) for _ in range(N)]
     sums = np.array([d[0] for d in draws])
-    grams = np.array([d[1] for d in draws])
+    grams = np.array([F @ F.T for _, F in draws])
     assert np.all(grams == grams.transpose(0, 2, 1))
 
     assert np.all(np.abs(sums.mean(axis=0)) <= 4.5 * np.sqrt(m / N))
@@ -254,10 +255,28 @@ def test_slot_moments_have_the_law_of_m_runs(m):
     assert np.all(np.abs(grams.var(axis=0, ddof=1) - m * (1 + eye)) <= 4.5 * np.sqrt(var / N))
 
     if m - 1 < W:
-        first, gram = sim._slot_moments(sim.moment_stream(3), m, W)
+        first, F = sim._slot_moments(sim.moment_stream(3), m, W)
         e = sim.moment_stream(3).standard_normal(m * W).reshape(m, W)
         np.testing.assert_array_equal(first, e.sum(axis=0))
-        np.testing.assert_array_equal(gram, e.T @ e)
+        np.testing.assert_array_equal(F @ F.T, e.T @ e)
+
+
+# twostate has W = 21 normals per run: 3 runs take the direct draw, 160
+# runs the Bartlett draw.
+@pytest.mark.parametrize("m", [3, 160], ids=["direct", "bartlett"])
+def test_quadratic_fold_is_the_gram_diagonal(twostate_case, twostate_report, m):
+    """quadratic(F) of a slot's factor F, the squared column norms of F^T M,
+    equals diag(M^T (F F^T) M) from the Gram matrix F F^T at 1e-12 on both
+    branches of ``_slot_moments``: F is the m runs' normals transposed
+    (W, m) where m - 1 < W, and the Bartlett factor [L, sqrt(m) e_bar]
+    (W, W + 1) otherwise."""
+    model, req = twostate_case
+    exp = sim._Experiment.of(model, req, twostate_report.mechanism)
+    assert exp.W == 21
+    _, F = sim._slot_moments(sim.moment_stream(4), m, exp.W)
+    assert F.shape == ((exp.W, m) if m - 1 < exp.W else (exp.W, exp.W + 1))
+    want = np.diag(exp.M.T @ (F @ F.T) @ exp.M)
+    np.testing.assert_allclose(exp.quadratic(F), want, rtol=1e-12, atol=0)
 
 
 def test_seed_ensemble_matches_closed_forms(twostate_case, twostate_report):
@@ -319,7 +338,7 @@ def test_run_experiment_peak_is_a_few_gram_stacks(reactor_case):
 def test_run_experiment_peak_does_not_grow_with_slots(monkeypatch, reactor_case):
     """On the four-state model at K=20 (W = 140 normals per run), the traced
     peak at 4e5 runs stays within SLOT_PEAK W x W matrices plus the affine
-    map M with 20 and with 80 batches: each slot's Gram matrix is folded as
+    map M with 20 and with 80 batches: each slot's Gram factor is folded as
     soon as it is drawn, so no stack of them is held."""
     model, req = with_overrides(*reactor_case, K=20)
     mech = synthesize(model, req).mechanism
@@ -342,7 +361,7 @@ def test_prefetch_matches_serial_draws(twostate_case, twostate_report, n_runs):
     gen = sim.moment_stream(5)
     drawn = [sim._slot_moments(gen, m, exp.W) for m in sim._slot_sizes(n_runs)]
     first = np.stack([sums for sums, _ in drawn])
-    quad = np.stack([exp.quadratic(gram) for _, gram in drawn])
+    quad = np.stack([exp.quadratic(F) for _, F in drawn])
     serial = exp.summary(n_runs, first, quad, 5).to_dict()
     calls = [run_experiment(model, req, mech, n_runs, seed=5).to_dict() for _ in range(2)]
     # repr round-trips every float, nan included, so equal text is equal bits
