@@ -61,8 +61,8 @@ _OWNERS = {
               "ValidationError", "load_model", "save_model", "validate"),
     "lift": ("LiftedSystem", "LiftedMoments", "build_lift", "output_moments",
              "joint_ZS_moments"),
-    "gauss": ("GaussianJoint", "NotPositiveDefinite", "SchurSingular", "entropy",
-              "mutual_information", "mmse_estimate"),
+    "gauss": ("GaussianJoint", "NotPositiveDefinite", "entropy", "mutual_information",
+              "mmse_estimate"),
     "sdp": ("SdpProblem", "SdpSolution", "SolverStatus", "solve", "check_solution"),
     "mechanism": ("Mechanism", "ExtractionFailure"),
     "synth": ("MechanismMetrics", "SynthesisReport", "InfeasibleProgram", "SolverFailure",

@@ -235,7 +235,7 @@ def _sweep_row(model, req, eps_y: float, grid_u: list[float]) -> list[tuple]:
             status = "SolverFailure" if exc.solution is None else exc.solution.status.value
         except synth.ExtractionFailure:
             status = "ExtractionFailure"
-        except FloatingPointError:  # the two mutual-information routes disagree
+        except FloatingPointError:  # the leakage fails in floating point
             status = "NumericalFailure"
         except ValueError:          # ValidationError is a ValueError
             status = "ValidationError"
@@ -445,7 +445,8 @@ def main(argv: list[str] | None = None) -> int:
     # command that never loaded synth does not load it here either.
     except synth.InfeasibleProgram as exc:
         line, code = f"error: {exc}", 2
-    # FloatingPointError: the two mutual-information routes disagree.
+    # FloatingPointError: the leakage's two routes disagree, or a covariance
+    # of the disclosed pair does not factor in floating point.
     except (synth.SolverFailure, synth.ExtractionFailure, FloatingPointError) as exc:
         line, code = f"error: {exc}", 3
     print(line, file=sys.stderr)

@@ -2,7 +2,8 @@
 
 All information quantities are in bits (base-2 logs at the interface;
 natural logs only inside intermediate algebra). All routines factor
-covariances with Cholesky and never form explicit inverses.
+covariances with Cholesky, never form explicit inverses and return no
+infinite figure: a covariance that does not factor raises NotPositiveDefinite.
 
 This module also owns the package's factorizations: ``cholesky``,
 ``solve_lower`` and ``cho_solve`` are the only Cholesky factor and
@@ -12,7 +13,6 @@ triangular-solve code, and they need nothing beyond numpy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +24,6 @@ HALF_LOG2_2PIE = 0.5 * math.log2(2.0 * math.pi * math.e)
 
 class NotPositiveDefinite(ValueError):
     """A covariance expected to be positive definite failed factorization."""
-
-
-class SchurSingular(RuntimeWarning):
-    """Conditional covariance numerically singular: mutual information -> +inf."""
 
 
 @dataclass(frozen=True)
@@ -201,19 +197,14 @@ def mutual_information(joint: GaussianJoint) -> float:
     Computed from the conditional-covariance (Schur complement) identity
     0.5*log2 det Sigma_xx - 0.5*log2 det(Sigma_xx - Sigma_xy Sigma_yy^{-1} Sigma_yx)
     and cross-checked against the entropy-sum route
-    h[X] + h[Y] - h[X, Y] to 1e-8 bits. If the conditional covariance is
-    numerically singular the information is unbounded: emits a SchurSingular
-    warning and returns +inf.
+    h[X] + h[Y] - h[X, Y] to 1e-8 bits. Raises NotPositiveDefinite if
+    Sigma_xx, Sigma_yy, the conditional covariance or the joint covariance
+    does not factor, and FloatingPointError if the two routes disagree.
     """
     logdet_xx = _logdet2(_chol(joint.Sigma_xx, "Sigma_xx"))
     Ly = _chol(joint.Sigma_yy, "Sigma_yy")
     cond = _conditional_cov(joint.Sigma_xx, joint.Sigma_xy, Ly)
-    try:
-        logdet_cond = _logdet2(_chol(cond, "conditional covariance"))
-    except NotPositiveDefinite:
-        warnings.warn("conditional covariance singular; mutual information -> +inf",
-                      SchurSingular)
-        return math.inf
+    logdet_cond = _logdet2(_chol(cond, "conditional covariance"))
     mi_schur = 0.5 * (logdet_xx - logdet_cond)
 
     logdet_yy = _logdet2(Ly)

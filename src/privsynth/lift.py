@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import GaussianJoint, NotPositiveDefinite, _sym, cholesky
+from .gauss import GaussianJoint, _sym
 from .model import _check_horizon
 
 
@@ -103,9 +103,8 @@ def joint_ZS_moments(lift: LiftedSystem | None, model, Gtilde: np.ndarray,
 
     Z = Gtilde @ Y + V with V ~ N(0, Sigma_V) independent of everything.
     The partition order is (Z, S). ``moments``, if given, are
-    ``output_moments(lift, model)`` and ``lift`` is not read. Raises
-    NotPositiveDefinite if the joint covariance fails a Cholesky
-    factorization.
+    ``output_moments(lift, model)`` and ``lift`` is not read. Nothing is
+    factored here: ``gauss.mutual_information`` factors every block it uses.
     """
     mom = output_moments(lift, model) if moments is None else moments
     ny = mom.Sigma_Y.shape[0]
@@ -118,9 +117,4 @@ def joint_ZS_moments(lift: LiftedSystem | None, model, Gtilde: np.ndarray,
     Sigma_Z = _sym(Gtilde @ mom.Sigma_Y @ Gtilde.T + Sigma_V)
     cov_ZS = Gtilde @ mom.cov_YS
 
-    joint = GaussianJoint.from_blocks(mu_Z, mom.mu_S, Sigma_Z, cov_ZS, mom.Sigma_S)
-    try:
-        cholesky(joint.Sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("joint (Z, S) covariance is not positive definite") from None
-    return joint
+    return GaussianJoint.from_blocks(mu_Z, mom.mu_S, Sigma_Z, cov_ZS, mom.Sigma_S)

@@ -297,13 +297,19 @@ def _receiver(model: SystemModel, mech: Mechanism, lift: LiftedSystem,
     horizon). The extra estimation error caused by that substitution is
     exactly P Sigma_H_used P^T with P mapping input noise through the
     dynamics into the estimate. ``Mechanism.check_fits`` rejects a mechanism
-    that does not fit the model at the lift's horizon.
+    that does not fit the model at the lift's horizon. Sigma_Z >= Sigma_V, so
+    a Sigma_Z that does not factor is rounding: a FloatingPointError.
     """
     mech.check_fits(model, lift.K)
     Gt = mech.Gtilde
     Sigma_Z = Gt @ mom.Sigma_Y @ Gt.T + mech.Sigma_V
     cov_ZS = Gt @ mom.cov_YS
-    B_z = cho_solve(cholesky(Sigma_Z), cov_ZS).T  # (NS, NY)
+    try:
+        chol_Z = cholesky(Sigma_Z)
+    except np.linalg.LinAlgError:
+        raise FloatingPointError(f"the disclosed covariance Sigma_Z at K = {lift.K} is not "
+                                 "positive definite in floating point") from None
+    B_z = cho_solve(chol_Z, cov_ZS).T  # (NS, NY)
     cond_cov = mom.Sigma_S - B_z @ cov_ZS
 
     # The prior state mean F mu_x1 + L r_used enters the estimate

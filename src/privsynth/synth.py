@@ -155,16 +155,18 @@ class _Context:
 
 def _check_private_covariance(Sigma_S: np.ndarray, K: int) -> np.ndarray:
     """The Cholesky factor of Sigma_S, or a ValidationError naming Sigma_S
-    at horizon K where it cannot be factored. Synthesis and the closed-form
-    leakage need it positive definite: the leakage LMI bounds Pi by
-    Sigma_S, and the leakage conditions on the private stack. Not
+    at horizon K where it cannot be factored: singular, or so ill-conditioned
+    at the model's magnitudes that it fails in rounding. Synthesis and the
+    closed-form leakage need it positive definite: the leakage LMI bounds Pi
+    by Sigma_S, and the leakage conditions on the private stack. Not
     ``validate``'s check, since ``simulate`` needs neither."""
     try:
         return cholesky(Sigma_S)
     except np.linalg.LinAlgError:
         raise ValidationError(ValidationReport([
-            f"Sigma_S at K = {K} must be positive definite "
-            "(no private output may be a linear combination of the others)"])) from None
+            f"Sigma_S at K = {K} must be positive definite in floating point "
+            "(no private output may be a linear combination of the others, "
+            "nor nearly one at the model's magnitudes)"])) from None
 
 
 def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> _Context:
@@ -497,20 +499,21 @@ def evaluate_mechanism(model: SystemModel, req: SynthesisRequest, mech: Mechanis
     private stack once its mean is accounted for and contributes nothing.
     ``moments``, if given, must be ``output_moments`` of ``model`` at the
     request's horizon. ``Mechanism.check_fits`` runs first; the request
-    itself is ``validate``'s to check. A joint (Z, S) covariance that cannot
-    be factored raises the ValidationError of a singular Sigma_S where that
-    is the cause, NotPositiveDefinite otherwise.
+    itself is ``validate``'s to check. Sigma_V > 0 makes the leakage finite,
+    so a (Z, S) covariance that does not factor raises Sigma_S's
+    ValidationError if that is the cause, else FloatingPointError.
     """
     mech.check_fits(model, req.K)
     mom = moments if moments is not None else output_moments(build_lift(model, req.K), model)
     Gt = mech.Gtilde
 
     try:
-        joint = joint_ZS_moments(None, model, Gt, mech.Sigma_V, moments=mom)
+        mi = mutual_information(joint_ZS_moments(None, model, Gt, mech.Sigma_V, moments=mom))
     except NotPositiveDefinite:
         _check_private_covariance(mom.Sigma_S, req.K)     # names Sigma_S if it is the cause
-        raise
-    mi = mutual_information(joint)
+        raise FloatingPointError(
+            f"the leakage at K = {req.K} cannot be computed: a covariance of the disclosed "
+            "pair (Z, S) is not positive definite in floating point") from None
 
     # E|W_Y (Z - Y)|^2 by its definition, with Z - Y = (G~ - I) Y + V.
     D = Gt - np.eye(Gt.shape[0])

@@ -728,6 +728,12 @@ def test_an_overflowing_model_is_one_violation(capsys, scalar_artifacts, tmp_pat
     assert not os.path.exists(out)
 
 
+def _singular_s(K):
+    return (f"violation: Sigma_S at K = {K} must be positive definite in floating point "
+            "(no private output may be a linear combination of the others, "
+            "nor nearly one at the model's magnitudes)")
+
+
 def test_a_singular_private_covariance_is_a_violation(capsys, tmp_path, twostate_report):
     """A repeated row of D makes Sigma_S singular, which leaves the leakage
     LMI no interior and the closed-form leakage no factor: synthesize and
@@ -738,8 +744,7 @@ def test_a_singular_private_covariance_is_a_violation(capsys, tmp_path, twostate
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))
     assert cli_module.main(["validate", str(path)]) == 0
-    violation = ["violation: Sigma_S at K = 3 must be positive definite "
-                 "(no private output may be a linear combination of the others)"]
+    violation = [_singular_s(3)]
     capsys.readouterr()
     out = tmp_path / "m.json"
     assert cli_module.main(["synthesize", str(path), str(out)]) == 1
@@ -753,6 +758,65 @@ def test_a_singular_private_covariance_is_a_violation(capsys, tmp_path, twostate
     assert not metrics.exists()
     assert cli_module.main(["simulate", str(path), str(mech), str(tmp_path / "s.csv"),
                             "--n-runs", "100"]) == 0
+
+
+_LEAKAGE_FAILS = ("error: the leakage at K = {} cannot be computed: a covariance of the "
+                  "disclosed pair (Z, S) is not positive definite in floating point")
+# The corpus cases where a covariance of (Z, S) or Sigma_Z does not factor in
+# floating point, and the one line each ends in: (fixture, Sigma_x1,
+# command) -> (id suffix, exit code, stderr line).
+_SCALE_ENDS = {
+    ("scalar", 1e16, "evaluate"): ("exit3", 3, _LEAKAGE_FAILS.format(2)),
+    ("scalar", 1e17, "evaluate"): ("exit3", 3, _LEAKAGE_FAILS.format(2)),
+    ("scalar", 1e17, "simulate"): (
+        "exit3", 3, "error: the disclosed covariance Sigma_Z at K = 2 is not positive "
+                    "definite in floating point"),
+    ("reactor4", 1e15, "evaluate"): ("exit3", 3, _LEAKAGE_FAILS.format(10)),
+    ("reactor4", 1e16, "evaluate"): ("sigma-s-line", 1, _singular_s(10)),
+    ("reactor4", 1e17, "evaluate"): ("sigma-s-line", 1, _singular_s(10)),
+}
+_NON_FINITE = re.compile(r"\b(Infinity|NaN|inf|nan)\b")
+
+
+def _scale_cases():
+    for name in ("scalar", "twostate", "twostate_weighted", "reactor4"):
+        for scale in (1e10, 1e15, 1e16, 1e17, 1e18):
+            for command in ("validate", "evaluate", "simulate"):
+                end = _SCALE_ENDS.get((name, scale, command))
+                suffix = f"-{end[0]}" if end else ""
+                yield pytest.param(name, scale, command, end,
+                                   id=f"{name}-{scale:.0e}-{command}{suffix}".replace("e+", "e"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, scale, command, end", _scale_cases())
+def test_a_model_at_scale_ends_in_one_line(capsys, mechanism_file, tmp_path, name, scale,
+                                           command, end):
+    """Sigma_x1 from 1e10 to 1e18, where validate goes from ok to naming
+    Sigma_Y, with the fixture's own mechanism: every command exits 0 to 3,
+    with one stderr line unless it exits 0, and writes no non-finite
+    figure. With Sigma_V positive definite the leakage is finite, so a
+    covariance of (Z, S) that does not factor is rounding (exit 3) or a
+    Sigma_S that does not factor (exit 1, naming it)."""
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    data["Sigma_x1"] = scale
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    mech = str(mechanism_file(name))
+    argv = {"validate": [], "evaluate": [mech, "--out", str(out)],
+            "simulate": [mech, str(out), "--n-runs", "2000"]}[command]
+    code = cli_module.main([command, str(path), *argv])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert len(lines) == 1, lines
+    else:
+        written = captured.out + (out.read_text() if out.exists() else "")
+        assert not _NON_FINITE.search(written), written
+    if end is not None:
+        assert (code, lines) == (end[1], [end[2]])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

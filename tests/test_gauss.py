@@ -9,7 +9,6 @@ from privsynth.gauss import (
     BLOCK,
     GaussianJoint,
     NotPositiveDefinite,
-    SchurSingular,
     cho_solve,
     cholesky,
     entropy,
@@ -85,12 +84,13 @@ def test_mi_independent_blocks_zero():
     assert mutual_information(joint) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_mi_deterministic_relation_warns():
-    """A singular conditional covariance means unbounded information."""
+def test_mi_deterministic_relation_raises():
+    """A singular conditional covariance fails its factorization like every
+    other block: no infinite information is returned."""
     Sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
     joint = GaussianJoint(mu=np.zeros(2), Sigma=Sigma, m=1, n=1)
-    with pytest.warns(SchurSingular):
-        assert math.isinf(mutual_information(joint))
+    with pytest.raises(NotPositiveDefinite):
+        mutual_information(joint)
 
 
 def test_mmse_scalar_oracle():

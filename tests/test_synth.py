@@ -11,6 +11,7 @@ import pytest
 from privsynth import cli as cli_module
 from privsynth import gauss as gauss_module
 from privsynth import lift as lift_module
+from privsynth import mechanism as mechanism_module
 from privsynth import sdp
 from privsynth import synth as synth_module
 from privsynth.lift import build_lift, output_moments
@@ -499,19 +500,20 @@ def test_output_moments_once_per_call(monkeypatch, scalar_case):
 
 
 def test_evaluate_factors_each_covariance_once(monkeypatch, reactor_case):
-    """evaluate_mechanism on reactor4 makes 6 Cholesky factorizations: the
-    joint (Z, S) covariance's check in lift, Sigma_H's entropy, and the four
-    of mutual_information, which factors Sigma_yy once for both its routes."""
+    """evaluate_mechanism on reactor4 makes 5 Cholesky factorizations:
+    Sigma_H for its entropy, then the four of mutual_information, Sigma_Z,
+    Sigma_S, the conditional covariance and the joint, which factors
+    Sigma_S once for both its routes."""
     model, req = reactor_case
     rep = synthesize(model, req)
     calls = []
-    for module in (gauss_module, lift_module):
+    for module in (gauss_module, mechanism_module, synth_module):
         def counting(M, real=module.cholesky):
             calls.append(1)
             return real(M)
         monkeypatch.setattr(module, "cholesky", counting)
     evaluate_mechanism(model, req, rep.mechanism)
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_separable_case_closed_form():
