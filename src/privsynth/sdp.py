@@ -10,9 +10,7 @@ linear matrix inequalities ``S_j(x) >= 0`` with ``S_j`` affine.
 
 The LMI is the only constraint kind, so each constraint has one dual block,
 ``Z_j = mu S_j^-1`` at a barrier center. A scalar affine inequality
-``g(x) >= 0`` is a 1x1 LMI, and a floor ``X_b >= m I`` on a symmetric
-variable is the LMI ``X_b - m I >= 0``, placed with
-``SymVariable.basis_factors``.
+``g(x) >= 0`` is a 1x1 LMI.
 
 The weights ``w_j >= 0`` on LMI slacks and ``w_b`` (of either sign) on
 symmetric variables must leave ``f`` convex on the feasible set; a negative

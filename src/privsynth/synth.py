@@ -9,19 +9,26 @@ distortion budgets. The input noise decouples and has the closed form
 Sigma_H* = (eps_U/NU) (W_U^T W_U)^{-1}; the output part (G, Sigma_V) is one
 determinant-maximization problem that does not depend on eps_U.
 
-That program bounds the leakage by a matrix Pi <= Schur := Sigma_S - C^T
-Sigma_Z^{-1} C, C = cov(Z, S). At every barrier center Pi has the closed
-form Schur / (1 + mu), so the solver runs on the reduced view without Pi
-(``reduced_view``) and Pi is packed back in. ``synthesize`` certifies each
-answer once, on the full program of ``assemble_program``.
+The leakage does not change under any invertible map of the private stack
+S, so the program sees S whitened by the Cholesky factor L_S of Sigma_S:
+its covariance is I and its covariance with Y is cov(Y, S) L_S^-T. The
+program then has no unit of S in it, and the leakage is half the reduced
+objective -log2 det Schur with no constant added.
 
-The output noise floor Sigma_V > delta I makes the output distortion at
-least the threshold delta tr(W_Y^T W_Y), approached by passing Y through
-(G = I) with noise delta I: the program is strictly feasible exactly above
-it, from the pass-through start of ``analytic_start``. G = 0 discloses pure
-noise and leaks nothing, so the optimum is closed form at eps_Y = inf and
-above eps_zero, the output distortion of G = 0 with the noise at its floor.
-``_Context`` states these closed forms of the output budget once.
+That program bounds the leakage by a matrix Pi <= Schur := I - C^T
+Sigma_Z^{-1} C, C = cov(Z, L_S^-1 S). At every barrier center Pi has the
+closed form Schur / (1 + mu), so the solver runs on the reduced view
+without Pi (``reduced_view``) and Pi is packed back in. ``synthesize``
+certifies each answer once, on the full program of ``assemble_program``.
+
+The output noise floor Sigma_V > delta I, delta = 1e-8 tr(Sigma_Y) / NY,
+makes the output distortion at least the threshold delta tr(W_Y^T W_Y),
+approached by passing Y through (G = I) with noise delta I: the program is
+strictly feasible exactly above it, from the pass-through start of
+``analytic_start``. G = 0 discloses pure noise and leaks nothing, so the
+optimum is closed form at eps_Y = inf and above eps_zero, the output
+distortion of G = 0 with the noise at its floor. ``_Context`` states these
+closed forms of the output budget once.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ import numpy as np
 
 from . import __version__ as _version
 from . import sdp
-from .gauss import (NotPositiveDefinite, _chol, _conditional_cov, _logdet2, _sym, cho_solve,
-                    cholesky, entropy, mutual_information)
+from .gauss import (NotPositiveDefinite, _chol, _conditional_cov, _sym, cho_solve, cholesky,
+                    entropy, mutual_information, solve_lower)
 from .lift import LiftedMoments, LiftedSystem, build_lift, output_moments, joint_ZS_moments
 # The mechanism and G~'s layout live in their own module, which ``sim`` loads
 # without this one; the file functions are re-exported for callers of this one.
@@ -108,7 +115,9 @@ class SynthesisReport(MechanismMetrics):
 @dataclass(frozen=True)
 class _Context:
     """Constant data shared by assembly, initialization and extraction, and
-    the one statement of the output budget's closed forms (W = W_Y^T W_Y)."""
+    the one statement of the output budget's closed forms (W = W_Y^T W_Y).
+    The private stack is whitened (``cov_YS_white``); the noise floor delta
+    is 1e-8 tr(Sigma_Y) / NY, in the units of Y."""
 
     K: int
     n_y: int
@@ -119,7 +128,7 @@ class _Context:
     MYq: np.ndarray
     delta: float
     eps_y: float
-    logdet2_S: float        # log2 det Sigma_S, from the factor that checks it
+    cov_YS_white: np.ndarray    # cov(Y, S) L_S^-T, Sigma_S = L_S L_S^T
 
     @property
     def tr_w(self) -> float:
@@ -157,8 +166,8 @@ def _check_private_covariance(Sigma_S: np.ndarray, K: int) -> np.ndarray:
     """The Cholesky factor of Sigma_S, or a ValidationError naming Sigma_S
     at horizon K where it cannot be factored: singular, or so ill-conditioned
     at the model's magnitudes that it fails in rounding. Synthesis and the
-    closed-form leakage need it positive definite: the leakage LMI bounds Pi
-    by Sigma_S, and the leakage conditions on the private stack. Not
+    closed-form leakage need it positive definite: the program whitens the
+    private stack by this factor, and the leakage conditions on it. Not
     ``validate``'s check, since ``simulate`` needs neither."""
     try:
         return cholesky(Sigma_S)
@@ -175,11 +184,11 @@ def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest
     mom = output_moments(lift, model)
     chol_S = _check_private_covariance(mom.Sigma_S, req.K)
     NY = req.K * model.n_y
-    trace_scale = max(1.0, float(np.trace(mom.Sigma_Y)) / NY)
     return _Context(K=req.K, n_y=model.n_y, NY=NY, NS=req.K * model.n_s, mom=mom,
                     Winv=_sym(cho_solve(cholesky(mom.Sigma_Y), np.eye(NY))),
-                    MYq=_sym(req.W_Y.T @ req.W_Y), delta=1e-8 * trace_scale, eps_y=req.eps_y,
-                    logdet2_S=_logdet2(chol_S))
+                    MYq=_sym(req.W_Y.T @ req.W_Y),
+                    delta=1e-8 * float(np.trace(mom.Sigma_Y)) / NY, eps_y=req.eps_y,
+                    cov_YS_white=solve_lower(chol_S, mom.cov_YS.T).T)
 
 
 def input_noise(req: SynthesisRequest) -> np.ndarray:
@@ -205,18 +214,19 @@ def input_noise(req: SynthesisRequest) -> np.ndarray:
 def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest) -> sdp.SdpProblem:
     """Exact constraint system of the output design as one SdpProblem.
 
-    Variables: leakage bound Pi (logdet objective), disclosed covariance
-    Sigma_Z, per-step output blocks G (affine). The closed-form input noise
-    (``meta["Sigma_H"]``) enters only as the constant objective offset
-    -log2 det Sigma_H*, so the iterates do not depend on eps_U. An infinite
-    output budget drops the output distortion constraint entirely. This is
-    the program every solution is certified on; ``synthesize`` solves its
-    ``reduced_view``. Raises InfeasibleProgram for eps_Y at or below the
-    noise-floor threshold, where no point is strictly feasible.
+    Variables: leakage bound Pi (logdet objective) on the whitened private
+    stack, disclosed covariance Sigma_Z, per-step output blocks G (affine).
+    The closed-form input noise (``meta["Sigma_H"]``) enters only as the
+    constant objective offset -log2 det Sigma_H*, so the iterates do not
+    depend on eps_U. An infinite output budget drops the output distortion
+    constraint entirely. This is the program every solution is certified
+    on; ``synthesize`` solves its ``reduced_view``. Raises
+    InfeasibleProgram for eps_Y at or below the noise-floor threshold,
+    where no point is strictly feasible.
     """
     Sigma_H = input_noise(req)
     ctx = _build_context(lift, model, req)
-    K, n_y, NY, NS, d = ctx.K, ctx.n_y, ctx.NY, ctx.NS, ctx.delta
+    K, n_y, NY, NS = ctx.K, ctx.n_y, ctx.NY, ctx.NS
     if not ctx.eps_y > ctx.threshold:
         raise InfeasibleProgram(
             f"output distortion budget infeasible: eps_Y = {ctx.eps_y:.6g} must exceed the "
@@ -230,17 +240,15 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     rg, cg = g_entries(K, n_y)
     prob.add_affine_var("G", rg.size)
 
-    M_zs = ctx.mom.cov_YS               # rows: Y/Z stack, cols: S stack, pre-G
-
-    # Leakage LMI: [[Sigma_S - Pi, cov(S,Z)], [cov(Z,S), Sigma_Z]] >= 0.
+    # Leakage LMI: [[I - Pi, cov(S,Z)], [cov(Z,S), Sigma_Z]] >= 0, S whitened.
     dim = NS + NY
     const = np.zeros((dim, dim))
-    const[:NS, :NS] = ctx.mom.Sigma_S
+    const[:NS, :NS] = np.eye(NS)
     mi = prob.add_lmi("leakage", dim, constant=const)
     mi.add_term("Pi", *pi.basis_factors(dim, sign=-1.0))
     mi.add_term("Sigma_Z", *sz.basis_factors(dim, NS))
     vg = np.zeros((rg.size, dim))
-    vg[:, :NS] = M_zs[cg, :]
+    vg[:, :NS] = ctx.cov_YS_white[cg, :]
     mi.add_term("G", NS + rg, vg)
 
     # Output distortion budget as an epigraph LMI (finite budget only); every
@@ -270,18 +278,13 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     # covariance, so the floor is on Sigma_V in the program's own units.
     dimn = 2 * NY
     const = np.zeros((dimn, dimn))
-    const[:NY, :NY] = -d * np.eye(NY)
+    const[:NY, :NY] = -ctx.delta * np.eye(NY)
     const[NY:, NY:] = ctx.Winv
     floor = prob.add_lmi("noise_floor", dimn, constant=const)
     floor.add_term("Sigma_Z", *sz.basis_factors(dimn))
     vg = np.zeros((rg.size, dimn))
     vg[np.arange(rg.size), NY + cg] = 1.0
     floor.add_term("G", rg, vg)
-
-    # Leakage-bound floor Pi - delta I >= 0, last so the LMIs above keep
-    # their order. Its only variable is Pi, so ``reduced_view`` drops it.
-    pi_floor = prob.add_lmi("pi_floor", NS, constant=-d * np.eye(NS))
-    pi_floor.add_term("Pi", *pi.basis_factors(NS))
 
     prob.meta["context"] = ctx
     prob.meta["Sigma_H"] = Sigma_H
@@ -291,17 +294,15 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
 def reduced_view(problem: sdp.SdpProblem) -> sdp.SdpProblem:
     """The synthesis program with the leakage bound Pi minimized out.
 
-    Pi enters only through -log det Pi, its floor LMI and the leakage LMI
-    [[Sigma_S - Pi, C^T], [C, Sigma_Z]] >= 0, i.e. Pi <= Schur := Sigma_S -
-    C^T Sigma_Z^{-1} C. Minimizing -log det Pi - mu log det(Schur - Pi) gives
-    Pi = Schur / (1 + mu), and what remains of the barrier function is
-    -(1 + mu) log det J + log det Sigma_Z with J = [[Sigma_S, C^T], [C,
-    Sigma_Z]]: the leakage LMI without Pi's term, with objective weight 1,
-    and Sigma_Z with logdet weight -1. Its objective is -log2 det Schur plus
-    the same offset, the full objective at Pi = Schur. Every LMI whose only
-    variable is Pi, its floor, is dropped: the certificate checks it on
-    ``problem`` once Pi is packed in. The other LMIs, the term data and
-    ``meta`` are shared with ``problem``.
+    Pi enters only through -log det Pi and the leakage LMI [[I - Pi, C^T],
+    [C, Sigma_Z]] >= 0, i.e. Pi <= Schur := I - C^T Sigma_Z^{-1} C.
+    Minimizing -log det Pi - mu log det(Schur - Pi) gives Pi = Schur / (1 +
+    mu), and what remains of the barrier function is -(1 + mu) log det J +
+    log det Sigma_Z with J = [[I, C^T], [C, Sigma_Z]]: the leakage LMI
+    without Pi's term, with objective weight 1, and Sigma_Z with logdet
+    weight -1. Its objective is -log2 det Schur, twice the leakage, plus the
+    same offset: the full objective at Pi = Schur. The LMIs, the term data
+    and ``meta`` are shared with ``problem``.
     """
     red = sdp.SdpProblem()
     red.objective_offset = problem.objective_offset
@@ -310,8 +311,6 @@ def reduced_view(problem: sdp.SdpProblem) -> sdp.SdpProblem:
     red.add_sym_var("Sigma_Z", sz.n, logdet_weight=-1.0)
     red.add_affine_var("G", problem.affine_vars["G"].num_params)
     for con in problem.lmis:
-        if set(con.terms) == {"Pi"}:
-            continue
         view = red.add_lmi(con.name, con.dim, constant=con.constant,
                            weight=1.0 if con.name == "leakage" else con.weight)
         for name, vectors in con.terms.items():
@@ -335,9 +334,9 @@ def _pack_leakage_bound(problem: sdp.SdpProblem, sol: sdp.SdpSolution) -> sdp.Sd
     ctx: _Context = problem.meta["context"]
     values = dict(sol.variables)
     Gt = _gtilde(values["G"], ctx.K, ctx.n_y)
-    cov_ZS = Gt @ ctx.mom.cov_YS
-    # Schur is the conditional covariance of S given Z.
-    schur = _conditional_cov(ctx.mom.Sigma_S, cov_ZS.T, _chol(values["Sigma_Z"], "Sigma_Z"))
+    cov_ZS = Gt @ ctx.cov_YS_white
+    # Schur is the conditional covariance of the whitened S given Z.
+    schur = _conditional_cov(np.eye(ctx.NS), cov_ZS.T, _chol(values["Sigma_Z"], "Sigma_Z"))
     values["Pi"] = schur / (1.0 + sol.mu_final)
     ns = problem.sym_vars["Pi"].n
     log_full = [replace(rec, objective=rec.objective + ns * math.log2(1.0 + rec.mu))
@@ -388,7 +387,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     ctx: _Context = problem.meta["context"]
 
     # Disclosing pure noise (G = 0) leaks nothing, so it is optimal with
-    # Pi = Sigma_S wherever some Sigma_V above the floor fits the budget:
+    # Pi = I wherever some Sigma_V above the floor fits the budget:
     # at every eps_Y above eps_zero, eps_Y = inf included.
     if ctx.eps_y > ctx.eps_zero:
         # Any such Sigma_V is optimal: without an output budget Sigma_Y, so Z
@@ -398,7 +397,7 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
         else:
             sigma_v = ctx.halfway(ctx.pure_noise) * np.eye(ctx.NY)
             message = "closed form above eps_zero: G = 0"
-        x = problem.pack({"Pi": ctx.mom.Sigma_S, "Sigma_Z": sigma_v,
+        x = problem.pack({"Pi": np.eye(ctx.NS), "Sigma_Z": sigma_v,
                           "G": np.zeros(problem.affine_vars["G"].num_params)})
         sol = sdp.SdpSolution(
             status=sdp.SolverStatus.OPTIMAL, objective=math.nan, x=x,
@@ -448,13 +447,13 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
         raise _numerical_failure(sol, f"the output distortion {metrics.distortion_Y:.9g} "
                                       f"exceeds its budget eps_Y = {ctx.eps_y:.9g}")
 
-    # The Pi part of the solver objective (-log2 det Pi) and the reported
-    # leakage differ by a fixed constant: mi = (-log2 det Pi)/2 + 0.5*log2 det Sigma_S.
-    # The packed Pi is Schur / (1 + mu_final), which puts the objective's
-    # leakage NS log2(1 + mu_final)/2 above the evaluated one. Beyond that the
-    # two round apart, by at most 2.7e-14 of max(1, mi_bits) measured on the
+    # S is whitened, so the Pi part of the solver objective (-log2 det Pi) is
+    # twice the reported leakage: mi = (-log2 det Pi)/2. The packed Pi is
+    # Schur / (1 + mu_final), which puts the objective's leakage
+    # NS log2(1 + mu_final)/2 above the evaluated one. Beyond that the two
+    # round apart, by at most 2.7e-14 of max(1, mi_bits) measured on the
     # fixtures and the benchmark model: 1e-9 of it is allowed.
-    expected_mi = (sol.objective - problem.objective_offset) / 2.0 + 0.5 * ctx.logdet2_S
+    expected_mi = (sol.objective - problem.objective_offset) / 2.0
     reconciliation = metrics.mi_bits - expected_mi
     residual = reconciliation + ctx.NS * math.log2(1.0 + sol.mu_final) / 2.0
     if abs(residual) > 1e-9 * max(1.0, abs(metrics.mi_bits)):

@@ -17,6 +17,13 @@ objective reduces to
 
     f = -log2 det Sigma_H - log2 det (Sigma_S - cov^T Sigma_Z^{-1} cov).
 
+This is the objective with S in its own units. The package's program
+whitens S by the Cholesky factor of Sigma_S, which takes log2 det Sigma_S
+off the objective; the two objectives are equal here only because det
+Sigma_S = 1 * 1.25 - 0.5^2 = 1, so log2 det Sigma_S = 0 at this instance.
+That is why criterion 1 compares the solver's objective with this one
+directly.
+
 Constraints: output distortion <= 1, input distortion <= 1, and
 Sigma_Z - G Sigma_Y G^T positive semidefinite (realizable output noise).
 """

@@ -763,15 +763,17 @@ def test_a_singular_private_covariance_is_a_violation(capsys, tmp_path, twostate
 _LEAKAGE_FAILS = ("error: the leakage at K = {} cannot be computed: a covariance of the "
                   "disclosed pair (Z, S) is not positive definite in floating point")
 # The corpus cases where a covariance of (Z, S) or Sigma_Z does not factor in
-# floating point, and the one line each ends in: (fixture, Sigma_x1,
-# command) -> (id suffix, exit code, stderr line).
+# floating point or the two leakage routes disagree, and the one line each
+# ends in: (fixture, Sigma_x1, command) -> (id suffix, exit code, stderr line).
 _SCALE_ENDS = {
     ("scalar", 1e16, "evaluate"): ("exit3", 3, _LEAKAGE_FAILS.format(2)),
     ("scalar", 1e17, "evaluate"): ("exit3", 3, _LEAKAGE_FAILS.format(2)),
     ("scalar", 1e17, "simulate"): (
         "exit3", 3, "error: the disclosed covariance Sigma_Z at K = 2 is not positive "
                     "definite in floating point"),
-    ("reactor4", 1e15, "evaluate"): ("exit3", 3, _LEAKAGE_FAILS.format(10)),
+    ("reactor4", 1e15, "evaluate"): (
+        "exit3", 3, "error: mutual information routes disagree: Schur 20.867126712026206 vs "
+                    "entropy-sum 22.78688886386162"),
     ("reactor4", 1e16, "evaluate"): ("sigma-s-line", 1, _singular_s(10)),
     ("reactor4", 1e17, "evaluate"): ("sigma-s-line", 1, _singular_s(10)),
 }

@@ -1,14 +1,16 @@
 """Invariances the mathematics guarantees: the input budget moves only the
-closed-form entropy term, and a change of state coordinates changes nothing
-the program sees."""
+closed-form entropy term, and a change of state coordinates or of private
+output coordinates changes nothing the program sees."""
 
 import dataclasses
+import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from privsynth.model import load_model, with_overrides
+from privsynth import cli
+from privsynth.model import load_model, to_dict, with_overrides, write_json
 from privsynth.synth import synthesize
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -52,3 +54,26 @@ def test_state_coordinates_do_not_matter(name):
         assert abs(rep.mi_bits - base.mi_bits) <= 1e-12, np.linalg.cond(T)
         assert abs(rep.cost_bits - base.cost_bits) <= 1e-12, np.linalg.cond(T)
         assert rep.solver["newton_steps"] == base.solver["newton_steps"]
+
+
+@pytest.mark.parametrize("name", ["scalar", "twostate", "twostate_weighted", "reactor4"])
+def test_private_coordinates_do_not_matter(capsys, tmp_path, name):
+    """I(S; Z) is the same for S and M S with M invertible, and the program
+    sees S whitened, so D -> c D for c from 1e-6 to 1e6, and D -> M D for a
+    random M, each solve (synthesize exits 0) with the same leakage to
+    1e-12 bits."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    rng = np.random.default_rng(15)
+    M = np.eye(model.n_s) + 0.5 * rng.standard_normal((model.n_s, model.n_s))
+    assert abs(np.linalg.det(M)) > 0.1
+    mi = {}
+    for label, D in [("1", model.D), *((f"{c:g}", c * model.D) for c in (1e-6, 1e-4, 1e3, 1e6)),
+                     ("M", M @ model.D)]:
+        path = tmp_path / f"{label}.json"
+        write_json(to_dict(dataclasses.replace(model, D=D), req), str(path))
+        code = cli.main(["synthesize", str(path), str(tmp_path / f"{label}.mech.json")])
+        assert code == 0, (label, capsys.readouterr().err)
+        report = json.loads((tmp_path / f"{label}.mech.report.json").read_text())
+        mi[label] = report["mi_bits"]
+    capsys.readouterr()
+    assert max(mi.values()) - min(mi.values()) <= 1e-12, mi

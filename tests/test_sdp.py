@@ -293,13 +293,13 @@ def _reactor_points():
 def test_factor_newton_matches_dense_reference():
     """The rank-2 factor assembly of the weighted logdet and barrier terms
     equals the textbook dense formulas on both synthesis programs: the full
-    one with four LMIs (Pi with logdet weight 1, its negative-sign term in
-    the leakage LMI and its floor LMI) and its reduced view with three (the
+    one with three LMIs (Pi with logdet weight 1 and its negative-sign term
+    in the leakage LMI) and its reduced view with the same three (the
     leakage LMI with objective weight 1, so coefficient 1 + mu, and
     Sigma_Z with logdet weight -1)."""
     (full, x_full), (red, x_red) = _reactor_points()
     assert full.sym_vars["Pi"].logdet_weight == 1.0
-    assert [c.weight for c in full.lmis] == [0.0, 0.0, 0.0, 0.0]
+    assert [c.weight for c in full.lmis] == [0.0, 0.0, 0.0]
     assert [c.weight for c in red.lmis] == [1.0, 0.0, 0.0]
     assert red.sym_vars["Sigma_Z"].logdet_weight == -1.0
     for label, prob, x in (("full", full, x_full), ("reduced", red, x_red)):
@@ -422,7 +422,7 @@ def test_build_from_reused_factors_is_bitwise(monkeypatch):
         assert all(a is b for a, b in zip(reused.factors, factors))
 
 
-@pytest.mark.parametrize("fixture, steps, moves", [("reactor4", 9, 12), ("twostate", 11, 19)],
+@pytest.mark.parametrize("fixture, steps, moves", [("reactor4", 9, 13), ("twostate", 12, 21)],
                          ids=["reactor4", "twostate"])
 def test_one_newton_system_build_per_iterate(monkeypatch, fixture, steps, moves):
     """The Hessian is built once at the start and once per accepted move of
@@ -477,10 +477,10 @@ def test_newton_factor_substitutions(monkeypatch):
     seq = "".join(events)
     assert re.fullmatch(r"(Fg(?:b|fb))*Fg", seq), seq
     systems = seq.split("F")[1:]
-    assert (len(systems), systems.count("gb"), systems.count("gfb")) == (18, 9, 8)
+    assert (len(systems), systems.count("gb"), systems.count("gfb")) == (19, 9, 9)
     assert sol.newton_steps == 9
-    # 18 forward substitutions, 9 for the steps, 16 for the tangents.
-    assert len(seq) - len(systems) == 43
+    # 19 forward substitutions, 9 for the steps, 18 for the tangents.
+    assert len(seq) - len(systems) == 46
 
 
 def _central_point(mu, m=1e-8, cap=3.0):

@@ -43,19 +43,18 @@ def assembled(name, **overrides):
 
 
 def test_constraint_set_with_finite_budgets():
-    """The input noise is no variable: it enters only as the objective offset."""
-    _, req, _, prob = assembled("scalar")
+    """The input noise is no variable: it enters only as the objective offset.
+    Three LMIs, none on Pi or Sigma_Z alone: log det Pi keeps Pi positive
+    definite. The private stack is whitened, so the leakage LMI's constant
+    is I in Pi's block."""
+    _, req, _, prob = assembled("twostate")
     lmi_names = [c.name for c in prob.lmis]
-    assert lmi_names == ["leakage", "output_distortion_budget", "noise_floor", "pi_floor"]
+    assert lmi_names == ["leakage", "output_distortion_budget", "noise_floor"]
     assert set(prob.sym_vars) == {"Pi", "Sigma_Z"} and set(prob.affine_vars) == {"G"}
-    # Pi carries a strict PSD floor, the LMI Pi - delta I >= 0; Sigma_Z
-    # does not need its own.
-    floor = prob.lmis[-1]
-    assert set(floor.terms) == {"Pi"}
-    delta = -floor.constant[0, 0]
-    assert delta > 0.0
-    np.testing.assert_array_equal(floor.constant, -delta * np.eye(floor.dim))
-    assert not any(set(c.terms) == {"Sigma_Z"} for c in prob.lmis)
+    assert not any(len(c.terms) == 1 for c in prob.lmis)
+    NS = prob.sym_vars["Pi"].n
+    leak = prob.lmis[0]
+    np.testing.assert_array_equal(leak.constant[:NS, :NS], np.eye(NS))
     Sigma_H = input_noise(req)
     np.testing.assert_array_equal(prob.meta["Sigma_H"], Sigma_H)
     assert prob.objective_offset == pytest.approx(-math.log2(np.linalg.det(Sigma_H)), abs=1e-12)
@@ -65,7 +64,7 @@ def test_constraint_set_with_infinite_budgets():
     """An infinite output budget drops its distortion LMI; an infinite or zero
     input budget is rejected before any solve."""
     _, _, _, prob = assembled("scalar", eps_y=math.inf)
-    assert {c.name for c in prob.lmis} == {"leakage", "noise_floor", "pi_floor"}
+    assert {c.name for c in prob.lmis} == {"leakage", "noise_floor"}
     with pytest.raises(ValidationError) as exc:
         assembled("scalar", eps_u=math.inf)
     assert exc.value.report.violations == [
@@ -170,26 +169,35 @@ def test_packed_leakage_bound_is_the_barrier_center():
     assert cert.objective == pytest.approx(sol.objective, abs=1e-12)
 
 
-def test_certificate_enforces_the_leakage_bound_floor(twostate_case, twostate_report):
-    """The reduced solve never sees Pi's floor, so the certificate on the
-    full program is what enforces Pi >= delta I: a solved point with Pi
-    shrunk below delta, the leakage LMI still feasible, is rejected, and
-    the floor LMI is the only check that fails."""
+def test_certificate_rejects_a_leakage_bound_that_is_not_positive_definite(
+        monkeypatch, capsys, tmp_path, twostate_case):
+    """No LMI states Pi > 0: it is the domain of the objective -log2 det Pi.
+    A packed Pi shrunk by a multiple of I to a matrix with a negative
+    eigenvalue still meets the leakage LMI (I - Pi only grows), so the
+    certificate passes its checks with objective inf, and the leakage's
+    reconciliation with that objective refuses the answer: SolverFailure in
+    process, exit 3 with one line from the CLI, and no mechanism written."""
+    real = synth_module._conditional_cov
+
+    def shrunk(*blocks):
+        schur = real(*blocks)
+        return schur - (np.linalg.eigvalsh(schur)[0] + 1e-6) * np.eye(schur.shape[0])
+
+    monkeypatch.setattr(synth_module, "_conditional_cov", shrunk)
     model, req = twostate_case
-    prob = assemble_program(build_lift(model, req.K), model, req)
-    delta = prob.meta["context"].delta
-    values = dict(twostate_report.solution.variables)
-    Pi = values["Pi"]
-    # Shrinking Pi by a multiple of I only loosens Sigma_S - Pi >= 0.
-    values["Pi"] = Pi - (np.linalg.eigvalsh(Pi)[0] + 1e-6) * np.eye(Pi.shape[0])
-    lam_min = float(np.linalg.eigvalsh(values["Pi"])[0])
-    assert lam_min < delta
-    rep = sdp.check_solution(prob, values)
-    assert not rep.ok
-    assert [c.name for c in rep.checks if c.min_slack < -sdp.CERT_TOL] == ["pi_floor"]
-    floor = next(c for c in rep.checks if c.name == "pi_floor")
-    assert floor.min_slack == pytest.approx(lam_min - delta, rel=1e-6)
-    assert rep.max_psd_violation == pytest.approx(delta - lam_min, rel=1e-6)
+    with pytest.raises(SolverFailure, match="from the certified objective's by") as exc:
+        synthesize(model, req)
+    sol = exc.value.solution
+    assert sol.status is sdp.SolverStatus.NUMERICAL_FAILURE
+    assert np.linalg.eigvalsh(sol.variables["Pi"])[0] < 0.0
+    cert = sdp.check_solution(assemble_program(build_lift(model, req.K), model, req), sol.x)
+    assert cert.ok and cert.objective == sol.objective == math.inf
+
+    out = tmp_path / "m.json"
+    assert cli_module.main(["synthesize", str(FIXTURES / "twostate.json"), str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "from the certified objective's by" in lines[0], lines
+    assert not out.exists()
 
 
 def scaled(model, req, s):
@@ -223,28 +231,31 @@ def test_packed_point_certified_at_scale(scale):
             assert rep.solver["newton_steps"] == 0 and rep.mi_bits == 0.0
 
 
-@pytest.mark.parametrize("name", ["twostate", "reactor4"])
+@pytest.mark.parametrize("name", ["twostate", "reactor4", "scalar", "twostate_weighted"])
 def test_information_does_not_depend_on_units(name):
-    """The noise floor sits on Sigma_V in the program's own units, so a
-    change of units moves neither feasibility nor the optimum: the leakage
-    agrees to 1e-5 bits for covariances scaled by 1, 1e2 and 1e4, and every
-    certificate is clean."""
+    """The program sees the private stack whitened, and the noise floor
+    delta = 1e-8 tr(Sigma_Y) / NY scales with Sigma_Y, so a change of units
+    changes no number the solver reads: for covariances scaled by 1e-4 to
+    1e4 the leakage agrees to 1e-12 bits, the Newton step count is the
+    same, and every certificate is clean."""
     model, req = load_model(str(FIXTURES / f"{name}.json"))
-    mi = []
-    for s in (1.0, 1e2, 1e4):
+    mi, steps = [], set()
+    for s in (1e-4, 1e-2, 1.0, 1e2, 1e4):
         m, r = scaled(model, req, s)
         lift = build_lift(m, r.K)
         rep = synthesize(m, r)
         assert sdp.check_solution(assemble_program(lift, m, r), rep.solution.x).ok, s
         mi.append(rep.mi_bits)
-    assert max(mi) - min(mi) <= 1e-5, mi
+        steps.add(rep.solver["newton_steps"])
+    assert max(mi) - min(mi) <= 1e-12, mi
+    assert len(steps) == 1, steps
 
 
 def _output_threshold(model, req):
-    """delta * tr(W_Y^T W_Y), delta = 1e-8 * max(1, tr(Sigma_Y) / NY), from
-    the model's own moments."""
+    """delta * tr(W_Y^T W_Y), delta = 1e-8 * tr(Sigma_Y) / NY, from the
+    model's own moments."""
     Sigma_Y = output_moments(build_lift(model, req.K), model).Sigma_Y
-    delta = 1e-8 * max(1.0, float(np.trace(Sigma_Y)) / Sigma_Y.shape[0])
+    delta = 1e-8 * float(np.trace(Sigma_Y)) / Sigma_Y.shape[0]
     return delta * float(np.trace(req.W_Y.T @ req.W_Y))
 
 
@@ -478,6 +489,31 @@ def test_solve_reports_its_last_iterate():
     assert sol.duality_measure == pytest.approx(
         sol.mu_final * sum(c.dim for c in red.lmis) / max(1.0, abs(f)), rel=1e-12)
     assert sol.duality_measure <= sdp.TOL_GAP
+
+
+@pytest.mark.parametrize("name", ["reactor4", "twostate"])
+def test_default_stop_is_near_the_tight_answer(monkeypatch, name):
+    """With S whitened the reduced objective is twice the leakage in nats,
+    so the stop mu nu / max(1, |f|) <= TOL_GAP bounds an absolute gap: the
+    leakage at the default stop lies within 2e-8 bits of the answer at
+    TOL_GAP = 1e-11 (7.2e-9 on reactor4 and 2.9e-9 on twostate; 7.1e-8 and
+    2.9e-8 with S in its own units)."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    default = synthesize(model, req).mi_bits
+    monkeypatch.setattr(sdp, "TOL_GAP", 1e-11)
+    tight = synthesize(model, req).mi_bits
+    assert 0.0 <= default - tight <= 2e-8, (default, tight)
+
+
+def test_output_budget_binds_on_reactor4(reactor_case):
+    """reactor4's output budget binds at its optimum, and the report says
+    so at the default stop: the distortion is within BUDGET_ACTIVE_RTOL of
+    eps_Y (slack 1.1e-5 of it; 1.1e-4 with S in its own units, and the flag
+    then read false)."""
+    model, req = reactor_case
+    rep = synthesize(model, req)
+    assert rep.flags["budget_Y_active"]
+    assert 0.0 < req.eps_y - rep.distortion_Y <= 0.2 * synth_module.BUDGET_ACTIVE_RTOL * req.eps_y
 
 
 def test_output_moments_once_per_call(monkeypatch, scalar_case):
