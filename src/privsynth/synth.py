@@ -21,12 +21,13 @@ closed form Schur / (1 + mu), so the solver runs on the reduced view
 without Pi (``reduced_view``) and Pi is packed back in. ``synthesize``
 certifies each answer once, on the full program of ``assemble_program``.
 
-The output noise floor Sigma_V > delta I, delta = 1e-8 tr(Sigma_Y) / NY,
-makes the output distortion at least the threshold delta tr(W_Y^T W_Y),
-approached by passing Y through (G = I) with noise delta I: the program is
-strictly feasible exactly above it, from the pass-through start of
-``analytic_start``. G = 0 discloses pure noise and leaks nothing, so the
-optimum is closed form at eps_Y = inf and above eps_zero, the output
+The output noise floor Sigma_V > delta I, delta = 1e-8 min(eps_Y,
+pure_noise) / tr(W_Y^T W_Y), spends at most 1e-8 of the output budget, so
+the program is strictly feasible at every eps_Y > 0, from the pass-through
+start (G = I) of ``analytic_start``; eps_Y = 0 leaves no interior. The
+floor's LMI sees Y through the Cholesky factor L_Y of Sigma_Y, so that
+Sigma_Y^-1 is never formed. G = 0 discloses pure noise and leaks nothing, so
+the optimum is closed form at eps_Y = inf and above eps_zero, the output
 distortion of G = 0 with the noise at its floor. ``_Context`` states these
 closed forms of the output budget once.
 """
@@ -116,17 +117,16 @@ class SynthesisReport(MechanismMetrics):
 class _Context:
     """Constant data shared by assembly, initialization and extraction, and
     the one statement of the output budget's closed forms (W = W_Y^T W_Y).
-    The private stack is whitened (``cov_YS_white``); the noise floor delta
-    is 1e-8 tr(Sigma_Y) / NY, in the units of Y."""
+    The private stack is whitened (``cov_YS_white``), and the noise floor
+    sees Y through its Cholesky factor (``chol_Y``)."""
 
     K: int
     n_y: int
     NY: int
     NS: int
     mom: LiftedMoments
-    Winv: np.ndarray
+    chol_Y: np.ndarray          # L_Y, Sigma_Y = L_Y L_Y^T
     MYq: np.ndarray
-    delta: float
     eps_y: float
     cov_YS_white: np.ndarray    # cov(Y, S) L_S^-T, Sigma_S = L_S L_S^T
 
@@ -146,14 +146,16 @@ class _Context:
         return float(self.tr_wy + self.mom.mu_Y @ self.MYq @ self.mom.mu_Y)
 
     @property
-    def threshold(self) -> float:
-        """delta tr(W): the program is strictly feasible exactly above it."""
-        return self.delta * self.tr_w
+    def delta(self) -> float:
+        """The noise floor 1e-8 min(eps_Y, pure_noise) / tr(W): white noise at
+        it spends at most 1e-8 of the output budget, so it changes with units
+        as the budget does, and it is finite at eps_Y = inf."""
+        return 1e-8 * min(self.eps_y, self.pure_noise) / self.tr_w
 
     @property
     def eps_zero(self) -> float:
         """Output distortion of G = 0 with the noise at its floor."""
-        return self.pure_noise + self.threshold
+        return self.pure_noise + self.delta * self.tr_w
 
     def halfway(self, base: float) -> float:
         """White noise level halfway between the floor delta and the level that
@@ -183,12 +185,9 @@ def _build_context(lift: LiftedSystem, model: SystemModel, req: SynthesisRequest
     strictly feasible point: a ValidationError here."""
     mom = output_moments(lift, model)
     chol_S = _check_private_covariance(mom.Sigma_S, req.K)
-    NY = req.K * model.n_y
-    return _Context(K=req.K, n_y=model.n_y, NY=NY, NS=req.K * model.n_s, mom=mom,
-                    Winv=_sym(cho_solve(cholesky(mom.Sigma_Y), np.eye(NY))),
-                    MYq=_sym(req.W_Y.T @ req.W_Y),
-                    delta=1e-8 * float(np.trace(mom.Sigma_Y)) / NY, eps_y=req.eps_y,
-                    cov_YS_white=solve_lower(chol_S, mom.cov_YS.T).T)
+    return _Context(K=req.K, n_y=model.n_y, NY=req.K * model.n_y, NS=req.K * model.n_s,
+                    mom=mom, chol_Y=cholesky(mom.Sigma_Y), MYq=_sym(req.W_Y.T @ req.W_Y),
+                    eps_y=req.eps_y, cov_YS_white=solve_lower(chol_S, mom.cov_YS.T).T)
 
 
 def input_noise(req: SynthesisRequest) -> np.ndarray:
@@ -221,17 +220,15 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
     depend on eps_U. An infinite output budget drops the output distortion
     constraint entirely. This is the program every solution is certified
     on; ``synthesize`` solves its ``reduced_view``. Raises
-    InfeasibleProgram for eps_Y at or below the noise-floor threshold,
-    where no point is strictly feasible.
+    InfeasibleProgram for eps_Y = 0, where no point is strictly feasible.
     """
     Sigma_H = input_noise(req)
     ctx = _build_context(lift, model, req)
     K, n_y, NY, NS = ctx.K, ctx.n_y, ctx.NY, ctx.NS
-    if not ctx.eps_y > ctx.threshold:
-        raise InfeasibleProgram(
-            f"output distortion budget infeasible: eps_Y = {ctx.eps_y:.6g} must exceed the "
-            f"output noise floor delta*tr(W_Y^T W_Y) = {ctx.threshold:.6g}",
-            worst_constraint="output_distortion_budget")
+    if not ctx.eps_y > 0.0:
+        raise InfeasibleProgram("output distortion budget infeasible: eps_Y = 0 leaves "
+                                "no room for output noise",
+                                worst_constraint="output_distortion_budget")
 
     prob = sdp.SdpProblem()
     prob.objective_offset = -float(np.linalg.slogdet(Sigma_H)[1]) / math.log(2.0)
@@ -273,17 +270,16 @@ def assemble_program(lift: LiftedSystem, model: SystemModel, req: SynthesisReque
         vg[:, 1:] = req.W_Y[:, rg].T * ctx.mom.mu_Y[cg, None]
         dist.add_term("G", np.zeros(rg.size, dtype=int), vg)
 
-    # Noise-floor LMI: [[Sigma_Z - delta I, G], [G^T, Winv]] >= 0; its Schur
-    # complement is Sigma_V - delta I, Sigma_V the extracted output noise
-    # covariance, so the floor is on Sigma_V in the program's own units.
+    # Noise-floor LMI: [[Sigma_Z - delta I, G~ L_Y], [L_Y^T G~^T, I]] >= 0, the
+    # congruence by diag(I, L_Y^T) of [[Sigma_Z - delta I, G~], [G~^T, Sigma_Y^-1]].
+    # Its Schur complement is Sigma_V - delta I, Sigma_V the extracted output
+    # noise covariance, and Sigma_Y^-1 is never formed.
     dimn = 2 * NY
-    const = np.zeros((dimn, dimn))
-    const[:NY, :NY] = -ctx.delta * np.eye(NY)
-    const[NY:, NY:] = ctx.Winv
-    floor = prob.add_lmi("noise_floor", dimn, constant=const)
+    floor = prob.add_lmi("noise_floor", dimn,
+                         constant=np.diag(np.repeat([-ctx.delta, 1.0], NY)))
     floor.add_term("Sigma_Z", *sz.basis_factors(dimn))
     vg = np.zeros((rg.size, dimn))
-    vg[np.arange(rg.size), NY + cg] = 1.0
+    vg[:, NY:] = ctx.chol_Y[cg, :]
     floor.add_term("G", rg, vg)
 
     prob.meta["context"] = ctx
@@ -354,8 +350,8 @@ def _numerical_failure(sol: sdp.SdpSolution, message: str) -> SolverFailure:
 
 
 def analytic_start(problem: sdp.SdpProblem) -> dict:
-    """Strictly feasible start for ``reduced_view`` between the threshold and
-    eps_zero, where ``synthesize`` solves: Y passed through (G = I) with white
+    """Strictly feasible start for ``reduced_view`` at every eps_Y in (0,
+    eps_zero], where ``synthesize`` solves: Y passed through (G = I) with white
     noise at ``halfway(0)``; the solver rejects a start outside its domain."""
     ctx: _Context = problem.meta["context"]
     return {
@@ -406,6 +402,11 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     else:
         reduced = reduced_view(problem)
         sol = sdp.solve(reduced, init=analytic_start(reduced))
+        if sol.message.startswith("start point outside domain"):
+            # The start is strictly feasible in exact arithmetic at every
+            # eps_Y > 0: only a budget below Sigma_Y's rounding leaves it.
+            raise SolverFailure(f"eps_Y = {ctx.eps_y:.3g} is below the rounding of "
+                                f"tr(W_Y^T W_Y Sigma_Y) = {ctx.tr_wy:.6g}: {sol.message}", sol)
         if sol.status is not sdp.SolverStatus.OPTIMAL:
             raise SolverFailure(f"solver status {sol.status.value}: {sol.message}", sol)
         sol = _pack_leakage_bound(problem, sol)
@@ -414,6 +415,10 @@ def synthesize(model: SystemModel, req: SynthesisRequest) -> SynthesisReport:
     if not cert.ok:
         raise _numerical_failure(sol, f"the full program rejects the packed leakage bound "
                                       f"(max PSD violation {cert.max_psd_violation:.3e})")
+    if not math.isfinite(cert.objective):
+        # No LMI states Pi > 0: it is the domain of the objective -log2 det Pi.
+        raise _numerical_failure(sol, "the packed leakage bound Pi is not positive definite "
+                                      "(certified objective inf)")
 
     g = sol.variables["G"]
     Gt = _gtilde(g, ctx.K, ctx.n_y)

@@ -146,6 +146,45 @@ def test_an_uncentered_stop_is_not_optimal(monkeypatch):
     assert sol.objective == pytest.approx(-0.848, abs=1e-3)
 
 
+def test_step_that_does_not_lower_psi_ends_the_centering(monkeypatch):
+    """A line search that accepts a step which does not lower psi ends the
+    centering at the x it had, uncentered, and no predictor trial follows.
+    ARMIJO below zero accepts the first trial in the domain, and with the
+    Newton direction reversed psi rises along it (psi is convex and the
+    direction ascends), so the first trial is that step. Under MAX_OUTER = 1
+    the run records no move, where the unforced run records its Newton
+    steps and one predictor move; under TOL_GAP = inf it ends on the
+    uncentered stop, where the unforced run is Optimal."""
+    real = sdp._solve_newton
+
+    def ascending(hess, grad):
+        L, w = real(hess, grad)
+        return L, -w
+
+    def run(forced, **constants):
+        with monkeypatch.context() as m:
+            for name, value in constants.items():
+                m.setattr(sdp, name, value)
+            if forced:
+                m.setattr(sdp, "ARMIJO", -math.inf)
+                m.setattr(sdp, "_solve_newton", ascending)
+            return solve(trace_cap_problem(), init={"X": np.diag([0.2, 2.7])})
+
+    free = run(False, MAX_OUTER=1)
+    assert free.newton_steps > 0 and len(free.iterations) == free.newton_steps + 1
+    sol = run(True, MAX_OUTER=1)
+    assert sol.status is SolverStatus.MAX_ITERATIONS
+    assert sol.message == "outer iteration limit reached"
+    assert sol.newton_steps == 0 and sol.iterations == []
+    np.testing.assert_array_equal(sol.variables["X"], np.diag([0.2, 2.7]))
+
+    assert run(False, TOL_GAP=math.inf).status is SolverStatus.OPTIMAL
+    sol = run(True, TOL_GAP=math.inf)
+    assert sol.status is SolverStatus.MAX_ITERATIONS
+    assert sol.message == "the last centering ended before its test passed"
+    assert sol.newton_steps == 0 and sol.iterations == []
+
+
 def test_outer_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(sdp, "MAX_OUTER", 2)
     monkeypatch.setattr(sdp, "TOL_GAP", 1e-30)

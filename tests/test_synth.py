@@ -174,9 +174,9 @@ def test_certificate_rejects_a_leakage_bound_that_is_not_positive_definite(
     """No LMI states Pi > 0: it is the domain of the objective -log2 det Pi.
     A packed Pi shrunk by a multiple of I to a matrix with a negative
     eigenvalue still meets the leakage LMI (I - Pi only grows), so the
-    certificate passes its checks with objective inf, and the leakage's
-    reconciliation with that objective refuses the answer: SolverFailure in
-    process, exit 3 with one line from the CLI, and no mechanism written."""
+    certificate passes its checks with objective inf, and synthesize refuses
+    the answer by naming Pi: SolverFailure in process, exit 3 with one line
+    from the CLI, and no mechanism written."""
     real = synth_module._conditional_cov
 
     def shrunk(*blocks):
@@ -185,8 +185,10 @@ def test_certificate_rejects_a_leakage_bound_that_is_not_positive_definite(
 
     monkeypatch.setattr(synth_module, "_conditional_cov", shrunk)
     model, req = twostate_case
-    with pytest.raises(SolverFailure, match="from the certified objective's by") as exc:
+    line = "the packed leakage bound Pi is not positive definite (certified objective inf)"
+    with pytest.raises(SolverFailure) as exc:
         synthesize(model, req)
+    assert str(exc.value) == line
     sol = exc.value.solution
     assert sol.status is sdp.SolverStatus.NUMERICAL_FAILURE
     assert np.linalg.eigvalsh(sol.variables["Pi"])[0] < 0.0
@@ -195,8 +197,7 @@ def test_certificate_rejects_a_leakage_bound_that_is_not_positive_definite(
 
     out = tmp_path / "m.json"
     assert cli_module.main(["synthesize", str(FIXTURES / "twostate.json"), str(out)]) == 3
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and "from the certified objective's by" in lines[0], lines
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
     assert not out.exists()
 
 
@@ -234,10 +235,11 @@ def test_packed_point_certified_at_scale(scale):
 @pytest.mark.parametrize("name", ["twostate", "reactor4", "scalar", "twostate_weighted"])
 def test_information_does_not_depend_on_units(name):
     """The program sees the private stack whitened, and the noise floor
-    delta = 1e-8 tr(Sigma_Y) / NY scales with Sigma_Y, so a change of units
-    changes no number the solver reads: for covariances scaled by 1e-4 to
-    1e4 the leakage agrees to 1e-12 bits, the Newton step count is the
-    same, and every certificate is clean."""
+    delta = 1e-8 min(eps_Y, pure_noise) / tr(W_Y^T W_Y) scales with the
+    budgets and Sigma_Y, so a change of units changes no number the solver
+    reads: for covariances scaled by 1e-4 to 1e4 the leakage agrees to
+    1e-12 bits, the Newton step count is the same, and every certificate is
+    clean."""
     model, req = load_model(str(FIXTURES / f"{name}.json"))
     mi, steps = [], set()
     for s in (1e-4, 1e-2, 1.0, 1e2, 1e4):
@@ -251,91 +253,86 @@ def test_information_does_not_depend_on_units(name):
     assert len(steps) == 1, steps
 
 
-def _output_threshold(model, req):
-    """delta * tr(W_Y^T W_Y), delta = 1e-8 * tr(Sigma_Y) / NY, from the
-    model's own moments."""
-    Sigma_Y = output_moments(build_lift(model, req.K), model).Sigma_Y
-    delta = 1e-8 * float(np.trace(Sigma_Y)) / Sigma_Y.shape[0]
-    return delta * float(np.trace(req.W_Y.T @ req.W_Y))
+def _certified(model, req):
+    """synthesize's report on req, with its certificate checked again on the
+    full program and its output distortion within eps_Y."""
+    rep = synthesize(model, req)
+    assert rep.solver["status"] == "Optimal"
+    assert rep.solver["max_psd_violation"] <= sdp.CERT_TOL
+    assert sdp.check_solution(assemble_program(build_lift(model, req.K), model, req),
+                              rep.solution.x).ok
+    assert rep.distortion_Y <= req.eps_y * (1 + 1e-6)
+    return rep
 
 
 @pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
 def test_output_budget_threshold(name, tmp_path, capsys):
-    """The program is strictly feasible exactly above eps_Y = delta *
-    tr(W_Y^T W_Y): just below, synthesize blames the output budget and
-    names the threshold, and the command line exits 2 with one line; just
-    above, the pass-through start solves to a clean certificate."""
+    """The noise floor spends 1e-8 of the output budget, so the program is
+    strictly feasible at every eps_Y > 0: at eps_Y = 0 synthesize blames the
+    output budget, and the command line exits 2 with one line that names
+    it; at eps_Y = 1e-12 the pass-through start solves to a clean
+    certificate within the budget."""
     model, req = load_model(str(FIXTURES / f"{name}.json"))
-    thr = _output_threshold(model, req)
-    below = dataclasses.replace(req, eps_y=0.999 * thr)
     with pytest.raises(InfeasibleProgram) as exc:
-        synthesize(model, below)
+        synthesize(model, dataclasses.replace(req, eps_y=0.0))
     assert exc.value.worst_constraint == "output_distortion_budget"
-    assert f"{thr:.6g}" in str(exc.value)
     assert "\n" not in str(exc.value)
 
     rc = cli_module.main(["synthesize", str(FIXTURES / f"{name}.json"),
-                          str(tmp_path / "m.json"), "--eps-y", repr(0.999 * thr)])
-    assert rc == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), lines
-    assert not (tmp_path / "m.json").exists()
-
-    above = dataclasses.replace(req, eps_y=1.001 * thr)
-    lift = build_lift(model, req.K)
-    rep = synthesize(model, above)
-    assert rep.solver["status"] == "Optimal"
-    assert sdp.check_solution(assemble_program(lift, model, above), rep.solution.x).ok
-    assert rep.distortion_Y <= above.eps_y * (1 + 1e-6)
-
-
-@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
-def test_feasibility_threshold_is_sharp(name, tmp_path, capsys):
-    """At eps_Y = threshold * (1 + 1e-6) the program is a sliver, and the
-    solve still ends with a clean certificate within the budget; at the
-    threshold itself the command line exits 2 with one line. Near the
-    threshold a line search can accept a step that does not lower psi; the
-    centering then ends uncentered, and no predictor step may follow it."""
-    model, req = load_model(str(FIXTURES / f"{name}.json"))
-    thr = _output_threshold(model, req)
-    near = dataclasses.replace(req, eps_y=thr * (1 + 1e-6))
-    rep = synthesize(model, near)
-    assert rep.solver["status"] == "Optimal"
-    assert rep.solver["max_psd_violation"] <= sdp.CERT_TOL
-    assert sdp.check_solution(assemble_program(build_lift(model, req.K), model, near),
-                              rep.solution.x).ok
-    assert rep.distortion_Y <= near.eps_y * (1 + 1e-6)
-    assert all(math.isfinite(r.decrement) for r in rep.solution.iterations)
-    capsys.readouterr()
-
-    rc = cli_module.main(["synthesize", str(FIXTURES / f"{name}.json"),
-                          str(tmp_path / "m.json"), "--eps-y", repr(thr)])
+                          str(tmp_path / "m.json"), "--eps-y", "0"])
     assert rc == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: output distortion budget"), lines
+    assert not (tmp_path / "m.json").exists()
+
+    _certified(model, dataclasses.replace(req, eps_y=1e-12))
 
 
-def test_step_that_does_not_lower_psi_ends_the_centering(reactor_case):
-    """On reactor4 at eps_Y = threshold * (1 + 1e-6) the Armijo test accepts
-    steps of alpha ~ 3e-11 that leave psi where it was; a centering that
-    repeated them ran to MAX_INNER twice (101 Newton steps). Ending the
-    centering at the first such step leaves a handful, with a clean
-    certificate."""
-    model, req = reactor_case
-    near = dataclasses.replace(req, eps_y=_output_threshold(model, req) * (1 + 1e-6))
-    rep = synthesize(model, near)
-    assert rep.solver["status"] == "Optimal"
-    assert rep.solver["newton_steps"] <= 10, rep.solver["newton_steps"]
-    assert sdp.check_solution(assemble_program(build_lift(model, req.K), model, near),
-                              rep.solution.x).ok
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
+def test_feasibility_threshold_is_sharp(name):
+    """At the small end of the budgets float64 resolves, eps_Y = 1e-12 and
+    1e-9, the solve ends with a clean certificate within the budget, with
+    every decrement finite. The noise floor takes 1e-8 of eps_Y, and the
+    output noise stays above it."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    for eps_y in (1e-12, 1e-9):
+        rep = _certified(model, dataclasses.replace(req, eps_y=eps_y))
+        assert all(math.isfinite(r.decrement) for r in rep.solution.iterations)
+        assert rep.flags["min_eig_Sigma_V"] > 1e-8 * eps_y / float(np.trace(req.W_Y.T @ req.W_Y))
+
+
+@pytest.mark.parametrize("eps_y", [1e-15, 1e-300])
+@pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
+def test_a_budget_below_the_rounding_is_one_line(name, eps_y, tmp_path, capsys):
+    """A budget that tr(W_Y^T W_Y Sigma_Y)'s rounding swamps leaves the
+    pass-through start outside the domain in floating point: the command
+    line exits 3 with one line that names eps_Y and that trace, and a sweep
+    cell reads NumericalFailure."""
+    model, req = load_model(str(FIXTURES / f"{name}.json"))
+    lift = build_lift(model, req.K)
+    mom = output_moments(lift, model)
+    tr_wy = float(np.sum(mom.Sigma_Y * (req.W_Y.T @ req.W_Y)))
+    path, out = str(FIXTURES / f"{name}.json"), tmp_path / "m.json"
+    assert cli_module.main(["synthesize", path, str(out), "--eps-y", repr(eps_y)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: eps_Y = {eps_y:.3g} is below the rounding of "
+                               f"tr(W_Y^T W_Y Sigma_Y) = {tr_wy:.6g}: "
+                               "start point outside domain (lmi "), lines
+    assert not out.exists()
+    csv = tmp_path / "sweep.csv"
+    assert cli_module.main(["sweep", path, str(csv), "--eps-y-grid", repr(eps_y),
+                            "--eps-u-grid", "1"]) == 0
+    assert csv.read_text().splitlines()[-1].endswith(",NumericalFailure")
 
 
 def _pure_noise_budget(model, req):
-    """eps_zero = tr(W_Y^T W_Y Sigma_Y) + |W_Y mu_Y|^2 + delta tr(W_Y^T W_Y):
-    the output distortion of G = 0 with the noise at its floor."""
+    """eps_zero = pure_noise (1 + 1e-8), pure_noise = tr(W_Y^T W_Y Sigma_Y) +
+    |W_Y mu_Y|^2: the output distortion of G = 0 with the noise at its floor,
+    which spends 1e-8 of pure_noise there."""
     mom = output_moments(build_lift(model, req.K), model)
-    return (float(np.trace(req.W_Y.T @ req.W_Y @ mom.Sigma_Y))
-            + float(np.sum((req.W_Y @ mom.mu_Y) ** 2)) + _output_threshold(model, req))
+    return (1 + 1e-8) * (float(np.trace(req.W_Y.T @ req.W_Y @ mom.Sigma_Y))
+                         + float(np.sum((req.W_Y @ mom.mu_Y) ** 2)))
 
 
 @pytest.mark.parametrize("name", ["scalar", "twostate", "reactor4", "twostate_weighted"])
